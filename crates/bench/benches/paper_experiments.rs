@@ -9,7 +9,7 @@ use experiments::{fig1, fig34, fig6, fig7, fig9, run_entry, RunCfg, Sched};
 use topology::Topology;
 
 fn cfg(scale: f64) -> RunCfg {
-    RunCfg { scale, seed: 42 }
+    RunCfg::at_scale(scale)
 }
 
 fn bench_table1(c: &mut Criterion) {

@@ -6,30 +6,31 @@
 //! crate; for scheduler internals use `cfs` / `ule` directly.
 //!
 //! ```
-//! use battle_core::{Machine, SchedulerKind, Simulation};
+//! use battle_core::{Machine, Sched, Simulation};
 //! use simcore::Dur;
 //!
 //! // Run a CPU hog against a mostly-sleeping app on one core under both
 //! // schedulers and compare how much CPU the hog got.
-//! let hog_share = |kind: SchedulerKind| {
-//!     let mut sim = Simulation::new(Machine::SingleCore, kind, 42);
+//! let hog_share = |sched: Sched| {
+//!     let mut sim = Simulation::new(Machine::SingleCore, sched, 42);
 //!     let hog = sim.spawn_app(workloads::synthetic::fibo(Dur::millis(500)));
 //!     sim.run_for(Dur::millis(400));
 //!     sim.app_cpu_time(hog).as_secs_f64()
 //! };
-//! assert!(hog_share(SchedulerKind::Cfs) > 0.3);
-//! assert!(hog_share(SchedulerKind::Ule) > 0.3);
+//! assert!(hog_share(Sched::Cfs) > 0.3);
+//! assert!(hog_share(Sched::Ule) > 0.3);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use cfs::Cfs;
 use kernel::{AppId, AppSpec, Kernel, SimConfig};
 use sched_api::Scheduler;
 use simcore::Dur;
 use topology::Topology;
-use ule::Ule;
+
+/// The scheduler registry (every class a [`Simulation`] can run).
+pub use scenario::Sched;
 
 /// The machines evaluated in the paper, plus custom topologies.
 #[derive(Debug, Clone)]
@@ -42,8 +43,9 @@ pub enum Machine {
     CoreI7_3770,
     /// `n` cores sharing one LLC.
     Flat(u32),
-    /// Any explicit topology.
-    Custom(Topology),
+    /// Any explicit topology (boxed: a topology is far larger than the
+    /// other variants).
+    Custom(Box<Topology>),
 }
 
 impl Machine {
@@ -54,30 +56,7 @@ impl Machine {
             Machine::Opteron6172 => Topology::opteron_6172(),
             Machine::CoreI7_3770 => Topology::core_i7_3770(),
             Machine::Flat(n) => Topology::flat(*n),
-            Machine::Custom(t) => t.clone(),
-        }
-    }
-}
-
-/// The two schedulers under comparison (plus a hook for custom classes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// Linux's Completely Fair Scheduler.
-    Cfs,
-    /// FreeBSD's ULE, as ported in the paper.
-    Ule,
-}
-
-impl SchedulerKind {
-    /// Construct the scheduling class for `topo`.
-    pub fn build(self, topo: &Topology, seed: u64) -> Box<dyn Scheduler> {
-        match self {
-            SchedulerKind::Cfs => Box::new(Cfs::new(topo)),
-            SchedulerKind::Ule => Box::new(Ule::with_params(
-                topo,
-                ule::params::UleParams::default(),
-                seed,
-            )),
+            Machine::Custom(t) => Topology::clone(t),
         }
     }
 }
@@ -88,11 +67,11 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// A simulation of `machine` driven by `scheduler`, deterministic in
+    /// A simulation of `machine` driven by `sched`, deterministic in
     /// `seed`.
-    pub fn new(machine: Machine, scheduler: SchedulerKind, seed: u64) -> Simulation {
+    pub fn new(machine: Machine, sched: Sched, seed: u64) -> Simulation {
         let topo = machine.topology();
-        let class = scheduler.build(&topo, seed);
+        let class = scenario::make_class(&topo, sched, seed);
         Simulation {
             kernel: Kernel::new(topo, SimConfig::with_seed(seed), class),
         }
@@ -169,14 +148,14 @@ pub fn compare_elapsed(
     limit: Dur,
     mut spec_for: impl FnMut(&mut Kernel) -> AppSpec,
 ) -> (Option<Dur>, Option<Dur>) {
-    let mut run = |kind| {
-        let mut sim = Simulation::new(machine.clone(), kind, seed);
+    let mut run = |sched| {
+        let mut sim = Simulation::new(machine.clone(), sched, seed);
         let spec = spec_for(sim.kernel_mut());
         let app = sim.spawn_app(spec);
         sim.run_to_completion(limit);
         sim.app_elapsed(app)
     };
-    (run(SchedulerKind::Cfs), run(SchedulerKind::Ule))
+    (run(Sched::Cfs), run(Sched::Ule))
 }
 
 #[cfg(test)]
@@ -185,9 +164,9 @@ mod tests {
     use kernel::{cpu_hog, ThreadSpec};
 
     #[test]
-    fn simulation_runs_both_schedulers() {
-        for kind in [SchedulerKind::Cfs, SchedulerKind::Ule] {
-            let mut sim = Simulation::new(Machine::Flat(2), kind, 7);
+    fn simulation_runs_every_scheduler() {
+        for sched in Sched::ALL {
+            let mut sim = Simulation::new(Machine::Flat(2), sched, 7);
             let app = sim.spawn_app(AppSpec::new(
                 "t",
                 vec![
@@ -197,7 +176,11 @@ mod tests {
             ));
             assert!(sim.run_to_completion(Dur::secs(5)));
             let e = sim.app_elapsed(app).unwrap();
-            assert!(e >= Dur::millis(20) && e < Dur::millis(60), "{kind:?}: {e}");
+            assert!(
+                e >= Dur::millis(20) && e < Dur::millis(60),
+                "{}: {e}",
+                sched.name()
+            );
             assert!(sim.app_cpu_time(app) >= Dur::millis(40));
         }
     }

@@ -5,7 +5,7 @@
 //!                     [--check strict|off]
 //!
 //! experiments: table1 fig1 fig2 table2 fig3 fig4 fig5 fig6 fig7 fig8 fig9
-//!              ablations desktop bench fuzz all
+//!              ablations desktop fuzz all
 //! ```
 //!
 //! `--scale` shrinks work volumes (default 1.0 = paper-sized runs; use
@@ -15,8 +15,8 @@
 //! checker: every kernel event is followed by a full consistency audit, and
 //! a violation writes a crash bundle under `results/crash/` and exits
 //! nonzero. Results print as ASCII tables/charts and can additionally be
-//! dumped as JSON. `bench` measures the simulator's own wall-clock
-//! throughput and writes `BENCH_sim.json`.
+//! dumped as JSON. The simulator's own speed is measured by the separate
+//! `simbench` package (see `BENCHMARK.json`).
 //!
 //! `fuzz` runs randomized workload/fault/topology combinations under the
 //! selected schedulers with strict checking (see `experiments::fuzz`):
@@ -34,21 +34,33 @@
 //!                   [--threads N] [--json PATH]
 //! ```
 //!
-//! `trace` exports a figure scenario's scheduling trace as
-//! Chrome-trace/Perfetto JSON (see `experiments::scope`):
+//! `trace` is `battle run <the figure's scenario file> --trace`, writing
+//! the Chrome-trace/Perfetto JSON to `--out` (see `experiments::scope`):
 //!
 //! ```text
-//! battle trace <fig1|fig5|fig6|fig7> [--out PATH] [--stream]
-//!              [--sched cfs|ule|both] [--scale S] [--seed N] [--json PATH]
+//! battle trace <fig1|fig5|fig6|fig7> [--out PATH] [--sched NAME|both|all]
+//!              [--scale S] [--seed N] [--json PATH]
 //! ```
 
 use std::io::Write;
+use std::path::{Path, PathBuf};
 
+use experiments::scenarios::TraceTo;
 use experiments::{
-    ablations, bench, chaos, desktop, fig1, fig2, fig34, fig5, fig6, fig7, fig8, fig9, fuzz,
-    golden, runner, scenarios, scope, table1, table2, RunCfg, Sched,
+    ablations, chaos, desktop, fig1, fig2, fig34, fig5, fig6, fig7, fig8, fig9, fuzz, golden,
+    runner, scenarios, table1, table2, RunCfg, Sched,
 };
 use kernel::CheckMode;
+use scenario::Scenario;
+
+/// The figures `battle trace` exports, each with its compiled-in scenario
+/// (fig5's apache outlier is the `apache` scenario).
+const TRACE_FIGS: [(&str, &str); 4] = [
+    ("fig1", fig1::SCENARIO),
+    ("fig5", fig5::APACHE_SCENARIO),
+    ("fig6", fig6::SCENARIO),
+    ("fig7", fig7::SCENARIO),
+];
 
 struct Args {
     experiment: String,
@@ -59,16 +71,12 @@ struct Args {
     trace_fig: Option<String>,
     /// `battle trace`: output path of the Chrome-trace JSON.
     out: String,
-    /// `battle trace`: stream events to disk instead of buffering.
-    stream: bool,
     /// `battle run`: scenario files/directories (positional).
     paths: Vec<String>,
     /// `battle run --trace`: export a Chrome-trace per scenario.
     trace: bool,
     /// `battle golden --write`: record digests instead of checking.
     write: bool,
-    /// `battle bench --compare PATH`: baseline JSON for the perf gate.
-    compare: Option<String>,
     /// `battle run --timeout SECS`: wall-clock deadline for the batch;
     /// expired runs salvage a partial result and the command fails.
     timeout: Option<f64>,
@@ -76,8 +84,9 @@ struct Args {
     plans: u32,
     /// `battle tune --budget N`: candidate evaluations per scheduler.
     budget: usize,
-    /// `true` once `--sched` was given explicitly (so `tune` can default
-    /// to the tunable set instead of fuzz's cfs+ule default).
+    /// `true` once `--sched` was given explicitly (so `run` and `trace`
+    /// can keep each scenario's own list, and `tune` can default to the
+    /// tunable set instead of fuzz's cfs+ule default).
     sched_given: bool,
 }
 
@@ -89,11 +98,9 @@ fn parse_args() -> Result<Args, String> {
     let mut fz = fuzz::FuzzCfg::default();
     let mut trace_fig = None;
     let mut out = String::from("trace.json");
-    let mut stream = false;
     let mut paths = Vec::new();
     let mut trace = false;
     let mut write = false;
-    let mut compare = None;
     let mut timeout = None;
     let mut plans = 1u32;
     let mut budget = 64usize;
@@ -121,17 +128,15 @@ fn parse_args() -> Result<Args, String> {
                 plans = v.parse().map_err(|e| format!("bad --plans: {e}"))?;
             }
             "--out" => out = args.next().ok_or("missing value for --out")?,
-            "--stream" => stream = true,
             "--trace" => trace = true,
             "--write" => write = true,
-            "--compare" => compare = Some(args.next().ok_or("missing value for --compare")?),
             "--check" => {
                 let v = args.next().ok_or("missing value for --check")?;
-                match v.as_str() {
-                    "strict" => experiments::set_check_mode(CheckMode::Strict),
-                    "off" => experiments::set_check_mode(CheckMode::Off),
+                cfg.check = match v.as_str() {
+                    "strict" => CheckMode::Strict,
+                    "off" => CheckMode::Off,
                     other => return Err(format!("bad --check: {other} (strict|off)")),
-                }
+                };
             }
             "--cases" => {
                 let v = args.next().ok_or("missing value for --cases")?;
@@ -222,11 +227,9 @@ fn parse_args() -> Result<Args, String> {
         fuzz: fz,
         trace_fig,
         out,
-        stream,
         paths,
         trace,
         write,
-        compare,
         timeout,
         plans,
         budget,
@@ -235,12 +238,13 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: battle <table1|fig1|fig2|table2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|ablations|desktop|bench|fuzz|trace|run|chaos|tournament|tune|golden|all> \
+    "usage: battle <table1|fig1|fig2|table2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|ablations|desktop|fuzz|trace|run|chaos|tournament|tune|golden|all> \
      [--scale S] [--seed N] [--json PATH] [--threads N] [--check strict|off]\n\
      schedulers:  cfs ule eevdf simple-rr scx-fifo scx-vtime (plus `both` = cfs+ule, `all`)\n\
      fuzz flags: [--cases N] [--sched NAME|both|all] [--faults on|off] [--parts MASK] [--case-seed HEX] [--case-timeout SECS]\n\
-     trace usage: battle trace <fig1|fig5|fig6|fig7> [--out PATH] [--stream] [--sched NAME|both]\n\
-                  exports a Chrome-trace/Perfetto JSON of the figure's scenario (default out: trace.json)\n\
+     trace usage: battle trace <fig1|fig5|fig6|fig7> [--out PATH] [--sched NAME|both|all]\n\
+                  `battle run <the figure's scenario> --trace`, writing the Chrome-trace/Perfetto JSON\n\
+                  to --out (default: trace.json)\n\
      run usage:   battle run <scenario.toml|dir>... [--sched NAME|both|all] [--trace] [--json PATH] [--timeout SECS]\n\
                   executes declarative scenario files (see scenarios/ and EXPERIMENTS.md);\n\
                   --timeout cancels overrunning kernels cooperatively and salvages partial results\n\
@@ -256,8 +260,7 @@ fn usage() -> String {
      chaos usage: battle chaos <scenario.toml|dir>... [--plans N] [--scale S] [--seed N] [--json PATH]\n\
                   SchedGuard supervision campaign: control vs guarded vs budget-killed runs plus\n\
                   injected panic/livelock/runaway/cancel probes; every case classified, no job loss\n\
-     golden:      battle golden [--write] — check (or record) the pinned decision digests\n\
-     bench gate:  battle bench --compare BENCH_sim.json — fail on >30 % events/sec regression"
+     golden:      battle golden [--write] — check (or record) the pinned decision digests"
         .to_string()
 }
 
@@ -291,51 +294,6 @@ fn print_validation(name: &str, problems: Vec<String>) {
     } else {
         for p in &problems {
             println!("[{name}] shape check FAILED: {p}");
-        }
-    }
-}
-
-/// `battle bench --compare`: diff a fresh report against the committed
-/// baseline. Warn-only within 30 %, hard-fail beyond. The warn prints a
-/// GitHub `::warning::` annotation so CI surfaces it without going red.
-fn bench_gate(baseline_path: &str, report: &bench::BenchReport) -> bool {
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            return false;
-        }
-    };
-    match bench::compare(&baseline, report, 15.0, 30.0) {
-        Ok((rows, verdict)) => {
-            println!("\nbench gate vs {baseline_path} (warn >15 %, fail >30 % slower):");
-            for r in &rows {
-                println!(
-                    "  {}: {:.0} -> {:.0} events/s ({:+.1} %)",
-                    r.sched, r.baseline, r.current, r.delta_pct
-                );
-            }
-            match verdict {
-                bench::Verdict::Ok => {
-                    println!("  within tolerance");
-                    true
-                }
-                bench::Verdict::Warn => {
-                    println!(
-                        "::warning title=bench regression::simulator events/sec dropped >15 % \
-                         vs committed baseline (see job log)"
-                    );
-                    true
-                }
-                bench::Verdict::Fail => {
-                    eprintln!("bench gate FAILED: >30 % slower than the committed baseline");
-                    false
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!("bench gate error: {e}");
-            false
         }
     }
 }
@@ -381,8 +339,7 @@ fn run_one(name: &str, args: &Args, json: &Option<String>) -> bool {
         "fig6" => {
             let fig = fig6::run_both(cfg);
             print!("{}", fig6::report(&fig));
-            let nthreads = ((512.0 * cfg.scale).round() as u32).max(64);
-            print_validation("fig6", fig6::validate(&fig, nthreads, 32));
+            print_validation("fig6", fig6::validate(&fig));
             dump_json(json, &fig)
         }
         "fig7" => {
@@ -425,19 +382,6 @@ fn run_one(name: &str, args: &Args, json: &Option<String>) -> bool {
             print!("{}", fuzz::report(&r));
             dump_json(json, &r) && r.failures.is_empty()
         }
-        "bench" => {
-            let r = bench::run(cfg);
-            print!("{}", bench::report(&r));
-            // `bench` always writes its JSON artifact; --json overrides the
-            // default path. The gate baseline is read before the write so
-            // the committed BENCH_sim.json can be both baseline and output.
-            let gate_ok = match &args.compare {
-                Some(p) => bench_gate(p, &r),
-                None => true,
-            };
-            let path = Some(json.clone().unwrap_or_else(|| "BENCH_sim.json".into()));
-            dump_json(&path, &r) && gate_ok
-        }
         other => {
             eprintln!("unknown experiment {other}\n{}", usage());
             std::process::exit(2);
@@ -447,29 +391,43 @@ fn run_one(name: &str, args: &Args, json: &Option<String>) -> bool {
     ok
 }
 
-/// `battle trace <fig>`: export a Chrome-trace JSON of one figure's
-/// scenario (the `--sched` filter is shared with `fuzz`; default both).
+/// `--sched` for `battle run`/`trace`: the given schedulers replace each
+/// scenario's own list; absent keeps the list.
+fn sched_override(args: &Args) -> Option<&[Sched]> {
+    args.sched_given.then_some(args.fuzz.scheds.as_slice())
+}
+
+/// `battle trace <fig>`: `battle run` on the figure's scenario with
+/// `--trace`, writing the Chrome-trace JSON to `--out`.
 fn run_trace(args: &Args) -> bool {
-    let Some(fig) = &args.trace_fig else {
-        eprintln!("trace needs a figure argument\n{}", usage());
+    let fig = args.trace_fig.as_deref().unwrap_or("");
+    let Some(&(_, toml)) = TRACE_FIGS.iter().find(|(name, _)| *name == fig) else {
+        let known: Vec<&str> = TRACE_FIGS.iter().map(|(name, _)| *name).collect();
+        eprintln!(
+            "trace: no scenario for figure `{fig}` (have: {})\n{}",
+            known.join(" "),
+            usage()
+        );
         std::process::exit(2);
     };
-    match scope::run_trace(
-        fig,
-        &args.fuzz.scheds,
-        &args.cfg,
-        std::path::Path::new(&args.out),
-        args.stream,
-    ) {
-        Ok(run) => {
-            print!("{}", scope::report(&run));
-            dump_json(&args.json, &run)
-        }
+    let sc = match Scenario::from_toml(toml) {
+        Ok(sc) => sc,
         Err(e) => {
-            eprintln!("trace export failed: {e}");
-            false
+            eprintln!("trace {fig}: compiled-in scenario: {e}");
+            return false;
         }
-    }
+    };
+    // The file the scenario was compiled from, for the report and the
+    // crash replay line.
+    let path = PathBuf::from(format!("scenarios/{}.toml", sc.name));
+    scenarios::cli(
+        &[(path, sc)],
+        &args.cfg,
+        sched_override(args),
+        Some(TraceTo::File(Path::new(&args.out))),
+        &args.json,
+        args.timeout,
+    )
 }
 
 fn main() {
@@ -497,18 +455,20 @@ fn main() {
             );
             std::process::exit(2);
         }
-        let sched_override = match args.fuzz.scheds.as_slice() {
-            [one] => Some(*one),
-            _ => None,
+        ok = match scenarios::load(&args.paths) {
+            Ok(loaded) => scenarios::cli(
+                &loaded,
+                &args.cfg,
+                sched_override(&args),
+                args.trace.then_some(TraceTo::Dir(Path::new("traces"))),
+                &args.json,
+                args.timeout,
+            ),
+            Err(e) => {
+                eprintln!("error: {e}");
+                false
+            }
         };
-        ok = scenarios::cli(
-            &args.paths,
-            &args.cfg,
-            sched_override,
-            args.trace,
-            &args.json,
-            args.timeout,
-        );
         std::io::stdout().flush().ok();
         if !ok {
             std::process::exit(1);
@@ -552,8 +512,7 @@ fn main() {
         }
         let tc = experiments::tune::TuneCfg {
             budget: args.budget,
-            seed: args.cfg.seed,
-            scale: args.cfg.scale,
+            run: args.cfg,
             scheds,
             write: args.write,
             out_dir: "results/tuned".into(),

@@ -26,7 +26,7 @@ use scenario::{AbortKind, EngineError, EngineOpts, Scenario, Sched};
 use simcore::{Dur, SimRng, Time};
 use topology::Topology;
 
-use crate::{check_mode, crash::Crash, runner, scenarios, RunCfg};
+use crate::{crash::Crash, runner, scenarios, RunCfg};
 
 /// Outcome class of one chaos case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, serde::Serialize)]
@@ -76,27 +76,6 @@ pub struct Case {
     pub digest: Option<u64>,
     /// Crash bundle path, for panicked/crashed cases.
     pub bundle: Option<String>,
-}
-
-/// Campaign configuration.
-#[derive(Debug, Clone)]
-pub struct ChaosCfg {
-    /// Work-volume scale for the scenario runs.
-    pub scale: f64,
-    /// Base seed (drives the randomized budget plans).
-    pub seed: u64,
-    /// Extra randomized tight-budget plans per (scenario, sched) pair.
-    pub plans: u32,
-}
-
-impl Default for ChaosCfg {
-    fn default() -> Self {
-        ChaosCfg {
-            scale: 0.02,
-            seed: 42,
-            plans: 1,
-        }
-    }
 }
 
 /// Outcome-class histogram (fixed fields so the JSON is jq-friendly).
@@ -213,7 +192,7 @@ fn budget_events(max_events: u64) -> RunBudget {
 /// The deterministic failure probes: one case per abnormal class, built on
 /// bare kernels so the class is guaranteed whatever the scenario corpus
 /// looks like.
-fn probes(seed: u64) -> Vec<Box<dyn FnOnce() -> Case + Send>> {
+fn probes(cfg: RunCfg) -> Vec<Box<dyn FnOnce() -> Case + Send>> {
     let mk = |name: &str| Case {
         name: format!("probe-{name}"),
         plan: "probe".into(),
@@ -231,7 +210,7 @@ fn probes(seed: u64) -> Vec<Box<dyn FnOnce() -> Case + Send>> {
         // forever; the stall watchdog must catch it.
         Box::new(move || {
             let topo = Topology::flat(2);
-            let mut k = crate::make_kernel(&topo, Sched::Cfs, seed);
+            let mut k = crate::make_kernel(&topo, Sched::Cfs, &cfg);
             k.set_watchdog(2_000, 0);
             k.queue_app(
                 Time::ZERO,
@@ -260,7 +239,7 @@ fn probes(seed: u64) -> Vec<Box<dyn FnOnce() -> Case + Send>> {
         // so it must produce a crash bundle (the Crashed class).
         Box::new(move || {
             let topo = Topology::flat(2);
-            let mut k = crate::make_kernel(&topo, Sched::Cfs, seed);
+            let mut k = crate::make_kernel(&topo, Sched::Cfs, &cfg);
             // Watchdog off: the instant-action guard must be what fires.
             k.set_watchdog(0, 0);
             k.queue_app(
@@ -290,7 +269,7 @@ fn probes(seed: u64) -> Vec<Box<dyn FnOnce() -> Case + Send>> {
         // deterministic.
         Box::new(move || {
             let topo = Topology::flat(2);
-            let mut k = crate::make_kernel(&topo, Sched::Cfs, seed);
+            let mut k = crate::make_kernel(&topo, Sched::Cfs, &cfg);
             let token = CancelToken::new();
             token.cancel();
             k.set_cancel_token(token);
@@ -320,8 +299,10 @@ fn probes(seed: u64) -> Vec<Box<dyn FnOnce() -> Case + Send>> {
 }
 
 /// Run the campaign over an in-memory corpus (the CLI loads the corpus
-/// from scenario paths; tests inject theirs directly).
-pub fn run(corpus: &[(PathBuf, Scenario)], cfg: &ChaosCfg) -> ChaosReport {
+/// from scenario paths; tests inject theirs directly). `cfg.seed` also
+/// drives the randomized budget plans, `plans` of them per (scenario,
+/// sched) pair.
+pub fn run(corpus: &[(PathBuf, Scenario)], cfg: &RunCfg, plans: u32) -> ChaosReport {
     let pairs: Vec<(usize, Sched)> = corpus
         .iter()
         .enumerate()
@@ -330,15 +311,10 @@ pub fn run(corpus: &[(PathBuf, Scenario)], cfg: &ChaosCfg) -> ChaosReport {
 
     // Stage 1: unsupervised control runs, in parallel. Their digests and
     // event counts calibrate every supervised plan below.
-    let (scale, seed, check) = (cfg.scale, cfg.seed, check_mode());
+    let cfg = *cfg;
     let mk_opts = move |budget: RunBudget| EngineOpts {
-        scale,
-        seed,
-        check,
-        trace_capacity: 0,
         budget,
-        cancel: None,
-        params: None,
+        ..cfg.engine_opts()
     };
     let controls: Vec<Case> = runner::par_map(pairs.clone(), |(i, sched)| {
         let (_, sc) = &corpus[i];
@@ -391,7 +367,7 @@ pub fn run(corpus: &[(PathBuf, Scenario)], cfg: &ChaosCfg) -> ChaosReport {
             }));
         }
         let mut rng = SimRng::new(cfg.seed ^ (pair_idx as u64).wrapping_mul(0x9E37_79B9));
-        for p in 0..cfg.plans {
+        for p in 0..plans {
             let (name, sc) = (name.clone(), sc.clone());
             // Randomized plan: anywhere from "kills early" to "never
             // trips". Either outcome is legal; a *completed* plan run
@@ -410,7 +386,7 @@ pub fn run(corpus: &[(PathBuf, Scenario)], cfg: &ChaosCfg) -> ChaosReport {
             }));
         }
     }
-    jobs.extend(probes(cfg.seed));
+    jobs.extend(probes(cfg));
     let outcomes = runner::run_all_supervised(jobs);
 
     // Stage 3: classify, count, and cross-check against the controls.
@@ -560,19 +536,14 @@ pub fn cli(paths: &[String], cfg: &RunCfg, plans: u32, json: &Option<String>) ->
             return false;
         }
     };
-    let ccfg = ChaosCfg {
-        scale: cfg.scale,
-        seed: cfg.seed,
-        plans,
-    };
     println!(
         "chaos: {} scenario(s) at scale {} seed {} ({} random plan(s) per pair)\n",
         corpus.len(),
-        ccfg.scale,
-        ccfg.seed,
-        ccfg.plans
+        cfg.scale,
+        cfg.seed,
+        plans
     );
-    let r = run(&corpus, &ccfg);
+    let r = run(&corpus, cfg, plans);
     print!("{}", report(&r));
     let mut ok = passed(&r);
     if let Some(p) = json {
@@ -619,7 +590,7 @@ horizon = { base_s = 5.0, scaled = false }
 
     #[test]
     fn campaign_classifies_every_outcome_class() {
-        let r = run(&tiny_corpus(), &ChaosCfg::default());
+        let r = run(&tiny_corpus(), &RunCfg::at_scale(0.02), 1);
         assert!(passed(&r), "{}", report(&r));
         for class in [
             Outcome::Completed,
@@ -641,8 +612,8 @@ horizon = { base_s = 5.0, scaled = false }
     #[test]
     fn campaign_is_deterministic() {
         let corpus = tiny_corpus();
-        let a = run(&corpus, &ChaosCfg::default());
-        let b = run(&corpus, &ChaosCfg::default());
+        let a = run(&corpus, &RunCfg::at_scale(0.02), 1);
+        let b = run(&corpus, &RunCfg::at_scale(0.02), 1);
         let sig = |r: &ChaosReport| -> Vec<(String, String, Option<u64>, Option<u64>)> {
             r.cases
                 .iter()

@@ -33,7 +33,7 @@ fn fibo_gain(sched: Sched, cfg: &RunCfg) -> f64 {
     // every one of them (the paper's >80-threads-per-core datacenter point),
     // so fibo — one batch thread — starves under ULE machine-wide.
     let topo = Topology::core_i7_3770();
-    let mut k = make_kernel(&topo, sched, cfg.seed);
+    let mut k = make_kernel(&topo, sched, cfg);
     let fibo = k.queue_app(Time::ZERO, synthetic::fibo(Dur::secs(120)));
     let spec = workloads::sysbench::sysbench(
         &mut k,
@@ -56,7 +56,7 @@ fn fibo_gain(sched: Sched, cfg: &RunCfg) -> f64 {
 
 fn unpin_spread(sched: Sched, cfg: &RunCfg) -> u32 {
     let topo = Topology::core_i7_3770();
-    let mut k = make_kernel(&topo, sched, cfg.seed);
+    let mut k = make_kernel(&topo, sched, cfg);
     let app = k.queue_app(Time::ZERO, synthetic::pinned_spinners(64));
     k.queue_unpin(Time::ZERO + Dur::millis(200), app);
     k.run_until(Time::ZERO + Dur::millis(1200));

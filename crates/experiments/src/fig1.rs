@@ -5,13 +5,16 @@
 //! applications then run to completion." On CFS both share the core
 //! (cgroup fairness gives each application ~50%); on ULE the 80 sysbench
 //! workers are classified interactive and fibo starves until sysbench
-//! completes (§5.1).
+//! completes (§5.1). The workload, horizon and step are
+//! `scenarios/fig1.toml`; this driver samples the series.
 
+use kernel::{AppId, Kernel};
 use metrics::TimeSeries;
-use simcore::{Dur, Time};
-use workloads::{synthetic, sysbench::SysbenchCfg};
 
-use crate::{make_kernel, RunCfg, Sched};
+use crate::{figure_scenario, obs_of, run_figure, RunCfg, Sched};
+
+/// `scenarios/fig1.toml`, compiled in: the workload this figure runs.
+pub const SCENARIO: &str = include_str!("../../../scenarios/fig1.toml");
 
 /// One scheduler's run of the experiment.
 #[derive(Debug, serde::Serialize)]
@@ -37,60 +40,33 @@ pub struct Fig1Run {
     /// Total CPU time consumed by fibo (Table 2's "Runtime").
     pub fibo_runtime_total_s: f64,
     /// End-of-run observability snapshot (SchedScope).
-    pub obs: Option<crate::SchedObs>,
+    pub obs: crate::SchedObs,
+}
+
+/// The fibo and sysbench apps: phases 0 and 1 of the scenario.
+fn fibo_sysbench_apps(apps: &[(String, AppId)]) -> (AppId, AppId) {
+    (apps[0].1, apps[1].1)
 }
 
 /// Run the experiment under one scheduler.
 pub fn run(sched: Sched, cfg: &RunCfg) -> Fig1Run {
-    let topo = topology::Topology::single_core();
-    let mut k = make_kernel(&topo, sched, cfg.seed);
-
-    let fibo_work = Dur::secs_f64(160.0 * cfg.scale);
-    let fibo = k.queue_app(Time::ZERO, synthetic::fibo(fibo_work));
-
-    let sb_start = Time::ZERO + Dur::secs_f64(7.0 * cfg.scale);
-    let sb_cfg = SysbenchCfg {
-        threads: 80,
-        total_tx: ((260_000.0 * cfg.scale).round() as u64).max(500),
-        ..Default::default()
-    };
-    let spec = workloads::sysbench::sysbench(&mut k, sb_cfg);
-    let sysbench = k.queue_app(sb_start, spec);
-
-    let mut out = Fig1Run {
-        sched,
-        fibo_runtime: TimeSeries::new("fibo"),
-        sysbench_runtime: TimeSeries::new("sysbench"),
-        fibo_penalty: TimeSeries::new("fibo penalty"),
-        sysbench_penalty: TimeSeries::new("sysbench penalty"),
-        sysbench_done_s: None,
-        fibo_done_s: None,
-        sysbench_tx_per_s: 0.0,
-        sysbench_avg_latency_ms: 0.0,
-        fibo_runtime_total_s: 0.0,
-        obs: None,
-    };
-
-    let step = Dur::secs_f64((1.0 * cfg.scale).max(0.05));
-    let limit = Time::ZERO + Dur::secs_f64(420.0 * cfg.scale + 30.0);
-    let fibo_tid = {
-        k.run_until(Time::ZERO); // start apps at t=0
-        k.app_tasks(fibo)[0]
-    };
-    while k.now() < limit && !k.all_apps_done() {
-        let next = k.now() + step;
-        k.run_until(next);
-        out.fibo_runtime
-            .push(k.now(), k.task_runtime(fibo_tid).as_secs_f64());
+    let mut fibo_runtime = TimeSeries::new("fibo");
+    let mut sysbench_runtime = TimeSeries::new("sysbench");
+    let mut fibo_penalty = TimeSeries::new("fibo penalty");
+    let mut sysbench_penalty = TimeSeries::new("sysbench penalty");
+    let mut sample = |k: &Kernel, apps: &[(String, AppId)]| {
+        let (fibo, sysbench) = fibo_sysbench_apps(apps);
+        let fibo_tid = k.app_tasks(fibo)[0];
+        fibo_runtime.push(k.now(), k.task_runtime(fibo_tid).as_secs_f64());
         let sb_tasks = k.app_tasks(sysbench);
         let sb_rt: f64 = sb_tasks
             .iter()
             .map(|&t| k.task_runtime(t).as_secs_f64())
             .sum();
-        out.sysbench_runtime.push(k.now(), sb_rt);
+        sysbench_runtime.push(k.now(), sb_rt);
         if sched == Sched::Ule {
             if let Some(p) = k.snapshot(fibo_tid).ule_penalty {
-                out.fibo_penalty.push(k.now(), p as f64);
+                fibo_penalty.push(k.now(), p as f64);
             }
             // Mean penalty over the (live) worker threads.
             let (mut sum, mut n) = (0.0, 0u32);
@@ -101,21 +77,33 @@ pub fn run(sched: Sched, cfg: &RunCfg) -> Fig1Run {
                 }
             }
             if n > 0 {
-                out.sysbench_penalty.push(k.now(), sum / n as f64);
+                sysbench_penalty.push(k.now(), sum / n as f64);
             }
         }
+    };
+    let sc = figure_scenario(SCENARIO);
+    let out = run_figure(&sc, sched, cfg, &mut sample);
+
+    let k = &out.kernel;
+    let (fibo, sysbench) = fibo_sysbench_apps(&out.apps);
+    let fibo_tid = k.app_tasks(fibo)[0];
+    Fig1Run {
+        sched,
+        fibo_runtime,
+        sysbench_runtime,
+        fibo_penalty,
+        sysbench_penalty,
+        sysbench_done_s: k.app(sysbench).elapsed().map(|d| d.as_secs_f64()),
+        fibo_done_s: k.app(fibo).finished.map(|t| t.as_secs_f64()),
+        sysbench_tx_per_s: k.app(sysbench).ops_per_sec(k.now()),
+        sysbench_avg_latency_ms: k
+            .app(sysbench)
+            .avg_latency()
+            .map(|d| d.as_secs_f64() * 1e3)
+            .unwrap_or(0.0),
+        fibo_runtime_total_s: k.task_runtime(fibo_tid).as_secs_f64(),
+        obs: obs_of(k),
     }
-    out.sysbench_done_s = k.app(sysbench).elapsed().map(|d| d.as_secs_f64());
-    out.fibo_done_s = k.app(fibo).finished.map(|t| t.as_secs_f64());
-    out.sysbench_tx_per_s = k.app(sysbench).ops_per_sec(k.now());
-    out.sysbench_avg_latency_ms = k
-        .app(sysbench)
-        .avg_latency()
-        .map(|d| d.as_secs_f64() * 1e3)
-        .unwrap_or(0.0);
-    out.fibo_runtime_total_s = k.task_runtime(fibo_tid).as_secs_f64();
-    out.obs = Some(crate::obs_of(&k));
-    out
 }
 
 /// The full figure: both schedulers.
@@ -219,6 +207,23 @@ pub fn validate(fig: &Fig1) -> Vec<String> {
         bad.push(format!(
             "latency: ULE {:.0}ms not << CFS {:.0}ms",
             fig.ule.sysbench_avg_latency_ms, fig.cfs.sysbench_avg_latency_ms
+        ));
+    }
+    // (5) Dispatch latency: starving fibo gives ULE the worse worst-case
+    // run delay...
+    let (c, u) = (&fig.cfs.obs, &fig.ule.obs);
+    if !(u.run_delay.max_ms > c.run_delay.max_ms) {
+        bad.push(format!(
+            "max run delay: ULE {:.1}ms not > CFS {:.1}ms",
+            u.run_delay.max_ms, c.run_delay.max_ms
+        ));
+    }
+    // ...while its interactive sysbench workers wake faster than under
+    // CFS's fair-share queueing.
+    if !(u.wakeup_latency.p99_ms < c.wakeup_latency.p99_ms) {
+        bad.push(format!(
+            "wakeup p99: ULE {:.3}ms not < CFS {:.3}ms",
+            u.wakeup_latency.p99_ms, c.wakeup_latency.p99_ms
         ));
     }
     bad

@@ -34,7 +34,7 @@ pub struct Fig34 {
 /// Run on ULE (the experiment is specific to ULE's classification).
 pub fn run(cfg: &RunCfg) -> Fig34 {
     let topo = topology::Topology::single_core();
-    let mut k = make_kernel(&topo, Sched::Ule, cfg.seed);
+    let mut k = make_kernel(&topo, Sched::Ule, cfg);
     let sb_cfg = SysbenchCfg {
         threads: 128,
         total_tx: ((250_000.0 * cfg.scale).round() as u64).max(500),

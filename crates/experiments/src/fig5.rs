@@ -5,12 +5,19 @@
 //! The average performance difference is 1.5%, in favor of ULE. Still,
 //! scimark is 36% slower on ULE than CFS, and apache is 40% faster on ULE
 //! than CFS."
+//!
+//! The apache outlier also exists as `scenarios/apache.toml`
+//! ([`APACHE_SCENARIO`]), which `battle trace fig5` traces.
 
 use metrics::BarChart;
 use topology::Topology;
 use workloads::suite;
 
 use crate::{pct_diff, run_entry, runner, PerfResult, RunCfg, Sched};
+
+/// `scenarios/apache.toml`, compiled in: the suite's apache entry alone on
+/// one core, the run `battle trace fig5` exports.
+pub const APACHE_SCENARIO: &str = include_str!("../../../scenarios/apache.toml");
 
 /// Result of the per-application comparison.
 #[derive(Debug, serde::Serialize)]

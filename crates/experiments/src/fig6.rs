@@ -7,13 +7,19 @@
 //! a balanced state. CFS balances the load much faster. 0.2 seconds after
 //! the unpinning, CFS has migrated more than 380 threads from core 0.
 //! Surprisingly, CFS never achieves perfect load balance."
+//!
+//! The workload, unpin time, per-scheduler horizons and early stop are
+//! `scenarios/fig6.toml`; this driver samples core 0 around the unpin.
 
+use kernel::{AppId, Kernel};
 use metrics::PerCoreSeries;
 use simcore::{Dur, Time};
-use topology::{CpuId, Topology};
-use workloads::synthetic::pinned_spinners;
+use topology::CpuId;
 
-use crate::{make_kernel, RunCfg, Sched};
+use crate::{figure_scenario, obs_of, run_figure, RunCfg, Sched};
+
+/// `scenarios/fig6.toml`, compiled in: the workload this figure runs.
+pub const SCENARIO: &str = include_str!("../../../scenarios/fig6.toml");
 
 /// One scheduler's rebalancing trace.
 #[derive(Debug, serde::Serialize)]
@@ -40,60 +46,31 @@ pub struct Fig6Run {
 
 /// Run under one scheduler.
 pub fn run(sched: Sched, cfg: &RunCfg) -> Fig6Run {
-    let topo = Topology::opteron_6172();
-    let ncpu = topo.nr_cpus();
-    let nthreads = ((512.0 * cfg.scale).round() as usize).max(2 * ncpu);
-    let mut k = make_kernel(&topo, sched, cfg.seed);
-    let app = k.queue_app(Time::ZERO, pinned_spinners(nthreads));
-    let unpin_at = Time::ZERO + Dur::secs_f64(14.5 * cfg.scale.max(0.05));
-    k.queue_unpin(unpin_at, app);
-
-    // ULE needs hundreds of seconds (one migration per balancer period);
-    // CFS settles (to its imperfect steady state) within seconds.
-    let total_horizon = match sched {
-        Sched::Ule => Dur::secs_f64(560.0 * cfg.scale + 30.0),
-        _ => unpin_at.saturating_since(Time::ZERO) + Dur::secs(60),
-    };
-    let step = Dur::millis(100);
-    let mut matrix = PerCoreSeries::new();
-    let sample = |k: &kernel::Kernel| -> Vec<u32> {
-        (0..ncpu as u32)
-            .map(|c| k.nr_queued(CpuId(c)) as u32)
-            .collect()
-    };
+    let sc = figure_scenario(SCENARIO);
+    let unpin_at = Time::ZERO + sc.events[0].at.eval(cfg.scale);
     let mut migrated_in_200ms = 0;
     let mut on_core0_after_unpin = 0;
-    let limit = Time::ZERO + total_horizon;
-    while k.now() < limit {
-        let next = k.now() + step;
-        k.run_until(next);
-        matrix.push(k.now(), sample(&k));
+    let mut sample = |k: &Kernel, apps: &[(String, AppId)]| {
+        let on_core0 = k.nr_queued(CpuId(0)) as u32;
         if k.now() >= unpin_at + Dur::millis(200) && migrated_in_200ms == 0 {
-            migrated_in_200ms = nthreads as u32 - k.nr_queued(CpuId(0)) as u32;
+            migrated_in_200ms = k.app(apps[0].1).spawned as u32 - on_core0;
         }
         if k.now() >= unpin_at + Dur::millis(500) && on_core0_after_unpin == 0 {
-            on_core0_after_unpin = k.nr_queued(CpuId(0)) as u32;
+            on_core0_after_unpin = on_core0;
         }
-        // Stop early once converged for a while (keeps ULE runs bounded).
-        if matrix.final_spread() <= 1 && k.now() > unpin_at + Dur::secs(2) {
-            break;
-        }
-    }
-    let convergence_s = matrix
-        .convergence_time(2)
-        .map(|t| t - unpin_at.as_secs_f64());
-    let good_balance_s = matrix
-        .convergence_time(5)
-        .map(|t| t - unpin_at.as_secs_f64());
+    };
+    let out = run_figure(&sc, sched, cfg, &mut sample);
+
+    let since_unpin = |t: f64| t - unpin_at.as_secs_f64();
     Fig6Run {
         sched,
-        final_spread: matrix.final_spread(),
-        convergence_s,
-        good_balance_s,
+        final_spread: out.matrix.final_spread(),
+        convergence_s: out.matrix.convergence_time(2).map(since_unpin),
+        good_balance_s: out.matrix.convergence_time(5).map(since_unpin),
         on_core0_after_unpin,
         migrated_in_200ms,
-        matrix,
-        obs: crate::obs_of(&k),
+        obs: obs_of(&out.kernel),
+        matrix: out.matrix,
     }
 }
 
@@ -137,8 +114,11 @@ pub fn report(fig: &Fig6) -> String {
 }
 
 /// Qualitative checks from §6.1.
-pub fn validate(fig: &Fig6, nthreads: u32, ncpu: u32) -> Vec<String> {
+pub fn validate(fig: &Fig6) -> Vec<String> {
     let mut bad = Vec::new();
+    // Every spinner is spawned at the start; none ever exits.
+    let nthreads = fig.ule.obs.counters.spawns as u32;
+    let ncpu = fig.ule.matrix.nr_cores() as u32;
     // ULE: idle cores steal one thread each, so right after the unpin
     // core 0 still holds ~ nthreads − (ncpu − 1).
     let expect = nthreads - (ncpu - 1);

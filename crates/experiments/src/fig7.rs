@@ -4,13 +4,18 @@
 //! seconds for ULE to have all threads runnable, while it only takes 2
 //! seconds for CFS. This delay is explained by starvation (...) threads
 //! that were initially categorized as batch cannot wake up other threads."
+//!
+//! The workload, horizon and step are `scenarios/fig7.toml`; this driver
+//! watches for the end of the wakeup cascade.
 
+use kernel::{AppId, Kernel};
 use metrics::PerCoreSeries;
-use simcore::{Dur, Time};
-use topology::{CpuId, Topology};
-use workloads::phoronix::{cray, CrayCfg};
+use scenario::spec::WorkloadSpec;
 
-use crate::{make_kernel, RunCfg, Sched};
+use crate::{figure_scenario, obs_of, run_figure, RunCfg, Sched};
+
+/// `scenarios/fig7.toml`, compiled in: the workload this figure runs.
+pub const SCENARIO: &str = include_str!("../../../scenarios/fig7.toml");
 
 /// One scheduler's run.
 #[derive(Debug, serde::Serialize)]
@@ -30,58 +35,44 @@ pub struct Fig7Run {
 
 /// Run under one scheduler.
 pub fn run(sched: Sched, cfg: &RunCfg) -> Fig7Run {
-    let topo = Topology::opteron_6172();
-    let ncpu = topo.nr_cpus();
-    let mut k = make_kernel(&topo, sched, cfg.seed);
-    // The interactive/batch split depends on the absolute CPU time the
-    // master burns while forking, so the thread count stays at the paper's
-    // 512; `scale` shrinks only the per-thread render work.
-    let threads = 512;
-    let spec = cray(
-        &mut k,
-        CrayCfg {
-            threads,
-            work: Dur::secs_f64(6.0 * cfg.scale.clamp(0.3, 1.0)),
-            ..Default::default()
-        },
-    );
-    let app = k.queue_app(Time::ZERO, spec);
-
-    let mut matrix = PerCoreSeries::new();
-    let step = Dur::millis(250);
-    let limit = Time::ZERO + Dur::secs(220);
+    let sc = figure_scenario(SCENARIO);
+    let WorkloadSpec::Cray { threads, .. } = &sc.phases[0].workload else {
+        panic!("fig7.toml's phase is not a c-ray render");
+    };
+    let threads = threads.eval(cfg.scale, sc.topology.build().nr_cpus()) as usize;
     let mut all_runnable_s = None;
-    while k.now() < limit && !k.all_apps_done() {
-        let next = k.now() + step;
-        k.run_until(next);
-        let row: Vec<u32> = (0..ncpu as u32)
-            .map(|c| k.nr_queued(CpuId(c)) as u32)
-            .collect();
-        matrix.push(k.now(), row);
-        if all_runnable_s.is_none() {
-            // A renderer has been woken by the cascade iff it is runnable,
-            // running, or already exited. (Sleeping threads have only run
-            // their startup code and still wait at the cascade barrier.)
-            let woken = k
-                .app_tasks(app)
-                .iter()
-                .skip(1) // master
-                .filter(|&&t| {
-                    let task = k.task(t);
-                    task.is_active() || task.state == sched_api::TaskState::Dead
-                })
-                .count();
-            if k.app(app).spawned >= threads && woken >= threads {
-                all_runnable_s = Some(k.now().as_secs_f64());
-            }
+    let mut sample = |k: &Kernel, apps: &[(String, AppId)]| {
+        if all_runnable_s.is_some() {
+            return;
         }
-    }
+        // A renderer has been woken by the cascade iff it is runnable,
+        // running, or already exited. (Sleeping threads have only run
+        // their startup code and still wait at the cascade barrier.)
+        let app = apps[0].1;
+        let woken = k
+            .app_tasks(app)
+            .iter()
+            .skip(1) // master
+            .filter(|&&t| {
+                let task = k.task(t);
+                task.is_active() || task.state == sched_api::TaskState::Dead
+            })
+            .count();
+        if k.app(app).spawned >= threads && woken >= threads {
+            all_runnable_s = Some(k.now().as_secs_f64());
+        }
+    };
+    let out = run_figure(&sc, sched, cfg, &mut sample);
     Fig7Run {
         sched,
-        matrix,
         all_runnable_s,
-        completion_s: k.app(app).elapsed().map(|d| d.as_secs_f64()),
-        obs: crate::obs_of(&k),
+        completion_s: out
+            .kernel
+            .app(out.apps[0].1)
+            .elapsed()
+            .map(|d| d.as_secs_f64()),
+        obs: obs_of(&out.kernel),
+        matrix: out.matrix,
     }
 }
 

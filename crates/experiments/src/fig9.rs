@@ -57,7 +57,7 @@ fn find_entry(name: &str) -> Entry {
 
 /// Run one (pair, scheduler) configuration; returns perf of (a, b).
 fn run_pair(a: &Entry, b: &Entry, sched: Sched, topo: &Topology, cfg: &RunCfg) -> (f64, f64) {
-    let mut k = make_kernel(topo, sched, cfg.seed);
+    let mut k = make_kernel(topo, sched, cfg);
     let p = P::scaled(topo.nr_cpus(), cfg.scale);
     let sa = (a.build)(&mut k, &p);
     let ia = k.queue_app(Time::ZERO, sa);

@@ -12,13 +12,15 @@ use simcore::Fnv1a;
 
 use scenario::{EngineOpts, Sched};
 
-use crate::{fig1, fig5, fig6, fig7, runner, RunCfg};
+use crate::{fig5, runner, RunCfg};
 
 /// What a manifest entry runs.
 #[derive(Debug, Clone)]
 pub enum Job {
-    /// A hardcoded figure driver.
-    Fig(&'static str),
+    /// The fig5 suite comparison, the one pinned figure without a
+    /// scenario file (the figure scenarios are pinned as `Scenario`
+    /// entries).
+    Fig5,
     /// A scenario file, relative to the repo root.
     Scenario(&'static str),
 }
@@ -41,24 +43,9 @@ pub const SEED: u64 = 42;
 pub fn manifest() -> Vec<Entry> {
     vec![
         Entry {
-            name: "fig1",
-            job: Job::Fig("fig1"),
-            scale: 0.05,
-        },
-        Entry {
             name: "fig5",
-            job: Job::Fig("fig5"),
+            job: Job::Fig5,
             scale: 0.02,
-        },
-        Entry {
-            name: "fig6",
-            job: Job::Fig("fig6"),
-            scale: 0.02,
-        },
-        Entry {
-            name: "fig7",
-            job: Job::Fig("fig7"),
-            scale: 0.05,
         },
         Entry {
             name: "sc-fig1",
@@ -131,8 +118,8 @@ fn fold(digests: impl Iterator<Item = u64>) -> u64 {
 
 fn compute(entry: &Entry) -> EntryDigests {
     let cfg = RunCfg {
-        scale: entry.scale,
         seed: SEED,
+        ..RunCfg::at_scale(entry.scale)
     };
     let mut out = EntryDigests {
         name: entry.name.to_string(),
@@ -141,14 +128,7 @@ fn compute(entry: &Entry) -> EntryDigests {
         error: None,
     };
     match &entry.job {
-        Job::Fig("fig1") => {
-            let fig = fig1::run_both(&cfg);
-            let cfs = fig.cfs.obs.as_ref().map(|o| o.digest).unwrap_or(0);
-            let ule = fig.ule.obs.as_ref().map(|o| o.digest).unwrap_or(0);
-            out.digests.push(("cfs".into(), cfs));
-            out.digests.push(("ule".into(), ule));
-        }
-        Job::Fig("fig5") => {
+        Job::Fig5 => {
             let cmp = fig5::run(&cfg);
             out.digests.push((
                 "cfs".into(),
@@ -158,19 +138,6 @@ fn compute(entry: &Entry) -> EntryDigests {
                 "ule".into(),
                 fold(cmp.rows.iter().map(|r| r.ule.obs.digest)),
             ));
-        }
-        Job::Fig("fig6") => {
-            let fig = fig6::run_both(&cfg);
-            out.digests.push(("cfs".into(), fig.cfs.obs.digest));
-            out.digests.push(("ule".into(), fig.ule.obs.digest));
-        }
-        Job::Fig("fig7") => {
-            let fig = fig7::run_both(&cfg);
-            out.digests.push(("cfs".into(), fig.cfs.obs.digest));
-            out.digests.push(("ule".into(), fig.ule.obs.digest));
-        }
-        Job::Fig(other) => {
-            out.error = Some(format!("unknown figure `{other}` in manifest"));
         }
         Job::Scenario(path) => match std::fs::read_to_string(path)
             .map_err(|e| format!("{path}: {e}"))

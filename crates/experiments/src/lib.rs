@@ -16,7 +16,9 @@
 //!
 //! All drivers are deterministic given a seed and accept a `scale`
 //! parameter that shrinks work volumes (tests and benches use small
-//! scales; the `battle` CLI defaults to the paper-sized runs).
+//! scales; the `battle` CLI defaults to the paper-sized runs). Figures 1,
+//! 6 and 7 run their `scenarios/figN.toml` files (compiled in) through the
+//! scenario engine, so each workload is defined once, in its file.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +29,6 @@
 #![allow(clippy::field_reassign_with_default)]
 
 pub mod ablations;
-pub mod bench;
 pub mod chaos;
 pub mod crash;
 pub mod desktop;
@@ -49,42 +50,23 @@ pub mod table2;
 pub mod tournament;
 pub mod tune;
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use kernel::{AppId, AppSpec, CheckMode, FaultPlan, Kernel};
+use scenario::{EngineError, EngineOpts, Observer, RunOutput, Scenario};
 use simcore::{Dur, Time};
 use topology::Topology;
 use workloads::{Entry, Metric, P};
 
 pub use scenario::Sched;
 
-/// Global SchedSan switch (the `battle --check strict` flag). Like the
-/// worker-pool size in [`runner`], it is process-global so every driver's
-/// kernels pick it up without threading a parameter through each figure.
-static CHECK_STRICT: AtomicBool = AtomicBool::new(false);
-
-/// Turn strict invariant checking on/off for every kernel built by
-/// [`make_kernel`] from now on.
-pub fn set_check_mode(mode: CheckMode) {
-    CHECK_STRICT.store(mode == CheckMode::Strict, Ordering::Relaxed);
-}
-
-/// The SchedSan mode currently in effect.
-pub fn check_mode() -> CheckMode {
-    if CHECK_STRICT.load(Ordering::Relaxed) {
-        CheckMode::Strict
-    } else {
-        CheckMode::Off
-    }
-}
-
 /// Common run configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct RunCfg {
     /// Work-volume scale (1.0 = paper-sized).
     pub scale: f64,
     /// RNG seed.
     pub seed: u64,
+    /// SchedSan mode of every kernel the run builds (`battle --check`).
+    pub check: CheckMode,
 }
 
 impl Default for RunCfg {
@@ -92,6 +74,7 @@ impl Default for RunCfg {
         RunCfg {
             scale: 1.0,
             seed: 42,
+            check: CheckMode::Off,
         }
     }
 }
@@ -104,13 +87,49 @@ impl RunCfg {
             ..Default::default()
         }
     }
+
+    /// Scenario-engine options for this run (no budget, no cancellation,
+    /// stock scheduler parameters).
+    pub fn engine_opts(&self) -> EngineOpts {
+        EngineOpts {
+            scale: self.scale,
+            seed: self.seed,
+            check: self.check,
+            ..EngineOpts::default()
+        }
+    }
 }
 
-/// Build a kernel for `topo` driven by `sched`, honouring the global
+/// Build a kernel for `topo` driven by `sched`, with `cfg`'s seed and
 /// check mode. Delegates to [`scenario::make_kernel`] (the one kernel
-/// factory both the figure drivers and the scenario engine share).
-pub fn make_kernel(topo: &Topology, sched: Sched, seed: u64) -> Kernel {
-    scenario::make_kernel(topo, sched, seed, check_mode(), FaultPlan::default())
+/// factory the drivers and the scenario engine share).
+pub fn make_kernel(topo: &Topology, sched: Sched, cfg: &RunCfg) -> Kernel {
+    scenario::make_kernel(topo, sched, cfg.seed, cfg.check, FaultPlan::default())
+}
+
+/// Parse a figure's compiled-in scenario file.
+fn figure_scenario(toml: &str) -> Scenario {
+    Scenario::from_toml(toml).unwrap_or_else(|e| panic!("compiled-in figure scenario: {e}"))
+}
+
+/// Run a figure's scenario under `sched` with `obs` sampling every step.
+/// A simulator error (a strict-mode violation) writes a crash bundle and
+/// exits, like [`run_entry`].
+fn run_figure(sc: &Scenario, sched: Sched, cfg: &RunCfg, obs: &mut impl Observer) -> RunOutput {
+    match scenario::run_observed(sc, sched, &cfg.engine_opts(), obs) {
+        Ok(out) => out,
+        Err(EngineError::Crash(c)) => crash::Crash {
+            label: format!("{}-{}", sc.name, sched.name()),
+            error: c.error,
+            report: c.report,
+            replay: format!(
+                "battle {} --seed {} --scale {} --check strict",
+                sc.name, cfg.seed, cfg.scale
+            ),
+        }
+        .bail(),
+        Err(EngineError::Spec(e)) => panic!("figure scenario {}: {e}", sc.name),
+    }
 }
 
 /// Structured observability snapshot of one finished kernel run
@@ -198,7 +217,7 @@ pub fn try_run_entry(
     cfg: &RunCfg,
     with_noise: bool,
 ) -> Result<PerfResult, crash::Crash> {
-    let mut k = make_kernel(topo, sched, cfg.seed);
+    let mut k = make_kernel(topo, sched, cfg);
     let p = P::scaled(topo.nr_cpus(), cfg.scale);
     let mut start = Time::ZERO;
     if with_noise {
@@ -281,7 +300,8 @@ mod tests {
     #[test]
     fn make_kernel_both_scheds() {
         let topo = Topology::single_core();
-        assert_eq!(make_kernel(&topo, Sched::Cfs, 1).sched_name(), "cfs");
-        assert_eq!(make_kernel(&topo, Sched::Ule, 1).sched_name(), "ule");
+        let cfg = RunCfg::default();
+        assert_eq!(make_kernel(&topo, Sched::Cfs, &cfg).sched_name(), "cfs");
+        assert_eq!(make_kernel(&topo, Sched::Ule, &cfg).sched_name(), "ule");
     }
 }

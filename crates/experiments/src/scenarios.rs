@@ -5,8 +5,9 @@
 //! requested schedulers through [`runner::par_map`], evaluates the
 //! scenario's assertions, and reports one line per run plus any
 //! violations. With `--trace`, runs go sequentially and each scenario
-//! exports a combined Chrome-trace file (one group per scheduler) next to
-//! the SchedScope figures.
+//! streams a combined Chrome-trace file (one group per scheduler, see
+//! [`scope::run_group`]) and reports the trace analyses; `battle trace
+//! <fig>` is this path for one figure's scenario file.
 
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
@@ -15,8 +16,8 @@ use std::rc::Rc;
 use kernel::{CancelToken, CheckMode};
 use scenario::{EngineError, EngineOpts, Scenario, ScenarioRun, Sched};
 
-use crate::scope::{Analyzer, ChromeTrace, BUFFERED_CAPACITY};
-use crate::{check_mode, crash, runner, RunCfg};
+use crate::scope::{self, ChromeTrace, TraceReport};
+use crate::{crash, runner, RunCfg};
 
 /// Outcome of one scenario file: its runs and any assertion failures.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -28,14 +29,52 @@ pub struct RunReport {
     /// One entry per scheduler run, in requested order. A scheduler whose
     /// run crashed is missing here and reported in `failures`.
     pub runs: Vec<ScenarioRun>,
+    /// With `--trace`: what each run's trace group recorded, in `runs`
+    /// order; empty otherwise.
+    pub traces: Vec<TraceReport>,
     /// Violated assertions and crash notices; empty means pass.
     pub failures: Vec<String>,
 }
 
 impl RunReport {
+    fn new(path: &Path, sc: &Scenario) -> RunReport {
+        RunReport {
+            scenario: sc.name.clone(),
+            path: path.display().to_string(),
+            runs: Vec::new(),
+            traces: Vec::new(),
+            failures: Vec::new(),
+        }
+    }
+
     /// Did every run finish and every assertion hold?
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
+    }
+}
+
+/// Where `--trace` writes its Chrome-trace files.
+#[derive(Debug, Clone, Copy)]
+pub enum TraceTo<'a> {
+    /// `<dir>/<scenario file stem>.trace.json`, one file per scenario
+    /// (`battle run --trace`).
+    Dir(&'a Path),
+    /// This file (`battle trace <fig> --out F`, which runs one scenario).
+    File(&'a Path),
+}
+
+impl TraceTo<'_> {
+    fn path_for(self, scenario_path: &Path, sc: &Scenario) -> PathBuf {
+        match self {
+            TraceTo::Dir(dir) => {
+                let stem = scenario_path
+                    .file_stem()
+                    .map(|s| s.to_string_lossy().into_owned())
+                    .unwrap_or_else(|| sc.name.clone());
+                dir.join(format!("{stem}.trace.json"))
+            }
+            TraceTo::File(file) => file.to_path_buf(),
+        }
     }
 }
 
@@ -78,12 +117,8 @@ pub fn load(paths: &[String]) -> Result<Vec<(PathBuf, Scenario)>, String> {
 
 fn opts_for(cfg: &RunCfg, cancel: Option<&CancelToken>) -> EngineOpts {
     EngineOpts {
-        scale: cfg.scale,
-        seed: cfg.seed,
-        check: check_mode(),
-        trace_capacity: 0,
         cancel: cancel.cloned(),
-        ..EngineOpts::default()
+        ..cfg.engine_opts()
     }
 }
 
@@ -123,9 +158,16 @@ fn crash_failure(path: &Path, sc: &Scenario, cfg: &RunCfg, c: &scenario::EngineC
     format!("[{}] crash: {}{}", c.sched.name(), c.error, written)
 }
 
-/// Run every loaded scenario. Parallel across (scenario, scheduler) jobs
-/// unless `trace_dir` is set, in which case runs go sequentially and each
-/// scenario writes `<trace_dir>/<stem>.trace.json`.
+/// The schedulers to run `sc` under: `scheds` when the caller chose them
+/// (`--sched`), else the scenario's own list.
+fn scheds_for<'a>(sc: &'a Scenario, scheds: Option<&'a [Sched]>) -> &'a [Sched] {
+    scheds.unwrap_or(&sc.scheds)
+}
+
+/// Run every loaded scenario under `scheds` (`None`: each scenario's own
+/// list). Parallel across (scenario, scheduler) jobs unless `trace` is
+/// set, in which case runs go sequentially and each scenario streams its
+/// Chrome-trace file where `trace` says.
 ///
 /// `timeout_s` arms one shared wall-clock deadline for the whole batch:
 /// when it expires every in-flight kernel aborts at its next cancellation
@@ -136,28 +178,25 @@ fn crash_failure(path: &Path, sc: &Scenario, cfg: &RunCfg, c: &scenario::EngineC
 pub fn run_all(
     scenarios: &[(PathBuf, Scenario)],
     cfg: &RunCfg,
-    sched_override: Option<Sched>,
-    trace_dir: Option<&Path>,
+    scheds: Option<&[Sched]>,
+    trace: Option<TraceTo>,
     timeout_s: Option<f64>,
 ) -> Vec<RunReport> {
     let cancel =
         timeout_s.map(|s| CancelToken::with_deadline(std::time::Duration::from_secs_f64(s)));
-    let scheds_of = |sc: &Scenario| -> Vec<Sched> {
-        match sched_override {
-            Some(s) => vec![s],
-            None => sc.scheds.clone(),
-        }
-    };
-    if let Some(dir) = trace_dir {
+    if let Some(to) = trace {
         return scenarios
             .iter()
-            .map(|(path, sc)| run_traced(path, sc, cfg, &scheds_of(sc), dir, cancel.as_ref()))
+            .map(|(path, sc)| {
+                let out = to.path_for(path, sc);
+                run_traced(path, sc, cfg, scheds_for(sc, scheds), &out, cancel.as_ref())
+            })
             .collect();
     }
     let jobs: Vec<(usize, Sched)> = scenarios
         .iter()
         .enumerate()
-        .flat_map(|(i, (_, sc))| scheds_of(sc).into_iter().map(move |s| (i, s)))
+        .flat_map(|(i, (_, sc))| scheds_for(sc, scheds).iter().map(move |&s| (i, s)))
         .collect();
     let cancel_ref = cancel.as_ref();
     let outcomes = runner::par_map_supervised(jobs.clone(), |(i, sched)| {
@@ -171,12 +210,7 @@ pub fn run_all(
     });
     let mut reports: Vec<RunReport> = scenarios
         .iter()
-        .map(|(path, sc)| RunReport {
-            scenario: sc.name.clone(),
-            path: path.display().to_string(),
-            runs: Vec::new(),
-            failures: Vec::new(),
-        })
+        .map(|(path, sc)| RunReport::new(path, sc))
         .collect();
     for (&(i, sched), outcome) in jobs.iter().zip(outcomes) {
         match outcome {
@@ -212,55 +246,40 @@ pub fn run_all(
     reports
 }
 
+/// Run `sc` under each of `scheds` in turn, streaming every run into one
+/// Chrome-trace file at `out`.
 fn run_traced(
     path: &Path,
     sc: &Scenario,
     cfg: &RunCfg,
     scheds: &[Sched],
-    dir: &Path,
+    out: &Path,
     cancel: Option<&CancelToken>,
 ) -> RunReport {
-    let mut report = RunReport {
-        scenario: sc.name.clone(),
-        path: path.display().to_string(),
-        runs: Vec::new(),
-        failures: Vec::new(),
-    };
-    let stem = path
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| sc.name.clone());
-    let out = dir.join(format!("{stem}.trace.json"));
-    let trace: Option<(PathBuf, _)> =
-        match std::fs::create_dir_all(dir).and_then(|()| std::fs::File::create(&out)) {
-            Ok(f) => Some((
-                out,
-                Rc::new(RefCell::new(ChromeTrace::new(std::io::BufWriter::new(f)))),
-            )),
-            Err(e) => {
-                report.failures.push(format!("trace export disabled: {e}"));
-                None
-            }
-        };
-    for (i, &sched) in scheds.iter().enumerate() {
-        let mut opts = opts_for(cfg, cancel);
-        if trace.is_some() {
-            opts.trace_capacity = BUFFERED_CAPACITY;
+    let mut report = RunReport::new(path, sc);
+    let created = match out.parent().filter(|d| !d.as_os_str().is_empty()) {
+        Some(dir) => std::fs::create_dir_all(dir),
+        None => Ok(()),
+    }
+    .and_then(|()| std::fs::File::create(out));
+    let file = match created {
+        Ok(f) => f,
+        Err(e) => {
+            report
+                .failures
+                .push(format!("cannot create trace {}: {e}", out.display()));
+            return report;
         }
-        match scenario::run_sched(sc, sched, &opts) {
-            Ok(out) => {
-                if let Some((_, writer)) = &trace {
-                    let k = &out.kernel;
-                    let mut w = writer.borrow_mut();
-                    let mut analyzer = Analyzer::default();
-                    w.begin_group(i as u32 + 1, sched.name(), k.topology().nr_cpus());
-                    for ev in k.trace().iter() {
-                        w.event(ev, k.tasks());
-                        analyzer.event(ev, k.tasks());
-                    }
-                    w.end_group(k.now());
-                }
-                report.runs.push(out.run);
+    };
+    let trace = Rc::new(RefCell::new(ChromeTrace::new(std::io::BufWriter::new(
+        file,
+    ))));
+    for (i, &sched) in scheds.iter().enumerate() {
+        let opts = opts_for(cfg, cancel);
+        match scope::run_group(&trace, i as u32 + 1, sc, sched, &opts) {
+            Ok((run, group)) => {
+                report.runs.push(run);
+                report.traces.push(group);
             }
             Err(EngineError::Spec(e)) => {
                 report.failures.push(format!("[{}] {e}", sched.name()));
@@ -270,19 +289,17 @@ fn run_traced(
             }
         }
     }
-    if let Some((out, writer)) = trace {
-        match Rc::try_unwrap(writer) {
-            Ok(w) => match w.into_inner().finish() {
-                Ok(events) => println!(
-                    "  trace: {} ({events} events) — open in https://ui.perfetto.dev",
-                    out.display()
-                ),
-                Err(e) => report.failures.push(format!("trace export failed: {e}")),
-            },
-            Err(_) => report
-                .failures
-                .push("trace writer still shared".to_string()),
-        }
+    // Every run has handed its sink back (or dropped its kernel), so the
+    // writer is ours alone again.
+    match Rc::try_unwrap(trace).map(|w| w.into_inner().finish()) {
+        Ok(Ok(events)) => println!(
+            "  trace: {} ({events} events) — open in https://ui.perfetto.dev",
+            out.display()
+        ),
+        Ok(Err(e)) => report.failures.push(format!("trace export failed: {e}")),
+        Err(_) => report
+            .failures
+            .push("trace writer still shared".to_string()),
     }
     let partial = partial_failures(&report.runs);
     report.failures.extend(partial);
@@ -308,6 +325,9 @@ pub fn render(report: &RunReport) -> String {
             r.run_delay.p99_ms,
         ));
     }
+    for (t, r) in report.traces.iter().zip(&report.runs) {
+        s.push_str(&scope::render(t, r));
+    }
     if report.failures.is_empty() {
         s.push_str("  PASS\n");
     } else {
@@ -318,39 +338,28 @@ pub fn render(report: &RunReport) -> String {
     s
 }
 
-/// CLI entry: load, run, print and JSON-dump. Returns `false` if any
-/// scenario failed (parse error, crash or assertion).
+/// CLI entry: run the loaded scenarios (see [`run_all`]), print and
+/// JSON-dump. Returns `false` if any scenario failed (crash or assertion).
 pub fn cli(
-    paths: &[String],
+    scenarios: &[(PathBuf, Scenario)],
     cfg: &RunCfg,
-    sched_override: Option<Sched>,
-    trace: bool,
+    scheds: Option<&[Sched]>,
+    trace: Option<TraceTo>,
     json: &Option<String>,
     timeout_s: Option<f64>,
 ) -> bool {
-    let scenarios = match load(paths) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return false;
-        }
-    };
-    let strict = check_mode() == CheckMode::Strict;
     println!(
         "running {} scenario(s) at scale {} seed {}{}\n",
         scenarios.len(),
         cfg.scale,
         cfg.seed,
-        if strict { " [strict]" } else { "" }
+        if cfg.check == CheckMode::Strict {
+            " [strict]"
+        } else {
+            ""
+        }
     );
-    let trace_dir = trace.then(|| PathBuf::from("traces"));
-    let reports = run_all(
-        &scenarios,
-        cfg,
-        sched_override,
-        trace_dir.as_deref(),
-        timeout_s,
-    );
+    let reports = run_all(scenarios, cfg, scheds, trace, timeout_s);
     for report in &reports {
         print!("{}", render(report));
     }

@@ -1,22 +1,15 @@
 //! SchedScope: exportable scheduling traces and trace-derived analyses.
 //!
-//! `battle trace <fig> --out trace.json` renders the kernel's flight
-//! recorder as Chrome-trace/Perfetto JSON: one track per CPU whose slices
-//! are the running tasks (from `Switch`/`Idle` events), instant markers
-//! for wakeups, exits, preemptions, migrations, hotplug and fault events,
-//! and flow arrows from each waker to its wakee's next dispatch. Load the
-//! file in <https://ui.perfetto.dev> (or `chrome://tracing`) to scrub
-//! through a run visually.
-//!
-//! Two export modes:
-//!
-//! * **buffered** (default): the run records into an in-memory flight
-//!   recorder that is rendered after the fact. Bounded by the ring's
-//!   capacity — long runs lose their oldest events (reported as
-//!   `trace_dropped`).
-//! * **streaming** (`--stream`): a [`TraceSink`] writes every event to
-//!   disk as it happens, so full-scale runs export complete traces without
-//!   an unbounded buffer.
+//! `battle run <scenario> --trace` (and its alias `battle trace <fig>`)
+//! streams every kernel event of each run into Chrome-trace/Perfetto JSON:
+//! one track per CPU whose slices are the running tasks (from
+//! `Switch`/`Idle` events), instant markers for wakeups, exits,
+//! preemptions, migrations, hotplug and fault events, and flow arrows from
+//! each waker to its wakee's next dispatch. Load the file in
+//! <https://ui.perfetto.dev> (or `chrome://tracing`) to scrub through a run
+//! visually. [`run_group`] installs the [`TraceSink`] through the scenario
+//! engine's [`Observer`] set-up call, so events reach disk as they happen
+//! and a full-scale run exports a complete trace without a buffer.
 //!
 //! Alongside the export, an [`Analyzer`] aggregates the same event stream
 //! into the §5.3/§6 analyses: preemption attribution by cause and by
@@ -30,18 +23,12 @@ use std::io::Write;
 use std::rc::Rc;
 
 use kernel::{Kernel, TraceEvent, TraceSink};
+use scenario::{EngineError, EngineOpts, Observer, Scenario, ScenarioRun};
 use sched_api::{TaskTable, Tid};
-use simcore::{Dur, Time};
-use topology::{CpuId, Topology};
-use workloads::{phoronix::cray, phoronix::CrayCfg, synthetic, sysbench::SysbenchCfg, P};
+use simcore::Time;
+use topology::CpuId;
 
-use crate::{make_kernel, obs_of, RunCfg, Sched, SchedObs};
-
-/// Figures `battle trace` can export.
-pub const FIGS: [&str; 4] = ["fig1", "fig5", "fig6", "fig7"];
-
-/// Flight-recorder capacity used in buffered mode (events).
-pub const BUFFERED_CAPACITY: usize = 1 << 20;
+use crate::Sched;
 
 // ---------------------------------------------------------------------
 // Chrome-trace writer
@@ -269,8 +256,7 @@ impl<W: Write> ChromeTrace<W> {
         ));
     }
 
-    /// Render one event (the [`TraceSink`] entry point, also used for
-    /// post-run buffered replays).
+    /// Render one event (the [`TraceSink`] entry point).
     pub fn event(&mut self, ev: &TraceEvent, tasks: &TaskTable) {
         match *ev {
             TraceEvent::Switch { at, cpu, to, .. } => {
@@ -415,7 +401,7 @@ pub struct MigrationSlot {
 }
 
 /// Aggregated trace-derived analysis of one run (serialized into the
-/// `battle trace --json` report).
+/// `battle run --trace --json` report).
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct TraceAnalysis {
     /// Wakeup events seen.
@@ -541,313 +527,107 @@ impl<W: Write> TraceSink for ScopeSink<W> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Scenarios
-// ---------------------------------------------------------------------
+/// One run's group in a shared [`ChromeTrace`]. Its [`Observer`] set-up
+/// call opens the group on the fresh kernel and installs a [`ScopeSink`].
+struct GroupTrace<W: Write> {
+    trace: Rc<RefCell<ChromeTrace<W>>>,
+    analyzer: Rc<RefCell<Analyzer>>,
+    pid: u32,
+    name: &'static str,
+}
 
-/// The machine a figure's scenario runs on.
-pub fn topology_of(fig: &str) -> Result<Topology, String> {
-    match fig {
-        "fig1" | "fig5" => Ok(Topology::single_core()),
-        "fig6" | "fig7" => Ok(Topology::opteron_6172()),
-        other => Err(format!(
-            "no trace scenario for {other} (have: {})",
-            FIGS.join(" ")
-        )),
+impl<W: Write + 'static> Observer for GroupTrace<W> {
+    fn setup(&mut self, k: &mut Kernel) {
+        self.trace
+            .borrow_mut()
+            .begin_group(self.pid, self.name, k.topology().nr_cpus());
+        k.set_trace_sink(Box::new(ScopeSink {
+            trace: Rc::clone(&self.trace),
+            analyzer: Rc::clone(&self.analyzer),
+        }));
     }
 }
 
-/// Build and run one figure's scenario under `sched`, with an optional
-/// streaming sink and/or flight-recorder capacity installed beforehand.
-/// Returns the finished kernel and the ops completed by the scenario's
-/// application of interest (requests for apache, transactions for
-/// sysbench; 0 where ops are meaningless).
-pub fn run_scenario(
-    fig: &str,
-    sched: Sched,
-    cfg: &RunCfg,
-    sink: Option<Box<dyn TraceSink>>,
-    capacity: usize,
-) -> Result<(Kernel, u64), String> {
-    let topo = topology_of(fig)?;
-    let mut k = make_kernel(&topo, sched, cfg.seed);
-    if capacity > 0 {
-        k.set_trace_capacity(capacity);
-    }
-    if let Some(s) = sink {
-        k.set_trace_sink(s);
-    }
-    let ops_app = match fig {
-        "fig1" => {
-            // Figure 1's single-core interactivity mix: fibo + sysbench.
-            k.queue_app(
-                Time::ZERO,
-                synthetic::fibo(Dur::secs_f64(160.0 * cfg.scale)),
-            );
-            let sb = SysbenchCfg {
-                threads: 80,
-                total_tx: ((260_000.0 * cfg.scale).round() as u64).max(500),
-                ..Default::default()
-            };
-            let spec = workloads::sysbench::sysbench(&mut k, sb);
-            let app = k.queue_app(Time::ZERO + Dur::secs_f64(7.0 * cfg.scale), spec);
-            let limit = Time::ZERO + Dur::secs_f64(420.0 * cfg.scale + 30.0);
-            k.run_until_apps_done(limit);
-            Some(app)
-        }
-        "fig5" => {
-            // The suite entry behind Figure 5's headline outlier: apache —
-            // the workload whose "1 preemption per request" the preemption
-            // attribution below validates.
-            let suite = workloads::suite();
-            let entry = suite
-                .iter()
-                .find(|e| e.name == "Apache")
-                .ok_or("suite has no Apache entry")?;
-            let p = P::scaled(topo.nr_cpus(), cfg.scale);
-            let spec = (entry.build)(&mut k, &p);
-            let app = k.queue_app(Time::ZERO, spec);
-            let limit = Time::ZERO + Dur::secs_f64(600.0 * cfg.scale.max(0.05) + 120.0);
-            k.run_until_apps_done(limit);
-            Some(app)
-        }
-        "fig6" => {
-            // Figure 6's rebalancing pulse: pinned spinners unpinned at
-            // t = 14.5 s (scaled); the interesting window is the unpin.
-            let ncpu = topo.nr_cpus();
-            let nthreads = ((512.0 * cfg.scale).round() as usize).max(2 * ncpu);
-            let app = k.queue_app(Time::ZERO, workloads::synthetic::pinned_spinners(nthreads));
-            let unpin_at = Time::ZERO + Dur::secs_f64(14.5 * cfg.scale.max(0.05));
-            k.queue_unpin(unpin_at, app);
-            let horizon = unpin_at + Dur::secs_f64((30.0 * cfg.scale).max(2.0));
-            k.run_until(horizon);
-            None
-        }
-        "fig7" => {
-            // Figure 7's c-ray wakeup cascade (thread count scales here —
-            // unlike the figure driver — so small-scale traces stay small).
-            let threads = ((512.0 * cfg.scale).round() as usize).clamp(32, 512);
-            let spec = cray(
-                &mut k,
-                CrayCfg {
-                    threads,
-                    work: Dur::secs_f64(6.0 * cfg.scale.clamp(0.05, 1.0)),
-                    ..Default::default()
-                },
-            );
-            let app = k.queue_app(Time::ZERO, spec);
-            k.run_until_apps_done(Time::ZERO + Dur::secs(220));
-            Some(app)
-        }
-        other => {
-            return Err(format!(
-                "no trace scenario for {other} (have: {})",
-                FIGS.join(" ")
-            ))
-        }
-    };
-    let ops = ops_app.map(|a| k.app(a).ops).unwrap_or(0);
-    Ok((k, ops))
-}
-
-// ---------------------------------------------------------------------
-// The export pipeline
-// ---------------------------------------------------------------------
-
-/// One scheduler's share of a trace export.
+/// What one run's trace group recorded.
 #[derive(Debug, Clone, serde::Serialize)]
-pub struct ScopeReport {
-    /// Scheduler used.
+pub struct TraceReport {
+    /// Scheduler of the run.
     pub sched: Sched,
-    /// End-of-run observability snapshot (counters + latency summaries).
-    pub obs: SchedObs,
+    /// Task slices written, one per context switch.
+    pub slices: u64,
     /// Trace-derived analyses.
     pub analysis: TraceAnalysis,
-    /// Ops completed by the scenario's application of interest.
-    pub ops: u64,
-    /// Wakeup-driven preemptions per op — the paper's Fig. 5 apache
-    /// discussion ("CFS preempts ab once per request"); `None` when the
-    /// scenario has no op notion.
-    pub preemptions_per_op: Option<f64>,
-    /// Task slices exported for this scheduler's group.
-    pub slices: u64,
-    /// Events the flight recorder dropped (buffered mode only; 0 when
-    /// streaming — the reason `--stream` exists).
-    pub trace_dropped: u64,
 }
 
-/// A full `battle trace` run: the JSON artifact's whereabouts plus one
-/// [`ScopeReport`] per scheduler.
-#[derive(Debug, serde::Serialize)]
-pub struct ScopeRun {
-    /// Figure traced.
-    pub fig: String,
-    /// Output path of the Chrome-trace JSON.
-    pub out: String,
-    /// Whether events streamed to disk (vs. buffered flight recorder).
-    pub streamed: bool,
-    /// Total Chrome-trace events written (all groups, incl. metadata).
-    pub events_written: u64,
-    /// Per-scheduler reports, in run order.
-    pub reports: Vec<ScopeReport>,
+/// Run `sc` under `sched`, streaming every event into group `pid` of
+/// `trace` (one Chrome-trace process per run, so several runs share a
+/// timeline in Perfetto).
+pub fn run_group<W: Write + 'static>(
+    trace: &Rc<RefCell<ChromeTrace<W>>>,
+    pid: u32,
+    sc: &Scenario,
+    sched: Sched,
+    opts: &EngineOpts,
+) -> Result<(ScenarioRun, TraceReport), EngineError> {
+    let mut group = GroupTrace {
+        trace: Rc::clone(trace),
+        analyzer: Rc::default(),
+        pid,
+        name: sched.name(),
+    };
+    let slices_before = trace.borrow().slices();
+    let mut out = scenario::run_observed(sc, sched, opts, &mut group)?;
+    // Release the kernel's handle on the writer, then close open slices.
+    out.kernel.take_trace_sink();
+    trace.borrow_mut().end_group(out.kernel.now());
+    let report = TraceReport {
+        sched,
+        slices: trace.borrow().slices() - slices_before,
+        analysis: group.analyzer.borrow().analysis(),
+    };
+    Ok((out.run, report))
 }
 
-/// Run `fig` under each of `scheds` and export one combined Chrome-trace
-/// file to `out` (one trace "process" per scheduler, so both runs land on
-/// a shared timeline in Perfetto).
-pub fn run_trace(
-    fig: &str,
-    scheds: &[Sched],
-    cfg: &RunCfg,
-    out: &std::path::Path,
-    stream: bool,
-) -> Result<ScopeRun, String> {
-    let topo = topology_of(fig)?;
-    let ncpu = topo.nr_cpus();
-    let file =
-        std::fs::File::create(out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
-    let writer = Rc::new(RefCell::new(ChromeTrace::new(std::io::BufWriter::new(
-        file,
-    ))));
-    let mut reports = Vec::new();
-    for (i, &sched) in scheds.iter().enumerate() {
-        let analyzer = Rc::new(RefCell::new(Analyzer::default()));
-        writer
-            .borrow_mut()
-            .begin_group(i as u32 + 1, sched.name(), ncpu);
-        let slices_before = writer.borrow().slices();
-        let (mut k, ops) = if stream {
-            let sink = ScopeSink {
-                trace: Rc::clone(&writer),
-                analyzer: Rc::clone(&analyzer),
-            };
-            run_scenario(fig, sched, cfg, Some(Box::new(sink)), 0)?
-        } else {
-            run_scenario(fig, sched, cfg, None, BUFFERED_CAPACITY)?
-        };
-        let trace_dropped = if stream {
-            // Drop the kernel's sink box so the writer Rc is released.
-            k.take_trace_sink();
-            0
-        } else {
-            let mut w = writer.borrow_mut();
-            let mut a = analyzer.borrow_mut();
-            for ev in k.trace().iter() {
-                w.event(ev, k.tasks());
-                a.event(ev, k.tasks());
-            }
-            k.trace().dropped()
-        };
-        writer.borrow_mut().end_group(k.now());
-        let obs = obs_of(&k);
-        let analysis = analyzer.borrow().analysis();
-        let wakeup_preempts = obs.counters.wakeup_preemptions;
-        reports.push(ScopeReport {
-            sched,
-            obs,
-            analysis,
-            ops,
-            preemptions_per_op: (ops > 0).then(|| wakeup_preempts as f64 / ops as f64),
-            slices: writer.borrow().slices() - slices_before,
-            trace_dropped,
-        });
-    }
-    let writer = Rc::try_unwrap(writer)
-        .map_err(|_| "trace writer still shared".to_string())?
-        .into_inner();
-    let events_written = writer.finish()?;
-    Ok(ScopeRun {
-        fig: fig.to_string(),
-        out: out.display().to_string(),
-        streamed: stream,
-        events_written,
-        reports,
-    })
-}
-
-/// Render a [`ScopeRun`] for the terminal.
-pub fn report(run: &ScopeRun) -> String {
+/// Render a traced run's analysis for the terminal, as lines indented
+/// under `battle run`'s per-run line.
+pub fn render(t: &TraceReport, run: &ScenarioRun) -> String {
+    let name = t.sched.name();
+    let causes: Vec<String> = t
+        .analysis
+        .preemptions
+        .iter()
+        .map(|c| format!("{} {}", c.cause, c.count))
+        .collect();
     let mut s = format!(
-        "SchedScope — {} trace → {} ({} events{})\n",
-        run.fig,
-        run.out,
-        run.events_written,
-        if run.streamed { ", streamed" } else { "" }
-    );
-    s.push_str("open in https://ui.perfetto.dev (or chrome://tracing)\n\n");
-    let mut t = metrics::Table::new(&[
-        "sched",
-        "slices",
-        "ctx sw",
-        "wakeups",
-        "preempt",
-        "wake-pre",
-        "migrations",
-        "run-delay p50/p99/max ms",
-        "wakeup-lat p50/p99/max ms",
-    ]);
-    for r in &run.reports {
-        let c = &r.obs.counters;
-        t.push(&[
-            r.sched.name().to_string(),
-            format!("{}", r.slices),
-            format!("{}", c.ctx_switches),
-            format!("{}", c.wakeups),
-            format!("{}", c.preemptions),
-            format!("{}", c.wakeup_preemptions),
-            format!("{}", c.migrations),
-            format!(
-                "{:.3}/{:.3}/{:.1}",
-                r.obs.run_delay.p50_ms, r.obs.run_delay.p99_ms, r.obs.run_delay.max_ms
-            ),
-            format!(
-                "{:.3}/{:.3}/{:.1}",
-                r.obs.wakeup_latency.p50_ms,
-                r.obs.wakeup_latency.p99_ms,
-                r.obs.wakeup_latency.max_ms
-            ),
-        ]);
-    }
-    s.push_str(&t.render());
-    for r in &run.reports {
-        s.push_str(&format!("\n[{}] preemptions by cause: ", r.sched.name()));
-        if r.analysis.preemptions.is_empty() {
-            s.push_str("none");
+        "  [{name}] trace: {} slices; preemptions by cause: {}\n",
+        t.slices,
+        if causes.is_empty() {
+            "none".to_string()
         } else {
-            let parts: Vec<String> = r
-                .analysis
-                .preemptions
-                .iter()
-                .map(|c| format!("{} {}", c.cause, c.count))
-                .collect();
-            s.push_str(&parts.join(", "));
+            causes.join(", ")
         }
-        if let Some(ppo) = r.preemptions_per_op {
-            s.push_str(&format!(
-                "\n[{}] wakeup preemptions per op: {ppo:.2} over {} ops",
-                r.sched.name(),
-                r.ops
-            ));
-        }
-        if !r.analysis.preempt_pairs.is_empty() {
-            s.push_str(&format!("\n[{}] heaviest preemptors: ", r.sched.name()));
-            let parts: Vec<String> = r
-                .analysis
-                .preempt_pairs
-                .iter()
-                .take(4)
-                .map(|p| format!("{}→{} ×{}", p.by, p.victim, p.count))
-                .collect();
-            s.push_str(&parts.join(", "));
-        }
-        if r.trace_dropped > 0 {
-            s.push_str(&format!(
-                "\n[{}] WARNING: flight recorder dropped {} events — re-run with --stream",
-                r.sched.name(),
-                r.trace_dropped
-            ));
-        }
-        s.push('\n');
+    );
+    // The paper's Fig. 5 apache discussion: "CFS preempts ab once per
+    // request".
+    let ops: u64 = run.apps.iter().map(|a| a.ops).sum();
+    if ops > 0 {
+        s.push_str(&format!(
+            "  [{name}] wakeup preemptions per op: {:.2} over {ops} ops\n",
+            run.counters.wakeup_preemptions as f64 / ops as f64
+        ));
+    }
+    if !t.analysis.preempt_pairs.is_empty() {
+        let pairs: Vec<String> = t
+            .analysis
+            .preempt_pairs
+            .iter()
+            .take(4)
+            .map(|p| format!("{}→{} ×{}", p.by, p.victim, p.count))
+            .collect();
+        s.push_str(&format!(
+            "  [{name}] heaviest preemptors: {}\n",
+            pairs.join(", ")
+        ));
     }
     s
 }
@@ -875,18 +655,5 @@ mod tests {
     fn esc_escapes_quotes_and_controls() {
         assert_eq!(esc("a\"b\\c"), "a\\\"b\\\\c");
         assert_eq!(esc("x\ny"), "x\\u000ay");
-    }
-
-    #[test]
-    fn unknown_fig_is_an_error() {
-        assert!(topology_of("fig9").is_err());
-        let r = run_trace(
-            "nope",
-            &[Sched::Cfs],
-            &RunCfg::at_scale(0.02),
-            std::path::Path::new("/tmp/schedscope-unknown.json"),
-            false,
-        );
-        assert!(r.is_err());
     }
 }

@@ -29,7 +29,7 @@ use std::path::PathBuf;
 use metrics::table::Table;
 use scenario::{EngineError, RunOutput, Scenario, Sched};
 
-use crate::{check_mode, runner, scenarios, RunCfg};
+use crate::{runner, scenarios, RunCfg};
 
 /// One (scenario, scheduler) outcome, reduced to the scorecard metrics.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -168,14 +168,7 @@ pub fn run(scenarios_list: &[(PathBuf, Scenario)], cfg: &RunCfg) -> TournamentRe
         .collect();
     let outcomes = runner::par_map_supervised(jobs.clone(), |(i, sched)| {
         let (_, sc) = &scenarios_list[i];
-        let opts = scenario::EngineOpts {
-            scale: cfg.scale,
-            seed: cfg.seed,
-            check: check_mode(),
-            trace_capacity: 0,
-            ..scenario::EngineOpts::default()
-        };
-        scenario::run_sched(sc, sched, &opts)
+        scenario::run_sched(sc, sched, &cfg.engine_opts())
             .map(|out| cell_of(&out))
             .map_err(|e| match e {
                 EngineError::Spec(s) => format!("[{} × {}] {s}", sc.name, sched.name()),

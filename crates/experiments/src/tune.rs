@@ -34,7 +34,7 @@ use metrics::table::Table;
 use scenario::{EngineError, EngineOpts, Scenario, Sched};
 use sched_api::params::{Dim, DimScale, ParamVector};
 
-use crate::{check_mode, runner, scenarios, tournament};
+use crate::{runner, scenarios, tournament, RunCfg};
 
 /// Ratio cap for per-metric tuned/stock comparisons: a candidate can earn
 /// at most "twice as good as stock" on any one metric, so a single
@@ -46,10 +46,9 @@ const REL_CAP: f64 = 2.0;
 pub struct TuneCfg {
     /// Candidate evaluations per scheduler (including the stock default).
     pub budget: usize,
-    /// RNG seed (shared by the search and every simulation run).
-    pub seed: u64,
-    /// Work-volume scale for the corpus runs.
-    pub scale: f64,
+    /// Scale, seed and check mode of the corpus runs (the seed also seeds
+    /// the search).
+    pub run: RunCfg,
     /// Schedulers to tune (default: every scheduler with tunables).
     pub scheds: Vec<Sched>,
     /// Write `results/tuned/<sched>.toml` + `table.md` artifacts.
@@ -62,8 +61,7 @@ impl Default for TuneCfg {
     fn default() -> Self {
         TuneCfg {
             budget: 64,
-            seed: 42,
-            scale: 1.0,
+            run: RunCfg::default(),
             scheds: Sched::TUNABLE.to_vec(),
             write: false,
             out_dir: "results/tuned".into(),
@@ -157,13 +155,9 @@ fn run_meas(
     params: Option<&ParamVector>,
 ) -> Result<Meas, String> {
     let opts = EngineOpts {
-        scale: cfg.scale,
-        seed: cfg.seed,
-        check: check_mode(),
-        trace_capacity: 0,
         budget,
-        cancel: None,
         params: params.cloned(),
+        ..cfg.run.engine_opts()
     };
     let out = scenario::run_sched(sc, sched, &opts).map_err(|e| match e {
         EngineError::Spec(s) => format!("[{} × {}] {s}", sc.name, sched.name()),
@@ -350,7 +344,7 @@ pub fn run(corpus: &[(PathBuf, Scenario)], sched: Sched, cfg: &TuneCfg) -> TuneR
 
     let scfg = SearchCfg {
         budget: cfg.budget,
-        seed: cfg.seed,
+        seed: cfg.run.seed,
         ..SearchCfg::default()
     };
     let result = search(&dims, &scfg, objective);
@@ -416,8 +410,8 @@ pub fn run(corpus: &[(PathBuf, Scenario)], sched: Sched, cfg: &TuneCfg) -> TuneR
     };
     TuneReport {
         sched,
-        scale: cfg.scale,
-        seed: cfg.seed,
+        scale: cfg.run.scale,
+        seed: cfg.run.seed,
         budget: cfg.budget,
         evals: result.evals,
         scenarios: corpus.iter().map(|(_, sc)| sc.name.clone()).collect(),

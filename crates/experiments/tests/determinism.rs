@@ -10,7 +10,11 @@ use topology::Topology;
 /// A deterministic digest for one busy-machine simulation.
 fn digest_of(sched: Sched, seed: u64) -> (u64, u64) {
     let topo = Topology::core_i7_3770();
-    let mut k = make_kernel(&topo, sched, seed);
+    let cfg = RunCfg {
+        seed,
+        ..RunCfg::default()
+    };
+    let mut k = make_kernel(&topo, sched, &cfg);
     let threads = (0..16)
         .map(|i| ThreadSpec::new(format!("w{i}"), cpu_hog(Dur::millis(300), Dur::millis(4))))
         .collect();
@@ -46,8 +50,8 @@ fn fig5_json_is_byte_identical_across_thread_counts() {
     // JSON — what `battle --json` writes — must not change with the pool
     // size.
     let cfg = RunCfg {
-        scale: 0.02,
         seed: 7,
+        ..RunCfg::at_scale(0.02)
     };
     runner::set_threads(1);
     let seq = serde_json::to_string_pretty(&fig5::run(&cfg)).unwrap();

@@ -7,7 +7,7 @@
 use experiments::{fig1, fig2, fig34, fig6, fig7, RunCfg};
 
 fn cfg(scale: f64) -> RunCfg {
-    RunCfg { scale, seed: 42 }
+    RunCfg::at_scale(scale)
 }
 
 #[test]
@@ -42,8 +42,7 @@ fn fig34_shapes_hold_at_small_scale() {
 #[test]
 fn fig6_shapes_hold_at_small_scale() {
     let fig = fig6::run_both(&cfg(0.25));
-    let nthreads = (512.0_f64 * 0.25).round() as u32;
-    let problems = fig6::validate(&fig, nthreads, 32);
+    let problems = fig6::validate(&fig);
     assert!(problems.is_empty(), "{problems:?}");
 }
 

@@ -86,10 +86,7 @@ fn runner_survives_panicking_job() {
 #[test]
 fn budget_killed_partial_digest_is_thread_count_invariant() {
     let corpus = budgeted_corpus();
-    let cfg = RunCfg {
-        scale: 1.0,
-        seed: 42,
-    };
+    let cfg = RunCfg::at_scale(1.0);
     let digests_at = |threads: usize| -> Vec<(String, u64, u64, bool)> {
         runner::set_threads(threads);
         let reports = scenarios::run_all(&corpus, &cfg, None, None, None);
@@ -130,7 +127,7 @@ fn budget_killed_partial_digest_is_thread_count_invariant() {
 /// one case in every outcome class, and zero digest mismatches.
 #[test]
 fn chaos_campaign_smoke() {
-    let r = chaos::run(&unbudgeted_corpus(), &chaos::ChaosCfg::default());
+    let r = chaos::run(&unbudgeted_corpus(), &RunCfg::at_scale(0.02), 1);
     assert!(chaos::passed(&r), "{}", chaos::report(&r));
     assert!(r.counts.completed >= 1, "{}", chaos::report(&r));
     assert!(r.counts.budget_killed >= 1, "{}", chaos::report(&r));

@@ -9,7 +9,7 @@
 //!   value sits inside its declared dimension bounds.
 
 use eevdf::EevdfParams;
-use experiments::{runner, tune};
+use experiments::{runner, tune, RunCfg};
 use scenario::{EngineOpts, Scenario, Sched};
 use sched_api::params::{ParamSpace, ParamVector};
 use std::path::{Path, PathBuf};
@@ -35,8 +35,7 @@ fn report_is_thread_count_independent_and_never_loses_to_stock() {
     let corpus = load_scenarios(&["fig1", "mixed-nice"]);
     let cfg = tune::TuneCfg {
         budget: 5,
-        seed: 42,
-        scale: 0.01,
+        run: RunCfg::at_scale(0.01),
         ..tune::TuneCfg::default()
     };
     runner::set_threads(1);
@@ -163,8 +162,10 @@ fn tuned_toml_roundtrips_through_the_parser() {
     let corpus = load_scenarios(&["mixed-nice"]);
     let cfg = tune::TuneCfg {
         budget: 2,
-        seed: 7,
-        scale: 0.01,
+        run: RunCfg {
+            seed: 7,
+            ..RunCfg::at_scale(0.01)
+        },
         ..tune::TuneCfg::default()
     };
     let r = tune::run(&corpus, Sched::ScxVtime, &cfg);

@@ -60,9 +60,8 @@ pub struct SimConfig {
     /// Fault injection plan (spurious wakeups, tick jitter, hotplug).
     /// Inert by default.
     pub faults: FaultPlan,
-    /// Event-queue backend override. `None` (default) resolves through
-    /// [`simcore::default_backend`] (the `BATTLE_EVENT_QUEUE` env var or
-    /// the timer wheel); set explicitly for differential testing.
+    /// Event-queue backend. `None` (default) is the timer wheel; set it
+    /// explicitly for differential testing against the heap.
     pub event_queue: Option<simcore::Backend>,
     /// SchedGuard resource budget. Inert by default; a run that exceeds a
     /// set ceiling aborts with [`crate::SimError::BudgetExceeded`], leaving

@@ -1,14 +1,16 @@
 //! Execute a parsed [`Scenario`] on one scheduler.
 //!
-//! The engine reproduces the hardcoded figure drivers' structure exactly:
-//! build the kernel, queue every phase in file order (build order assigns
-//! task and sync-object ids, which feed the decision digest), then drive
+//! The engine owns the loop from workload to result: build the kernel,
+//! queue every phase in file order (build order assigns task and
+//! sync-object ids, which feed the decision digest), then drive
 //! `try_run_until` in sampling steps, recording the per-core load matrix
-//! and honouring the declarative stop rules. An invariant violation
-//! (SchedSan strict mode) comes back as an [`EngineCrash`] carrying the
-//! kernel's crash report instead of aborting the process.
+//! and honouring the declarative stop rules. Drivers that need more than
+//! the report — a figure's time series, a streamed trace — watch the run
+//! through an [`Observer`] instead of rebuilding the loop. An invariant
+//! violation (SchedSan strict mode) comes back as an [`EngineCrash`]
+//! carrying the kernel's crash report instead of aborting the process.
 
-use kernel::{CancelToken, CheckMode, Kernel, RunBudget, SimError};
+use kernel::{AppId, CancelToken, CheckMode, Kernel, RunBudget, SimError};
 use metrics::{Histogram, LatencySummary, PerCoreSeries};
 use serde::Serialize;
 use simcore::Time;
@@ -26,8 +28,6 @@ pub struct EngineOpts {
     pub seed: u64,
     /// SchedSan mode for the run.
     pub check: CheckMode,
-    /// Flight-recorder ring capacity; 0 keeps the kernel default.
-    pub trace_capacity: usize,
     /// SchedGuard budget imposed by the driver, combined (tighter limit
     /// wins) with the scenario's own `[budget]` table.
     pub budget: RunBudget,
@@ -46,7 +46,6 @@ impl Default for EngineOpts {
             scale: 1.0,
             seed: 42,
             check: CheckMode::Off,
-            trace_capacity: 0,
             budget: RunBudget::default(),
             cancel: None,
             params: None,
@@ -183,10 +182,48 @@ pub struct RunOutput {
     pub run: ScenarioRun,
     /// The kernel, in its end-of-run state.
     pub kernel: Kernel,
+    /// Runnable threads per core, one row per sampling step.
+    pub matrix: PerCoreSeries,
+    /// Each phase name with its app, in phase order (what the
+    /// [`Observer`] saw).
+    pub apps: Vec<(String, AppId)>,
+}
+
+/// Watches a run from the driver's side of the step loop. Both calls
+/// default to doing nothing; any `FnMut(&Kernel, &[(String, AppId)])`
+/// closure is an observer whose body is the per-step call.
+pub trait Observer {
+    /// Called once on the freshly built kernel, before any phase is queued
+    /// (install a trace sink here).
+    fn setup(&mut self, _k: &mut Kernel) {}
+
+    /// Called after every sampling step, once the step's load-matrix row is
+    /// pushed and before the stop rule is checked. `apps` maps each phase
+    /// name to its app, in phase order.
+    fn step(&mut self, _k: &Kernel, _apps: &[(String, AppId)]) {}
+}
+
+/// The observer [`run_sched`] passes: it watches nothing.
+impl Observer for () {}
+
+impl<F: FnMut(&Kernel, &[(String, AppId)])> Observer for F {
+    fn step(&mut self, k: &Kernel, apps: &[(String, AppId)]) {
+        self(k, apps)
+    }
 }
 
 /// Run `sc` under `sched`.
 pub fn run_sched(sc: &Scenario, sched: Sched, opts: &EngineOpts) -> Result<RunOutput, EngineError> {
+    run_observed(sc, sched, opts, &mut ())
+}
+
+/// [`run_sched`] with `obs` watching the run (see [`Observer`]).
+pub fn run_observed(
+    sc: &Scenario,
+    sched: Sched,
+    opts: &EngineOpts,
+    obs: &mut impl Observer,
+) -> Result<RunOutput, EngineError> {
     let topo = sc.topology.build();
     let ncpu = topo.nr_cpus();
     let mut k = make_kernel_tuned(
@@ -197,9 +234,6 @@ pub fn run_sched(sc: &Scenario, sched: Sched, opts: &EngineOpts) -> Result<RunOu
         sc.faults.to_plan(),
         opts.params.as_ref(),
     );
-    if opts.trace_capacity > 0 {
-        k.set_trace_capacity(opts.trace_capacity);
-    }
 
     // SchedGuard: the scenario's own [budget] combined with the driver's,
     // tighter limit winning; watchdog overrides; cancellation token.
@@ -223,9 +257,10 @@ pub fn run_sched(sc: &Scenario, sched: Sched, opts: &EngineOpts) -> Result<RunOu
     if let Some(token) = &opts.cancel {
         k.set_cancel_token(token.clone());
     }
+    obs.setup(&mut k);
 
     // Queue phases in file order; build immediately before queueing so
-    // sync-object ids interleave exactly as the figure drivers do.
+    // sync-object ids interleave with app ids in file order.
     let mut apps = Vec::with_capacity(sc.phases.len());
     for phase in &sc.phases {
         let at = Time::ZERO + phase.at.eval(opts.scale);
@@ -290,6 +325,7 @@ pub fn run_sched(sc: &Scenario, sched: Sched, opts: &EngineOpts) -> Result<RunOu
                 .map(|c| k.nr_queued(CpuId(c as u32)) as u32)
                 .collect(),
         );
+        obs.step(&k, &apps);
         if let Some(th) = sc.run.stop_spread_le {
             if matrix.final_spread() <= th && k.now() > stop_after {
                 break;
@@ -355,7 +391,12 @@ pub fn run_sched(sc: &Scenario, sched: Sched, opts: &EngineOpts) -> Result<RunOu
         abort_kind: abort.as_ref().map(|(k, _)| *k),
         abort: abort.map(|(_, msg)| msg),
     };
-    Ok(RunOutput { run, kernel: k })
+    Ok(RunOutput {
+        run,
+        kernel: k,
+        matrix,
+        apps,
+    })
 }
 
 fn counter_value(c: &kernel::Counters, name: &str) -> u64 {

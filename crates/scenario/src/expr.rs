@@ -1,11 +1,10 @@
 //! Scale-aware time and count expressions.
 //!
-//! Every figure formula in `experiments` is some affine function of the
-//! run's `scale` with clamps: `Dur::secs_f64(420.0 * scale + 30.0)`,
+//! Every figure formula is some affine function of the run's `scale` with
+//! clamps: `Dur::secs_f64(420.0 * scale + 30.0)`,
 //! `Dur::secs_f64(14.5 * scale.max(0.05))`, `((512.0 * scale) as usize)
 //! .max(2 * ncpu)`. [`TimeExpr`] and [`CountExpr`] capture exactly that
-//! family so scenario files reproduce the hardcoded figures bit-for-bit at
-//! any scale.
+//! family, so a figure's scenario file states its workload at any scale.
 //!
 //! In TOML a plain number is shorthand for a scaled base:
 //! `horizon = 220.0` with `scaled = false` spelled out, or the table form

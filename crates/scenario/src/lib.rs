@@ -1,11 +1,13 @@
 //! Declarative scheduling scenarios.
 //!
-//! The paper's figures hard-code each workload in Rust; this crate turns a
-//! workload × topology × fault-plan × assertion combination into *data*: a
-//! TOML (or JSON) file parsed into a [`spec::Scenario`] and executed by
-//! [`engine::run_sched`] on either scheduler. The `battle run` subcommand
-//! is the CLI front-end; `scenarios/` in the repo root is the library of
-//! ported figures and new stress scenarios the golden-digest CI gate pins.
+//! This crate turns a workload × topology × fault-plan × assertion
+//! combination into *data*: a TOML (or JSON) file parsed into a
+//! [`spec::Scenario`] and executed by [`engine::run_sched`] on any
+//! registered scheduler. The `battle run` subcommand is the CLI front-end;
+//! `scenarios/` in the repo root is the library of figure workloads and
+//! stress scenarios the golden-digest CI gate pins. The figure drivers
+//! (`experiments::fig1`, `fig6`, `fig7`) run their scenario files through
+//! [`engine::run_observed`] and only add their sampling.
 //!
 //! Layering:
 //!
@@ -14,8 +16,8 @@
 //! | [`toml`]     | minimal TOML → [`serde::Value`] parser (the vendored serde has no deserializer) |
 //! | [`expr`]     | scale-aware time/count expressions (`{ base_s = 420, plus_s = 30 }`) |
 //! | [`spec`]     | the typed scenario schema, with unknown-key rejection and field-path errors |
-//! | [`workload`] | phase specs → kernel [`AppSpec`]s (digest-compatible with the hardcoded figures) |
-//! | [`engine`]   | build kernel, queue phases, drive the loop, evaluate assertions |
+//! | [`workload`] | phase specs → kernel [`AppSpec`]s |
+//! | [`engine`]   | build kernel, queue phases, drive the loop (with an [`Observer`]), evaluate assertions |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +39,8 @@ use ule::params::UleParams;
 use ule::Ule;
 
 pub use engine::{
-    failures, run_sched, AbortKind, EngineCrash, EngineError, EngineOpts, RunOutput, ScenarioRun,
+    failures, run_observed, run_sched, AbortKind, EngineCrash, EngineError, EngineOpts, Observer,
+    RunOutput, ScenarioRun,
 };
 pub use spec::{BudgetSpec, Scenario, SpecError};
 

@@ -1,7 +1,7 @@
 //! The typed scenario schema.
 //!
-//! A scenario file describes, declaratively, everything a hardcoded figure
-//! driver does imperatively: which schedulers to run, the machine shape,
+//! A scenario file describes, declaratively, everything an experiment
+//! needs before its analysis: which schedulers to run, the machine shape,
 //! the workload phases and when they start, optional mid-run events
 //! (unpinning), a fault plan, the run loop (horizon, sampling step, stop
 //! rules) and the assertions that make the scenario a regression test

@@ -1,11 +1,10 @@
 //! Lower a [`WorkloadSpec`] into a kernel [`AppSpec`].
 //!
-//! Builders that mirror a hardcoded figure replicate that figure's
-//! construction *exactly* (thread order, sync-object creation order,
-//! chunk sizes, pins) so the scenario run's decision digest matches the
-//! figure's byte-for-byte. Thread and app *names* are free — they never
-//! enter the digest — but ids do, so everything here builds in file
-//! order.
+//! Builders fix their construction *exactly* (thread order, sync-object
+//! creation order, chunk sizes, pins): any change there moves the
+//! decision digests the golden files pin. Thread and app *names* are
+//! free — they never enter the digest — but ids do, so everything here
+//! builds in file order.
 
 use kernel::{cpu_hog, from_fn, spinner, Action, AppSpec, Kernel, ThreadSpec};
 use simcore::Dur;

@@ -32,9 +32,8 @@
 //!   indexed moves — no comparison-heap churn on the hot path.
 //! * [`Backend::Heap`] — the classic binary-heap calendar, kept as the
 //!   reference implementation for differential testing (see
-//!   `crates/simcore/tests/backend_equiv.rs`) and as a fallback
-//!   (`BATTLE_EVENT_QUEUE=heap` forces it process-wide, which CI uses to
-//!   keep the path green).
+//!   `crates/simcore/tests/backend_equiv.rs`). A kernel runs on it only
+//!   when its `SimConfig::event_queue` asks for it.
 //!
 //! Both backends produce byte-identical pop sequences for any push/cancel
 //! history; the scenario-level determinism digests are pinned equal in
@@ -42,8 +41,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 use crate::time::Time;
 
@@ -75,45 +72,8 @@ impl EventId {
 pub enum Backend {
     /// Hierarchical timer wheel (default; fastest for tick-heavy mixes).
     Wheel,
-    /// Binary heap (reference/fallback; `BATTLE_EVENT_QUEUE=heap`).
+    /// Binary heap (the differential-testing reference).
     Heap,
-}
-
-/// Process-wide programmatic override of the default backend
-/// (`0` = none, `1` = wheel, `2` = heap). Takes precedence over the
-/// `BATTLE_EVENT_QUEUE` environment variable; used by differential tests.
-static BACKEND_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Force every subsequently constructed [`EventQueue::new`] onto `b`
-/// process-wide (`None` restores env/default resolution). Intended for
-/// differential tests; explicit [`EventQueue::with_backend`] construction
-/// is unaffected. Racing kernels built while the override flips simply get
-/// one backend or the other — safe, because the backends are
-/// pop-order-identical by contract.
-pub fn set_default_backend(b: Option<Backend>) {
-    let v = match b {
-        None => 0,
-        Some(Backend::Wheel) => 1,
-        Some(Backend::Heap) => 2,
-    };
-    BACKEND_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// The backend [`EventQueue::new`] currently resolves to: the
-/// [`set_default_backend`] override if set, else `BATTLE_EVENT_QUEUE`
-/// (`heap` or `wheel`, read once per process), else [`Backend::Wheel`].
-pub fn default_backend() -> Backend {
-    match BACKEND_OVERRIDE.load(Ordering::Relaxed) {
-        1 => Backend::Wheel,
-        2 => Backend::Heap,
-        _ => {
-            static ENV: OnceLock<Backend> = OnceLock::new();
-            *ENV.get_or_init(|| match std::env::var("BATTLE_EVENT_QUEUE").as_deref() {
-                Ok("heap") => Backend::Heap,
-                _ => Backend::Wheel,
-            })
-        }
-    }
 }
 
 /// Liveness state of one slot in the recycled slot table.
@@ -378,9 +338,9 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue on the default backend (see [`default_backend`]).
+    /// An empty queue on the timer wheel.
     pub fn new() -> Self {
-        Self::with_backend(default_backend())
+        Self::with_backend(Backend::Wheel)
     }
 
     /// An empty queue on an explicit backend.
@@ -618,8 +578,8 @@ mod tests {
     }
 
     #[test]
-    fn default_is_wheel_unless_overridden() {
-        assert_eq!(EventQueue::<u8>::new().backend(), default_backend());
+    fn default_is_wheel() {
+        assert_eq!(EventQueue::<u8>::new().backend(), Backend::Wheel);
         assert_eq!(
             EventQueue::<u8>::with_backend(Backend::Heap).backend(),
             Backend::Heap

@@ -20,7 +20,7 @@ pub mod rng;
 pub mod time;
 pub mod trace;
 
-pub use events::{default_backend, set_default_backend, Backend, EventId, EventQueue};
+pub use events::{Backend, EventId, EventQueue};
 pub use hash::Fnv1a;
 pub use rng::SimRng;
 pub use time::{Dur, Time};

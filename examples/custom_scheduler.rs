@@ -11,7 +11,7 @@
 
 use std::collections::VecDeque;
 
-use battle_of_schedulers::{Machine, SchedulerKind, Simulation};
+use battle_of_schedulers::{Machine, Sched, Simulation};
 use kernel::{cpu_hog, AppSpec, ThreadSpec};
 use sched_api::{
     DequeueKind, EnqueueKind, Preempt, PreemptCause, Scheduler, SelectError, SelectStats,
@@ -168,7 +168,7 @@ fn main() {
     let machine = Machine::Flat(8);
     println!("16 × 400ms of work on 8 cores (perfect schedule: 0.8s)\n");
 
-    for kind in [SchedulerKind::Cfs, SchedulerKind::Ule] {
+    for kind in Sched::BOTH {
         let mut sim = Simulation::new(machine.clone(), kind, 42);
         let app = sim.spawn_app(workload());
         sim.run_to_completion(Dur::secs(30));

@@ -9,7 +9,7 @@
 //! cargo run --release --example load_balancing
 //! ```
 
-use battle_of_schedulers::{Machine, SchedulerKind, Simulation};
+use battle_of_schedulers::{Machine, Sched, Simulation};
 use simcore::Dur;
 use topology::CpuId;
 use workloads::synthetic::pinned_spinners;
@@ -24,7 +24,7 @@ fn counts(sim: &Simulation) -> Vec<usize> {
 }
 
 fn main() {
-    for kind in [SchedulerKind::Cfs, SchedulerKind::Ule] {
+    for kind in Sched::BOTH {
         let mut sim = Simulation::new(Machine::Flat(NCORES), kind, 42);
         let app = sim.spawn_app(pinned_spinners(NTHREADS));
         sim.run_for(Dur::secs(1));

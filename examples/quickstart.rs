@@ -4,14 +4,14 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use battle_of_schedulers::{Machine, SchedulerKind, Simulation};
+use battle_of_schedulers::{Machine, Sched, Simulation};
 use kernel::{cpu_hog, AppSpec, ThreadSpec};
 use simcore::Dur;
 
 fn main() {
     println!("A 4-core machine runs a 4-thread compute job plus one extra hog.\n");
 
-    for kind in [SchedulerKind::Cfs, SchedulerKind::Ule] {
+    for kind in Sched::BOTH {
         let mut sim = Simulation::new(Machine::Flat(4), kind, 42);
 
         // A parallel compute app: 4 threads × 2s of work.

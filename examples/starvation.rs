@@ -7,12 +7,12 @@
 //! cargo run --release --example starvation
 //! ```
 
-use battle_of_schedulers::{Machine, SchedulerKind, Simulation};
+use battle_of_schedulers::{Machine, Sched, Simulation};
 use simcore::Dur;
 use workloads::sysbench::{sysbench, SysbenchCfg};
 
 fn main() {
-    for kind in [SchedulerKind::Cfs, SchedulerKind::Ule] {
+    for kind in Sched::BOTH {
         let mut sim = Simulation::new(Machine::SingleCore, kind, 42);
 
         let fibo = sim.spawn_app(workloads::synthetic::fibo(Dur::secs(8)));

@@ -26,4 +26,4 @@ pub use topology;
 pub use ule;
 pub use workloads;
 
-pub use battle_core::{Machine, SchedulerKind, Simulation};
+pub use battle_core::{Machine, Sched, Simulation};

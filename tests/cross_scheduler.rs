@@ -2,7 +2,7 @@
 //! results, exercised through the public `battle_core` API with scaled-down
 //! workloads (the full-size regenerations live in the `battle` binary).
 
-use battle_of_schedulers::{Machine, SchedulerKind, Simulation};
+use battle_of_schedulers::{Machine, Sched, Simulation};
 use kernel::{cpu_hog, AppSpec, ThreadSpec};
 use simcore::Dur;
 use topology::CpuId;
@@ -32,8 +32,8 @@ fn starvation_contrast_between_schedulers() {
         let at10 = sim.kernel().task_runtime(fibo_tid);
         (at10 - at4).as_secs_f64()
     };
-    let cfs_gain = run(SchedulerKind::Cfs);
-    let ule_gain = run(SchedulerKind::Ule);
+    let cfs_gain = run(Sched::Cfs);
+    let ule_gain = run(Sched::Ule);
     assert!(
         cfs_gain > 1.5,
         "CFS must keep fibo running (~50% share), got {cfs_gain:.2}s of 6s"
@@ -62,8 +62,8 @@ fn apache_preemption_contrast() {
             sim.app_ops_per_sec(app),
         )
     };
-    let (cfs_preempt, cfs_rps) = run(SchedulerKind::Cfs);
-    let (ule_preempt, ule_rps) = run(SchedulerKind::Ule);
+    let (cfs_preempt, cfs_rps) = run(Sched::Cfs);
+    let (ule_preempt, ule_rps) = run(Sched::Ule);
     assert!(
         cfs_preempt > 100 * (ule_preempt + 1),
         "CFS preempts ab constantly ({cfs_preempt}), ULE never ({ule_preempt})"
@@ -93,14 +93,14 @@ fn rebalancing_speed_contrast() {
     };
     // One second after the unpin CFS is roughly even; ULE still has almost
     // everything on core 0 (idle steals took one each).
-    assert!(spread_after(SchedulerKind::Cfs, Dur::secs(1)) <= 4);
-    assert!(spread_after(SchedulerKind::Ule, Dur::secs(1)) >= 20);
+    assert!(spread_after(Sched::Cfs, Dur::secs(1)) <= 4);
+    assert!(spread_after(Sched::Ule, Dur::secs(1)) >= 20);
 }
 
 /// §6.3 (HPC): ULE places one thread per core and never migrates them.
 #[test]
 fn ule_stable_hpc_placement() {
-    let mut sim = Simulation::new(Machine::Flat(8), SchedulerKind::Ule, 42);
+    let mut sim = Simulation::new(Machine::Flat(8), Sched::Ule, 42);
     let _app = sim.spawn_app(AppSpec::new(
         "hpc",
         (0..8)
@@ -118,7 +118,7 @@ fn ule_stable_hpc_placement() {
 /// decision digests for both schedulers.
 #[test]
 fn determinism_end_to_end() {
-    for kind in [SchedulerKind::Cfs, SchedulerKind::Ule] {
+    for kind in Sched::BOTH {
         let digest = |seed| {
             let mut sim = Simulation::new(Machine::Flat(4), kind, seed);
             let p = workloads::P::scaled(4, 0.05);
@@ -153,8 +153,8 @@ fn cgroup_fairness_is_cfs_specific() {
         sim.run_for(Dur::secs(2));
         sim.app_cpu_time(solo).as_secs_f64() / 2.0
     };
-    let cfs = share(SchedulerKind::Cfs);
-    let ule = share(SchedulerKind::Ule);
+    let cfs = share(Sched::Cfs);
+    let ule = share(Sched::Ule);
     assert!(
         (0.4..=0.6).contains(&cfs),
         "CFS app share ≈ 50%, got {cfs:.2}"

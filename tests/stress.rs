@@ -3,7 +3,7 @@
 //! scheduler. Catches lost wakeups, accounting drift and scheduler-state
 //! corruption under interleavings no hand-written test would produce.
 
-use battle_of_schedulers::{Machine, SchedulerKind, Simulation};
+use battle_of_schedulers::{Machine, Sched, Simulation};
 use kernel::{from_fn, Action, AppSpec, Kernel, ThreadSpec};
 use simcore::Dur;
 
@@ -122,7 +122,7 @@ fn build_chaos(k: &mut Kernel, threads: usize, steps: u32, barrier_waits: u32) -
     )
 }
 
-fn run_chaos(kind: SchedulerKind, seed: u64) {
+fn run_chaos(kind: Sched, seed: u64) {
     let mut sim = Simulation::new(Machine::Flat(4), kind, seed);
     let spec = build_chaos(sim.kernel_mut(), 12, 150, 4);
     let app = sim.spawn_app(spec);
@@ -142,14 +142,14 @@ fn run_chaos(kind: SchedulerKind, seed: u64) {
 #[test]
 fn chaos_under_cfs() {
     for seed in [1, 7, 1234] {
-        run_chaos(SchedulerKind::Cfs, seed);
+        run_chaos(Sched::Cfs, seed);
     }
 }
 
 #[test]
 fn chaos_under_ule() {
     for seed in [1, 7, 1234] {
-        run_chaos(SchedulerKind::Ule, seed);
+        run_chaos(Sched::Ule, seed);
     }
 }
 
@@ -162,7 +162,7 @@ fn chaos_is_deterministic_per_scheduler() {
         sim.run_to_completion(Dur::secs(120));
         sim.kernel().decision_digest()
     };
-    for kind in [SchedulerKind::Cfs, SchedulerKind::Ule] {
+    for kind in Sched::BOTH {
         assert_eq!(digest(kind, 99), digest(kind, 99));
     }
 }
