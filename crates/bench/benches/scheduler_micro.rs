@@ -201,6 +201,45 @@ fn bench_balance_tick_256c(c: &mut Criterion) {
     g.finish();
 }
 
+/// Layer: the ULE runqueue under SchedSan. Strict mode enumerates every
+/// CPU's queue (`queued_tids_into`) and runs ULE's `audit` after every
+/// event; this is one such sweep over an 8-CPU ULE with 2 CPU hogs per
+/// CPU, one running and one queued — the shape of simbench's strict-8c.
+fn bench_ule_queue_walk_8c(c: &mut Criterion) {
+    let topo = Topology::regular("numa-8", 2, 1, 4, 1);
+    let mut ule = Ule::new(&topo);
+    let mut tasks = TaskTable::new();
+    let now = Time::ZERO;
+    for i in 0..16 {
+        let tid = tasks.insert_with(|t| Task::new(t, format!("hog{i}"), GroupId(1)));
+        // A hog's history: all run, no sleep, so it queues as batch.
+        tasks.get_mut(tid).inherit_history = Some((Dur::secs(5), Dur::ZERO));
+        ule.task_fork(&tasks, tid, None, now);
+        let cpu = CpuId(i % 8);
+        let t = tasks.get_mut(tid);
+        t.cpu = cpu;
+        t.state = TaskState::Runnable;
+        t.on_rq = true;
+        ule.enqueue_task(&mut tasks, cpu, tid, EnqueueKind::New, now);
+    }
+    for cpu in topo.all_cpus() {
+        ule.pick_next_task(&mut tasks, cpu, now);
+    }
+    c.bench_function("ule_queue_walk_8c", |b| {
+        let mut tids = Vec::new();
+        b.iter(|| {
+            let mut queued = 0usize;
+            for cpu in topo.all_cpus() {
+                tids.clear();
+                ule.queued_tids_into(cpu, &mut tids);
+                queued += tids.len();
+                assert_eq!(ule.audit(&tasks, cpu, now), Ok(()));
+            }
+            queued
+        })
+    });
+}
+
 /// PELT decay math.
 fn bench_pelt(c: &mut Criterion) {
     c.bench_function("pelt_update_1k", |b| {
@@ -326,6 +365,7 @@ criterion_group!(
     bench_event_queue_tick_mix,
     bench_balance_tick,
     bench_balance_tick_256c,
+    bench_ule_queue_walk_8c,
     bench_pelt,
     bench_interactivity,
     bench_busy_second,

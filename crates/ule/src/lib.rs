@@ -140,9 +140,12 @@ impl PrioSet {
         (0..=BATCH_PRIO_MAX).contains(&p) && self.counts[p as usize] > 0
     }
 
-    /// Total threads tracked across all priorities.
+    /// Total threads tracked across all priorities, summed over the
+    /// present ones only (the bitmap mirrors the counts).
     fn total(&self) -> u64 {
-        self.counts.iter().map(|&c| u64::from(c)).sum()
+        self.present()
+            .map(|p| u64::from(self.counts[p as usize]))
+            .sum()
     }
 
     /// Priorities currently present, ascending.
@@ -181,7 +184,7 @@ struct Tdq {
 impl Tdq {
     fn new() -> Tdq {
         Tdq {
-            interactive: PrioRunq::new(INT_PRIO_LEVELS as usize),
+            interactive: PrioRunq::new(),
             batch: BatchRunq::new(),
             curr: None,
             load: 0,
@@ -801,6 +804,10 @@ impl Scheduler for Ule {
                 return Err(format!("tracked priority {p} out of range"));
             }
         }
+        tdq.interactive
+            .check()
+            .map_err(|e| format!("interactive runq: {e}"))?;
+        tdq.batch.check().map_err(|e| format!("batch runq: {e}"))?;
         for t in tdq.interactive.iter() {
             match self.ts(t).queued_prio {
                 Some(p) if Self::is_interactive_prio(p) => {}
