@@ -2,7 +2,7 @@
 
 use cfs::Cfs;
 use criterion::{criterion_group, criterion_main, Criterion};
-use kernel::{cpu_hog, AppSpec, Kernel, SimConfig, ThreadSpec};
+use kernel::{cpu_hog, AppSpec, CheckMode, Kernel, SimConfig, ThreadSpec};
 use sched_api::{EnqueueKind, GroupId, Scheduler, Task, TaskState, TaskTable};
 use simcore::{Dur, EventQueue, SimRng, Time};
 use topology::{CpuId, Topology};
@@ -240,6 +240,32 @@ fn bench_ule_queue_walk_8c(c: &mut Criterion) {
     });
 }
 
+/// Layer: SchedSan's per-event check. A 32-CPU CFS kernel with two CPU
+/// hogs per CPU runs under `CheckMode::Strict` through one fixed 10 ms
+/// `try_run_until` window per iteration: the checker's pass after every
+/// event plus the window's closing full sweep, on top of the event loop
+/// `busy_machine_second` measures unchecked.
+fn bench_schedsan_step_32c(c: &mut Criterion) {
+    let topo = Topology::flat(32);
+    let mut cfg = SimConfig::with_seed(1);
+    cfg.check = CheckMode::Strict;
+    let mut k = Kernel::new(topo.clone(), cfg, Box::new(Cfs::new(&topo)));
+    let threads = (0..64)
+        .map(|i| ThreadSpec::new(format!("hog{i}"), cpu_hog(Dur::secs(3600), Dur::millis(3))))
+        .collect();
+    k.queue_app(Time::ZERO, AppSpec::new("hogs", threads));
+    // Past start-up, so every window sees the same steady state.
+    k.run_until(Time::ZERO + Dur::millis(100));
+    c.bench_function("schedsan_step_32c", |b| {
+        b.iter(|| {
+            let until = k.now() + Dur::millis(10);
+            k.try_run_until(until)
+                .expect("hogs never violate an invariant");
+            k.counters().events
+        })
+    });
+}
+
 /// PELT decay math.
 fn bench_pelt(c: &mut Criterion) {
     c.bench_function("pelt_update_1k", |b| {
@@ -366,6 +392,7 @@ criterion_group!(
     bench_balance_tick,
     bench_balance_tick_256c,
     bench_ule_queue_walk_8c,
+    bench_schedsan_step_32c,
     bench_pelt,
     bench_interactivity,
     bench_busy_second,

@@ -788,17 +788,45 @@ impl Scheduler for Cfs {
                 EntKey::Group(g) => self.groups[g.index()].per_cpu[cpu.index()].rq.nr,
             }
         };
+        // Every queued task sits in its tree at its entity's own vruntime.
+        let key_drift = |rq: &CfsRq| -> Result<(), String> {
+            for &(v, key) in rq.iter() {
+                let EntKey::Task(t) = key else { continue };
+                match self.tents.get(t.index()).and_then(Option::as_ref) {
+                    Some(te) if te.ent.vruntime == v => {}
+                    Some(te) => {
+                        return Err(format!(
+                            "{t} queued at vruntime {v} but its entity holds {}",
+                            te.ent.vruntime
+                        ))
+                    }
+                    None => return Err(format!("queued {t} has no entity")),
+                }
+            }
+            Ok(())
+        };
+        key_drift(&c.root)?;
         let mut n = 0usize;
-        for &(_, key) in c.root.iter() {
+        for &(v, key) in c.root.iter() {
             if let EntKey::Group(g) = key {
                 let gc = &self.groups[g.index()].per_cpu[cpu.index()];
                 if gc.rq.curr.is_some() {
                     return Err(format!("queued group entity {g:?} has a running child"));
                 }
+                if gc.ge.vruntime != v {
+                    return Err(format!(
+                        "group entity {g:?} queued at vruntime {v} but holds {}",
+                        gc.ge.vruntime
+                    ));
+                }
+                key_drift(&gc.rq)?;
             }
             n += ent_tasks(key);
         }
         if let Some(key) = c.root.curr {
+            if let EntKey::Group(g) = key {
+                key_drift(&self.groups[g.index()].per_cpu[cpu.index()].rq)?;
+            }
             n += ent_tasks(key);
         }
         if n != c.h_nr {

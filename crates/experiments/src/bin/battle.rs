@@ -12,11 +12,12 @@
 //! e.g. 0.1 for a quick pass). `--threads` sets the simulation worker-pool
 //! size (default: all available cores); output is byte-identical whatever
 //! the value. `--check strict` turns on SchedSan, the runtime invariant
-//! checker: every kernel event is followed by a full consistency audit, and
-//! a violation writes a crash bundle under `results/crash/` and exits
-//! nonzero. Results print as ASCII tables/charts and can additionally be
-//! dumped as JSON. The simulator's own speed is measured by the separate
-//! `simbench` package (see `BENCHMARK.json`).
+//! checker: every kernel event is followed by a consistency audit of what
+//! it touched (and periodically by a full sweep), and a violation writes a
+//! crash bundle under `results/crash/` and exits nonzero. Results print as
+//! ASCII tables/charts and can additionally be dumped as JSON. The
+//! simulator's own speed is measured by the separate `simbench` package
+//! (see `BENCHMARK.json`).
 //!
 //! `fuzz` runs randomized workload/fault/topology combinations under the
 //! selected schedulers with strict checking (see `experiments::fuzz`):
@@ -260,7 +261,7 @@ fn usage() -> String {
      chaos usage: battle chaos <scenario.toml|dir>... [--plans N] [--scale S] [--seed N] [--json PATH]\n\
                   SchedGuard supervision campaign: control vs guarded vs budget-killed runs plus\n\
                   injected panic/livelock/runaway/cancel probes; every case classified, no job loss\n\
-     golden:      battle golden [--write] — check (or record) the pinned decision digests"
+     golden:      battle golden [--write] [--check strict|off] — check (or record) the pinned decision digests"
         .to_string()
 }
 
@@ -541,9 +542,9 @@ fn main() {
     }
     if args.experiment == "golden" {
         ok = if args.write {
-            golden::write_all()
+            golden::write_all(args.cfg.check)
         } else {
-            golden::check_all()
+            golden::check_all(args.cfg.check)
         };
         std::io::stdout().flush().ok();
         if !ok {

@@ -7,10 +7,16 @@
 //! files, printing a side-by-side divergence report. Any change to
 //! scheduler decision-making — intended or not — shows up here before it
 //! shows up in a figure.
+//!
+//! Scale and seed are pinned per entry; the SchedSan mode is the caller's
+//! (`battle golden --check strict`). Strict checking only observes, so the
+//! same files pin both modes: a strict run that diverges from them means a
+//! check perturbed a decision.
 
+use kernel::CheckMode;
 use simcore::Fnv1a;
 
-use scenario::{EngineOpts, Sched};
+use scenario::Sched;
 
 use crate::{fig5, runner, RunCfg};
 
@@ -116,9 +122,10 @@ fn fold(digests: impl Iterator<Item = u64>) -> u64 {
     h.finish()
 }
 
-fn compute(entry: &Entry) -> EntryDigests {
+fn compute(entry: &Entry, check: CheckMode) -> EntryDigests {
     let cfg = RunCfg {
         seed: SEED,
+        check,
         ..RunCfg::at_scale(entry.scale)
     };
     let mut out = EntryDigests {
@@ -144,11 +151,7 @@ fn compute(entry: &Entry) -> EntryDigests {
             .and_then(|src| scenario::Scenario::from_toml(&src).map_err(|e| format!("{path}: {e}")))
         {
             Ok(sc) => {
-                let opts = EngineOpts {
-                    scale: entry.scale,
-                    seed: SEED,
-                    ..EngineOpts::default()
-                };
+                let opts = cfg.engine_opts();
                 for &sched in &[Sched::Cfs, Sched::Ule, Sched::Eevdf] {
                     let label = sched.flag_name();
                     match scenario::run_sched(&sc, sched, &opts) {
@@ -171,9 +174,9 @@ fn compute(entry: &Entry) -> EntryDigests {
     out
 }
 
-/// Run the whole manifest (parallel across entries).
-pub fn compute_all() -> Vec<EntryDigests> {
-    runner::par_map(manifest(), |e| compute(&e))
+/// Run the whole manifest (parallel across entries) under `check`.
+pub fn compute_all(check: CheckMode) -> Vec<EntryDigests> {
+    runner::par_map(manifest(), |e| compute(&e, check))
 }
 
 fn golden_path(name: &str) -> std::path::PathBuf {
@@ -206,11 +209,11 @@ fn parse_file(src: &str) -> Vec<(String, u64)> {
         .collect()
 }
 
-/// Write every manifest digest to `results/golden/`. Returns `false` on
-/// I/O failure or if any entry errored.
-pub fn write_all() -> bool {
+/// Write every manifest digest, run under `check`, to `results/golden/`.
+/// Returns `false` on I/O failure or if any entry errored.
+pub fn write_all(check: CheckMode) -> bool {
     let entries = manifest();
-    let digests = compute_all();
+    let digests = compute_all(check);
     let mut ok = true;
     if let Err(e) = std::fs::create_dir_all(std::path::Path::new("results").join("golden")) {
         eprintln!("cannot create results/golden: {e}");
@@ -255,11 +258,11 @@ pub fn write_all() -> bool {
     ok
 }
 
-/// Re-run the manifest and diff against the committed golden files,
-/// printing a side-by-side report. Returns `false` on any divergence.
-pub fn check_all() -> bool {
+/// Re-run the manifest under `check` and diff against the committed golden
+/// files, printing a side-by-side report. Returns `false` on any divergence.
+pub fn check_all(check: CheckMode) -> bool {
     let entries = manifest();
-    let digests = compute_all();
+    let digests = compute_all(check);
     let mut t = metrics::Table::new(&["entry", "sched", "expected", "got", "status"]);
     let mut ok = true;
     for (entry, d) in entries.iter().zip(&digests) {

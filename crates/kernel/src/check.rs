@@ -1,8 +1,9 @@
 //! SchedSan: the runtime invariant checker.
 //!
-//! With [`crate::CheckMode::Strict`] the kernel runs the full catalog below
-//! after *every* event, so the first event that corrupts scheduler state is
-//! the one that reports it — not a mysterious crash a million events later.
+//! With [`crate::CheckMode::Strict`] the kernel checks the catalog below
+//! after every event, so corruption surfaces where it happens — at the
+//! event that caused it or, on a CPU the event did not touch, by that
+//! CPU's next tick — not as a mysterious crash a million events later.
 //!
 //! # Invariant catalog
 //!
@@ -18,16 +19,55 @@
 //! 5. **Bounded starvation** — no runnable task has waited longer than
 //!    [`crate::SimConfig::starvation_limit`] for a CPU.
 //! 6. **Scheduler self-audit** — class-specific invariants via
-//!    [`sched_api::Scheduler::audit`] (CFS vruntime monotonicity, ULE
+//!    [`sched_api::Scheduler::audit`] (CFS vruntime monotonicity and
+//!    tree keys that match their entities, ULE
 //!    priority-range validity, EEVDF lag conservation (Σ lag ≈ 0) and
 //!    deadline ordering, scx policy/queue slot agreement, internal
 //!    accounting).
 //!
-//! The checker allocates nothing in steady state: it reuses two scratch
-//! buffers owned by the kernel. When checking is off ([`crate::CheckMode::Off`],
-//! the default) the per-event cost is a single predicted-not-taken branch.
+//! # Incremental checking
+//!
+//! The **full sweep** checks every CPU (items 2–4 and 6, plus the per-CPU
+//! half of 1) and then every task (the rest of 1, and 5): O(cpus × queued +
+//! tasks), several times the cost of simulating the event itself. So after
+//! most events the checker looks only at what the event touched. The kernel records a **dirty set** of
+//! CPUs at the few sites where it calls a class hook or changes a task's
+//! state: `task_tick` and `balance_tick`, both CPUs of a placement,
+//! put-prev, block, exit, pick, yield, and a preempted spinner going to
+//! sleep. The **incremental pass** then runs the per-CPU check on those
+//! CPUs only. Two small structures stand in for the task sweep:
+//!
+//! * the **home count** — runnable and running tasks per CPU by
+//!   [`sched_api::Task::cpu`], kept by the kernel — must equal what the
+//!   CPU's runqueue and `current` slot hold. Every task whose state an
+//!   event changes is homed on a CPU the event touched, so this is the
+//!   conservation check for those tasks, and it also catches a queued
+//!   task a class dropped without the kernel touching it;
+//! * the **starvation floor** — a lower bound on when any runnable task
+//!   began waiting. While `now − floor` is within the limit no task can
+//!   be starving, so the per-task starvation sweep is skipped.
+//!
+//! The full sweep remains the reference. It runs instead of the
+//! incremental pass whenever a class may have moved tasks the kernel
+//! cannot name (`balance_tick` returned targets, `idle_balance` pulled a
+//! task, an unpin, hotplug), when the starvation floor is older than the
+//! limit, every `FULL_SWEEP_EVERY` events, at the end of every
+//! `try_run_until*` call, and whenever the incremental pass finds anything
+//! wrong — so the error reported is always exactly the full sweep's. Each
+//! full sweep rebuilds the home counts and the starvation floor.
+//!
+//! The tradeoff: corruption of a CPU the event did not touch is reported
+//! at that CPU's next tick (every online CPU ticks every
+//! [`crate::SimConfig::tick`]) or at the next full sweep, whichever comes
+//! first, rather than at the event that caused it.
+//!
+//! The checker allocates nothing in steady state. When checking is off
+//! ([`crate::CheckMode::Off`], the default) each touch site costs one
+//! predicted-not-taken branch.
 
 use sched_api::{TaskState, Tid};
+use simcore::Time;
+use topology::{CpuId, CpuMask};
 
 use crate::error::SimError;
 use crate::kernel::Kernel;
@@ -37,29 +77,106 @@ const SEEN_NONE: u8 = 0;
 const SEEN_QUEUED: u8 = 1;
 const SEEN_RUNNING: u8 = 2;
 
-/// Above this many CPUs, strict checking shards the catalog per LLC:
-/// each event audits one LLC's CPUs (round-robin) plus the tasks homed
-/// there, instead of sweeping the whole machine after every event. At
-/// 512 cores an O(cores) sweep per event turns strict mode from a
-/// debugging tool into the dominant cost; sharding keeps per-event work
-/// O(cores / LLCs) while still visiting every CPU within `nr_llcs`
-/// consecutive events — corruption is caught within one rotation instead
-/// of immediately, which is the documented large-machine tradeoff.
-/// Machines at or below the threshold (every topology that existed
-/// before the 256/512-core presets) keep the original every-event
-/// full sweep, so golden runs are untouched.
-const SHARD_CPU_THRESHOLD: usize = 64;
+/// Events between full sweeps when nothing else triggers one, so
+/// corruption that no event or tick touches (an offline CPU's queue, or a
+/// CPU whose ticks fault injection drops) is still found.
+const FULL_SWEEP_EVERY: u64 = 1024;
+
+/// SchedSan's state: the current event's dirty CPUs, the home counts and
+/// the starvation floor, and reusable scratch buffers.
+pub(crate) struct SchedSan {
+    /// Scratch: tids enumerated from the runqueues being checked (also the
+    /// hotplug drain's orphan buffer).
+    pub(crate) tids: Vec<Tid>,
+    /// Scratch: per-tid conservation marks, all `SEEN_NONE` between checks.
+    seen: Vec<u8>,
+    /// CPUs whose class state the current event may have changed.
+    cpus: CpuMask,
+    /// Runnable and running tasks per CPU, by `Task::cpu`.
+    home: Vec<u32>,
+    /// No runnable task has been waiting since before this instant.
+    wait_floor: Time,
+    /// A class may have moved tasks the kernel cannot name: the next check
+    /// is a full sweep.
+    full: bool,
+    /// `Counters::events` at the last full sweep.
+    last_full: u64,
+    /// Run the full sweep after every event (the test reference).
+    always_full: bool,
+}
+
+impl SchedSan {
+    pub(crate) fn new(ncpu: usize) -> SchedSan {
+        SchedSan {
+            tids: Vec::new(),
+            seen: Vec::new(),
+            cpus: CpuMask::empty(),
+            home: vec![0; ncpu],
+            wait_floor: Time::ZERO,
+            full: false,
+            last_full: 0,
+            always_full: false,
+        }
+    }
+
+    /// The current event called a class hook on `cpu`.
+    #[inline]
+    pub(crate) fn touch(&mut self, cpu: CpuId) {
+        self.cpus.set(cpu);
+    }
+
+    /// A task homed on `cpu` became runnable (it was new or sleeping).
+    #[inline]
+    pub(crate) fn arrive(&mut self, cpu: CpuId) {
+        self.cpus.set(cpu);
+        self.home[cpu.index()] += 1;
+    }
+
+    /// A runnable or running task homed on `cpu` went to sleep or exited.
+    #[inline]
+    pub(crate) fn depart(&mut self, cpu: CpuId) {
+        self.cpus.set(cpu);
+        // A drifted count only makes the next incremental pass defer to
+        // the full sweep, which rebuilds it.
+        self.home[cpu.index()] = self.home[cpu.index()].saturating_sub(1);
+    }
+
+    /// A class may have moved tasks the kernel cannot name.
+    #[inline]
+    pub(crate) fn sweep_all(&mut self) {
+        self.full = true;
+    }
+}
 
 impl Kernel {
-    /// Run the full invariant catalog. Called after every event in strict
-    /// mode; also usable directly by tests.
+    /// Check the current event's effects. Called after every event in
+    /// strict mode.
     pub(crate) fn run_checks(&mut self) -> Result<(), SimError> {
-        let mut tids = std::mem::take(&mut self.check_tids);
-        let mut seen = std::mem::take(&mut self.check_seen);
-        let res = self.check_all(&mut tids, &mut seen);
-        self.check_tids = tids;
-        self.check_seen = seen;
-        res
+        let san = &self.san;
+        let due = san.full
+            || san.always_full
+            || self.counters.events - san.last_full >= FULL_SWEEP_EVERY
+            || self.now.saturating_since(san.wait_floor) > self.cfg.starvation_limit;
+        if due || !self.check_touched() {
+            return self.full_sweep();
+        }
+        Ok(())
+    }
+
+    /// The end-of-run full sweep of `try_run_until*`, so nothing the
+    /// incremental passes deferred outlives the call.
+    pub(crate) fn finish_checks(&mut self) -> Result<(), SimError> {
+        if self.counters.events != self.san.last_full {
+            return self.full_sweep();
+        }
+        Ok(())
+    }
+
+    /// Test reference: run the full sweep after every event instead of the
+    /// incremental pass, to compare where each reports a fault.
+    #[doc(hidden)]
+    pub fn set_full_sweep_reference(&mut self, on: bool) {
+        self.san.always_full = on;
     }
 
     fn invariant(&self, detail: String) -> SimError {
@@ -69,104 +186,123 @@ impl Kernel {
         }
     }
 
-    fn check_all(&mut self, tids: &mut Vec<Tid>, seen: &mut Vec<u8>) -> Result<(), SimError> {
-        seen.clear();
+    /// The full sweep: the whole catalog on every CPU and every task.
+    /// Rebuilds the home counts and the starvation floor, and clears the
+    /// dirty set.
+    fn full_sweep(&mut self) -> Result<(), SimError> {
+        let mut tids = std::mem::take(&mut self.san.tids);
+        let mut seen = std::mem::take(&mut self.san.seen);
+        let res = self.sweep(&mut tids, &mut seen);
+        tids.clear();
+        seen.fill(SEEN_NONE);
+        self.san.tids = tids;
+        self.san.seen = seen;
+        self.san.cpus = CpuMask::empty();
+        self.san.full = false;
+        self.san.last_full = self.counters.events;
+        res
+    }
+
+    fn sweep(&mut self, tids: &mut Vec<Tid>, seen: &mut Vec<u8>) -> Result<(), SimError> {
         seen.resize(self.tasks.slab_len(), SEEN_NONE);
-
-        // Per-LLC sharding on large machines: audit one LLC per event,
-        // rotating. `seen` then only covers the shard's CPUs, so the
-        // conservation sweep below restricts itself to tasks homed there.
-        let nr_llcs = self.topo.nr_llcs();
-        let shard = if self.cpus.len() > SHARD_CPU_THRESHOLD && nr_llcs > 1 {
-            let li = self.check_shard % nr_llcs;
-            self.check_shard = (li + 1) % nr_llcs;
-            Some(*self.topo.llc_span(li))
-        } else {
-            None
-        };
-
-        match shard {
-            Some(mask) => {
-                for cpu in mask.iter() {
-                    self.check_cpu(cpu, tids, seen)?;
-                }
-            }
-            None => {
-                for i in 0..self.cpus.len() {
-                    self.check_cpu(topology::CpuId(i as u32), tids, seen)?;
-                }
-            }
+        for i in 0..self.cpus.len() {
+            self.check_cpu(CpuId(i as u32), tids, seen)?;
         }
 
         // Conservation sweep: every task's lifecycle state must agree with
-        // where (and whether) the runqueues hold it.
+        // where (and whether) the runqueues hold it. The same pass rebuilds
+        // the home counts and the starvation floor.
+        let now = self.now;
         let limit = self.cfg.starvation_limit;
+        let invariant = |detail: String| SimError::Invariant { at: now, detail };
+        let home = &mut self.san.home;
+        home.fill(0);
+        let mut floor = now;
         for t in self.tasks.iter() {
             let s = seen[t.tid.index()];
             match t.state {
-                TaskState::Running | TaskState::Runnable => {
-                    // Sharded mode only built `seen` for the shard's CPUs;
-                    // a task homed elsewhere is this check's business on a
-                    // later rotation. (A task whose `t.cpu` lies about its
-                    // home still fails the per-CPU cross-check the moment
-                    // its real runqueue's LLC comes up.)
-                    if let Some(mask) = &shard {
-                        if !mask.contains(t.cpu) {
-                            continue;
-                        }
-                    }
-                    if t.state == TaskState::Running {
-                        if s != SEEN_RUNNING {
-                            return Err(self.invariant(format!(
-                                "{} is Running but no CPU is executing it",
-                                t.tid
-                            )));
-                        }
-                    } else {
-                        if s != SEEN_QUEUED {
-                            return Err(self.invariant(format!(
-                                "{} is Runnable but sits in no runqueue (lost task)",
-                                t.tid
-                            )));
-                        }
-                        let waited_since = if t.last_ran > t.last_wakeup {
-                            t.last_ran
-                        } else {
-                            t.last_wakeup
-                        };
-                        let wait = self.now.saturating_since(waited_since);
-                        if wait > limit {
-                            return Err(self.invariant(format!(
-                                "{} runnable-but-unscheduled for {wait} (limit {limit})",
-                                t.tid
-                            )));
-                        }
+                TaskState::Running => {
+                    if s != SEEN_RUNNING {
+                        return Err(invariant(format!(
+                            "{} is Running but no CPU is executing it",
+                            t.tid
+                        )));
                     }
                 }
+                TaskState::Runnable => {
+                    if s != SEEN_QUEUED {
+                        return Err(invariant(format!(
+                            "{} is Runnable but sits in no runqueue (lost task)",
+                            t.tid
+                        )));
+                    }
+                    let waited_since = t.last_ran.max(t.last_wakeup);
+                    let wait = now.saturating_since(waited_since);
+                    if wait > limit {
+                        return Err(invariant(format!(
+                            "{} runnable-but-unscheduled for {wait} (limit {limit})",
+                            t.tid
+                        )));
+                    }
+                    floor = floor.min(waited_since);
+                }
                 TaskState::New | TaskState::Sleeping | TaskState::Dead => {
-                    // Valid in both modes: `seen` never marks a CPU we did
-                    // not audit, and a non-runnable task found on any
-                    // audited runqueue already failed the state check.
                     if s != SEEN_NONE {
-                        return Err(self.invariant(format!(
+                        return Err(invariant(format!(
                             "{} is {:?} but still present in scheduler structures",
                             t.tid, t.state
                         )));
                     }
+                    continue;
                 }
             }
+            if let Some(h) = home.get_mut(t.cpu.index()) {
+                *h += 1;
+            }
         }
+        self.san.wait_floor = floor;
         Ok(())
     }
 
+    /// The incremental pass over the current event's dirty CPUs. `false`
+    /// means something is off and the full sweep must arbitrate. Clears
+    /// the dirty set.
+    fn check_touched(&mut self) -> bool {
+        let cpus = std::mem::replace(&mut self.san.cpus, CpuMask::empty());
+        let mut tids = std::mem::take(&mut self.san.tids);
+        let mut seen = std::mem::take(&mut self.san.seen);
+        seen.resize(self.tasks.slab_len(), SEEN_NONE);
+        let ok = cpus.iter().all(|cpu| {
+            let held = self.check_cpu(cpu, &mut tids, &mut seen);
+            held.is_ok_and(|n| n == self.san.home[cpu.index()] as usize)
+        });
+        // Unmark exactly what this pass marked: the queued tids and the
+        // current tasks of the checked CPUs.
+        for tid in tids.drain(..) {
+            if let Some(s) = seen.get_mut(tid.index()) {
+                *s = SEEN_NONE;
+            }
+        }
+        for cpu in cpus.iter() {
+            if let Some(tid) = self.cpus[cpu.index()].current {
+                seen[tid.index()] = SEEN_NONE;
+            }
+        }
+        self.san.tids = tids;
+        self.san.seen = seen;
+        ok
+    }
+
     /// The per-CPU half of the catalog: current-task sanity, queued-task
-    /// sanity, nr_queued agreement, and the scheduler self-audit.
+    /// sanity, nr_queued agreement, and the scheduler self-audit. Appends
+    /// `cpu`'s queued tids to `tids` and returns how many tasks `cpu`
+    /// holds, queued plus running.
     fn check_cpu(
         &mut self,
-        cpu: topology::CpuId,
+        cpu: CpuId,
         tids: &mut Vec<Tid>,
         seen: &mut [u8],
-    ) -> Result<(), SimError> {
+    ) -> Result<usize, SimError> {
         let i = cpu.index();
         let online = self.cpus[i].online;
         let current = self.cpus[i].current;
@@ -199,14 +335,21 @@ impl Kernel {
             seen[tid.index()] = SEEN_RUNNING;
         }
 
-        tids.clear();
+        let start = tids.len();
         self.sched.queued_tids_into(cpu, tids);
-        if !online && !tids.is_empty() {
-            return Err(
-                self.invariant(format!("offline {cpu} still queues {} task(s)", tids.len()))
-            );
+        let queued = &tids[start..];
+        if !online && !queued.is_empty() {
+            return Err(self.invariant(format!(
+                "offline {cpu} still queues {} task(s)",
+                queued.len()
+            )));
         }
-        for &tid in tids.iter() {
+        for &tid in queued {
+            // The class enumerates, the kernel owns the task table: a tid
+            // it never created is the class's bug, not a reason to panic.
+            if !self.tasks.contains(tid) || tid.index() >= seen.len() {
+                return Err(self.invariant(format!("{cpu} queues {tid}, which names no task")));
+            }
             let t = self.tasks.get(tid);
             if t.state != TaskState::Runnable {
                 return Err(self.invariant(format!(
@@ -241,13 +384,13 @@ impl Kernel {
             }
         }
 
-        let expected = tids.len() + usize::from(current.is_some());
+        let held = queued.len() + usize::from(current.is_some());
         let reported = self.sched.nr_queued(cpu);
-        if reported != expected {
+        if reported != held {
             return Err(self.invariant(format!(
-                "{cpu} nr_queued reports {reported} but {expected} task(s) are accounted \
+                "{cpu} nr_queued reports {reported} but {held} task(s) are accounted \
                      ({} queued + {} running)",
-                tids.len(),
+                queued.len(),
                 usize::from(current.is_some())
             )));
         }
@@ -255,7 +398,7 @@ impl Kernel {
         self.sched
             .audit(&self.tasks, cpu, self.now)
             .map_err(|detail| self.invariant(format!("{cpu} audit: {detail}")))?;
-        Ok(())
+        Ok(held)
     }
 
     /// Render a human-readable crash bundle: the error, the run's identity

@@ -11,9 +11,10 @@ pub enum CheckMode {
     /// No checking; zero overhead on the event loop.
     #[default]
     Off,
-    /// Run the full invariant catalog after every event: task
-    /// conservation, runqueue-count consistency, affinity, bounded
-    /// starvation, and the scheduler's own [`sched_api::Scheduler::audit`].
+    /// Check the invariant catalog after every event: task conservation,
+    /// runqueue-count consistency, affinity, bounded starvation, and the
+    /// scheduler's own [`sched_api::Scheduler::audit`] — on what the event
+    /// touched, with periodic full sweeps (see [`crate::check`]).
     Strict,
 }
 

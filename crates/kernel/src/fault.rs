@@ -130,6 +130,9 @@ impl Kernel {
             return Ok(());
         };
         self.counters.hotplug_events += 1;
+        if self.check_on {
+            self.san.sweep_all();
+        }
         // Mark the CPU dead *before* draining so every placement decision
         // the drain triggers already sees it as unavailable.
         self.cpus[victim.index()].online = false;
@@ -149,7 +152,7 @@ impl Kernel {
         self.cpus[victim.index()].last_tid = None;
         self.cpus[victim.index()].resched_pending = false;
 
-        let mut orphans = std::mem::take(&mut self.check_tids);
+        let mut orphans = std::mem::take(&mut self.san.tids);
         orphans.clear();
         self.sched.queued_tids_into(victim, &mut orphans);
         for &tid in &orphans {
@@ -187,7 +190,7 @@ impl Kernel {
             self.events.push(self.now, Event::Resched(target));
         }
         orphans.clear();
-        self.check_tids = orphans;
+        self.san.tids = orphans;
 
         self.events.push(
             self.now + self.cfg.faults.hotplug_down,
@@ -204,6 +207,9 @@ impl Kernel {
     /// while it was down) and let it pick work.
     fn fault_online(&mut self, cpu: CpuId) -> Result<(), SimError> {
         self.counters.hotplug_events += 1;
+        if self.check_on {
+            self.san.sweep_all();
+        }
         self.cpus[cpu.index()].online = true;
         self.online_mask.set(cpu);
         self.sched.cpu_online(cpu);

@@ -35,6 +35,7 @@ use topology::{CpuId, CpuMask, Topology};
 use crate::behavior::{
     Action, BarrierId, Behavior, Ctx, MutexId, PoolId, QueueId, SemId, ThreadSpec,
 };
+use crate::check::SchedSan;
 use crate::config::{CheckMode, SimConfig};
 use crate::error::{BudgetKind, SimError};
 use crate::fault::FaultOp;
@@ -218,8 +219,8 @@ pub struct Kernel {
     pub(crate) trt: Vec<Option<TaskRt>>,
     pub(crate) cpus: Vec<Cpu>,
     /// Online CPUs as a bitset, mirroring the per-CPU `online` flags.
-    /// Hotplug victim selection and the sharded strict audits work on this
-    /// mask instead of scanning `cpus`.
+    /// Hotplug victim selection works on this mask instead of scanning
+    /// `cpus`.
     pub(crate) online_mask: CpuMask,
     pub(crate) sync: SyncTable,
     pub(crate) apps: Vec<AppStats>,
@@ -251,18 +252,16 @@ pub struct Kernel {
     /// Reused buffer for `balance_tick` target CPUs (no per-tick allocation).
     balance_buf: Vec<CpuId>,
     /// Strict checking enabled? Cached from `cfg.check` so the disabled
-    /// path is one predictable branch per event.
-    check_on: bool,
+    /// path is one predictable branch per event and per touch site.
+    pub(crate) check_on: bool,
     /// Fault injection enabled? Cached from `cfg.faults.active()`.
     faults_on: bool,
     /// Dedicated RNG stream for fault injection, forked off the main seed
     /// so faulty runs replay bit-identically.
     pub(crate) fault_rng: SimRng,
-    /// Scratch buffers for the invariant checker (reused every event).
-    pub(crate) check_tids: Vec<Tid>,
-    pub(crate) check_seen: Vec<u8>,
-    /// Round-robin LLC cursor for sharded strict audits on large machines.
-    pub(crate) check_shard: usize,
+    /// The invariant checker's dirty set, home counts and scratch buffers,
+    /// boxed so unchecked runs keep the kernel's hot fields compact.
+    pub(crate) san: Box<SchedSan>,
     /// SchedGuard budget, copied out of the config. `budget_on` caches
     /// `budget.active()` so an absent budget costs one branch per event.
     budget: RunBudget,
@@ -320,9 +319,7 @@ impl Kernel {
             check_on,
             faults_on,
             fault_rng,
-            check_tids: Vec::new(),
-            check_seen: Vec::new(),
-            check_shard: 0,
+            san: Box::new(SchedSan::new(ncpu)),
             budget,
             budget_on,
             watch,
@@ -582,6 +579,9 @@ impl Kernel {
             }
             self.step(at, next)?;
         }
+        if self.check_on {
+            self.finish_checks()?;
+        }
         if until > self.now {
             self.now = until;
         }
@@ -605,15 +605,23 @@ impl Kernel {
     /// and `Err` if an inconsistency was detected.
     pub fn try_run_until_apps_done(&mut self, limit: Time) -> Result<bool, SimError> {
         self.ensure_ticking();
+        let mut timed_out = false;
         while self.live_apps > 0 {
             let Some((at, next)) = self.peek_next() else {
                 break;
             };
             if at > limit {
-                self.now = limit;
-                return Ok(false);
+                timed_out = true;
+                break;
             }
             self.step(at, next)?;
+        }
+        if self.check_on {
+            self.finish_checks()?;
+        }
+        if timed_out {
+            self.now = limit;
+            return Ok(false);
         }
         Ok(self.live_apps == 0)
     }
@@ -826,6 +834,12 @@ impl Kernel {
         targets.clear();
         self.sched
             .balance_tick(&mut self.tasks, cpu, self.now, &mut targets);
+        if self.check_on {
+            self.san.touch(cpu);
+            if !targets.is_empty() {
+                self.san.sweep_all();
+            }
+        }
         self.counters.migrations += targets.len() as u64;
         for &t in &targets {
             self.events.push(self.now, Event::Resched(t));
@@ -913,6 +927,9 @@ impl Kernel {
             t.state = TaskState::Sleeping;
             t.sleep_start = self.now;
             t.on_rq = false;
+            if self.check_on {
+                self.san.depart(cpu);
+            }
         }
         Ok(())
     }
@@ -969,6 +986,9 @@ impl Kernel {
                     if self.tasks.contains(tid) {
                         self.tasks.get_mut(tid).affinity = None;
                     }
+                }
+                if self.check_on {
+                    self.san.sweep_all();
                 }
             }
         }
@@ -1124,6 +1144,10 @@ impl Kernel {
         let preempt = self
             .sched
             .enqueue_task(&mut self.tasks, target, tid, ekind, self.now);
+        if self.check_on {
+            self.san.touch(waking_cpu);
+            self.san.arrive(target);
+        }
         self.hash.record(1, self.now, tid.0, target.0);
         if self.trace_on && !is_new {
             self.emit(TraceEvent::Wakeup {
@@ -1314,6 +1338,9 @@ impl Kernel {
         t.last_ran = self.now;
         self.sched
             .put_prev_task(&mut self.tasks, cpu, tid, self.now);
+        if self.check_on {
+            self.san.touch(cpu);
+        }
         Ok(())
     }
 
@@ -1331,6 +1358,9 @@ impl Kernel {
         t.sleep_start = self.now;
         t.last_ran = self.now;
         t.on_rq = false;
+        if self.check_on {
+            self.san.depart(cpu);
+        }
     }
 
     /// The current task exits.
@@ -1344,6 +1374,9 @@ impl Kernel {
         let t = self.tasks.get_mut(tid);
         t.state = TaskState::Dead;
         t.on_rq = false;
+        if self.check_on {
+            self.san.depart(cpu);
+        }
         if self.trace_on {
             self.emit(TraceEvent::Exit { at: self.now, tid });
         }
@@ -1372,6 +1405,9 @@ impl Kernel {
         if !self.cpus[cpu.index()].online {
             return Ok(()); // hotplugged out; nothing may run here
         }
+        if self.check_on {
+            self.san.touch(cpu);
+        }
         let mut spins = 0u32;
         loop {
             // The event-level stall watchdog cannot see a pick loop that
@@ -1396,6 +1432,9 @@ impl Kernel {
                     .sched
                     .idle_balance(&mut self.tasks, cpu, self.now, &mut stats)
                 {
+                    if self.check_on {
+                        self.san.sweep_all();
+                    }
                     self.counters.migrations += 1;
                     picked = self.sched.pick_next_task(&mut self.tasks, cpu, self.now);
                 }
@@ -1710,6 +1749,9 @@ impl Kernel {
                     t.state = TaskState::Runnable;
                     t.last_ran = self.now;
                     self.sched.yield_task(&mut self.tasks, cpu, self.now);
+                    if self.check_on {
+                        self.san.touch(cpu);
+                    }
                     return Ok(InterpretEnd::NeedsPick);
                 }
                 Action::CountOps(n) => {

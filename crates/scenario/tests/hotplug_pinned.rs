@@ -10,9 +10,9 @@
 //!   the failure as a structured [`SimError::NoPlaceableCpu`] with a
 //!   crash bundle — never a panic.
 //!
-//! Plus the large-machine audit contract: sharded strict checking on a
-//! 256-core box observes, it never steers — digests are identical with
-//! checks off and on.
+//! Plus the large-machine audit contract: strict checking on a 256-core
+//! box, with its incremental passes and periodic full sweeps, observes,
+//! it never steers — digests are identical with checks off and on.
 
 use kernel::{cpu_hog, AppSpec, CheckMode, FaultPlan, SimError, ThreadSpec};
 use scenario::{make_kernel, EngineOpts, Scenario, Sched};
@@ -140,11 +140,11 @@ fn task_pinned_to_offline_cpu_yields_structured_error_and_crash_bundle() {
     }
 }
 
-/// Sharded strict auditing on a 256-core machine observes, it never
-/// steers: the decision digest is byte-identical with checks off and on,
-/// for every scheduler.
+/// Strict auditing on a 256-core machine observes, it never steers: the
+/// decision digest is byte-identical with checks off and on, for every
+/// scheduler.
 #[test]
-fn sharded_strict_audit_preserves_digest_at_256_cores() {
+fn strict_audit_preserves_digest_at_256_cores() {
     let src = r#"
 name = "audit-256"
 [topology]
@@ -179,7 +179,7 @@ horizon = { base_s = 30.0, scaled = false }
         assert_eq!(
             off.run.digest,
             strict.run.digest,
-            "[{}] sharded audits must not perturb scheduling decisions",
+            "[{}] strict audits must not perturb scheduling decisions",
             sched.name()
         );
         assert!(off.run.all_apps_done, "[{}] hogs finish", sched.name());

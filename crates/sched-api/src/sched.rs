@@ -296,13 +296,17 @@ pub trait Scheduler {
     fn snapshot(&self, tasks: &TaskTable, tid: Tid) -> TaskSnapshot;
 
     /// Self-audit of the class's internal state for `cpu`, called by the
-    /// SchedSan invariant checker after every event when strict checking
-    /// is on. Implementations verify their class-specific invariants (CFS:
+    /// SchedSan invariant checker when strict checking is on: after every
+    /// event that touched `cpu`, and for every CPU on its full sweeps.
+    /// Implementations verify their class-specific invariants (CFS:
     /// `min_vruntime` monotonicity, tree/accounting consistency; ULE:
     /// priority-range validity, priority-multiset consistency) and return
     /// a description of the first violation found. Takes `&mut self` so an
     /// audit may keep memory between calls (e.g. the last observed
-    /// `min_vruntime` for monotonicity). The default audits nothing.
+    /// `min_vruntime` for monotonicity), but a repeated call on unchanged
+    /// state must give the same answer: the checker re-audits a CPU when
+    /// its incremental pass defers to the full sweep. The default audits
+    /// nothing.
     fn audit(&mut self, tasks: &TaskTable, cpu: CpuId, now: Time) -> Result<(), String> {
         let _ = (tasks, cpu, now);
         Ok(())

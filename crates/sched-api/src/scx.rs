@@ -185,7 +185,8 @@ pub struct ScxSched<P> {
     cpu_scratch: Vec<ScxCpuState>,
     /// Set when the policy's `select_cpu` returned an offline or
     /// affinity-disallowed CPU and the framework had to rewrite the pick;
-    /// surfaced as a policy bug by the strict-mode audit.
+    /// surfaced as a policy bug by every later strict-mode audit (never
+    /// cleared, so a repeated audit gives the same answer).
     bad_pick: Option<(Tid, CpuId)>,
 }
 
@@ -485,7 +486,7 @@ impl<P: ScxPolicy> Scheduler for ScxSched<P> {
     }
 
     fn audit(&mut self, tasks: &TaskTable, cpu: CpuId, _now: Time) -> Result<(), String> {
-        if let Some((tid, bad)) = self.bad_pick.take() {
+        if let Some((tid, bad)) = self.bad_pick {
             return Err(format!(
                 "policy picked offline or disallowed {bad:?} for {tid} \
                  (framework rewrote the placement)"

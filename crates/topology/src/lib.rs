@@ -289,19 +289,6 @@ impl Topology {
         &self.llc_masks[self.llc_of(cpu) as usize]
     }
 
-    /// All CPUs of the `i`-th LLC group (per-LLC audit sharding iterates
-    /// these).
-    pub fn llc(&self, i: usize) -> &[CpuId] {
-        &self.llcs[i]
-    }
-
-    /// Bitmask of the `i`-th LLC group — the shard unit for strict-mode
-    /// invariant checking on large machines.
-    #[inline]
-    pub fn llc_span(&self, i: usize) -> &CpuMask {
-        &self.llc_masks[i]
-    }
-
     /// Bitset of every CPU in the machine.
     #[inline]
     pub fn machine_mask(&self) -> &CpuMask {
