@@ -2,6 +2,7 @@
 
 use cfs::Cfs;
 use criterion::{criterion_group, criterion_main, Criterion};
+use kernel::ticks::TickLane;
 use kernel::{cpu_hog, AppSpec, CheckMode, Kernel, SimConfig, ThreadSpec};
 use sched_api::{EnqueueKind, GroupId, Scheduler, Task, TaskState, TaskTable};
 use simcore::{Dur, EventQueue, SimRng, Time};
@@ -9,7 +10,8 @@ use topology::{CpuId, Topology};
 use ule::interactivity::Interactivity;
 use ule::Ule;
 
-/// Event-queue push/pop throughput (the simulator's innermost loop).
+/// Layer: the event queue. Push/pop throughput (the simulator's innermost
+/// loop).
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("event_queue_push_pop_1k", |b| {
         b.iter(|| {
@@ -25,7 +27,7 @@ fn bench_event_queue(c: &mut Criterion) {
         })
     });
     // The kernel cancels a pending completion on every preemption and
-    // migration, so cancel + skip-on-pop is as hot as push/pop itself.
+    // migration, so cancel is as hot as push/pop itself.
     c.bench_function("event_queue_push_cancel_pop_1k", |b| {
         b.iter(|| {
             let mut q = EventQueue::new();
@@ -64,40 +66,71 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
-/// The tick-dominated mix the kernel actually produces: 48 staggered
-/// per-CPU tick chains re-armed on every pop, plus a short-lived
-/// completion event per tick with half of them cancelled before firing.
-/// Runs on both backends so a regression in either shows up side by side
-/// (the wheel is the default; the heap is the differential fallback).
+/// Layer: the event queue. A tick-shaped mix: 48 staggered periodic
+/// chains re-armed on every pop, plus a short-lived completion event per
+/// pop with half of them cancelled before firing (as preemption cancels a
+/// pending run completion).
 fn bench_event_queue_tick_mix(c: &mut Criterion) {
-    let mut g = c.benchmark_group("event_queue_tick_mix");
-    for (name, backend) in [
-        ("wheel", simcore::Backend::Wheel),
-        ("heap", simcore::Backend::Heap),
-    ] {
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                const NCPU: u64 = 48;
-                let mut q = EventQueue::with_backend(backend);
-                for cpu in 0..NCPU {
-                    q.push(Time(1_000_000 + cpu * 21_000), cpu);
-                }
-                let mut last = None;
-                let mut acc = 0u64;
-                for n in 0..20_000u64 {
-                    let Some((at, who)) = q.pop() else {
-                        unreachable!("tick chains never drain")
-                    };
-                    acc = acc.wrapping_add(at.0 ^ who);
-                    if who < NCPU {
-                        q.push(at + Dur::millis(1), who);
-                        let id = q.push(at + Dur::micros(37), NCPU + n);
-                        if let Some(prev) = last.replace(id) {
-                            if n % 2 == 0 {
-                                q.cancel(prev);
-                            }
+    c.bench_function("event_queue_tick_mix", |b| {
+        b.iter(|| {
+            const NCPU: u64 = 48;
+            let mut q = EventQueue::new();
+            for cpu in 0..NCPU {
+                q.push(Time(1_000_000 + cpu * 21_000), cpu);
+            }
+            let mut last = None;
+            let mut acc = 0u64;
+            for n in 0..20_000u64 {
+                let Some((at, who)) = q.pop() else {
+                    unreachable!("tick chains never drain")
+                };
+                acc = acc.wrapping_add(at.0 ^ who);
+                if who < NCPU {
+                    q.push(at + Dur::millis(1), who);
+                    let id = q.push(at + Dur::micros(37), NCPU + n);
+                    if let Some(prev) = last.replace(id) {
+                        if n % 2 == 0 {
+                            q.cancel(prev);
                         }
                     }
+                }
+            }
+            acc
+        })
+    });
+}
+
+/// Layer: the tick lane. 512 CPUs with staggered 1 ms ticks, each fired
+/// tick re-armed as `Kernel::on_tick` does: `plain` always re-arms one
+/// period later (a `push_back`), `jitter` adds up to 200 µs of
+/// fault-injected jitter, so re-arms land inside the armed window.
+fn bench_tick_lane_512c(c: &mut Criterion) {
+    const NCPU: u64 = 512;
+    const TICK: u64 = 1_000_000;
+    let mut g = c.benchmark_group("tick_lane_512c");
+    for (name, jitter) in [("plain", 0u64), ("jitter", 200_000)] {
+        g.bench_function(name, |b| {
+            let mut rng = SimRng::new(7);
+            b.iter(|| {
+                let mut lane = TickLane::new(NCPU as usize);
+                let mut seq = 0u64;
+                for cpu in 0..NCPU {
+                    lane.arm(CpuId(cpu as u32), Time(TICK + TICK * cpu / NCPU), seq);
+                    seq += 1;
+                }
+                let mut acc = 0u64;
+                for _ in 0..20_000 {
+                    let Some((at, _, cpu)) = lane.pop() else {
+                        unreachable!("tick chains never drain")
+                    };
+                    acc = acc.wrapping_add(at.0);
+                    let extra = if jitter > 0 {
+                        rng.gen_below(jitter + 1)
+                    } else {
+                        0
+                    };
+                    lane.arm(cpu, Time(at.0 + TICK + extra), seq);
+                    seq += 1;
                 }
                 acc
             })
@@ -389,6 +422,7 @@ criterion_group!(
     micro,
     bench_event_queue,
     bench_event_queue_tick_mix,
+    bench_tick_lane_512c,
     bench_balance_tick,
     bench_balance_tick_256c,
     bench_ule_queue_walk_8c,

@@ -96,7 +96,8 @@ pub fn manifest() -> Vec<Entry> {
     ]
 }
 
-/// Digests of one manifest entry, CFS then ULE.
+/// Digests of one manifest entry: fig5 pins CFS then ULE, a scenario
+/// entry pins every registered class in [`Sched::ALL`] order.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct EntryDigests {
     /// Entry name.
@@ -152,7 +153,7 @@ fn compute(entry: &Entry, check: CheckMode) -> EntryDigests {
         {
             Ok(sc) => {
                 let opts = cfg.engine_opts();
-                for &sched in &[Sched::Cfs, Sched::Ule, Sched::Eevdf] {
+                for sched in Sched::ALL {
                     let label = sched.flag_name();
                     match scenario::run_sched(&sc, sched, &opts) {
                         Ok(r) => {

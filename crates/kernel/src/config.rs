@@ -61,9 +61,6 @@ pub struct SimConfig {
     /// Fault injection plan (spurious wakeups, tick jitter, hotplug).
     /// Inert by default.
     pub faults: FaultPlan,
-    /// Event-queue backend. `None` (default) is the timer wheel; set it
-    /// explicitly for differential testing against the heap.
-    pub event_queue: Option<simcore::Backend>,
     /// SchedGuard resource budget. Inert by default; a run that exceeds a
     /// set ceiling aborts with [`crate::SimError::BudgetExceeded`], leaving
     /// its state readable for partial-result salvage.
@@ -95,7 +92,6 @@ impl Default for SimConfig {
             check: CheckMode::Off,
             starvation_limit: Dur::secs(10),
             faults: FaultPlan::default(),
-            event_queue: None,
             budget: RunBudget::default(),
             watchdog_stall_events: 100_000,
             watchdog_pingpong: 10_000,

@@ -38,7 +38,8 @@ pub struct RunBudget {
     pub max_events: Option<u64>,
     /// Maximum simulated time reached.
     pub max_sim_time: Option<Dur>,
-    /// Maximum live entries in the event queue (memory proxy).
+    /// Maximum live entries in the event queue (memory proxy). Armed
+    /// ticks wait in the tick lane and do not count.
     pub max_queue_depth: Option<usize>,
     /// Maximum simultaneously live (non-exited) tasks (fork-bomb guard).
     pub max_live_tasks: Option<usize>,

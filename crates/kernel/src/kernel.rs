@@ -284,10 +284,6 @@ impl Kernel {
         let check_on = cfg.check == CheckMode::Strict;
         let faults_on = cfg.faults.active();
         let fault_rng = rng.fork(0xFA17);
-        let events = match cfg.event_queue {
-            Some(b) => EventQueue::with_backend(b),
-            None => EventQueue::new(),
-        };
         let budget = cfg.budget.clone();
         let budget_on = budget.active();
         let watch = Watch::new(cfg.watchdog_stall_events, cfg.watchdog_pingpong);
@@ -295,7 +291,7 @@ impl Kernel {
             topo,
             cfg,
             now: Time::ZERO,
-            events,
+            events: EventQueue::new(),
             ticks: TickLane::new(ncpu),
             sched,
             tasks: TaskTable::new(),
@@ -628,7 +624,7 @@ impl Kernel {
 
     /// The next thing to process across the merged event sources (queue
     /// events and batched ticks), ordered by the shared `(time, seq)` key.
-    fn peek_next(&mut self) -> Option<(Time, Pending)> {
+    fn peek_next(&self) -> Option<(Time, Pending)> {
         let q = self.events.peek_key();
         let t = self.ticks.peek();
         match (q, t) {
@@ -665,7 +661,9 @@ impl Kernel {
                         b: 0,
                     });
                 }
-                self.ticks.disarm(cpu.index());
+                let fired = self.ticks.pop();
+                debug_assert_eq!(fired.map(|(_, _, c)| c), Some(cpu));
+                self.cpus[cpu.index()].tick_armed = false;
                 self.on_tick(cpu);
             }
             Pending::Queue => {
@@ -766,8 +764,9 @@ impl Kernel {
     /// Arm `cpu`'s next scheduler tick at `at`, reserving its place in the
     /// event order from the queue's sequence counter.
     pub(crate) fn arm_tick(&mut self, cpu: CpuId, at: Time) {
+        debug_assert!(!self.cpus[cpu.index()].tick_armed, "tick double-armed");
         let seq = self.events.alloc_seq();
-        self.ticks.arm(cpu.index(), at, seq);
+        self.ticks.arm(cpu, at, seq);
         self.cpus[cpu.index()].tick_armed = true;
     }
 
@@ -818,7 +817,6 @@ impl Kernel {
     fn on_tick(&mut self, cpu: CpuId) {
         if !self.cpus[cpu.index()].online {
             // The tick chain dies while the CPU is down; cpu_online re-arms.
-            self.cpus[cpu.index()].tick_armed = false;
             return;
         }
         self.account_segment(cpu);
@@ -1013,12 +1011,15 @@ impl Kernel {
 
     /// Look up a task's runtime state, failing with context instead of
     /// panicking when the slot is empty (the old `expect("live")` sites).
+    ///
+    /// The error is built only on the failure path: `SimError` owns heap
+    /// data, so an eagerly built and dropped one costs a call to its drop
+    /// glue on every successful lookup.
     pub(crate) fn rt_mut(&mut self, tid: Tid) -> Result<&mut TaskRt, SimError> {
-        let at = self.now;
-        self.trt
-            .get_mut(tid.index())
-            .and_then(|o| o.as_mut())
-            .ok_or(SimError::TaskStateLost { tid, at })
+        match self.trt.get_mut(tid.index()) {
+            Some(Some(rt)) => Ok(rt),
+            _ => Err(SimError::TaskStateLost { tid, at: self.now }),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1631,10 +1632,9 @@ impl Kernel {
             let action = {
                 let now = self.now;
                 let rt = self.rt_mut(tid)?;
-                let mut behavior = rt
-                    .behavior
-                    .take()
-                    .ok_or(SimError::TaskStateLost { tid, at: now })?;
+                let Some(mut behavior) = rt.behavior.take() else {
+                    return Err(SimError::TaskStateLost { tid, at: now });
+                };
                 let value = rt.pending_value.take();
                 let mut ctx = Ctx {
                     now,

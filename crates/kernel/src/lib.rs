@@ -23,7 +23,7 @@ pub mod kernel;
 pub mod simple;
 pub mod stats;
 pub mod sync;
-pub(crate) mod ticks;
+pub mod ticks;
 pub mod trace;
 
 pub use behavior::{

@@ -1,86 +1,62 @@
 //! Batched per-CPU tick delivery.
 //!
 //! Ticks are by far the most common event in a simulation (one per CPU per
-//! millisecond), and they are perfectly periodic: pushing each one through
-//! the general event queue made the queue do most of its work just to
-//! re-discover "the next tick is one tick after the last one". The
-//! [`TickLane`] keeps the next tick deadline of every CPU in a flat array
-//! instead, and the kernel's event loop merges it with the event queue by
-//! the same `(time, seq)` key the queue orders by.
+//! millisecond), and they are perfectly periodic, so they stay out of the
+//! general event queue, whose heap would sift every one of them. The
+//! [`TickLane`] keeps the armed ticks in a deque sorted by `(deadline,
+//! seq)`, and the kernel's event loop merges its front with the event
+//! queue by the same key the queue orders by.
+//!
+//! A tick re-armed as it fires lands one period after the current time,
+//! at or after every tick still armed, so the common insert is a plain
+//! `push_back`. Only a deadline that undercuts the back walks forward from
+//! it: a jittered tick landing before the back, or a CPU brought back
+//! online while others carry jitter or a missed tick.
 //!
 //! Determinism: each armed tick reserves a sequence number from the event
-//! queue's counter ([`simcore::EventQueue::alloc_seq`]) at exactly the
-//! point where the old code pushed an `Event::Tick` — so the merged
-//! ordering (and therefore every decision digest) is byte-identical to the
-//! queue-per-tick implementation, including the per-CPU tick stagger and
-//! fault-injected jitter.
+//! queue's counter ([`simcore::EventQueue::alloc_seq`]) when it is armed,
+//! so the merged order (and therefore every decision digest) is the order
+//! the queue would give the same ticks pushed as events, including the
+//! per-CPU tick stagger and fault-injected jitter.
+
+use std::collections::VecDeque;
 
 use simcore::Time;
 use topology::CpuId;
 
-/// Sentinel key for an unarmed CPU; compares after every real deadline.
-const UNARMED: (Time, u64) = (Time::MAX, u64::MAX);
-
-/// The per-CPU next-tick table. See the module docs.
+/// The armed ticks of every CPU, earliest first. See the module docs.
 #[derive(Debug)]
-pub(crate) struct TickLane {
-    /// `(deadline, seq)` per CPU; [`UNARMED`] while no tick is in flight.
-    next: Vec<(Time, u64)>,
-    /// Cached earliest entry (valid while `!dirty`); refreshed by a full
-    /// scan only after the current minimum fired or was disarmed, i.e.
-    /// once per tick rather than once per event.
-    cached: Option<(Time, u64, u32)>,
-    dirty: bool,
+pub struct TickLane {
+    /// `(deadline, seq, cpu)`, sorted ascending by `(deadline, seq)`.
+    armed: VecDeque<(Time, u64, CpuId)>,
 }
 
 impl TickLane {
-    /// A lane with every CPU unarmed.
-    pub(crate) fn new(ncpu: usize) -> TickLane {
+    /// An empty lane with room for one armed tick per CPU.
+    pub fn new(ncpu: usize) -> TickLane {
         TickLane {
-            next: vec![UNARMED; ncpu],
-            cached: None,
-            dirty: false,
+            armed: VecDeque::with_capacity(ncpu),
         }
     }
 
-    /// Arm `cpu`'s next tick at `at` with an order key of `seq`. The CPU
-    /// must not already be armed.
-    pub(crate) fn arm(&mut self, cpu: usize, at: Time, seq: u64) {
-        debug_assert_eq!(self.next[cpu], UNARMED, "tick double-armed");
-        self.next[cpu] = (at, seq);
-        if !self.dirty {
-            match self.cached {
-                Some((t, s, _)) if (t, s) <= (at, seq) => {}
-                _ => self.cached = Some((at, seq, cpu as u32)),
-            }
+    /// Arm `cpu`'s next tick at `at` with an order key of `seq`. The caller
+    /// keeps at most one tick armed per CPU.
+    pub fn arm(&mut self, cpu: CpuId, at: Time, seq: u64) {
+        let mut i = self.armed.len();
+        while i > 0 && (at, seq) < (self.armed[i - 1].0, self.armed[i - 1].1) {
+            i -= 1;
         }
-    }
-
-    /// Clear `cpu`'s pending tick (because it fired, or on hotplug-off).
-    pub(crate) fn disarm(&mut self, cpu: usize) {
-        self.next[cpu] = UNARMED;
-        if matches!(self.cached, Some((_, _, c)) if c == cpu as u32) {
-            self.cached = None;
-            self.dirty = true;
-        }
+        self.armed.insert(i, (at, seq, cpu));
     }
 
     /// The earliest armed tick, if any, as `(deadline, seq, cpu)`.
-    pub(crate) fn peek(&mut self) -> Option<(Time, u64, CpuId)> {
-        if self.dirty {
-            self.dirty = false;
-            self.cached = None;
-            for (i, &(t, s)) in self.next.iter().enumerate() {
-                if t == Time::MAX {
-                    continue;
-                }
-                match self.cached {
-                    Some((ct, cs, _)) if (ct, cs) <= (t, s) => {}
-                    _ => self.cached = Some((t, s, i as u32)),
-                }
-            }
-        }
-        self.cached.map(|(t, s, c)| (t, s, CpuId(c)))
+    pub fn peek(&self) -> Option<(Time, u64, CpuId)> {
+        self.armed.front().copied()
+    }
+
+    /// Remove and return the earliest armed tick (the one that fires).
+    pub fn pop(&mut self) -> Option<(Time, u64, CpuId)> {
+        self.armed.pop_front()
     }
 }
 
@@ -91,40 +67,27 @@ mod tests {
     #[test]
     fn peek_returns_earliest_by_time_then_seq() {
         let mut lane = TickLane::new(3);
-        lane.arm(0, Time(100), 7);
-        lane.arm(1, Time(50), 9);
-        lane.arm(2, Time(50), 8);
+        lane.arm(CpuId(0), Time(100), 7);
+        lane.arm(CpuId(1), Time(50), 9);
+        lane.arm(CpuId(2), Time(50), 8);
         assert_eq!(lane.peek(), Some((Time(50), 8, CpuId(2))));
-        lane.disarm(2);
-        assert_eq!(lane.peek(), Some((Time(50), 9, CpuId(1))));
-        lane.disarm(1);
-        assert_eq!(lane.peek(), Some((Time(100), 7, CpuId(0))));
-        lane.disarm(0);
+        assert_eq!(lane.pop(), Some((Time(50), 8, CpuId(2))));
+        assert_eq!(lane.pop(), Some((Time(50), 9, CpuId(1))));
+        assert_eq!(lane.pop(), Some((Time(100), 7, CpuId(0))));
         assert_eq!(lane.peek(), None);
     }
 
     #[test]
-    fn rearm_cycles_keep_the_cache_honest() {
+    fn rearm_cycles_stay_sorted() {
         let mut lane = TickLane::new(2);
-        lane.arm(0, Time(10), 0);
-        lane.arm(1, Time(11), 1);
+        lane.arm(CpuId(0), Time(10), 0);
+        lane.arm(CpuId(1), Time(11), 1);
         for round in 0..100u64 {
-            let (t, _, cpu) = lane.peek().expect("armed");
-            lane.disarm(cpu.index());
+            let (t, _, cpu) = lane.pop().expect("armed");
             // Re-arm one tick later, like the kernel's on_tick does.
-            lane.arm(cpu.index(), t + simcore::Dur(10), 2 + round);
+            lane.arm(cpu, t + simcore::Dur(10), 2 + round);
             let (t2, _, _) = lane.peek().expect("armed");
             assert!(t2 >= t, "lane went backwards");
         }
-    }
-
-    #[test]
-    fn disarming_a_non_minimum_cpu_keeps_the_minimum() {
-        let mut lane = TickLane::new(3);
-        lane.arm(0, Time(5), 0);
-        lane.arm(1, Time(6), 1);
-        lane.arm(2, Time(7), 2);
-        lane.disarm(1);
-        assert_eq!(lane.peek(), Some((Time(5), 0, CpuId(0))));
     }
 }

@@ -3,8 +3,8 @@
 //! class so they are independent of CFS/ULE.
 
 use kernel::{
-    cpu_hog, from_fn, Action, AppSpec, BudgetKind, CancelToken, Kernel, RunBudget, SimConfig,
-    SimError, SimpleRR, ThreadSpec,
+    cpu_hog, from_fn, Action, AppSpec, BudgetKind, CancelToken, Kernel, RunBudget, Script,
+    SimConfig, SimError, SimpleRR, ThreadSpec,
 };
 use simcore::{Dur, Time};
 use topology::Topology;
@@ -232,4 +232,99 @@ fn generous_supervision_leaves_digest_untouched() {
         "an active-but-untripped budget must not perturb decisions"
     );
     assert_eq!(ev1, ev2);
+}
+
+/// A thread that alternates 200 µs of work with a 2 ms timed sleep.
+fn periodic_sleeper() -> ThreadSpec {
+    let mut running = false;
+    let behavior = from_fn(move |_| {
+        running = !running;
+        if running {
+            Action::Run(Dur::micros(200))
+        } else {
+            Action::Sleep(Dur::millis(2))
+        }
+    });
+    ThreadSpec::new("sleeper", behavior).detached()
+}
+
+#[test]
+fn queue_depth_budget_trips_at_a_pinned_event() {
+    // A forker adds one periodic sleeper per millisecond, so the pending
+    // timer wakes grow by one per millisecond until the budget trips. The
+    // trip point is pinned: a queue change that counts depth differently
+    // moves it.
+    let mut cfg = SimConfig::frictionless(7);
+    cfg.budget.max_queue_depth = Some(8);
+    let mut k = mk_kernel(Topology::flat(2), cfg);
+    let mut spawned = 0;
+    let mut spawn_next = false;
+    let forker = from_fn(move |_| {
+        spawn_next = !spawn_next;
+        if !spawn_next {
+            Action::Sleep(Dur::millis(1))
+        } else if spawned == 12 {
+            Action::Exit
+        } else {
+            spawned += 1;
+            Action::Spawn(periodic_sleeper())
+        }
+    });
+    k.queue_app(
+        Time::ZERO,
+        AppSpec::new("growing", vec![ThreadSpec::new("forker", forker)]),
+    );
+    let err = k
+        .try_run_until(Time::ZERO + Dur::millis(50))
+        .expect_err("depth budget must trip");
+    assert_eq!(
+        err,
+        SimError::BudgetExceeded {
+            at: Time::ZERO + Dur::millis(6),
+            kind: BudgetKind::QueueDepth,
+            limit: 8,
+            used: 9,
+        }
+    );
+    assert_eq!(k.counters().events, 56);
+}
+
+#[test]
+fn queue_depth_budget_ignores_armed_ticks() {
+    // 64 CPUs keep 64 ticks armed at all times, but they wait in the tick
+    // lane, not the event queue: an idle machine has depth 0.
+    let mut cfg = SimConfig::frictionless(1);
+    cfg.budget.max_queue_depth = Some(1);
+    let mut k = mk_kernel(Topology::flat(64), cfg);
+    k.try_run_until(Time::ZERO + Dur::millis(50))
+        .expect("armed ticks are not queue depth");
+    assert!(k.counters().events > 64 * 48, "every CPU ticked");
+}
+
+#[test]
+fn cancelled_events_leave_queue_depth_at_once() {
+    // Two 1 s hog segments time-share one CPU in 10 ms slices while a
+    // napper's 500 ms timer stays pending. Every slice-end preemption
+    // cancels the victim's completion event, due about a second out,
+    // behind the pending timer. Live depth never exceeds the three
+    // start-up wakeups, so a depth budget of 3 holds only if a cancelled
+    // completion stops counting the moment it is cancelled.
+    let mut cfg = SimConfig::frictionless(7);
+    cfg.budget.max_queue_depth = Some(3);
+    let mut k = mk_kernel(Topology::single_core(), cfg);
+    let napper = Script::new(vec![Action::Sleep(Dur::millis(500))]);
+    k.queue_app(
+        Time::ZERO,
+        AppSpec::new(
+            "mix",
+            vec![
+                ThreadSpec::new("h0", cpu_hog(Dur::secs(1), Dur::secs(1))),
+                ThreadSpec::new("h1", cpu_hog(Dur::secs(1), Dur::secs(1))),
+                ThreadSpec::new("napper", Box::new(napper)),
+            ],
+        ),
+    );
+    k.try_run_until(Time::ZERO + Dur::millis(200))
+        .expect("cancelled completions must not count toward depth");
+    assert!(k.counters().preemptions >= 19, "every slice end preempted");
 }

@@ -2,11 +2,10 @@
 //!
 //! This crate provides the building blocks shared by every other crate in the
 //! workspace: a simulated nanosecond clock ([`Time`], [`Dur`]), an event queue
-//! with amortized-O(1) scheduling on a hierarchical timer wheel and O(1)
-//! cancellation ([`EventQueue`], with a binary-heap fallback [`Backend`] for
-//! differential testing), a fully deterministic pseudo-random number
-//! generator ([`SimRng`]), and small tracing/hashing helpers used by the
-//! determinism tests.
+//! on an indexed binary heap with O(log n) scheduling and cancellation
+//! ([`EventQueue`]), a fully deterministic pseudo-random number generator
+//! ([`SimRng`]), and small tracing/hashing helpers used by the determinism
+//! tests.
 //!
 //! Nothing in this crate knows about scheduling; it is a generic simulation
 //! core kept deliberately small and heavily tested.
@@ -20,7 +19,7 @@ pub mod rng;
 pub mod time;
 pub mod trace;
 
-pub use events::{Backend, EventId, EventQueue};
+pub use events::{EventId, EventQueue};
 pub use hash::Fnv1a;
 pub use rng::SimRng;
 pub use time::{Dur, Time};

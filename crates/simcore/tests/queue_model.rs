@@ -1,0 +1,95 @@
+//! Model-based property test of [`EventQueue`]: under any interleaving of
+//! near and far-future pushes, pops, peeks, cancels (of live ids and of
+//! stale ids whose slot has since been recycled) and sequence burns, the
+//! queue behaves exactly like a `BTreeMap` keyed by `(time, seq)`, and
+//! `len()` is exact after every operation.
+
+use std::collections::BTreeMap;
+
+use proptest::prelude::*;
+use simcore::{EventId, EventQueue, Time};
+
+/// One operation of a generated sequence.
+#[derive(Debug, Clone)]
+enum Op {
+    /// Push at `now + delta`: same-instant ties, near-term deltas and
+    /// far-future ones.
+    Push(u64),
+    /// Pop one event; advances `now` to the popped time.
+    Pop,
+    /// Cancel the id at index `i % issued.len()` among every id ever
+    /// issued: live ones are removed, fired or cancelled ones (whose slot
+    /// may hold a newer event by now) must be no-ops.
+    Cancel(usize),
+    /// Burn a sequence number, as the kernel's tick lane does.
+    AllocSeq,
+    /// Peek the head key and time.
+    Peek,
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        2 => (0u64..4).prop_map(Op::Push),
+        5 => (0u64..200_000).prop_map(Op::Push),
+        1 => (0u64..(1 << 44)).prop_map(Op::Push),
+        4 => Just(Op::Pop),
+        3 => any::<usize>().prop_map(Op::Cancel),
+        1 => Just(Op::AllocSeq),
+        2 => Just(Op::Peek),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    #[test]
+    fn queue_matches_a_sorted_map(ops in prop::collection::vec(op_strategy(), 1..400)) {
+        let mut q = EventQueue::new();
+        let mut model: BTreeMap<(Time, u64), u32> = BTreeMap::new();
+        let mut next_seq = 0u64;
+        let mut issued: Vec<(EventId, (Time, u64))> = Vec::new();
+        let mut now = 0u64;
+        let mut payload = 0u32;
+        for op in ops {
+            match op {
+                Op::Push(delta) => {
+                    let key = (Time(now.saturating_add(delta)), next_seq);
+                    next_seq += 1;
+                    issued.push((q.push(key.0, payload), key));
+                    model.insert(key, payload);
+                    payload += 1;
+                }
+                Op::Pop => {
+                    let want = model.pop_first().map(|((at, _), p)| (at, p));
+                    prop_assert_eq!(q.pop(), want, "pop mismatch");
+                    if let Some((at, _)) = want {
+                        now = at.0;
+                    }
+                }
+                Op::Cancel(i) => {
+                    if !issued.is_empty() {
+                        let (id, key) = issued[i % issued.len()];
+                        q.cancel(id);
+                        model.remove(&key);
+                    }
+                }
+                Op::AllocSeq => {
+                    prop_assert_eq!(q.alloc_seq(), next_seq);
+                    next_seq += 1;
+                }
+                Op::Peek => {
+                    let want = model.keys().next().copied();
+                    prop_assert_eq!(q.peek_key(), want);
+                    prop_assert_eq!(q.peek_time(), want.map(|(at, _)| at));
+                }
+            }
+            prop_assert_eq!(q.len(), model.len(), "len diverged");
+            prop_assert_eq!(q.is_empty(), model.is_empty());
+        }
+
+        // Drain to the end: the tails must match event for event.
+        while let Some(((at, _), p)) = model.pop_first() {
+            prop_assert_eq!(q.pop(), Some((at, p)), "drain mismatch");
+        }
+        prop_assert_eq!(q.pop(), None);
+    }
+}
