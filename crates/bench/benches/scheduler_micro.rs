@@ -4,6 +4,7 @@ use cfs::Cfs;
 use criterion::{criterion_group, criterion_main, Criterion};
 use kernel::ticks::TickLane;
 use kernel::{cpu_hog, AppSpec, CheckMode, Kernel, SimConfig, ThreadSpec};
+use scenario::{make_class, Sched};
 use sched_api::{EnqueueKind, GroupId, Scheduler, Task, TaskState, TaskTable};
 use simcore::{Dur, EventQueue, SimRng, Time};
 use topology::{CpuId, Topology};
@@ -174,63 +175,48 @@ fn bench_balance_tick(c: &mut Criterion) {
     });
 }
 
-/// The balancer sweep at datacenter scale: 256 cores, work piled on one
-/// LLC, the rest of the machine idle. The O(active) rework makes the
-/// group scan skip idle CPUs via the active mask, so this measures the
-/// sparse case the old O(cores) walk paid full price for — one tick's
-/// balance pass across all 256 CPUs per iteration.
+/// Layer: classes (placement and balancing). The balancer sweep at
+/// datacenter scale for every registered class: 256 cores, work piled on
+/// one LLC, the rest of the machine idle — one tick's balance pass across
+/// all 256 CPUs per iteration. CFS's and ULE's sweeps skip idle CPUs via
+/// their active masks; EEVDF, SimpleRR and the scx classes let every idle
+/// CPU try a steal, which walks the occupancy index's has-waiters mask
+/// instead of every runqueue. Nothing is ever picked to run, so the
+/// steal-on-tick classes keep moving the waiters between CPUs.
 fn bench_balance_tick_256c(c: &mut Criterion) {
     let mut g = c.benchmark_group("balance_tick_256c");
     let topo = Topology::numa_256();
-    let load = |sched: &mut dyn Scheduler, tasks: &mut TaskTable| {
-        let now = Time::ZERO;
-        // 64 runnable tasks packed on the first 8 CPUs (one LLC's worth
-        // of overload); the remaining 248 CPUs stay idle.
-        for i in 0..64 {
-            let tid = tasks.insert_with(|t| Task::new(t, format!("t{i}"), GroupId(1)));
-            sched.task_fork(tasks, tid, None, now);
-            let cpu = CpuId(i % 8);
-            let t = tasks.get_mut(tid);
-            t.cpu = cpu;
-            t.state = TaskState::Runnable;
-            t.on_rq = true;
-            sched.enqueue_task(tasks, cpu, tid, EnqueueKind::New, now);
-        }
-    };
-    g.bench_function("cfs", |b| {
-        let mut cfs = Cfs::new(&topo);
-        let mut tasks = TaskTable::new();
-        load(&mut cfs, &mut tasks);
-        let mut targets = Vec::new();
-        let mut t = Time::ZERO;
-        b.iter(|| {
-            t += Dur::millis(1);
-            let mut moved = 0usize;
-            for cpu in topo.all_cpus() {
-                targets.clear();
-                cfs.balance_tick(&mut tasks, cpu, t, &mut targets);
-                moved += targets.len();
+    for sched in Sched::ALL {
+        g.bench_function(sched.flag_name(), |b| {
+            let mut class = make_class(&topo, sched, 0);
+            let mut tasks = TaskTable::new();
+            let now = Time::ZERO;
+            // 64 runnable tasks packed on the first 8 CPUs (one LLC's
+            // worth of overload); the remaining 248 CPUs stay idle.
+            for i in 0..64 {
+                let tid = tasks.insert_with(|t| Task::new(t, format!("t{i}"), GroupId(1)));
+                class.task_fork(&tasks, tid, None, now);
+                let cpu = CpuId(i % 8);
+                let t = tasks.get_mut(tid);
+                t.cpu = cpu;
+                t.state = TaskState::Runnable;
+                t.on_rq = true;
+                class.enqueue_task(&mut tasks, cpu, tid, EnqueueKind::New, now);
             }
-            moved
-        })
-    });
-    g.bench_function("ule", |b| {
-        let mut ule = Ule::new(&topo);
-        let mut tasks = TaskTable::new();
-        load(&mut ule, &mut tasks);
-        let mut targets = Vec::new();
-        let mut t = Time::ZERO;
-        b.iter(|| {
-            t += Dur::millis(1);
-            let mut moved = 0usize;
-            for cpu in topo.all_cpus() {
-                targets.clear();
-                ule.balance_tick(&mut tasks, cpu, t, &mut targets);
-                moved += targets.len();
-            }
-            moved
-        })
-    });
+            let mut targets = Vec::new();
+            let mut t = now;
+            b.iter(|| {
+                t += Dur::millis(1);
+                let mut moved = 0usize;
+                for cpu in topo.all_cpus() {
+                    targets.clear();
+                    class.balance_tick(&mut tasks, cpu, t, &mut targets);
+                    moved += targets.len();
+                }
+                moved
+            })
+        });
+    }
     g.finish();
 }
 
@@ -365,7 +351,8 @@ fn bench_busy_second(c: &mut Criterion) {
     g.finish();
 }
 
-/// Placement cost: one wakeup-placement decision on a loaded machine.
+/// Layer: classes (placement and balancing). Placement cost: one
+/// wakeup-placement decision on a loaded machine.
 fn bench_placement(c: &mut Criterion) {
     let mut g = c.benchmark_group("wakeup_placement");
     // Preload a machine, then repeatedly exercise select_task_rq through

@@ -29,7 +29,9 @@
 //! Placement and balancing are deliberately simple (least-loaded placement,
 //! single-task idle stealing, the [`SimpleRR`]-style retry-on-tick), so the
 //! scheduling *policy* differences against CFS/ULE in the tournament come
-//! from the pick rule, not from a second balancer design.
+//! from the pick rule, not from a second balancer design. Both read the
+//! shared [`sched_api::Occupancy`] index, which every queue mutation keeps
+//! current, instead of scanning every CPU.
 //!
 //! [`SimpleRR`]: https://docs.rs/kernel (the reference round-robin class)
 
@@ -40,8 +42,8 @@ use std::collections::BTreeSet;
 
 use sched_api::weights::{calc_delta_fair, nice_to_prio, nice_to_weight};
 use sched_api::{
-    DequeueKind, EnqueueKind, Preempt, PreemptCause, Scheduler, SelectError, SelectStats,
-    TaskSnapshot, TaskTable, Tid, WakeKind,
+    DequeueKind, EnqueueKind, Occupancy, Preempt, PreemptCause, Scheduler, SelectError,
+    SelectStats, TaskSnapshot, TaskTable, Tid, WakeKind,
 };
 use simcore::{Dur, Time};
 use topology::{CpuId, Topology};
@@ -139,18 +141,9 @@ struct Rq {
     /// Virtual time the rq last reached; continues placement after the rq
     /// drains (so a fresh wakeup on an idle CPU doesn't restart at 0).
     vbase: i64,
-    /// `false` while hotplugged out.
-    online: bool,
 }
 
 impl Rq {
-    fn new() -> Rq {
-        Rq {
-            online: true,
-            ..Rq::default()
-        }
-    }
-
     /// Current virtual time `V = Σ v·w / Σ w`, or the remembered base when
     /// the rq is empty.
     fn vtime(&self) -> i64 {
@@ -187,6 +180,10 @@ impl Rq {
 /// The EEVDF scheduling class; see the module docs for the model.
 pub struct Eevdf {
     rqs: Vec<Rq>,
+    /// Waiting counts, running flags and online/idle/has-waiters masks,
+    /// mirrored from `rqs` after every mutation; placement and idle steal
+    /// read it instead of scanning.
+    occ: Occupancy,
     /// Per-task entity state, indexed by tid slot.
     ents: Vec<Option<Ent>>,
     params: EevdfParams,
@@ -201,7 +198,8 @@ impl Eevdf {
     /// One runqueue per CPU of `topo` with explicit tunables.
     pub fn with_params(topo: &Topology, params: EevdfParams) -> Eevdf {
         Eevdf {
-            rqs: (0..topo.nr_cpus()).map(|_| Rq::new()).collect(),
+            rqs: (0..topo.nr_cpus()).map(|_| Rq::default()).collect(),
+            occ: Occupancy::new(topo.nr_cpus()),
             ents: Vec::new(),
             params,
         }
@@ -217,6 +215,12 @@ impl Eevdf {
         self.ents[tid.index()]
             .as_mut()
             .unwrap_or_else(|| panic!("no eevdf entity for {tid}"))
+    }
+
+    /// Mirror `cpu`'s queue length and running flag into the index.
+    fn sync(&mut self, cpu: CpuId) {
+        let rq = &self.rqs[cpu.index()];
+        self.occ.set(cpu, rq.tree.len(), rq.curr.is_some());
     }
 
     /// Virtual slice for `weight`: the wall-clock slice weighted like
@@ -281,6 +285,7 @@ impl Eevdf {
             debug_assert!(had, "{tid} not queued on {cpu:?}");
         }
         rq.account_remove(v, w);
+        self.sync(cpu);
     }
 }
 
@@ -298,21 +303,9 @@ impl Scheduler for Eevdf {
         _now: Time,
         stats: &mut SelectStats,
     ) -> Result<CpuId, SelectError> {
-        let task = tasks.get(tid);
-        let mut best: Option<(CpuId, usize)> = None;
-        for (i, rq) in self.rqs.iter().enumerate() {
-            let cpu = CpuId(i as u32);
-            if !rq.online || !task.allowed_on(cpu) {
-                continue;
-            }
-            stats.cpus_scanned += 1;
-            match best {
-                None => best = Some((cpu, rq.nr)),
-                Some((_, b)) if rq.nr < b => best = Some((cpu, rq.nr)),
-                _ => {}
-            }
-        }
-        best.map(|(c, _)| c).ok_or(SelectError { tid })
+        self.occ
+            .least_loaded(tasks.get(tid), stats)
+            .ok_or(SelectError { tid })
     }
 
     fn enqueue_task(
@@ -345,6 +338,7 @@ impl Scheduler for Eevdf {
         let fresh = rq.tree.insert((d, v, tid));
         debug_assert!(fresh, "{tid} already queued on {cpu:?}");
         rq.account_add(v, weight);
+        self.sync(cpu);
 
         // Wakeup preemption: the waking entity must be eligible *and* beat
         // the running one's virtual deadline. Balancer moves never preempt.
@@ -393,6 +387,7 @@ impl Scheduler for Eevdf {
         rq.curr = None;
         let fresh = rq.tree.insert((d, v, curr));
         debug_assert!(fresh);
+        self.sync(cpu);
     }
 
     fn pick_next_task(&mut self, _tasks: &mut TaskTable, cpu: CpuId, now: Time) -> Option<Tid> {
@@ -407,6 +402,7 @@ impl Scheduler for Eevdf {
         rq.tree.remove(&picked);
         rq.curr = Some(picked.2);
         rq.exec_start = now;
+        self.sync(cpu);
         Some(picked.2)
     }
 
@@ -426,6 +422,7 @@ impl Scheduler for Eevdf {
         rq.curr = None;
         let fresh = rq.tree.insert((d, v, tid));
         debug_assert!(fresh);
+        self.sync(cpu);
     }
 
     fn task_tick(&mut self, _tasks: &mut TaskTable, cpu: CpuId, curr: Tid, now: Time) -> Preempt {
@@ -480,35 +477,22 @@ impl Scheduler for Eevdf {
         now: Time,
         stats: &mut SelectStats,
     ) -> bool {
-        if !self.rqs[cpu.index()].online {
+        if !self.occ.online().contains(cpu) {
             return false;
         }
-        // Steal one waiting task from the most loaded online CPU.
-        let mut busiest: Option<(usize, usize)> = None;
-        for (i, rq) in self.rqs.iter().enumerate() {
-            stats.cpus_scanned += 1;
-            if i == cpu.index() || !rq.online || rq.tree.is_empty() {
-                continue;
-            }
-            match busiest {
-                None => busiest = Some((i, rq.tree.len())),
-                Some((_, b)) if rq.tree.len() > b => busiest = Some((i, rq.tree.len())),
-                _ => {}
-            }
-        }
-        let Some((victim, _)) = busiest else {
+        // Steal one waiting task from the online CPU with the most waiters.
+        let Some(victim) = self.occ.busiest(cpu, stats) else {
             return false;
         };
-        let victim_cpu = CpuId(victim as u32);
         // First queued (earliest-deadline) task allowed on the thief; the
         // running task is never migrated.
-        let stolen = self.rqs[victim]
+        let stolen = self.rqs[victim.index()]
             .tree
             .iter()
             .find(|&&(_, _, t)| tasks.get(t).allowed_on(cpu))
             .map(|&(_, _, t)| t);
         let Some(tid) = stolen else { return false };
-        self.remove_from_rq(victim_cpu, tid, now);
+        self.remove_from_rq(victim, tid, now);
         tasks.get_mut(tid).cpu = cpu;
         self.place(cpu, tid, true);
         let (v, d, w) = {
@@ -519,6 +503,7 @@ impl Scheduler for Eevdf {
         let fresh = rq.tree.insert((d, v, tid));
         debug_assert!(fresh);
         rq.account_add(v, w);
+        self.sync(cpu);
         true
     }
 
@@ -552,6 +537,8 @@ impl Scheduler for Eevdf {
     /// 3. **Lag conservation** — `Σ lag = V·W − Σ v·w` stays within one
     ///    rounding unit of zero (`|Σ lag| < W`), the invariant that makes
     ///    "eligible iff v ≤ V" a fair admission test.
+    /// 4. **Occupancy** — the index row that steers placement and stealing
+    ///    matches the tree and `curr` ([`Occupancy::audit`]).
     fn audit(&mut self, tasks: &TaskTable, cpu: CpuId, _now: Time) -> Result<(), String> {
         let rq = &self.rqs[cpu.index()];
         let mut nr = 0usize;
@@ -614,15 +601,15 @@ impl Scheduler for Eevdf {
                 ));
             }
         }
-        Ok(())
+        self.occ.audit(cpu, rq.tree.len(), rq.curr.is_some())
     }
 
     fn cpu_offline(&mut self, cpu: CpuId) {
-        self.rqs[cpu.index()].online = false;
+        self.occ.set_online(cpu, false);
     }
 
     fn cpu_online(&mut self, cpu: CpuId) {
-        self.rqs[cpu.index()].online = true;
+        self.occ.set_online(cpu, true);
     }
 }
 
@@ -768,6 +755,30 @@ mod tests {
         let _ = cpu;
         assert_eq!(stats.cpus_scanned, 1 + 2);
         let _ = &mut t;
+    }
+
+    #[test]
+    fn audit_catches_a_desynced_occupancy_row() {
+        let topo = Topology::flat(2);
+        let mut s = Eevdf::new(&topo);
+        let (mut t, tids) = table_with(2, &[0, 0]);
+        for &tid in &tids {
+            enq(&mut s, &mut t, tid, Time::ZERO);
+        }
+        s.pick_next_task(&mut t, CpuId(0), Time::ZERO).unwrap();
+        s.audit(&t, CpuId(0), Time::ZERO).unwrap();
+        // CPU 0 runs one task with one waiting: every other row is a desync.
+        for (waiting, running) in [(0, true), (2, true), (1, false), (0, false)] {
+            s.occ.set(CpuId(0), waiting, running);
+            let err = s.audit(&t, CpuId(0), Time::ZERO).unwrap_err();
+            assert!(err.contains("occupancy"), "{err}");
+        }
+        s.occ.set(CpuId(0), 1, true);
+        s.audit(&t, CpuId(0), Time::ZERO).unwrap();
+        // Marked offline while it still holds work.
+        s.occ.set_online(CpuId(0), false);
+        let err = s.audit(&t, CpuId(0), Time::ZERO).unwrap_err();
+        assert!(err.contains("offline"), "{err}");
     }
 
     #[test]

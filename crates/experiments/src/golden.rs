@@ -93,6 +93,18 @@ pub fn manifest() -> Vec<Entry> {
             job: Job::Scenario("scenarios/mixed-nice.toml"),
             scale: 0.05,
         },
+        // The two wide machines: the only entries whose CPU masks span
+        // more than one 64-bit word (256 and 512 CPUs).
+        Entry {
+            name: "sc-herd-4096",
+            job: Job::Scenario("scenarios/herd-4096.toml"),
+            scale: 0.05,
+        },
+        Entry {
+            name: "sc-numa-512",
+            job: Job::Scenario("scenarios/numa-512.toml"),
+            scale: 0.02,
+        },
     ]
 }
 

@@ -6,13 +6,15 @@
 //! (see `examples/custom_scheduler.rs`).
 //!
 //! Policy: per-CPU FIFO runqueues, fixed 10 ms timeslices, least-loaded
-//! placement, single-task idle stealing, no periodic balancing.
+//! placement, single-task idle stealing, no periodic balancing. Placement
+//! and stealing read the shared [`Occupancy`] index, which every queue
+//! mutation keeps current, instead of scanning every CPU.
 
 use std::collections::VecDeque;
 
 use sched_api::{
-    DequeueKind, EnqueueKind, Preempt, PreemptCause, Scheduler, SelectError, SelectStats,
-    TaskSnapshot, TaskTable, Tid, WakeKind,
+    DequeueKind, EnqueueKind, Occupancy, Preempt, PreemptCause, Scheduler, SelectError,
+    SelectStats, TaskSnapshot, TaskTable, Tid, WakeKind,
 };
 use simcore::{Dur, Time};
 use topology::{CpuId, Topology};
@@ -20,29 +22,19 @@ use topology::{CpuId, Topology};
 /// Fixed round-robin timeslice.
 const SLICE: Dur = Dur::millis(10);
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Rq {
     queue: VecDeque<Tid>,
     curr: Option<Tid>,
     slice_start: Time,
-    /// `false` while the CPU is hotplugged out.
-    online: bool,
-}
-
-impl Default for Rq {
-    fn default() -> Rq {
-        Rq {
-            queue: VecDeque::new(),
-            curr: None,
-            slice_start: Time::ZERO,
-            online: true,
-        }
-    }
 }
 
 /// Round-robin scheduler; see module docs.
 pub struct SimpleRR {
     rqs: Vec<Rq>,
+    /// Waiting counts, running flags and online/idle/has-waiters masks,
+    /// mirrored from `rqs` after every mutation.
+    occ: Occupancy,
 }
 
 impl SimpleRR {
@@ -50,11 +42,18 @@ impl SimpleRR {
     pub fn new(topo: &Topology) -> SimpleRR {
         SimpleRR {
             rqs: (0..topo.nr_cpus()).map(|_| Rq::default()).collect(),
+            occ: Occupancy::new(topo.nr_cpus()),
         }
     }
 
     fn rq(&mut self, cpu: CpuId) -> &mut Rq {
         &mut self.rqs[cpu.index()]
+    }
+
+    /// Mirror `cpu`'s queue length and running flag into the index.
+    fn sync(&mut self, cpu: CpuId) {
+        let rq = &self.rqs[cpu.index()];
+        self.occ.set(cpu, rq.queue.len(), rq.curr.is_some());
     }
 }
 
@@ -72,22 +71,9 @@ impl Scheduler for SimpleRR {
         _now: Time,
         stats: &mut SelectStats,
     ) -> Result<CpuId, SelectError> {
-        let task = tasks.get(tid);
-        let mut best = None;
-        for (i, rq) in self.rqs.iter().enumerate() {
-            let cpu = CpuId(i as u32);
-            if !rq.online || !task.allowed_on(cpu) {
-                continue;
-            }
-            stats.cpus_scanned += 1;
-            let load = rq.queue.len() + usize::from(rq.curr.is_some());
-            match best {
-                None => best = Some((cpu, load)),
-                Some((_, b)) if load < b => best = Some((cpu, load)),
-                _ => {}
-            }
-        }
-        best.map(|(c, _)| c).ok_or(SelectError { tid })
+        self.occ
+            .least_loaded(tasks.get(tid), stats)
+            .ok_or(SelectError { tid })
     }
 
     fn enqueue_task(
@@ -99,6 +85,7 @@ impl Scheduler for SimpleRR {
         _now: Time,
     ) -> Preempt {
         self.rq(cpu).queue.push_back(tid);
+        self.sync(cpu);
         Preempt::No
     }
 
@@ -116,6 +103,7 @@ impl Scheduler for SimpleRR {
         } else if let Some(i) = rq.queue.iter().position(|&t| t == tid) {
             rq.queue.remove(i);
         }
+        self.sync(cpu);
     }
 
     fn yield_task(&mut self, _tasks: &mut TaskTable, cpu: CpuId, _now: Time) {
@@ -123,6 +111,7 @@ impl Scheduler for SimpleRR {
         if let Some(curr) = rq.curr.take() {
             rq.queue.push_back(curr);
         }
+        self.sync(cpu);
     }
 
     fn pick_next_task(&mut self, _tasks: &mut TaskTable, cpu: CpuId, now: Time) -> Option<Tid> {
@@ -131,6 +120,7 @@ impl Scheduler for SimpleRR {
         let next = rq.queue.pop_front()?;
         rq.curr = Some(next);
         rq.slice_start = now;
+        self.sync(cpu);
         Some(next)
     }
 
@@ -139,6 +129,7 @@ impl Scheduler for SimpleRR {
         debug_assert_eq!(rq.curr, Some(tid));
         rq.curr = None;
         rq.queue.push_back(tid);
+        self.sync(cpu);
     }
 
     fn task_tick(&mut self, _tasks: &mut TaskTable, cpu: CpuId, curr: Tid, now: Time) -> Preempt {
@@ -179,33 +170,22 @@ impl Scheduler for SimpleRR {
         _now: Time,
         stats: &mut SelectStats,
     ) -> bool {
-        // Steal one waiting task from the most loaded CPU.
-        let mut busiest: Option<(usize, usize)> = None;
-        for (i, rq) in self.rqs.iter().enumerate() {
-            stats.cpus_scanned += 1;
-            if i == cpu.index() || !rq.online {
-                continue;
-            }
-            if rq.queue.is_empty() {
-                continue;
-            }
-            match busiest {
-                None => busiest = Some((i, rq.queue.len())),
-                Some((_, b)) if rq.queue.len() > b => busiest = Some((i, rq.queue.len())),
-                _ => {}
-            }
-        }
-        let Some((victim, _)) = busiest else {
+        // Steal one waiting task from the online CPU with the most waiters.
+        let Some(victim) = self.occ.busiest(cpu, stats) else {
             return false;
         };
-        let pos = self.rqs[victim]
-            .queue
+        let queue = &mut self.rqs[victim.index()].queue;
+        let Some(tid) = queue
             .iter()
-            .position(|&t| tasks.get(t).allowed_on(cpu));
-        let Some(pos) = pos else { return false };
-        let tid = self.rqs[victim].queue.remove(pos).expect("present");
+            .position(|&t| tasks.get(t).allowed_on(cpu))
+            .and_then(|pos| queue.remove(pos))
+        else {
+            return false;
+        };
         tasks.get_mut(tid).cpu = cpu;
         self.rq(cpu).queue.push_back(tid);
+        self.sync(victim);
+        self.sync(cpu);
         true
     }
 
@@ -235,14 +215,76 @@ impl Scheduler for SimpleRR {
                 return Err(format!("queued {t} does not exist"));
             }
         }
-        Ok(())
+        self.occ.audit(cpu, rq.queue.len(), rq.curr.is_some())
     }
 
     fn cpu_offline(&mut self, cpu: CpuId) {
-        self.rq(cpu).online = false;
+        self.occ.set_online(cpu, false);
     }
 
     fn cpu_online(&mut self, cpu: CpuId) {
-        self.rq(cpu).online = true;
+        self.occ.set_online(cpu, true);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sched_api::{GroupId, Task, TaskState};
+
+    #[test]
+    fn audit_catches_a_desynced_occupancy_row() {
+        let topo = Topology::flat(2);
+        let mut s = SimpleRR::new(&topo);
+        let mut t = TaskTable::new();
+        let cpu = CpuId(0);
+        for i in 0..2 {
+            let tid = t.insert_with(|tid| Task::new(tid, format!("t{i}"), GroupId::ROOT));
+            t.get_mut(tid).state = TaskState::Runnable;
+            s.enqueue_task(&mut t, cpu, tid, EnqueueKind::New, Time::ZERO);
+        }
+        s.pick_next_task(&mut t, cpu, Time::ZERO).unwrap();
+        s.audit(&t, cpu, Time::ZERO).unwrap();
+        // CPU 0 runs one task with one waiting: every other row is a desync.
+        for (waiting, running) in [(0, true), (2, true), (1, false), (0, false)] {
+            s.occ.set(cpu, waiting, running);
+            let err = s.audit(&t, cpu, Time::ZERO).unwrap_err();
+            assert!(err.contains("occupancy"), "{err}");
+        }
+        s.occ.set(cpu, 1, true);
+        s.audit(&t, cpu, Time::ZERO).unwrap();
+        // Marked offline while it still holds work.
+        s.occ.set_online(cpu, false);
+        let err = s.audit(&t, cpu, Time::ZERO).unwrap_err();
+        assert!(err.contains("offline"), "{err}");
+    }
+
+    #[test]
+    fn idle_steal_takes_the_first_allowed_waiter_of_the_busiest_cpu() {
+        let topo = Topology::flat(3);
+        let mut s = SimpleRR::new(&topo);
+        let mut t = TaskTable::new();
+        let mut tids = Vec::new();
+        for (i, cpu) in [0u32, 1, 1, 1].into_iter().enumerate() {
+            let tid = t.insert_with(|tid| Task::new(tid, format!("t{i}"), GroupId::ROOT));
+            t.get_mut(tid).cpu = CpuId(cpu);
+            s.enqueue_task(&mut t, CpuId(cpu), tid, EnqueueKind::New, Time::ZERO);
+            tids.push(tid);
+        }
+        // The head waiter on CPU 1 may not run on CPU 2.
+        t.get_mut(tids[1]).affinity = Some(topology::CpuMask::single(CpuId(1)));
+        let mut stats = SelectStats::default();
+        assert!(s.idle_balance(&mut t, CpuId(2), Time::ZERO, &mut stats));
+        assert_eq!(stats.cpus_scanned, 3, "the modelled scan covers every CPU");
+        assert_eq!(s.queued_tids(CpuId(2)), vec![tids[2]]);
+        assert_eq!(t.get(tids[2]).cpu, CpuId(2));
+        for cpu in topo.all_cpus() {
+            s.audit(&t, cpu, Time::ZERO).unwrap();
+        }
+        // CPU 1's two waiters still beat CPU 2's one: a steal to CPU 0
+        // skips the pinned head again and takes the last waiter.
+        assert!(s.idle_balance(&mut t, CpuId(0), Time::ZERO, &mut stats));
+        assert_eq!(s.queued_tids(CpuId(1)), vec![tids[1]]);
+        assert_eq!(s.queued_tids(CpuId(0)), vec![tids[0], tids[3]]);
     }
 }

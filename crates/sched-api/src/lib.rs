@@ -6,8 +6,10 @@
 //! that interface as the [`Scheduler`] trait (each method's documentation
 //! reproduces the Table 1 mapping), together with the task model
 //! ([`task::Task`], [`task::TaskTable`]), Linux's nice→weight table
-//! ([`weights`]), and the introspection types the experiments use to sample
-//! scheduler-internal state (vruntime, interactivity penalty, ...).
+//! ([`weights`]), the introspection types the experiments use to sample
+//! scheduler-internal state (vruntime, interactivity penalty, ...), and the
+//! per-CPU [`occupancy`] index that EEVDF, SimpleRR and the scx adapter
+//! ([`scx`]) place and steal from.
 //!
 //! The simulated kernel (`kernel` crate) is generic over `dyn Scheduler`,
 //! exactly like Linux's core scheduler is generic over its classes — that is
@@ -18,6 +20,7 @@
 #![warn(missing_docs)]
 
 pub mod ids;
+pub mod occupancy;
 pub mod params;
 pub mod sched;
 pub mod scx;
@@ -25,6 +28,7 @@ pub mod task;
 pub mod weights;
 
 pub use ids::{GroupId, Tid};
+pub use occupancy::Occupancy;
 pub use params::{Dim, DimScale, ParamSpace, ParamVector};
 pub use sched::{
     DequeueKind, EnqueueKind, Preempt, PreemptCause, Scheduler, SelectError, SelectStats,

@@ -130,7 +130,11 @@ impl std::fmt::Display for SelectError {
 /// converts `cpus_scanned` into time charged to the waker's CPU.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SelectStats {
-    /// Number of CPUs examined during placement.
+    /// Number of CPUs a placement scan examines: the modelled count the
+    /// kernel charges (`select_scan_cost_per_cpu` per CPU, summed into
+    /// `placement_scans`), not the host work the simulator did. Classes
+    /// that answer from an index — CFS's and ULE's active masks, the
+    /// [`crate::Occupancy`] index — still charge the scan they model.
     pub cpus_scanned: u32,
 }
 

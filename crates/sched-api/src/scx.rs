@@ -7,7 +7,8 @@
 //! module reproduces that split inside the simulator:
 //!
 //! * [`ScxPolicy`] is the policy surface. A policy sees only a *flat kernel
-//!   context* ([`ScxCtx`]: the task table plus per-CPU occupancy) and
+//!   context* ([`ScxCtx`]: the task table plus the per-CPU [`Occupancy`]
+//!   index the adapter keeps current) and
 //!   answers three questions: where should this task go (`select_cpu`),
 //!   with what priority key should it wait (`enqueue`), and where should an
 //!   idle CPU pull work from (`dispatch`).
@@ -25,35 +26,16 @@
 use std::collections::BTreeSet;
 
 use simcore::{Dur, Time};
-use topology::{CpuId, CpuMask};
+use topology::CpuId;
 
 use crate::ids::Tid;
+use crate::occupancy::Occupancy;
 use crate::sched::{
     DequeueKind, EnqueueKind, Preempt, PreemptCause, Scheduler, SelectError, SelectStats,
     TaskSnapshot, WakeKind,
 };
-use crate::task::{Task, TaskTable};
+use crate::task::TaskTable;
 use crate::weights::{calc_delta_fair, nice_to_weight};
-
-/// Per-CPU occupancy as a policy sees it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScxCpuState {
-    /// `false` while the CPU is hotplugged out; offline CPUs must not be
-    /// selected or dispatched from.
-    pub online: bool,
-    /// Tasks waiting on this CPU's dispatch queue (excluding the running
-    /// task).
-    pub nr_waiting: usize,
-    /// Whether a task is currently executing on this CPU.
-    pub running: bool,
-}
-
-impl ScxCpuState {
-    /// Waiting plus running — the load figure placement heuristics compare.
-    pub fn load(&self) -> usize {
-        self.nr_waiting + usize::from(self.running)
-    }
-}
 
 /// The flat kernel context handed to every policy callback: global task
 /// state plus per-CPU occupancy, nothing else. Policies hold their own
@@ -62,32 +44,13 @@ impl ScxCpuState {
 pub struct ScxCtx<'a> {
     /// All live tasks.
     pub tasks: &'a TaskTable,
-    /// Per-CPU occupancy, indexed by `CpuId::index()`.
-    pub cpus: &'a [ScxCpuState],
+    /// Per-CPU occupancy: waiting counts, running flags and the online,
+    /// idle and has-waiters masks, current as of the callback (the adapter
+    /// updates it at every queue mutation). Offline CPUs must not be
+    /// selected or dispatched from.
+    pub cpus: &'a Occupancy,
     /// Current simulation time.
     pub now: Time,
-}
-
-impl ScxCtx<'_> {
-    /// The least-loaded online CPU in `task`'s affinity mask, counting every
-    /// examined CPU into `stats` (the shared placement helper both example
-    /// policies use).
-    pub fn least_loaded(&self, task: &Task, stats: &mut SelectStats) -> Option<CpuId> {
-        let mut best: Option<(CpuId, usize)> = None;
-        for (i, st) in self.cpus.iter().enumerate() {
-            let cpu = CpuId(i as u32);
-            if !st.online || !task.allowed_on(cpu) {
-                continue;
-            }
-            stats.cpus_scanned += 1;
-            match best {
-                None => best = Some((cpu, st.load())),
-                Some((_, b)) if st.load() < b => best = Some((cpu, st.load())),
-                _ => {}
-            }
-        }
-        best.map(|(c, _)| c)
-    }
 }
 
 /// A sched_ext-style scheduling policy: three decisions against a flat
@@ -125,23 +88,10 @@ pub trait ScxPolicy {
 
     /// An idle `cpu` asks where to pull work from (`ops.dispatch`).
     /// Return the victim CPU to steal the head task from, or `None` to
-    /// stay idle. The default picks the online CPU with the most waiters.
+    /// stay idle. The default picks the online CPU with the most waiters
+    /// ([`Occupancy::busiest`]).
     fn dispatch(&mut self, ctx: &ScxCtx<'_>, cpu: CpuId, stats: &mut SelectStats) -> Option<CpuId> {
-        let mut busiest: Option<(CpuId, usize)> = None;
-        for (i, st) in ctx.cpus.iter().enumerate() {
-            stats.cpus_scanned += 1;
-            if i == cpu.index() || !st.online || st.nr_waiting == 0 {
-                continue;
-            }
-            match busiest {
-                None => busiest = Some((CpuId(i as u32), st.nr_waiting)),
-                Some((_, b)) if st.nr_waiting > b => {
-                    busiest = Some((CpuId(i as u32), st.nr_waiting))
-                }
-                _ => {}
-            }
-        }
-        busiest.map(|(c, _)| c)
+        ctx.cpus.busiest(cpu, stats)
     }
 
     /// `tid` starts executing (`ops.running`). Default: no-op.
@@ -174,15 +124,15 @@ pub struct ScxSched<P> {
     curr: Vec<Option<Tid>>,
     /// When the running task was picked (slice + stopping accounting).
     run_start: Vec<Time>,
-    /// Online CPUs as a bitset; the framework-side sanitisation source of
-    /// truth (policies see the same bits through [`ScxCpuState::online`]).
-    online: CpuMask,
+    /// Waiting counts, running flags and online/idle/has-waiters masks,
+    /// mirrored from `qs`/`curr` after every mutation and set by the
+    /// hotplug hooks. Policies read it through [`ScxCtx::cpus`]; its online
+    /// mask is also the framework's sanitisation source of truth.
+    occ: Occupancy,
     /// Queued-task location, indexed by `Tid::index()`.
     slots: Vec<Option<Slot>>,
     /// Arrival tie-breaker, monotonically increasing.
     seq: u64,
-    /// Scratch for building [`ScxCtx`] without per-call allocation.
-    cpu_scratch: Vec<ScxCpuState>,
     /// Set when the policy's `select_cpu` returned an offline or
     /// affinity-disallowed CPU and the framework had to rewrite the pick;
     /// surfaced as a policy bug by every later strict-mode audit (never
@@ -190,38 +140,14 @@ pub struct ScxSched<P> {
     bad_pick: Option<(Tid, CpuId)>,
 }
 
-/// Fill `out` with the per-CPU occupancy view (free function so callers can
-/// split borrows between the context and the policy).
-fn fill_cpu_states(
-    qs: &[BTreeSet<(u64, u64, Tid)>],
-    curr: &[Option<Tid>],
-    online: &CpuMask,
-    out: &mut Vec<ScxCpuState>,
-) {
-    out.clear();
-    for i in 0..qs.len() {
-        out.push(ScxCpuState {
-            online: online.contains(CpuId(i as u32)),
-            nr_waiting: qs[i].len(),
-            running: curr[i].is_some(),
-        });
-    }
-}
-
-/// Run `f(policy, ctx)` with a freshly built context. A macro rather than a
-/// method so the disjoint field borrows (`policy` mutable, queue state
-/// shared) survive the borrow checker.
+/// Run `f(policy, ctx)` with a context over the adapter's occupancy index.
+/// A macro rather than a method so the disjoint field borrows (`policy`
+/// mutable, the index shared) survive the borrow checker.
 macro_rules! with_ctx {
     ($self:ident, $tasks:expr, $now:expr, |$policy:ident, $ctx:ident| $body:expr) => {{
-        fill_cpu_states(
-            &$self.qs,
-            &$self.curr,
-            &$self.online,
-            &mut $self.cpu_scratch,
-        );
         let $ctx = ScxCtx {
             tasks: $tasks,
-            cpus: &$self.cpu_scratch,
+            cpus: &$self.occ,
             now: $now,
         };
         let $policy = &mut $self.policy;
@@ -237,12 +163,17 @@ impl<P: ScxPolicy> ScxSched<P> {
             qs: (0..nr_cpus).map(|_| BTreeSet::new()).collect(),
             curr: vec![None; nr_cpus],
             run_start: vec![Time::ZERO; nr_cpus],
-            online: CpuMask::first_n(nr_cpus),
+            occ: Occupancy::new(nr_cpus),
             slots: Vec::new(),
             seq: 0,
-            cpu_scratch: Vec::new(),
             bad_pick: None,
         }
+    }
+
+    /// Mirror `cpu`'s queue length and running flag into the index.
+    fn sync(&mut self, cpu: CpuId) {
+        let i = cpu.index();
+        self.occ.set(cpu, self.qs[i].len(), self.curr[i].is_some());
     }
 
     fn slot_mut(&mut self, tid: Tid) -> &mut Option<Slot> {
@@ -259,6 +190,7 @@ impl<P: ScxPolicy> ScxSched<P> {
         let fresh = self.qs[cpu.index()].insert((key, seq, tid));
         debug_assert!(fresh, "{tid} already queued");
         *self.slot_mut(tid) = Some(Slot { cpu, key, seq });
+        self.sync(cpu);
     }
 
     /// Remove a queued `tid` via its slot. Returns `false` if it was not
@@ -269,12 +201,14 @@ impl<P: ScxPolicy> ScxSched<P> {
         };
         let had = self.qs[slot.cpu.index()].remove(&(slot.key, slot.seq, tid));
         debug_assert!(had, "{tid} slot points at a missing queue entry");
+        self.sync(slot.cpu);
         had
     }
 
     /// The running task on `cpu` stops; fire the policy's stopping hook.
     fn stop_curr(&mut self, tasks: &TaskTable, cpu: CpuId, now: Time) -> Option<Tid> {
         let tid = self.curr[cpu.index()].take()?;
+        self.sync(cpu);
         let ran = now.saturating_since(self.run_start[cpu.index()]);
         with_ctx!(self, tasks, now, |policy, ctx| policy
             .stopping(&ctx, tid, ran));
@@ -302,15 +236,14 @@ impl<P: ScxPolicy> Scheduler for ScxSched<P> {
         // Sanitise: the framework, not the policy, is responsible for never
         // placing a task on an offline CPU or outside its affinity mask.
         let task = tasks.get(tid);
-        if chosen.index() < self.qs.len() && self.online.contains(chosen) && task.allowed_on(chosen)
-        {
+        if self.occ.online().contains(chosen) && task.allowed_on(chosen) {
             return Ok(chosen);
         }
         // The placeable set is one word-AND away; the lowest legal id is
         // the deterministic fallback. An empty set is the caller's problem
         // (hotplug raced a pinned task) and must not panic here — the
         // kernel turns the error into a crash bundle with a replay line.
-        let placeable = task.allowed_online(&self.online);
+        let placeable = task.allowed_online(self.occ.online());
         stats.cpus_scanned += 1;
         match placeable.first_set() {
             Some(cpu) => {
@@ -377,6 +310,7 @@ impl<P: ScxPolicy> Scheduler for ScxSched<P> {
         self.slots[tid.index()] = None;
         self.curr[cpu.index()] = Some(tid);
         self.run_start[cpu.index()] = now;
+        self.sync(cpu);
         with_ctx!(self, tasks, now, |policy, ctx| policy.running(&ctx, tid));
         Some(tid)
     }
@@ -438,7 +372,7 @@ impl<P: ScxPolicy> Scheduler for ScxSched<P> {
         now: Time,
         stats: &mut SelectStats,
     ) -> bool {
-        if !self.online.contains(cpu) {
+        if !self.occ.online().contains(cpu) {
             return false;
         }
         let Some(victim) = with_ctx!(self, tasks, now, |policy, ctx| policy
@@ -460,6 +394,8 @@ impl<P: ScxPolicy> Scheduler for ScxSched<P> {
         self.qs[victim.index()].remove(&(key, seq, tid));
         self.qs[cpu.index()].insert((key, seq, tid));
         *self.slot_mut(tid) = Some(Slot { cpu, key, seq });
+        self.sync(victim);
+        self.sync(cpu);
         tasks.get_mut(tid).cpu = cpu;
         true
     }
@@ -528,15 +464,16 @@ impl<P: ScxPolicy> Scheduler for ScxSched<P> {
                 ));
             }
         }
-        Ok(())
+        self.occ
+            .audit(cpu, rq.len(), self.curr[cpu.index()].is_some())
     }
 
     fn cpu_offline(&mut self, cpu: CpuId) {
-        self.online.clear(cpu);
+        self.occ.set_online(cpu, false);
     }
 
     fn cpu_online(&mut self, cpu: CpuId) {
-        self.online.set(cpu);
+        self.occ.set_online(cpu, true);
     }
 }
 
@@ -559,13 +496,16 @@ impl ScxPolicy for FifoPolicy {
         stats: &mut SelectStats,
     ) -> CpuId {
         let task = ctx.tasks.get(tid);
-        if let Some(st) = ctx.cpus.get(prev_cpu.index()) {
+        if prev_cpu.index() < ctx.cpus.nr_cpus() {
             stats.cpus_scanned += 1;
-            if st.online && st.load() == 0 && task.allowed_on(prev_cpu) {
+            if ctx.cpus.online().contains(prev_cpu)
+                && ctx.cpus.idle().contains(prev_cpu)
+                && task.allowed_on(prev_cpu)
+            {
                 return prev_cpu;
             }
         }
-        ctx.least_loaded(task, stats).unwrap_or(prev_cpu)
+        ctx.cpus.least_loaded(task, stats).unwrap_or(prev_cpu)
     }
 
     fn enqueue(&mut self, _ctx: &ScxCtx<'_>, _tid: Tid, _kind: EnqueueKind) -> u64 {
@@ -664,7 +604,8 @@ impl ScxPolicy for VtimePolicy {
         prev_cpu: CpuId,
         stats: &mut SelectStats,
     ) -> CpuId {
-        ctx.least_loaded(ctx.tasks.get(tid), stats)
+        ctx.cpus
+            .least_loaded(ctx.tasks.get(tid), stats)
             .unwrap_or(prev_cpu)
     }
 
@@ -698,7 +639,8 @@ impl ScxPolicy for VtimePolicy {
 mod tests {
     use super::*;
     use crate::ids::GroupId;
-    use crate::task::TaskState;
+    use crate::task::{Task, TaskState};
+    use topology::CpuMask;
 
     fn table_with(n: usize) -> (TaskTable, Vec<Tid>) {
         let mut t = TaskTable::new();
@@ -863,6 +805,30 @@ mod tests {
         // The stolen task is the queue head: first arrival.
         assert_eq!(s.queued_tids(CpuId(1)), vec![tids[0]]);
         audit_all(&mut s, &t, 2, Time::ZERO);
+    }
+
+    #[test]
+    fn audit_catches_a_desynced_occupancy_row() {
+        let (mut t, tids) = table_with(2);
+        let mut s = ScxSched::new(FifoPolicy, 2);
+        let cpu = CpuId(0);
+        for &tid in &tids {
+            s.enqueue_task(&mut t, cpu, tid, EnqueueKind::New, Time::ZERO);
+        }
+        s.pick_next_task(&mut t, cpu, Time::ZERO).unwrap();
+        audit_all(&mut s, &t, 2, Time::ZERO);
+        // CPU 0 runs one task with one waiting: every other row is a desync.
+        for (waiting, running) in [(0, true), (2, true), (1, false), (0, false)] {
+            s.occ.set(cpu, waiting, running);
+            let err = s.audit(&t, cpu, Time::ZERO).unwrap_err();
+            assert!(err.contains("occupancy"), "{err}");
+        }
+        s.occ.set(cpu, 1, true);
+        audit_all(&mut s, &t, 2, Time::ZERO);
+        // Marked offline while it still holds work.
+        s.occ.set_online(cpu, false);
+        let err = s.audit(&t, cpu, Time::ZERO).unwrap_err();
+        assert!(err.contains("offline"), "{err}");
     }
 
     #[test]

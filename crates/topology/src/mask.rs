@@ -158,6 +158,14 @@ impl CpuMask {
         }
     }
 
+    /// Bits `64 * i .. 64 * i + 63` as one word (0 past the capacity), for
+    /// walks that stop at the last word a machine uses instead of the
+    /// full [`MAX_CPUS`] capacity.
+    #[inline]
+    pub fn word(&self, i: usize) -> u64 {
+        self.words.get(i).copied().unwrap_or(0)
+    }
+
     /// Whether the two masks share any set bit (cheaper than
     /// `!self.and(other).is_empty()` — no temporary, early exit).
     #[inline]
@@ -314,6 +322,15 @@ mod tests {
         assert_eq!(a.and_not(&b).count(), 99);
         assert_eq!(CpuMask::first_n(512).count(), 512);
         assert_eq!(CpuMask::first_n(0).count(), 0);
+    }
+
+    #[test]
+    fn words_cover_64_cpus_each() {
+        let m: CpuMask = [0u32, 63, 64, 511].iter().map(|&i| CpuId(i)).collect();
+        assert_eq!(m.word(0), 1 | 1 << 63);
+        assert_eq!(m.word(1), 1);
+        assert_eq!(m.word(7), 1 << 63);
+        assert_eq!(m.word(8), 0, "past the capacity");
     }
 
     #[test]
