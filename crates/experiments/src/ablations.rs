@@ -133,7 +133,7 @@ pub fn run(cfg: &RunCfg) -> Ablations {
         Box::new(|| apache_rps(d3, cfg)),
         Box::new(|| apache_rps(no_preempt, cfg)),
     ];
-    let r = crate::runner::run_all(jobs);
+    let r = crate::runner::par_map(cfg.threads, jobs, |job| job());
     Ablations {
         cfs_fibo_share_cgroups_on: r[0],
         cfs_fibo_share_cgroups_off: r[1],

@@ -49,7 +49,7 @@ use std::path::{Path, PathBuf};
 use experiments::scenarios::TraceTo;
 use experiments::{
     ablations, chaos, desktop, fig1, fig2, fig34, fig5, fig6, fig7, fig8, fig9, fuzz, golden,
-    runner, scenarios, table1, table2, RunCfg, Sched,
+    scenarios, table1, table2, RunCfg, Sched,
 };
 use kernel::CheckMode;
 use scenario::Scenario;
@@ -202,7 +202,7 @@ fn parse_args() -> Result<Args, String> {
                 if n == 0 {
                     return Err("--threads must be at least 1".to_string());
                 }
-                runner::set_threads(n);
+                cfg.threads = n;
             }
             "--json" => json = Some(args.next().ok_or("missing value for --json")?),
             other if experiment == "trace" && !other.starts_with('-') && trace_fig.is_none() => {
@@ -379,7 +379,7 @@ fn run_one(name: &str, args: &Args, json: &Option<String>) -> bool {
             }
         },
         "fuzz" => {
-            let r = fuzz::run(fz);
+            let r = fuzz::run(fz, cfg.threads);
             print!("{}", fuzz::report(&r));
             dump_json(json, &r) && r.failures.is_empty()
         }
@@ -542,9 +542,9 @@ fn main() {
     }
     if args.experiment == "golden" {
         ok = if args.write {
-            golden::write_all(args.cfg.check)
+            golden::write_all(args.cfg.check, args.cfg.threads)
         } else {
-            golden::check_all(args.cfg.check)
+            golden::check_all(args.cfg.check, args.cfg.threads)
         };
         std::io::stdout().flush().ok();
         if !ok {

@@ -316,7 +316,7 @@ pub fn run(corpus: &[(PathBuf, Scenario)], cfg: &RunCfg, plans: u32) -> ChaosRep
         budget,
         ..cfg.engine_opts()
     };
-    let controls: Vec<Case> = runner::par_map(pairs.clone(), |(i, sched)| {
+    let controls: Vec<Case> = runner::par_map(cfg.threads, pairs.clone(), |(i, sched)| {
         let (_, sc) = &corpus[i];
         run_plan(
             sc,
@@ -387,7 +387,7 @@ pub fn run(corpus: &[(PathBuf, Scenario)], cfg: &RunCfg, plans: u32) -> ChaosRep
         }
     }
     jobs.extend(probes(cfg));
-    let outcomes = runner::run_all_supervised(jobs);
+    let outcomes = runner::par_map_supervised(cfg.threads, jobs, |job| job());
 
     // Stage 3: classify, count, and cross-check against the controls.
     let mut cases = controls;

@@ -103,7 +103,7 @@ pub fn try_run(cfg: &RunCfg) -> Result<Desktop, String> {
         Box::new(|| p(mg, Sched::Ule)),
         Box::new(|| p(mg, Sched::Cfs)),
     ];
-    let r = crate::runner::run_all(jobs);
+    let r = crate::runner::par_map(cfg.threads, jobs, |job| job());
     Ok(Desktop {
         fibo_gain_cfs_s: r[0],
         fibo_gain_ule_s: r[1],

@@ -117,7 +117,11 @@ pub struct Fig1 {
 
 /// Run both schedulers (in parallel when the runner pool allows).
 pub fn run_both(cfg: &RunCfg) -> Fig1 {
-    let (cfs, ule) = crate::runner::join(|| run(Sched::Cfs, cfg), || run(Sched::Ule, cfg));
+    let (cfs, ule) = crate::runner::join(
+        cfg.threads,
+        || run(Sched::Cfs, cfg),
+        || run(Sched::Ule, cfg),
+    );
     Fig1 { cfs, ule }
 }
 

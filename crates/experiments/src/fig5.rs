@@ -61,7 +61,7 @@ pub fn run_on(
         .chain(extra.iter())
         .flat_map(|e| Sched::BOTH.into_iter().map(move |s| (e, s)))
         .collect();
-    let results = runner::par_map(sims, |(entry, sched)| {
+    let results = runner::par_map(cfg.threads, sims, |(entry, sched)| {
         run_entry(entry, sched, topo, cfg, with_noise)
     });
     let rows = results

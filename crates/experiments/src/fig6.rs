@@ -85,7 +85,11 @@ pub struct Fig6 {
 
 /// Run both schedulers (in parallel when the runner pool allows).
 pub fn run_both(cfg: &RunCfg) -> Fig6 {
-    let (ule, cfs) = crate::runner::join(|| run(Sched::Ule, cfg), || run(Sched::Cfs, cfg));
+    let (ule, cfs) = crate::runner::join(
+        cfg.threads,
+        || run(Sched::Ule, cfg),
+        || run(Sched::Cfs, cfg),
+    );
     Fig6 { ule, cfs }
 }
 

@@ -87,7 +87,11 @@ pub struct Fig7 {
 
 /// Run both schedulers (in parallel when the runner pool allows).
 pub fn run_both(cfg: &RunCfg) -> Fig7 {
-    let (ule, cfs) = crate::runner::join(|| run(Sched::Ule, cfg), || run(Sched::Cfs, cfg));
+    let (ule, cfs) = crate::runner::join(
+        cfg.threads,
+        || run(Sched::Ule, cfg),
+        || run(Sched::Cfs, cfg),
+    );
     Fig7 { ule, cfs }
 }
 

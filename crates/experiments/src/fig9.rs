@@ -65,7 +65,10 @@ fn run_pair(a: &Entry, b: &Entry, sched: Sched, topo: &Topology, cfg: &RunCfg) -
     let ib = k.queue_app(Time::ZERO, sb);
     let limit = Time::ZERO + Dur::secs_f64(900.0 * cfg.scale.max(0.05) + 120.0);
     let done = k.run_until_apps_done(limit);
-    (perf_of(a, &k, ia, done).perf, perf_of(b, &k, ib, done).perf)
+    (
+        perf_of(a, sched, &k, ia, done).perf,
+        perf_of(b, sched, &k, ib, done).perf,
+    )
 }
 
 fn run_alone(e: &Entry, sched: Sched, topo: &Topology, cfg: &RunCfg) -> f64 {
@@ -97,7 +100,7 @@ pub fn run(cfg: &RunCfg) -> Fig9 {
     let jobs: Vec<(usize, Sim)> = (0..PAIRS.len())
         .flat_map(|pi| SIMS.into_iter().map(move |s| (pi, s)))
         .collect();
-    let results = crate::runner::par_map(jobs, |(pi, sim)| {
+    let results = crate::runner::par_map(cfg.threads, jobs, |(pi, sim)| {
         let (an, bn, _) = PAIRS[pi];
         let a = find_entry(an);
         let b = find_entry(bn);

@@ -350,9 +350,9 @@ fn sched_flag(scheds: &[Sched]) -> &'static str {
     }
 }
 
-/// Run the whole campaign. Deterministic for a given config, whatever the
-/// worker-pool size.
-pub fn run(cfg: &FuzzCfg) -> FuzzReport {
+/// Run the whole campaign on `threads` workers. Deterministic for a given
+/// config, whatever the worker-pool size.
+pub fn run(cfg: &FuzzCfg, threads: usize) -> FuzzReport {
     let seeds: Vec<u64> = match cfg.case_seed {
         Some(cs) => vec![cs],
         None => (0..cfg.cases).map(|i| case_seed(cfg.seed, i)).collect(),
@@ -361,7 +361,7 @@ pub fn run(cfg: &FuzzCfg) -> FuzzReport {
     let faults = cfg.faults;
     let parts = cfg.parts;
     let timeout_s = cfg.case_timeout_s;
-    let outcomes = runner::par_map(seeds, move |cs| {
+    let outcomes = runner::par_map(threads, seeds, move |cs| {
         // One wall-clock deadline per case: slow hosts abort the case
         // cooperatively instead of wedging the campaign.
         let token = CancelToken::with_deadline(std::time::Duration::from_secs_f64(timeout_s));
@@ -493,7 +493,7 @@ mod tests {
             seed: 7,
             ..Default::default()
         };
-        let r = run(&cfg);
+        let r = run(&cfg, 2);
         assert!(r.failures.is_empty(), "{}", report(&r));
         assert!(r.events > 0);
     }
@@ -507,7 +507,7 @@ mod tests {
             faults: false,
             ..Default::default()
         };
-        let r = run(&cfg);
+        let r = run(&cfg, 1);
         assert!(r.failures.is_empty(), "{}", report(&r));
     }
 }

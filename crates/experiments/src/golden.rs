@@ -135,10 +135,11 @@ fn fold(digests: impl Iterator<Item = u64>) -> u64 {
     h.finish()
 }
 
-fn compute(entry: &Entry, check: CheckMode) -> EntryDigests {
+fn compute(entry: &Entry, check: CheckMode, threads: usize) -> EntryDigests {
     let cfg = RunCfg {
         seed: SEED,
         check,
+        threads,
         ..RunCfg::at_scale(entry.scale)
     };
     let mut out = EntryDigests {
@@ -187,9 +188,10 @@ fn compute(entry: &Entry, check: CheckMode) -> EntryDigests {
     out
 }
 
-/// Run the whole manifest (parallel across entries) under `check`.
-pub fn compute_all(check: CheckMode) -> Vec<EntryDigests> {
-    runner::par_map(manifest(), |e| compute(&e, check))
+/// Run the whole manifest under `check`, parallel across entries on
+/// `threads` workers.
+pub fn compute_all(check: CheckMode, threads: usize) -> Vec<EntryDigests> {
+    runner::par_map(threads, manifest(), |e| compute(&e, check, threads))
 }
 
 fn golden_path(name: &str) -> std::path::PathBuf {
@@ -222,11 +224,12 @@ fn parse_file(src: &str) -> Vec<(String, u64)> {
         .collect()
 }
 
-/// Write every manifest digest, run under `check`, to `results/golden/`.
-/// Returns `false` on I/O failure or if any entry errored.
-pub fn write_all(check: CheckMode) -> bool {
+/// Write every manifest digest, run under `check` on `threads` workers, to
+/// `results/golden/`. Returns `false` on I/O failure or if any entry
+/// errored.
+pub fn write_all(check: CheckMode, threads: usize) -> bool {
     let entries = manifest();
-    let digests = compute_all(check);
+    let digests = compute_all(check, threads);
     let mut ok = true;
     if let Err(e) = std::fs::create_dir_all(std::path::Path::new("results").join("golden")) {
         eprintln!("cannot create results/golden: {e}");
@@ -271,11 +274,12 @@ pub fn write_all(check: CheckMode) -> bool {
     ok
 }
 
-/// Re-run the manifest under `check` and diff against the committed golden
-/// files, printing a side-by-side report. Returns `false` on any divergence.
-pub fn check_all(check: CheckMode) -> bool {
+/// Re-run the manifest under `check` on `threads` workers and diff against
+/// the committed golden files, printing a side-by-side report. Returns
+/// `false` on any divergence.
+pub fn check_all(check: CheckMode, threads: usize) -> bool {
     let entries = manifest();
-    let digests = compute_all(check);
+    let digests = compute_all(check, threads);
     let mut t = metrics::Table::new(&["entry", "sched", "expected", "got", "status"]);
     let mut ok = true;
     for (entry, d) in entries.iter().zip(&digests) {

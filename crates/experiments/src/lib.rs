@@ -50,7 +50,7 @@ pub mod table2;
 pub mod tournament;
 pub mod tune;
 
-use kernel::{AppId, AppSpec, CheckMode, FaultPlan, Kernel};
+use kernel::{AppId, CheckMode, FaultPlan, Kernel};
 use scenario::{EngineError, EngineOpts, Observer, RunOutput, Scenario};
 use simcore::{Dur, Time};
 use topology::Topology;
@@ -67,6 +67,9 @@ pub struct RunCfg {
     pub seed: u64,
     /// SchedSan mode of every kernel the run builds (`battle --check`).
     pub check: CheckMode,
+    /// Worker threads the run's independent simulations fan out over
+    /// (`battle --threads`). Output never depends on it.
+    pub threads: usize,
 }
 
 impl Default for RunCfg {
@@ -75,6 +78,7 @@ impl Default for RunCfg {
             scale: 1.0,
             seed: 42,
             check: CheckMode::Off,
+            threads: runner::default_threads(),
         }
     }
 }
@@ -164,15 +168,6 @@ pub fn obs_of(k: &Kernel) -> SchedObs {
     }
 }
 
-/// Capture a [`SchedObs`] from a kernel whose run was aborted by
-/// supervision: same counters/histograms/digest-so-far, marked partial.
-pub fn obs_of_partial(k: &Kernel) -> SchedObs {
-    SchedObs {
-        partial: true,
-        ..obs_of(k)
-    }
-}
-
 /// Result of running one suite entry under one scheduler.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct PerfResult {
@@ -241,11 +236,12 @@ pub fn try_run_entry(
         );
         crash::Crash::capture(&k, &e, &label, &replay)
     })?;
-    Ok(perf_of(entry, &k, app, done))
+    Ok(perf_of(entry, sched, &k, app, done))
 }
 
-/// Compute the §5.3 performance number for a finished (or timed-out) app.
-pub fn perf_of(entry: &Entry, k: &Kernel, app: AppId, done: bool) -> PerfResult {
+/// Compute the §5.3 performance number for a finished (or timed-out) app
+/// that ran under `sched`.
+pub fn perf_of(entry: &Entry, sched: Sched, k: &Kernel, app: AppId, done: bool) -> PerfResult {
     let a = k.app(app);
     let elapsed = a.elapsed().map(|d| d.as_secs_f64());
     let perf = match entry.metric {
@@ -257,17 +253,12 @@ pub fn perf_of(entry: &Entry, k: &Kernel, app: AppId, done: bool) -> PerfResult 
     };
     PerfResult {
         name: entry.name.to_string(),
-        sched: k_sched(k),
+        sched,
         elapsed_s: if done { elapsed } else { None },
         ops: a.ops,
         perf,
         obs: obs_of(k),
     }
-}
-
-fn k_sched(k: &Kernel) -> Sched {
-    Sched::parse_flag(k.sched_name())
-        .unwrap_or_else(|| panic!("unknown scheduler {}", k.sched_name()))
 }
 
 /// Percentage difference of ULE relative to CFS, the y-axis of Figures 5
@@ -278,12 +269,6 @@ pub fn pct_diff(ule: f64, cfs: f64) -> f64 {
     } else {
         (ule - cfs) / cfs * 100.0
     }
-}
-
-/// Helper: queue an [`AppSpec`] built by a closure needing the kernel.
-pub fn queue_built(k: &mut Kernel, at: Time, build: impl FnOnce(&mut Kernel) -> AppSpec) -> AppId {
-    let spec = build(k);
-    k.queue_app(at, spec)
 }
 
 #[cfg(test)]

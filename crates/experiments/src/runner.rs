@@ -6,24 +6,33 @@
 //! takes from milliseconds to minutes, so the obvious way to use a
 //! multicore host is to run them side by side.
 //!
+//! There is one pool, [`par_map_supervised`], and two wrappers around it:
+//! [`par_map`] for sweeps that cannot fail, and [`join`] for the CFS/ULE
+//! pairs of fig1, fig6 and fig7. Every entry point takes the pool size
+//! (the number of worker threads) as its first argument; every experiment
+//! passes `RunCfg::threads`, which `battle --threads N` sets and which
+//! defaults to [`default_threads`]. Nothing in this module is process-global, so
+//! two callers (or two tests) can use different sizes at the same time.
+//!
 //! The contract that makes this safe to rely on is **result-order
-//! stability**: [`run_all`] returns results in *job submission order*, no
-//! matter how many worker threads ran them or how they interleaved. Since
-//! every simulation is itself deterministic (a seeded [`kernel::Kernel`]
-//! with no wall-clock or thread-id inputs), the output of any driver —
+//! stability**: results come back in *input order*, no matter how many
+//! worker threads ran them or how they interleaved. Since every
+//! simulation is itself deterministic (a seeded [`kernel::Kernel`] with no
+//! wall-clock or thread-id inputs), the output of every experiment —
 //! tables, charts, JSON — is byte-identical for `--threads 1` and
-//! `--threads 32`. The cross-thread determinism test in
-//! `tests/determinism.rs` pins this down.
+//! `--threads 32`.
+//! The cross-thread determinism test in `tests/determinism.rs` pins this
+//! down.
 //!
 //! **Panic isolation (SchedGuard).** Every job runs under
 //! [`std::panic::catch_unwind`]: one panicking simulation never takes down
-//! its siblings or the pool. The `_supervised` entry points surface the
-//! panic as a [`JobOutcome::Panicked`] value in the job's result slot; the
-//! legacy [`run_all`]/[`par_map`] entry points finish every sibling first
-//! and then re-raise the first panic on the caller's thread, preserving
-//! their infallible signatures. Mutex poisoning cannot occur: a panic is
-//! caught before it can poison a cell/slot lock, and the locks are taken
-//! through a poison-tolerant helper regardless.
+//! its siblings or the pool. [`par_map_supervised`] surfaces the panic as
+//! a [`JobOutcome::Panicked`] value in the job's result slot; [`par_map`]
+//! lets every sibling finish and then re-raises the first panic (in input
+//! order) on the caller's thread, keeping its infallible signature. Mutex
+//! poisoning cannot occur: a panic is caught before it can poison a
+//! cell/slot lock, and the locks are taken through a poison-tolerant
+//! helper regardless.
 //!
 //! The pool is a std-only work-stealing-free design: a shared atomic job
 //! index hands each worker the next unclaimed job (scoped threads, no
@@ -36,44 +45,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// Global worker-count override. 0 = unset, fall back to
-/// [`std::thread::available_parallelism`].
-static THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the worker-pool size used by all subsequent [`run_all`] calls
-/// (the `battle --threads N` flag). `0` restores the default
-/// (= available parallelism).
-pub fn set_threads(n: usize) {
-    THREADS.store(n, Ordering::Relaxed);
-}
-
-/// The worker-pool size currently in effect.
-pub fn threads() -> usize {
-    match THREADS.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        n => n,
-    }
-}
-
-/// One independent simulation: a label (for diagnostics) plus the closure
-/// that runs it and produces its result.
-pub struct SimJob<T> {
-    /// Human-readable description, e.g. `"fig5/Apache/cfs"`.
-    pub label: String,
-    /// The simulation itself.
-    pub run: Box<dyn FnOnce() -> T + Send>,
-}
-
-impl<T> SimJob<T> {
-    /// Package a closure as a job.
-    pub fn new(label: impl Into<String>, run: impl FnOnce() -> T + Send + 'static) -> SimJob<T> {
-        SimJob {
-            label: label.into(),
-            run: Box::new(run),
-        }
-    }
+/// The pool size used when the caller does not choose one: the host's
+/// available parallelism (1 if it cannot be queried).
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// How one supervised job ended.
@@ -87,14 +64,6 @@ pub enum JobOutcome<T> {
 }
 
 impl<T> JobOutcome<T> {
-    /// The result, if the job completed.
-    pub fn ok(self) -> Option<T> {
-        match self {
-            JobOutcome::Done(v) => Some(v),
-            JobOutcome::Panicked(_) => None,
-        }
-    }
-
     /// The panic message, if the job panicked.
     pub fn panic_message(&self) -> Option<&str> {
         match self {
@@ -106,7 +75,7 @@ impl<T> JobOutcome<T> {
 
 /// Render a caught panic payload (the `&str`/`String` cases `panic!`
 /// produces; anything else gets a placeholder).
-pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -122,37 +91,34 @@ fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Raw per-job outcome, carrying the original panic payload so the legacy
-/// entry points can re-raise it unchanged.
-enum Raw<T> {
-    Done(T),
-    Panicked(Box<dyn Any + Send>),
-}
-
-/// The core pool: run every closure under `catch_unwind`, up to
-/// [`threads`] workers, results in input order.
-fn run_all_raw<T, F>(jobs: Vec<F>) -> Vec<Raw<T>>
+/// The pool: apply `f` to every item on up to `threads` workers, each call
+/// under `catch_unwind`, and return how each ended **in input order**
+/// regardless of execution interleaving. A panicking item becomes
+/// [`JobOutcome::Panicked`] while the rest of the sweep completes.
+///
+/// With one worker (or one item) everything runs inline on the caller's
+/// thread — no spawning, identical code path to the sequential version.
+pub fn par_map_supervised<I, T, F>(threads: usize, items: Vec<I>, f: F) -> Vec<JobOutcome<T>>
 where
+    I: Send,
     T: Send,
-    F: FnOnce() -> T + Send,
+    F: Fn(I) -> T + Sync,
 {
-    let n = jobs.len();
-    let workers = threads().min(n);
+    let run = |item: I| match catch_unwind(AssertUnwindSafe(|| f(item))) {
+        Ok(v) => JobOutcome::Done(v),
+        Err(p) => JobOutcome::Panicked(panic_message(p.as_ref())),
+    };
+    let n = items.len();
+    let workers = threads.min(n);
     if workers <= 1 {
-        return jobs
-            .into_iter()
-            .map(|f| match catch_unwind(AssertUnwindSafe(f)) {
-                Ok(v) => Raw::Done(v),
-                Err(p) => Raw::Panicked(p),
-            })
-            .collect();
+        return items.into_iter().map(run).collect();
     }
 
-    // Each job sits in its own cell; workers claim cells through a shared
+    // Each item sits in its own cell; workers claim cells through a shared
     // atomic cursor and write each result into the slot with the same
     // index, so collection order never depends on scheduling.
-    let cells: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|f| Mutex::new(Some(f))).collect();
-    let slots: Vec<Mutex<Option<Raw<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let cells: Vec<Mutex<Option<I>>> = items.into_iter().map(|it| Mutex::new(Some(it))).collect();
+    let slots: Vec<Mutex<Option<JobOutcome<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
 
     std::thread::scope(|s| {
@@ -162,13 +128,10 @@ where
                 if i >= n {
                     break;
                 }
-                let Some(f) = lock_clean(&cells[i]).take() else {
+                let Some(item) = lock_clean(&cells[i]).take() else {
                     continue; // cursor hands indices out once; defensive
                 };
-                let out = match catch_unwind(AssertUnwindSafe(f)) {
-                    Ok(v) => Raw::Done(v),
-                    Err(p) => Raw::Panicked(p),
-                };
+                let out = run(item);
                 *lock_clean(&slots[i]) = Some(out);
             });
         }
@@ -182,113 +145,41 @@ where
                 // A claimed job always writes its slot (the write is after
                 // catch_unwind); an empty slot would mean a worker died
                 // outside the catch, which we surface instead of hiding.
-                .unwrap_or_else(|| Raw::Panicked(Box::new("job result slot empty".to_string())))
+                .unwrap_or_else(|| JobOutcome::Panicked("job result slot empty".to_string()))
         })
         .collect()
 }
 
-/// Run labelled jobs on the pool; results come back in job order.
-pub fn run_jobs<T: Send>(jobs: Vec<SimJob<T>>) -> Vec<T> {
-    run_all(jobs.into_iter().map(|j| j.run).collect())
-}
-
-/// Run labelled jobs with panic isolation; each result slot reports
-/// [`JobOutcome::Panicked`] with the job's label prefixed if that job
-/// panicked, while its siblings complete normally.
-pub fn run_jobs_supervised<T: Send>(jobs: Vec<SimJob<T>>) -> Vec<JobOutcome<T>> {
-    let labels: Vec<String> = jobs.iter().map(|j| j.label.clone()).collect();
-    let raw = run_all_raw(jobs.into_iter().map(|j| j.run).collect());
-    raw.into_iter()
-        .zip(labels)
-        .map(|(r, label)| match r {
-            Raw::Done(v) => JobOutcome::Done(v),
-            Raw::Panicked(p) => {
-                JobOutcome::Panicked(format!("{label}: {}", panic_message(p.as_ref())))
-            }
-        })
-        .collect()
-}
-
-/// Run every closure, using up to [`threads`] worker threads, and return
-/// the results **in input order** regardless of execution interleaving.
-///
-/// With one worker (or one job) everything runs inline on the caller's
-/// thread — no spawning, identical code path to the sequential version.
-///
-/// A panicking job no longer aborts its siblings: every other job still
-/// runs to completion, after which the first panic is re-raised here.
-/// Use [`run_all_supervised`] to receive panics as values instead.
-pub fn run_all<T, F>(jobs: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    let mut first_panic: Option<Box<dyn Any + Send>> = None;
-    let out: Vec<T> = run_all_raw(jobs)
-        .into_iter()
-        .filter_map(|r| match r {
-            Raw::Done(v) => Some(v),
-            Raw::Panicked(p) => {
-                if first_panic.is_none() {
-                    first_panic = Some(p);
-                }
-                None
-            }
-        })
-        .collect();
-    if let Some(p) = first_panic {
-        std::panic::resume_unwind(p);
-    }
-    out
-}
-
-/// [`run_all`] with panic isolation: each job's slot reports how it ended.
-pub fn run_all_supervised<T, F>(jobs: Vec<F>) -> Vec<JobOutcome<T>>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    run_all_raw(jobs)
-        .into_iter()
-        .map(|r| match r {
-            Raw::Done(v) => JobOutcome::Done(v),
-            Raw::Panicked(p) => JobOutcome::Panicked(panic_message(p.as_ref())),
-        })
-        .collect()
-}
-
-/// Apply `f` to every item on the pool; results in input order.
-pub fn par_map<I, T, F>(items: Vec<I>, f: F) -> Vec<T>
+/// [`par_map_supervised`] for sweeps that cannot fail: the results in
+/// input order. A panicking item does not abort its siblings: every other
+/// item still runs to completion, after which the first panic in input
+/// order is re-raised here with [`std::panic::resume_unwind`] (which does
+/// not run the panic hook, so the message is printed once, by the worker).
+pub fn par_map<I, T, F>(threads: usize, items: Vec<I>, f: F) -> Vec<T>
 where
     I: Send,
     T: Send,
-    F: Fn(I) -> T + Send + Sync,
+    F: Fn(I) -> T + Sync,
 {
-    let f = &f;
-    run_all(items.into_iter().map(|it| move || f(it)).collect())
+    par_map_supervised(threads, items, f)
+        .into_iter()
+        .map(|o| match o {
+            JobOutcome::Done(v) => v,
+            JobOutcome::Panicked(msg) => std::panic::resume_unwind(Box::new(msg)),
+        })
+        .collect()
 }
 
-/// [`par_map`] with panic isolation: a panicking item becomes
-/// [`JobOutcome::Panicked`] while the rest of the sweep completes.
-pub fn par_map_supervised<I, T, F>(items: Vec<I>, f: F) -> Vec<JobOutcome<T>>
-where
-    I: Send,
-    T: Send,
-    F: Fn(I) -> T + Send + Sync,
-{
-    let f = &f;
-    run_all_supervised(items.into_iter().map(|it| move || f(it)).collect())
-}
-
-/// Run two closures, possibly in parallel, returning both results.
-pub fn join<A, B, FA, FB>(fa: FA, fb: FB) -> (A, B)
+/// Run two closures, in parallel when `threads` allows, returning both
+/// results. A panic in either is re-raised on the caller's thread.
+pub fn join<A, B, FA, FB>(threads: usize, fa: FA, fb: FB) -> (A, B)
 where
     A: Send,
     B: Send,
     FA: FnOnce() -> A + Send,
     FB: FnOnce() -> B + Send,
 {
-    if threads() <= 1 {
+    if threads <= 1 {
         return (fa(), fb());
     }
     std::thread::scope(|s| {
@@ -307,64 +198,71 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// `THREADS` is process-global and the harness runs tests concurrently;
-    /// every test that touches it takes this lock.
-    static LOCK: Mutex<()> = Mutex::new(());
+    use std::sync::Condvar;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn results_come_back_in_submission_order() {
-        let _g = LOCK.lock().unwrap();
-        set_threads(4);
-        let jobs: Vec<_> = (0..64usize)
-            .map(|i| {
-                move || {
-                    // Stagger finish times so out-of-order completion is
-                    // actually exercised.
-                    std::thread::sleep(std::time::Duration::from_micros(((i * 7) % 13) as u64));
-                    i * 10
-                }
-            })
-            .collect();
-        let out = run_all(jobs);
+        let out = par_map(4, (0..64usize).collect(), |i| {
+            // Stagger finish times so out-of-order completion is
+            // actually exercised.
+            std::thread::sleep(Duration::from_micros(((i * 7) % 13) as u64));
+            i * 10
+        });
         assert_eq!(out, (0..64).map(|i| i * 10).collect::<Vec<_>>());
-        set_threads(0);
     }
 
     #[test]
     fn single_thread_runs_inline() {
-        let _g = LOCK.lock().unwrap();
-        set_threads(1);
         let main_id = std::thread::current().id();
-        let ids = run_all(vec![move || std::thread::current().id(), move || {
-            std::thread::current().id()
-        }]);
+        let ids = par_map(1, vec![0, 1], |_| std::thread::current().id());
         assert!(ids.iter().all(|&id| id == main_id));
-        set_threads(0);
+    }
+
+    #[test]
+    fn pool_of_n_runs_n_jobs_at_once() {
+        // Each job checks in, then waits until all N have checked in. A
+        // pool running fewer than N jobs at once leaves the first ones
+        // waiting until the shared deadline, so it fails instead of
+        // hanging.
+        const N: usize = 4;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let started = Mutex::new(0usize);
+        let all_in = Condvar::new();
+        let met = par_map(N, vec![(); N], |()| {
+            let mut n = lock_clean(&started);
+            *n += 1;
+            all_in.notify_all();
+            while *n < N {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return false;
+                }
+                n = all_in
+                    .wait_timeout(n, left)
+                    .unwrap_or_else(|p| p.into_inner())
+                    .0;
+            }
+            true
+        });
+        assert_eq!(
+            met,
+            vec![true; N],
+            "a pool of {N} ran fewer than {N} jobs at once"
+        );
     }
 
     #[test]
     fn par_map_and_join() {
-        let _g = LOCK.lock().unwrap();
-        set_threads(2);
-        assert_eq!(par_map(vec![1, 2, 3], |x| x * x), vec![1, 4, 9]);
-        assert_eq!(join(|| "a", || "b"), ("a", "b"));
-        set_threads(0);
-    }
-
-    #[test]
-    fn labelled_jobs_round_trip() {
-        let jobs = vec![SimJob::new("one", || 1), SimJob::new("two", || 2)];
-        assert_eq!(jobs[0].label, "one");
-        assert_eq!(run_jobs(jobs), vec![1, 2]);
+        assert_eq!(par_map(2, vec![1, 2, 3], |x| x * x), vec![1, 4, 9]);
+        assert_eq!(join(2, || "a", || "b"), ("a", "b"));
+        assert_eq!(join(1, || "a", || "b"), ("a", "b"));
     }
 
     #[test]
     fn supervised_panic_is_isolated_per_slot() {
-        let _g = LOCK.lock().unwrap();
         for workers in [1, 4] {
-            set_threads(workers);
-            let out = par_map_supervised(vec![1, 2, 3, 4], |x| {
+            let out = par_map_supervised(workers, vec![1, 2, 3, 4], |x| {
                 if x == 2 {
                     panic!("boom on {x}");
                 }
@@ -375,41 +273,26 @@ mod tests {
             assert!(matches!(out[2], JobOutcome::Done(30)));
             assert!(matches!(out[3], JobOutcome::Done(40)));
         }
-        set_threads(0);
     }
 
     #[test]
-    fn run_all_reraises_after_finishing_siblings() {
-        let _g = LOCK.lock().unwrap();
-        set_threads(2);
-        use std::sync::atomic::AtomicUsize;
-        static RAN: AtomicUsize = AtomicUsize::new(0);
-        RAN.store(0, Ordering::Relaxed);
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = vec![
-            Box::new(|| {
-                RAN.fetch_add(1, Ordering::Relaxed);
-                1
-            }),
-            Box::new(|| panic!("legacy propagation")),
-            Box::new(|| {
-                RAN.fetch_add(1, Ordering::Relaxed);
-                3
-            }),
-        ];
-        let caught = catch_unwind(AssertUnwindSafe(|| run_all(jobs)));
-        assert!(caught.is_err(), "legacy run_all still propagates panics");
-        assert_eq!(RAN.load(Ordering::Relaxed), 2, "siblings ran to completion");
-        set_threads(0);
-    }
-
-    #[test]
-    fn supervised_labels_prefix_panics() {
-        let jobs = vec![
-            SimJob::new("ok-job", || 7usize),
-            SimJob::new("bad-job", || panic!("exploded")),
-        ];
-        let out = run_jobs_supervised(jobs);
-        assert!(matches!(out[0], JobOutcome::Done(7)));
-        assert_eq!(out[1].panic_message(), Some("bad-job: exploded"));
+    fn par_map_reraises_after_finishing_siblings() {
+        let ran = AtomicUsize::new(0);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            par_map(2, vec![1, 2, 3, 4], |x| {
+                if x == 2 || x == 3 {
+                    panic!("boom on {x}");
+                }
+                ran.fetch_add(1, Ordering::Relaxed);
+                x
+            })
+        }));
+        let payload = caught.expect_err("par_map propagates panics");
+        assert_eq!(
+            panic_message(payload.as_ref()),
+            "boom on 2",
+            "first in input order"
+        );
+        assert_eq!(ran.load(Ordering::Relaxed), 2, "siblings ran to completion");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Takes any mix of `.toml`/`.json` files and directories (a directory
 //! expands to its sorted `*.toml` files), runs each scenario under its
-//! requested schedulers through [`runner::par_map`], evaluates the
+//! requested schedulers through [`runner::par_map_supervised`], evaluates the
 //! scenario's assertions, and reports one line per run plus any
 //! violations. With `--trace`, runs go sequentially and each scenario
 //! streams a combined Chrome-trace file (one group per scheduler, see
@@ -199,7 +199,7 @@ pub fn run_all(
         .flat_map(|(i, (_, sc))| scheds_for(sc, scheds).iter().map(move |&s| (i, s)))
         .collect();
     let cancel_ref = cancel.as_ref();
-    let outcomes = runner::par_map_supervised(jobs.clone(), |(i, sched)| {
+    let outcomes = runner::par_map_supervised(cfg.threads, jobs.clone(), |(i, sched)| {
         let (path, sc) = &scenarios[i];
         scenario::run_sched(sc, sched, &opts_for(cfg, cancel_ref))
             .map(|o| o.run)

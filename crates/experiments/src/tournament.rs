@@ -166,7 +166,7 @@ pub fn run(scenarios_list: &[(PathBuf, Scenario)], cfg: &RunCfg) -> TournamentRe
     let jobs: Vec<(usize, Sched)> = (0..scenarios_list.len())
         .flat_map(|i| scheds.into_iter().map(move |s| (i, s)))
         .collect();
-    let outcomes = runner::par_map_supervised(jobs.clone(), |(i, sched)| {
+    let outcomes = runner::par_map_supervised(cfg.threads, jobs.clone(), |(i, sched)| {
         let (_, sc) = &scenarios_list[i];
         scenario::run_sched(sc, sched, &cfg.engine_opts())
             .map(|out| cell_of(&out))

@@ -255,43 +255,34 @@ pub fn run(corpus: &[(PathBuf, Scenario)], sched: Sched, cfg: &TuneCfg) -> TuneR
 
     // Stage 1: stock baseline, unbudgeted, fanned out over the corpus.
     let idxs: Vec<usize> = (0..corpus.len()).collect();
-    let base_outcomes = runner::par_map_supervised(idxs, |i| {
+    let base_outcomes = runner::par_map_supervised(cfg.run.threads, idxs, |i| {
         run_meas(&corpus[i].1, sched, cfg, RunBudget::default(), None)
     });
-    let mut baseline: Vec<Option<Meas>> = Vec::with_capacity(corpus.len());
+    // Scenarios that score, each with its stock measurement: stock
+    // completed, so ratios are well defined.
+    let mut scored: Vec<(usize, Meas)> = Vec::with_capacity(corpus.len());
     for (i, o) in base_outcomes.into_iter().enumerate() {
         match o {
-            runner::JobOutcome::Done(Ok(m)) => baseline.push(Some(m)),
-            runner::JobOutcome::Done(Err(msg)) => {
-                failures.push(format!("stock baseline: {msg}"));
-                baseline.push(None);
-            }
-            runner::JobOutcome::Panicked(msg) => {
-                failures.push(format!(
-                    "stock baseline: [{} × {}] panic: {msg}",
-                    corpus[i].1.name,
-                    sched.name()
-                ));
-                baseline.push(None);
-            }
+            runner::JobOutcome::Done(Ok(m)) => scored.push((i, m)),
+            runner::JobOutcome::Done(Err(msg)) => failures.push(format!("stock baseline: {msg}")),
+            runner::JobOutcome::Panicked(msg) => failures.push(format!(
+                "stock baseline: [{} × {}] panic: {msg}",
+                corpus[i].1.name,
+                sched.name()
+            )),
         }
     }
-
-    // Scenarios that score: stock completed, so ratios are well defined.
-    let scored: Vec<usize> = (0..corpus.len())
-        .filter(|&i| baseline[i].is_some())
-        .collect();
     let weights: Vec<f64> = scored
         .iter()
-        .map(|&i| weight_of(class_of(&corpus[i].1.name)))
+        .map(|&(i, _)| weight_of(class_of(&corpus[i].1.name)))
         .collect();
     let wsum: f64 = weights.iter().sum();
 
     // Candidate runs get 16× the stock event count before SchedGuard kills
     // them: generous for any sane config, tight enough that a tick-storm
     // or livelock candidate dies quickly and scores 0.
-    let cand_budget = |i: usize| RunBudget {
-        max_events: baseline[i].map(|m| m.events.saturating_mul(16).saturating_add(65_536)),
+    let cand_budget = |stock: &Meas| RunBudget {
+        max_events: Some(stock.events.saturating_mul(16).saturating_add(65_536)),
         ..RunBudget::default()
     };
 
@@ -303,16 +294,20 @@ pub fn run(corpus: &[(PathBuf, Scenario)], sched: Sched, cfg: &TuneCfg) -> TuneR
         // Fan out candidate × scenario; submission order fixes result
         // order, so scoring is thread-count independent.
         let jobs: Vec<(usize, usize)> = (0..batch.len())
-            .flat_map(|b| scored.iter().map(move |&i| (b, i)))
+            .flat_map(|b| (0..scored.len()).map(move |k| (b, k)))
             .collect();
-        let outcomes = runner::par_map_supervised(jobs, |(b, i)| {
-            run_meas(&corpus[i].1, sched, cfg, cand_budget(i), Some(&batch[b]))
+        let outcomes = runner::par_map_supervised(cfg.run.threads, jobs.clone(), |(b, k)| {
+            let (i, stock) = scored[k];
+            run_meas(
+                &corpus[i].1,
+                sched,
+                cfg,
+                cand_budget(&stock),
+                Some(&batch[b]),
+            )
         });
         let mut per_cand: Vec<Vec<Option<Meas>>> = vec![Vec::new(); batch.len()];
-        for ((b, _), o) in (0..batch.len())
-            .flat_map(|b| scored.iter().map(move |&i| (b, i)))
-            .zip(outcomes)
-        {
+        for (&(b, _), o) in jobs.iter().zip(outcomes) {
             per_cand[b].push(match o {
                 runner::JobOutcome::Done(Ok(m)) => Some(m),
                 _ => None, // diverged, crashed or panicked: scores 0 below
@@ -327,8 +322,8 @@ pub fn run(corpus: &[(PathBuf, Scenario)], sched: Sched, cfg: &TuneCfg) -> TuneR
                         .iter()
                         .zip(&meas)
                         .zip(&weights)
-                        .map(|((&i, m), w)| match m {
-                            Some(m) => w * composite_rel(m, &baseline[i].unwrap()),
+                        .map(|(((_, stock), m), w)| match m {
+                            Some(m) => w * composite_rel(m, stock),
                             None => 0.0,
                         })
                         .sum::<f64>()
@@ -360,17 +355,17 @@ pub fn run(corpus: &[(PathBuf, Scenario)], sched: Sched, cfg: &TuneCfg) -> TuneR
         .cloned()
         .unwrap_or_default();
     let mut classes: Vec<ClassRow> = Vec::new();
-    for (k, &i) in scored.iter().enumerate() {
+    for (k, &(i, stock)) in scored.iter().enumerate() {
         let class = class_of(&corpus[i].1.name);
         let stock_c = stock_meas
             .get(k)
             .and_then(|m| m.as_ref())
-            .map(|m| composite_rel(m, &baseline[i].unwrap()))
+            .map(|m| composite_rel(m, &stock))
             .unwrap_or(0.0);
         let tuned_c = tuned_meas
             .get(k)
             .and_then(|m| m.as_ref())
-            .map(|m| composite_rel(m, &baseline[i].unwrap()))
+            .map(|m| composite_rel(m, &stock))
             .unwrap_or(0.0);
         match classes.iter_mut().find(|r| r.class == class) {
             Some(row) => {

@@ -26,7 +26,7 @@ fn digest_of(sched: Sched, seed: u64) -> (u64, u64) {
 #[test]
 fn decision_digest_is_identical_across_thread_counts() {
     // 8 simulations; run the batch once on 1 worker and once on 8.
-    let jobs = |_: usize| {
+    let jobs = || {
         let mut v: Vec<Box<dyn FnOnce() -> (u64, u64) + Send>> = Vec::new();
         for seed in 0..4u64 {
             for sched in Sched::BOTH {
@@ -35,11 +35,8 @@ fn decision_digest_is_identical_across_thread_counts() {
         }
         v
     };
-    runner::set_threads(1);
-    let seq = runner::run_all(jobs(0));
-    runner::set_threads(8);
-    let par = runner::run_all(jobs(0));
-    runner::set_threads(0);
+    let seq = runner::par_map(1, jobs(), |job| job());
+    let par = runner::par_map(8, jobs(), |job| job());
     assert_eq!(seq, par, "digests must not depend on the worker count");
     assert!(seq.iter().all(|&(d, e)| d != 0 && e > 0));
 }
@@ -49,15 +46,13 @@ fn fig5_json_is_byte_identical_across_thread_counts() {
     // A scaled-down fig5 sweep (the most parallel driver): its serialized
     // JSON — what `battle --json` writes — must not change with the pool
     // size.
-    let cfg = RunCfg {
+    let cfg = |threads: usize| RunCfg {
         seed: 7,
+        threads,
         ..RunCfg::at_scale(0.02)
     };
-    runner::set_threads(1);
-    let seq = serde_json::to_string_pretty(&fig5::run(&cfg)).unwrap();
-    runner::set_threads(8);
-    let par = serde_json::to_string_pretty(&fig5::run(&cfg)).unwrap();
-    runner::set_threads(0);
+    let seq = serde_json::to_string_pretty(&fig5::run(&cfg(1))).unwrap();
+    let par = serde_json::to_string_pretty(&fig5::run(&cfg(8))).unwrap();
     assert!(!seq.is_empty());
     assert_eq!(
         seq, par,

@@ -55,7 +55,7 @@ fn unbudgeted_corpus() -> Vec<(PathBuf, Scenario)> {
 /// process — and must come back labelled as a panic, not vanish.
 #[test]
 fn runner_survives_panicking_job() {
-    let outcomes = runner::par_map_supervised(vec![1u64, 2, 3, 4], |i| {
+    let outcomes = runner::par_map_supervised(4, vec![1u64, 2, 3, 4], |i| {
         if i == 3 {
             panic!("injected panic in job {i}");
         }
@@ -86,10 +86,12 @@ fn runner_survives_panicking_job() {
 #[test]
 fn budget_killed_partial_digest_is_thread_count_invariant() {
     let corpus = budgeted_corpus();
-    let cfg = RunCfg::at_scale(1.0);
+    let cfg = |threads: usize| RunCfg {
+        threads,
+        ..RunCfg::at_scale(1.0)
+    };
     let digests_at = |threads: usize| -> Vec<(String, u64, u64, bool)> {
-        runner::set_threads(threads);
-        let reports = scenarios::run_all(&corpus, &cfg, None, None, None);
+        let reports = scenarios::run_all(&corpus, &cfg(threads), None, None, None);
         assert_eq!(reports.len(), 1);
         reports[0]
             .runs
@@ -113,8 +115,7 @@ fn budget_killed_partial_digest_is_thread_count_invariant() {
     );
     // And the partial abort is reported as a failure line, so a budget
     // trip cannot silently pass a scenario.
-    runner::set_threads(4);
-    let reports = scenarios::run_all(&corpus, &cfg, None, None, None);
+    let reports = scenarios::run_all(&corpus, &cfg(4), None, None, None);
     assert!(
         reports[0].failures.iter().any(|f| f.contains("partial")),
         "partial runs must fail the report: {:?}",

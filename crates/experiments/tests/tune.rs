@@ -9,7 +9,7 @@
 //!   value sits inside its declared dimension bounds.
 
 use eevdf::EevdfParams;
-use experiments::{runner, tune, RunCfg};
+use experiments::{tune, RunCfg};
 use scenario::{EngineOpts, Scenario, Sched};
 use sched_api::params::{ParamSpace, ParamVector};
 use std::path::{Path, PathBuf};
@@ -33,16 +33,16 @@ fn load_scenarios(names: &[&str]) -> Vec<(PathBuf, Scenario)> {
 #[test]
 fn report_is_thread_count_independent_and_never_loses_to_stock() {
     let corpus = load_scenarios(&["fig1", "mixed-nice"]);
-    let cfg = tune::TuneCfg {
+    let cfg = |threads: usize| tune::TuneCfg {
         budget: 5,
-        run: RunCfg::at_scale(0.01),
+        run: RunCfg {
+            threads,
+            ..RunCfg::at_scale(0.01)
+        },
         ..tune::TuneCfg::default()
     };
-    runner::set_threads(1);
-    let one = tune::run(&corpus, Sched::Eevdf, &cfg);
-    runner::set_threads(4);
-    let four = tune::run(&corpus, Sched::Eevdf, &cfg);
-    runner::set_threads(0); // back to the default pool for sibling tests
+    let one = tune::run(&corpus, Sched::Eevdf, &cfg(1));
+    let four = tune::run(&corpus, Sched::Eevdf, &cfg(4));
     let j1 = serde_json::to_string_pretty(&one).unwrap();
     let j4 = serde_json::to_string_pretty(&four).unwrap();
     assert_eq!(j1, j4, "tune report depends on --threads");
