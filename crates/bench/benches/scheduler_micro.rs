@@ -2,7 +2,7 @@
 
 use cfs::Cfs;
 use criterion::{criterion_group, criterion_main, Criterion};
-use kernel::ticks::TickLane;
+use kernel::ticks::{RunLane, TickLane};
 use kernel::{cpu_hog, AppSpec, CheckMode, Kernel, SimConfig, ThreadSpec};
 use scenario::{make_class, Sched};
 use sched_api::{EnqueueKind, GroupId, Scheduler, Task, TaskState, TaskTable};
@@ -27,35 +27,16 @@ fn bench_event_queue(c: &mut Criterion) {
             sum
         })
     });
-    // The kernel cancels a pending completion on every preemption and
-    // migration, so cancel is as hot as push/pop itself.
-    c.bench_function("event_queue_push_cancel_pop_1k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            let ids: Vec<_> = (0..1000u64)
-                .map(|i| q.push(Time(i * 7919 % 100_000), i))
-                .collect();
-            for id in ids.iter().step_by(2) {
-                q.cancel(*id);
-            }
-            let mut n = 0u64;
-            while q.pop().is_some() {
-                n += 1;
-            }
-            n
-        })
-    });
     // Steady-state slot recycling: a bounded queue living through many
-    // push/cancel/pop generations (the shape a long simulation produces).
+    // push/pop generations (the shape a long simulation produces).
     c.bench_function("event_queue_recycle_64x100", |b| {
         b.iter(|| {
             let mut q = EventQueue::new();
             let mut t = 0u64;
             let mut acc = 0u64;
             for _ in 0..100 {
-                let ids: Vec<_> = (0..64u64).map(|i| q.push(Time(t + i), i)).collect();
-                for id in ids.iter().step_by(3) {
-                    q.cancel(*id);
+                for i in 0..64u64 {
+                    q.push(Time(t + (i * 37) % 64), i);
                 }
                 while let Some((at, _)) = q.pop() {
                     acc = acc.wrapping_add(at.0);
@@ -68,9 +49,8 @@ fn bench_event_queue(c: &mut Criterion) {
 }
 
 /// Layer: the event queue. A tick-shaped mix: 48 staggered periodic
-/// chains re-armed on every pop, plus a short-lived completion event per
-/// pop with half of them cancelled before firing (as preemption cancels a
-/// pending run completion).
+/// chains re-armed on every pop, plus a short-lived event per chain pop
+/// (the reschedules and timer wakes a tick sets off).
 fn bench_event_queue_tick_mix(c: &mut Criterion) {
     c.bench_function("event_queue_tick_mix", |b| {
         b.iter(|| {
@@ -79,7 +59,6 @@ fn bench_event_queue_tick_mix(c: &mut Criterion) {
             for cpu in 0..NCPU {
                 q.push(Time(1_000_000 + cpu * 21_000), cpu);
             }
-            let mut last = None;
             let mut acc = 0u64;
             for n in 0..20_000u64 {
                 let Some((at, who)) = q.pop() else {
@@ -88,13 +67,48 @@ fn bench_event_queue_tick_mix(c: &mut Criterion) {
                 acc = acc.wrapping_add(at.0 ^ who);
                 if who < NCPU {
                     q.push(at + Dur::millis(1), who);
-                    let id = q.push(at + Dur::micros(37), NCPU + n);
-                    if let Some(prev) = last.replace(id) {
-                        if n % 2 == 0 {
-                            q.cancel(prev);
-                        }
-                    }
+                    q.push(at + Dur::micros(37), NCPU + n);
                 }
+            }
+            acc
+        })
+    });
+}
+
+/// Layer: run lane. 512 CPUs, each with a run completion armed. Every
+/// fired completion re-arms its CPU one run segment later; in between,
+/// overhead charged to a random CPU re-arms its completion later, and
+/// every fourth step a random CPU is preempted (disarmed) and dispatched
+/// again (re-armed), as `Kernel` drives the lane.
+fn bench_run_lane_512c(c: &mut Criterion) {
+    const NCPU: u32 = 512;
+    c.bench_function("run_lane_512c", |b| {
+        let mut rng = SimRng::new(7);
+        b.iter(|| {
+            let mut lane = RunLane::new(NCPU as usize);
+            let mut seq = 0u64;
+            let mut due = vec![Time::ZERO; NCPU as usize];
+            for cpu in 0..NCPU {
+                due[cpu as usize] = Time(rng.gen_below(4_000_000));
+                lane.arm(CpuId(cpu), due[cpu as usize], seq);
+                seq += 1;
+            }
+            let mut acc = 0u64;
+            for n in 0..20_000u64 {
+                let Some((at, _, cpu)) = lane.pop() else {
+                    unreachable!("every fired CPU re-arms")
+                };
+                acc = acc.wrapping_add(at.0);
+                due[cpu.index()] = at + Dur(50_000 + rng.gen_below(4_000_000));
+                lane.arm(cpu, due[cpu.index()], seq);
+                seq += 1;
+                let other = CpuId(rng.gen_below(u64::from(NCPU)) as u32);
+                if n % 4 == 0 {
+                    lane.disarm(other);
+                }
+                due[other.index()] += Dur(5_000);
+                lane.arm(other, due[other.index()], seq);
+                seq += 1;
             }
             acc
         })
@@ -410,6 +424,7 @@ criterion_group!(
     bench_event_queue,
     bench_event_queue_tick_mix,
     bench_tick_lane_512c,
+    bench_run_lane_512c,
     bench_balance_tick,
     bench_balance_tick_256c,
     bench_ule_queue_walk_8c,

@@ -3,13 +3,21 @@
 //! wakeup preemption, load balancing).
 
 use cfs::{params::CfsParams, Cfs};
-use kernel::{cpu_hog, spinner, Action, AppSpec, Kernel, SimConfig, ThreadSpec};
+use kernel::{cpu_hog, spinner, Action, AppSpec, CheckMode, Kernel, SimConfig, ThreadSpec};
 use simcore::{Dur, Time};
 use topology::{CpuId, Topology};
 
+/// The frictionless machine under strict SchedSan.
+fn strict_cfg() -> SimConfig {
+    SimConfig {
+        check: CheckMode::Strict,
+        ..SimConfig::frictionless(7)
+    }
+}
+
 fn cfs_kernel(topo: Topology) -> Kernel {
     let sched = Box::new(Cfs::new(&topo));
-    Kernel::new(topo, SimConfig::frictionless(7), sched)
+    Kernel::new(topo, strict_cfg(), sched)
 }
 
 #[test]
@@ -108,7 +116,7 @@ fn without_cgroups_fairness_is_per_thread() {
         ..Default::default()
     };
     let sched = Box::new(Cfs::with_params(&topo, p));
-    let mut k = Kernel::new(topo, SimConfig::frictionless(7), sched);
+    let mut k = Kernel::new(topo, strict_cfg(), sched);
     let solo = k.queue_app(
         Time::ZERO,
         AppSpec::new(

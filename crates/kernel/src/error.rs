@@ -20,7 +20,7 @@ pub enum BudgetKind {
     Events,
     /// `max_sim_time`: simulated time reached (nanoseconds in the report).
     SimTime,
-    /// `max_queue_depth`: live entries in the event queue.
+    /// `max_queue_depth`: queued events plus armed run completions.
     QueueDepth,
     /// `max_live_tasks`: simultaneously live tasks.
     LiveTasks,

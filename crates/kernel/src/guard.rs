@@ -38,8 +38,9 @@ pub struct RunBudget {
     pub max_events: Option<u64>,
     /// Maximum simulated time reached.
     pub max_sim_time: Option<Dur>,
-    /// Maximum live entries in the event queue (memory proxy). Armed
-    /// ticks wait in the tick lane and do not count.
+    /// Maximum pending events (memory proxy): queued events plus the run
+    /// completions armed in the run lane. Armed ticks wait in the tick
+    /// lane and do not count.
     pub max_queue_depth: Option<usize>,
     /// Maximum simultaneously live (non-exited) tasks (fork-bomb guard).
     pub max_live_tasks: Option<usize>,
@@ -170,7 +171,7 @@ impl WatchRec {
         let WatchRec { at, code, a, b } = *self;
         match code {
             0 => format!("[{at}] tick cpu{a}"),
-            1 => format!("[{at}] run-done cpu{a} gen={b}"),
+            1 => format!("[{at}] run-done cpu{a}"),
             2 => format!("[{at}] timer-wake tid{a}"),
             3 => format!("[{at}] spin-timeout tid{a} barrier={b}"),
             4 => format!("[{at}] resched cpu{a}"),

@@ -11,17 +11,20 @@
 //!
 //! Each simulated CPU executes its current task's behaviour. Zero-time
 //! actions (locking a free mutex, spawning, counting ops) are interpreted
-//! inline; [`Action::Run`] segments are lazily completed by a `RunDone`
-//! event; blocking actions put the task to voluntary sleep and trigger a
-//! reschedule. A 1 ms tick per CPU drives `task_tick` (timeslice and
-//! fairness checks) and `balance_tick` (periodic load balancing).
+//! inline; an [`Action::Run`] segment arms the CPU's completion in the run
+//! lane ([`crate::ticks::RunLane`]) and is completed lazily when it fires;
+//! blocking actions put the task to voluntary sleep and trigger a
+//! reschedule. A 1 ms tick per CPU, held in the tick lane
+//! ([`crate::ticks::TickLane`]), drives `task_tick` (timeslice and fairness
+//! checks) and `balance_tick` (periodic load balancing). The event loop
+//! merges the event queue and both lanes by their shared `(time, seq)` key.
 //!
 //! # Overhead charging
 //!
 //! Context-switch costs, cache-cold migration penalties and placement-scan
 //! costs occupy CPU time without making application progress: the kernel
-//! adds them to the running segment's `overhead`, postponing its completion
-//! event. This is how ULE's expensive `sched_pickcpu` scans become visible
+//! adds them to the running segment's `overhead`, re-arming its completion
+//! later. This is how ULE's expensive `sched_pickcpu` scans become visible
 //! as lost application throughput (§6.3 of the paper).
 
 use metrics::Histogram;
@@ -29,7 +32,7 @@ use sched_api::{
     DequeueKind, EnqueueKind, GroupId, Preempt, PreemptCause, Scheduler, SelectStats, Task,
     TaskSnapshot, TaskState, TaskTable, Tid, WakeKind,
 };
-use simcore::{Dur, EventId, EventQueue, SimRng, Time};
+use simcore::{Dur, EventQueue, SimRng, Time};
 use topology::{CpuId, CpuMask, Topology};
 
 use crate::behavior::{
@@ -42,7 +45,7 @@ use crate::fault::FaultOp;
 use crate::guard::{CancelToken, RunBudget, Watch, WatchRec};
 use crate::stats::{AppStats, Counters, CpuStats, DecisionHash};
 use crate::sync::{BlockedOn, OpOutcome, SyncTable};
-use crate::ticks::TickLane;
+use crate::ticks::{RunLane, TickLane};
 use crate::trace::{TraceEvent, TraceSink};
 
 /// Identifier of an application (a spawned [`AppSpec`]).
@@ -87,8 +90,6 @@ pub(crate) enum ControlOp {
 }
 
 pub(crate) enum Event {
-    /// The current run segment of `cpu` completed (if `gen` is current).
-    RunDone { cpu: CpuId, gen: u64 },
     /// Timer expiry for a timed sleep.
     TimerWake { tid: Tid },
     /// A spin-barrier arrival exceeded its spin budget.
@@ -107,11 +108,14 @@ pub(crate) enum Event {
     Fault(FaultOp),
 }
 
-/// What the merged event sources deliver next: a queue event, or a tick
-/// from the batched per-CPU tick lane (see [`crate::ticks::TickLane`]).
+/// What the merged event sources deliver next: a queue event, a tick from
+/// the tick lane, or a run completion from the run lane (see
+/// [`crate::ticks`]).
+#[derive(Clone, Copy)]
 enum Pending {
     Queue,
     Tick(CpuId),
+    Run(CpuId),
 }
 
 /// Where a task stands in its behaviour program.
@@ -167,8 +171,6 @@ pub(crate) struct Cpu {
     /// Pending overhead to fold into the next segment (context switch cost
     /// charged before the task reaches its next Run).
     pending_overhead: Dur,
-    run_event: Option<EventId>,
-    run_gen: u64,
     /// Whether the segment fields describe the *current* task's active
     /// run/spin segment (false while a task is between actions, so stale
     /// fields are never accounted to the wrong task).
@@ -189,8 +191,6 @@ impl Cpu {
             seg_accounted: Dur::ZERO,
             seg_run_left: Dur::ZERO,
             pending_overhead: Dur::ZERO,
-            run_event: None,
-            run_gen: 0,
             seg_active: false,
             resched_pending: false,
             stats: CpuStats::default(),
@@ -214,6 +214,8 @@ pub struct Kernel {
     pub(crate) events: EventQueue<Event>,
     /// Batched per-CPU tick deadlines, merged with `events` by (time, seq).
     ticks: TickLane,
+    /// Each CPU's pending run completion, merged the same way.
+    runs: RunLane,
     pub(crate) sched: Box<dyn Scheduler>,
     pub(crate) tasks: TaskTable,
     pub(crate) trt: Vec<Option<TaskRt>>,
@@ -293,6 +295,7 @@ impl Kernel {
             now: Time::ZERO,
             events: EventQueue::new(),
             ticks: TickLane::new(ncpu),
+            runs: RunLane::new(ncpu),
             sched,
             tasks: TaskTable::new(),
             trt: Vec::new(),
@@ -623,22 +626,25 @@ impl Kernel {
     }
 
     /// The next thing to process across the merged event sources (queue
-    /// events and batched ticks), ordered by the shared `(time, seq)` key.
+    /// events, ticks and run completions), ordered by the shared `(time,
+    /// seq)` key. Seqs are unique across all three, so there are no ties.
+    #[inline]
     fn peek_next(&self) -> Option<(Time, Pending)> {
-        let q = self.events.peek_key();
-        let t = self.ticks.peek();
-        match (q, t) {
-            (None, None) => None,
-            (Some((qt, _)), None) => Some((qt, Pending::Queue)),
-            (None, Some((tt, _, cpu))) => Some((tt, Pending::Tick(cpu))),
-            (Some((qt, qs)), Some((tt, ts, cpu))) => {
-                if (tt, ts) < (qt, qs) {
-                    Some((tt, Pending::Tick(cpu)))
-                } else {
-                    Some((qt, Pending::Queue))
-                }
+        let mut next = self
+            .events
+            .peek_key()
+            .map(|(at, seq)| (at, seq, Pending::Queue));
+        if let Some((at, seq, cpu)) = self.ticks.peek() {
+            if next.is_none_or(|(nt, ns, _)| (at, seq) < (nt, ns)) {
+                next = Some((at, seq, Pending::Tick(cpu)));
             }
         }
+        if let Some((at, seq, cpu)) = self.runs.peek() {
+            if next.is_none_or(|(nt, ns, _)| (at, seq) < (nt, ns)) {
+                next = Some((at, seq, Pending::Run(cpu)));
+            }
+        }
+        next.map(|(at, _, p)| (at, p))
     }
 
     /// Advance the clock to `at` and process one pending item.
@@ -665,6 +671,19 @@ impl Kernel {
                 debug_assert_eq!(fired.map(|(_, _, c)| c), Some(cpu));
                 self.cpus[cpu.index()].tick_armed = false;
                 self.on_tick(cpu);
+            }
+            Pending::Run(cpu) => {
+                if recording {
+                    self.watch.record(WatchRec {
+                        at,
+                        code: 1,
+                        a: cpu.0,
+                        b: 0,
+                    });
+                }
+                let fired = self.runs.pop();
+                debug_assert_eq!(fired.map(|(_, _, c)| c), Some(cpu));
+                self.on_run_done(cpu)?;
             }
             Pending::Queue => {
                 let Some((_, ev)) = self.events.pop() else {
@@ -712,7 +731,9 @@ impl Kernel {
                 }
             }
             if let Some(max) = self.budget.max_queue_depth {
-                let depth = self.events.len();
+                // Pending run completions count as depth; armed ticks, one
+                // per online CPU at all times, do not.
+                let depth = self.events.len() + self.runs.len();
                 if depth > max {
                     return Err(SimError::BudgetExceeded {
                         at,
@@ -750,7 +771,6 @@ impl Kernel {
     /// Compact descriptor of a queue event for the watchdog window.
     fn describe_event(at: Time, ev: &Event) -> WatchRec {
         let (code, a, b) = match ev {
-            Event::RunDone { cpu, gen } => (1, cpu.0, *gen as u32),
             Event::TimerWake { tid } => (2, tid.0, 0),
             Event::SpinTimeout { tid, barrier, .. } => (3, tid.0, barrier.0),
             Event::Resched(cpu) => (4, cpu.0, 0),
@@ -800,7 +820,6 @@ impl Kernel {
 
     fn handle(&mut self, ev: Event) -> Result<(), SimError> {
         match ev {
-            Event::RunDone { cpu, gen } => self.on_run_done(cpu, gen),
             Event::TimerWake { tid } => self.on_timer_wake(tid),
             Event::SpinTimeout {
                 tid,
@@ -857,13 +876,10 @@ impl Kernel {
         self.arm_tick(cpu, next);
     }
 
-    fn on_run_done(&mut self, cpu: CpuId, gen: u64) -> Result<(), SimError> {
-        let c = &mut self.cpus[cpu.index()];
-        if c.run_gen != gen {
-            return Ok(()); // stale completion
-        }
-        c.run_event = None;
-        let Some(tid) = c.current else { return Ok(()) };
+    fn on_run_done(&mut self, cpu: CpuId) -> Result<(), SimError> {
+        let Some(tid) = self.cpus[cpu.index()].current else {
+            return Ok(());
+        };
         self.account_segment(cpu);
         self.rt_mut(tid)?.cont = Cont::NeedAction;
         if let InterpretEnd::NeedsPick = self.interpret(cpu)? {
@@ -1224,13 +1240,11 @@ impl Kernel {
         }
         let c = &mut self.cpus[cpu.index()];
         c.stats.overhead += cost;
-        if let Some(ev) = c.run_event.take() {
-            // Active run segment: postpone its completion.
+        if self.runs.is_armed(cpu) {
+            // Active run segment: re-arm its completion later.
             c.seg_overhead += cost;
-            self.events.cancel(ev);
             let done_at = c.seg_start + c.seg_run_left + c.seg_overhead;
-            let gen = c.run_gen;
-            c.run_event = Some(self.events.push(done_at, Event::RunDone { cpu, gen }));
+            self.runs.arm(cpu, done_at, self.events.alloc_seq());
         } else if c.current.is_some() && c.seg_active && c.seg_run_left == Dur::MAX {
             // Active spin segment: the spin absorbs the cost.
             c.seg_overhead += cost;
@@ -1250,17 +1264,12 @@ impl Kernel {
         c.seg_accounted = Dur::ZERO;
         c.seg_run_left = left;
         c.seg_active = true;
-        c.run_gen += 1;
-        let gen = c.run_gen;
         let done_at = c.seg_start + left + c.seg_overhead;
-        if let Some(ev) = c.run_event.take() {
-            self.events.cancel(ev);
-        }
-        c.run_event = Some(self.events.push(done_at, Event::RunDone { cpu, gen }));
+        self.runs.arm(cpu, done_at, self.events.alloc_seq());
     }
 
-    /// Install an open-ended spin segment (no completion event; ended by
-    /// barrier release or spin timeout).
+    /// Install an open-ended spin segment (no completion; ended by barrier
+    /// release or spin timeout).
     fn start_spin_segment(&mut self, cpu: CpuId) {
         let c = &mut self.cpus[cpu.index()];
         debug_assert!(c.current.is_some());
@@ -1269,20 +1278,13 @@ impl Kernel {
         c.seg_accounted = Dur::ZERO;
         c.seg_run_left = Dur::MAX;
         c.seg_active = true;
-        c.run_gen += 1;
-        if let Some(ev) = c.run_event.take() {
-            self.events.cancel(ev);
-        }
+        self.runs.disarm(cpu);
     }
 
-    /// Cancel any armed completion event for `cpu`'s segment.
+    /// End `cpu`'s segment, disarming its completion if one is armed.
     fn cancel_segment(&mut self, cpu: CpuId) {
-        let c = &mut self.cpus[cpu.index()];
-        c.seg_active = false;
-        c.run_gen += 1;
-        if let Some(ev) = c.run_event.take() {
-            self.events.cancel(ev);
-        }
+        self.cpus[cpu.index()].seg_active = false;
+        self.runs.disarm(cpu);
     }
 
     // ------------------------------------------------------------------

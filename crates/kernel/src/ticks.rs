@@ -1,23 +1,37 @@
-//! Batched per-CPU tick delivery.
+//! Per-CPU timer lanes: batched tick delivery and pending run completions.
 //!
-//! Ticks are by far the most common event in a simulation (one per CPU per
-//! millisecond), and they are perfectly periodic, so they stay out of the
-//! general event queue, whose heap would sift every one of them. The
+//! Two kinds of event have exactly one instance per CPU in flight, so they
+//! stay out of the general event queue and live in per-CPU lanes that the
+//! kernel's event loop merges with the queue by the `(time, seq)` key the
+//! queue orders by.
+//!
+//! **Ticks.** Ticks are by far the most common event in a simulation (one
+//! per CPU per millisecond), and they are perfectly periodic. The
 //! [`TickLane`] keeps the armed ticks in a deque sorted by `(deadline,
-//! seq)`, and the kernel's event loop merges its front with the event
-//! queue by the same key the queue orders by.
-//!
-//! A tick re-armed as it fires lands one period after the current time,
-//! at or after every tick still armed, so the common insert is a plain
-//! `push_back`. Only a deadline that undercuts the back walks forward from
-//! it: a jittered tick landing before the back, or a CPU brought back
+//! seq)`. A tick re-armed as it fires lands one period after the current
+//! time, at or after every tick still armed, so the common insert is a
+//! plain `push_back`. Only a deadline that undercuts the back walks forward
+//! from it: a jittered tick landing before the back, or a CPU brought back
 //! online while others carry jitter or a missed tick.
 //!
-//! Determinism: each armed tick reserves a sequence number from the event
-//! queue's counter ([`simcore::EventQueue::alloc_seq`]) when it is armed,
-//! so the merged order (and therefore every decision digest) is the order
-//! the queue would give the same ticks pushed as events, including the
-//! per-CPU tick stagger and fault-injected jitter.
+//! **Run completions.** Each CPU running a task has one pending completion:
+//! the instant its current run segment finishes. The kernel re-arms it
+//! later whenever overhead is charged to the segment, and disarms it when
+//! the task is preempted, blocks, yields, exits or starts spinning. The
+//! [`RunLane`] is a tournament tree over the CPUs: every CPU owns a leaf,
+//! and every inner node holds the earliest key of the leaves below it.
+//! Arming, re-arming or disarming a CPU rewrites its leaf and replays the
+//! matches on the path to the root, stopping at the first node whose winner
+//! does not change, so each costs O(log n); the earliest completion is the
+//! root. A re-arm overwrites the CPU's leaf, so no completion is ever
+//! cancelled out of the event queue, and the queue supports no
+//! cancellation.
+//!
+//! Determinism: each armed tick or completion reserves a sequence number
+//! from the event queue's counter ([`simcore::EventQueue::alloc_seq`]) when
+//! it is armed, so the merged order (and therefore every decision digest)
+//! is the order the queue would give the same ticks and completions pushed
+//! as events, including the per-CPU tick stagger and fault-injected jitter.
 
 use std::collections::VecDeque;
 
@@ -57,6 +71,130 @@ impl TickLane {
     /// Remove and return the earliest armed tick (the one that fires).
     pub fn pop(&mut self) -> Option<(Time, u64, CpuId)> {
         self.armed.pop_front()
+    }
+}
+
+/// Leaf key of a CPU with no completion armed. Its seq is never handed out
+/// by [`simcore::EventQueue::alloc_seq`], and it sorts after every real key.
+const DISARMED: Entry = Entry {
+    at: Time::MAX,
+    seq: u64::MAX,
+    cpu: u32::MAX,
+};
+
+/// One node of the [`RunLane`] tree: a completion key and its CPU.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Entry {
+    at: Time,
+    seq: u64,
+    cpu: u32,
+}
+
+impl Entry {
+    #[inline]
+    fn before(&self, other: &Entry) -> bool {
+        (self.at, self.seq) < (other.at, other.seq)
+    }
+
+    #[inline]
+    fn is_armed(&self) -> bool {
+        self.seq != DISARMED.seq
+    }
+}
+
+/// The pending run completion of every CPU, earliest first. See the module
+/// docs.
+#[derive(Debug)]
+pub struct RunLane {
+    /// Tournament tree in heap layout: node 1 is the root, node `i` has
+    /// children `2i` and `2i + 1`, and the leaf of CPU `c` is node
+    /// `base + c`. Every node holds the earliest entry among its leaves.
+    tree: Vec<Entry>,
+    /// Index of CPU 0's leaf: the CPU count rounded up to a power of two.
+    base: usize,
+    /// Number of CPUs with a completion armed.
+    armed: usize,
+}
+
+impl RunLane {
+    /// An empty lane with one slot per CPU.
+    pub fn new(ncpu: usize) -> RunLane {
+        let base = ncpu.max(1).next_power_of_two();
+        RunLane {
+            tree: vec![DISARMED; 2 * base],
+            base,
+            armed: 0,
+        }
+    }
+
+    /// Arm `cpu`'s completion at `at` with an order key of `seq`, replacing
+    /// any completion it already had armed (earlier or later).
+    pub fn arm(&mut self, cpu: CpuId, at: Time, seq: u64) {
+        debug_assert!(seq != DISARMED.seq, "that seq marks a disarmed leaf");
+        let leaf = self.base + cpu.index();
+        if !self.tree[leaf].is_armed() {
+            self.armed += 1;
+        }
+        self.tree[leaf] = Entry {
+            at,
+            seq,
+            cpu: cpu.0,
+        };
+        self.replay(leaf);
+    }
+
+    /// Disarm `cpu`'s completion; a no-op if none is armed.
+    pub fn disarm(&mut self, cpu: CpuId) {
+        let leaf = self.base + cpu.index();
+        if self.tree[leaf].is_armed() {
+            self.armed -= 1;
+            self.tree[leaf] = DISARMED;
+            self.replay(leaf);
+        }
+    }
+
+    /// `true` if `cpu` has a completion armed.
+    pub fn is_armed(&self, cpu: CpuId) -> bool {
+        self.tree[self.base + cpu.index()].is_armed()
+    }
+
+    /// Number of CPUs with a completion armed.
+    pub fn len(&self) -> usize {
+        self.armed
+    }
+
+    /// `true` if no completion is armed.
+    pub fn is_empty(&self) -> bool {
+        self.armed == 0
+    }
+
+    /// The earliest armed completion, if any, as `(deadline, seq, cpu)`.
+    #[inline]
+    pub fn peek(&self) -> Option<(Time, u64, CpuId)> {
+        let e = self.tree[1];
+        e.is_armed().then_some((e.at, e.seq, CpuId(e.cpu)))
+    }
+
+    /// Remove and return the earliest armed completion (the one that fires).
+    pub fn pop(&mut self) -> Option<(Time, u64, CpuId)> {
+        let head = self.peek()?;
+        self.disarm(head.2);
+        Some(head)
+    }
+
+    /// Replay the matches on the path from `leaf` to the root, stopping at
+    /// the first node whose winner does not change.
+    fn replay(&mut self, leaf: usize) {
+        let mut i = leaf;
+        while i > 1 {
+            let (l, r) = (self.tree[i & !1], self.tree[i | 1]);
+            let win = if r.before(&l) { r } else { l };
+            i /= 2;
+            if self.tree[i] == win {
+                return;
+            }
+            self.tree[i] = win;
+        }
     }
 }
 

@@ -1,13 +1,16 @@
 //! Integration tests of the simulated kernel, using the reference
-//! round-robin scheduling class (so they are independent of CFS/ULE).
+//! round-robin scheduling class (so they are independent of CFS/ULE), every
+//! kernel under strict SchedSan.
 
 use kernel::{
-    cpu_hog, from_fn, spinner, Action, AppSpec, Kernel, Script, SimConfig, SimpleRR, ThreadSpec,
+    cpu_hog, from_fn, spinner, Action, AppSpec, CheckMode, Kernel, Script, SimConfig, SimpleRR,
+    ThreadSpec,
 };
 use simcore::{Dur, Time};
 use topology::{CpuId, Topology};
 
-fn mk_kernel(topo: Topology, cfg: SimConfig) -> Kernel {
+fn mk_kernel(topo: Topology, mut cfg: SimConfig) -> Kernel {
+    cfg.check = CheckMode::Strict;
     let sched = Box::new(SimpleRR::new(&topo));
     Kernel::new(topo, cfg, sched)
 }

@@ -1,10 +1,17 @@
 //! Property tests of the simulated kernel: conservation of work and
-//! determinism under randomized workloads.
+//! determinism under randomized workloads, every kernel under strict
+//! SchedSan.
 
-use kernel::{from_fn, Action, AppSpec, Kernel, SimConfig, SimpleRR, ThreadSpec};
+use kernel::{from_fn, Action, AppSpec, CheckMode, Kernel, SimConfig, SimpleRR, ThreadSpec};
 use proptest::prelude::*;
 use simcore::{Dur, Time};
 use topology::Topology;
+
+fn mk_kernel(topo: Topology, mut cfg: SimConfig) -> Kernel {
+    cfg.check = CheckMode::Strict;
+    let sched = Box::new(SimpleRR::new(&topo));
+    Kernel::new(topo, cfg, sched)
+}
 
 /// Build a randomized run/sleep workload from a spec vector.
 fn random_app(spec: &[(u16, u16, u16)]) -> AppSpec {
@@ -43,9 +50,7 @@ proptest! {
     /// completes on an un-contended machine.
     #[test]
     fn work_conservation(spec in prop::collection::vec((1u16..2000, 1u16..2000, 1u16..20), 1..12)) {
-        let topo = Topology::flat(2);
-        let sched = Box::new(SimpleRR::new(&topo));
-        let mut k = Kernel::new(topo, SimConfig::frictionless(1), sched);
+        let mut k = mk_kernel(Topology::flat(2), SimConfig::frictionless(1));
         let app = k.queue_app(Time::ZERO, random_app(&spec));
         let done = k.run_until_apps_done(Time::ZERO + Dur::secs(60));
         prop_assert!(done, "random app must terminate");
@@ -71,9 +76,7 @@ proptest! {
     fn deterministic_digest(spec in prop::collection::vec((1u16..500, 1u16..500, 1u16..10), 1..8),
                             seed: u64) {
         let run = |seed| {
-            let topo = Topology::flat(2);
-            let sched = Box::new(SimpleRR::new(&topo));
-            let mut k = Kernel::new(topo, SimConfig::with_seed(seed), sched);
+            let mut k = mk_kernel(Topology::flat(2), SimConfig::with_seed(seed));
             k.queue_app(Time::ZERO, random_app(&spec));
             k.run_until(Time::ZERO + Dur::millis(200));
             k.decision_digest()
@@ -86,9 +89,7 @@ proptest! {
     #[test]
     fn queue_accounting(spec in prop::collection::vec((1u16..3000, 1u16..300, 1u16..10), 1..16),
                         sample_ms in 1u64..100) {
-        let topo = Topology::flat(4);
-        let sched = Box::new(SimpleRR::new(&topo));
-        let mut k = Kernel::new(topo, SimConfig::frictionless(1), sched);
+        let mut k = mk_kernel(Topology::flat(4), SimConfig::frictionless(1));
         let app = k.queue_app(Time::ZERO, random_app(&spec));
         k.run_until(Time::ZERO + Dur::millis(sample_ms));
         let queued: usize = (0..4).map(|c| k.nr_queued(topology::CpuId(c))).sum();

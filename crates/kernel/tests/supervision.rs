@@ -290,6 +290,39 @@ fn queue_depth_budget_trips_at_a_pinned_event() {
 }
 
 #[test]
+fn armed_completions_count_as_queue_depth() {
+    // Four hogs on four CPUs: once the start-up reschedules have drained,
+    // the event queue is empty and the only pending work is the four run
+    // completions in the run lane (plus the armed ticks, which never count).
+    // A depth budget of 3 trips at the first event after it is installed,
+    // CPU 0's tick at 1 ms; a budget of 4 holds for the whole run.
+    let run = |max_depth: usize| {
+        let mut k = mk_kernel(Topology::flat(4), SimConfig::frictionless(7));
+        let hogs = (0..4)
+            .map(|i| ThreadSpec::new(format!("hog{i}"), cpu_hog(Dur::millis(20), Dur::millis(20))))
+            .collect();
+        k.queue_app(Time::ZERO, AppSpec::new("hogs", hogs));
+        k.try_run_until(Time::ZERO + Dur::micros(500))
+            .expect("no budget yet");
+        k.set_budget(RunBudget {
+            max_queue_depth: Some(max_depth),
+            ..RunBudget::default()
+        });
+        k.try_run_until(Time::ZERO + Dur::millis(30))
+    };
+    assert_eq!(
+        run(3).expect_err("four armed completions exceed a depth of 3"),
+        SimError::BudgetExceeded {
+            at: Time::ZERO + Dur::millis(1),
+            kind: BudgetKind::QueueDepth,
+            limit: 3,
+            used: 4,
+        }
+    );
+    run(4).expect("four armed completions fit a depth of 4");
+}
+
+#[test]
 fn queue_depth_budget_ignores_armed_ticks() {
     // 64 CPUs keep 64 ticks armed at all times, but they wait in the tick
     // lane, not the event queue: an idle machine has depth 0.
@@ -305,10 +338,10 @@ fn queue_depth_budget_ignores_armed_ticks() {
 fn cancelled_events_leave_queue_depth_at_once() {
     // Two 1 s hog segments time-share one CPU in 10 ms slices while a
     // napper's 500 ms timer stays pending. Every slice-end preemption
-    // cancels the victim's completion event, due about a second out,
-    // behind the pending timer. Live depth never exceeds the three
-    // start-up wakeups, so a depth budget of 3 holds only if a cancelled
-    // completion stops counting the moment it is cancelled.
+    // disarms the victim's completion, due about a second out, behind the
+    // pending timer. Live depth never exceeds the three start-up wakeups,
+    // so a depth budget of 3 holds only if a disarmed completion stops
+    // counting the moment it is disarmed.
     let mut cfg = SimConfig::frictionless(7);
     cfg.budget.max_queue_depth = Some(3);
     let mut k = mk_kernel(Topology::single_core(), cfg);

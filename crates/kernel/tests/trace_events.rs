@@ -4,7 +4,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use kernel::{
-    cpu_hog, AppSpec, Kernel, Script, SimConfig, SimpleRR, ThreadSpec, TraceEvent, TraceSink,
+    cpu_hog, AppSpec, CheckMode, Kernel, Script, SimConfig, SimpleRR, ThreadSpec, TraceEvent,
+    TraceSink,
 };
 use sched_api::{PreemptCause, TaskTable};
 use simcore::{Dur, Time};
@@ -19,12 +20,18 @@ impl TraceSink for Recording {
     }
 }
 
-fn traced_kernel() -> Kernel {
+/// A single-core SimpleRR kernel under strict SchedSan.
+fn mk_kernel(mut cfg: SimConfig) -> Kernel {
+    cfg.check = CheckMode::Strict;
     let topo = Topology::single_core();
-    let mut cfg = SimConfig::frictionless(1);
-    cfg.trace_capacity = 10_000;
     let sched = Box::new(SimpleRR::new(&topo));
     Kernel::new(topo, cfg, sched)
+}
+
+fn traced_kernel() -> Kernel {
+    let mut cfg = SimConfig::frictionless(1);
+    cfg.trace_capacity = 10_000;
+    mk_kernel(cfg)
 }
 
 #[test]
@@ -82,9 +89,7 @@ fn trace_records_switches_wakeups_and_exits() {
 
 #[test]
 fn trace_disabled_by_default() {
-    let topo = Topology::single_core();
-    let sched = Box::new(SimpleRR::new(&topo));
-    let mut k = Kernel::new(topo, SimConfig::frictionless(1), sched);
+    let mut k = mk_kernel(SimConfig::frictionless(1));
     k.queue_app(
         Time::ZERO,
         AppSpec::new(
@@ -131,9 +136,7 @@ fn sink_streams_without_any_buffer() {
     // trace_capacity = 0: the flight recorder is off, yet an installed
     // sink still receives the full event stream — the unbounded-run
     // export mode. Removing the sink turns tracing back off.
-    let topo = Topology::single_core();
-    let sched = Box::new(SimpleRR::new(&topo));
-    let mut k = Kernel::new(topo, SimConfig::frictionless(1), sched);
+    let mut k = mk_kernel(SimConfig::frictionless(1));
     let seen = Rc::new(RefCell::new(Vec::new()));
     k.set_trace_sink(Box::new(Recording(Rc::clone(&seen))));
     let threads = (0..2)
@@ -222,11 +225,9 @@ fn dispatch_latency_histograms_populate() {
 
 #[test]
 fn trace_is_bounded() {
-    let topo = Topology::single_core();
     let mut cfg = SimConfig::frictionless(1);
     cfg.trace_capacity = 8;
-    let sched = Box::new(SimpleRR::new(&topo));
-    let mut k = Kernel::new(topo, cfg, sched);
+    let mut k = mk_kernel(cfg);
     let threads = (0..4)
         .map(|i| ThreadSpec::new(format!("h{i}"), cpu_hog(Dur::millis(50), Dur::millis(5))))
         .collect();

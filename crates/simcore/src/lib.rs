@@ -2,8 +2,8 @@
 //!
 //! This crate provides the building blocks shared by every other crate in the
 //! workspace: a simulated nanosecond clock ([`Time`], [`Dur`]), an event queue
-//! on an indexed binary heap with O(log n) scheduling and cancellation
-//! ([`EventQueue`]), a fully deterministic pseudo-random number generator
+//! on a binary min-heap with O(log n) push and pop ([`EventQueue`]), a fully
+//! deterministic pseudo-random number generator
 //! ([`SimRng`]), and small tracing/hashing helpers used by the determinism
 //! tests.
 //!
@@ -19,7 +19,7 @@ pub mod rng;
 pub mod time;
 pub mod trace;
 
-pub use events::{EventId, EventQueue};
+pub use events::EventQueue;
 pub use hash::Fnv1a;
 pub use rng::SimRng;
 pub use time::{Dur, Time};

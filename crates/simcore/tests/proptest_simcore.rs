@@ -28,29 +28,6 @@ proptest! {
         prop_assert_eq!(popped, times.len());
     }
 
-    /// Cancellation removes exactly the cancelled events.
-    #[test]
-    fn event_queue_cancellation(times in prop::collection::vec(0u64..1000, 1..100),
-                                cancel_mask in prop::collection::vec(any::<bool>(), 1..100)) {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = times.iter().enumerate().map(|(i, &t)| q.push(Time(t), i)).collect();
-        let mut expect = Vec::new();
-        for (i, id) in ids.iter().enumerate() {
-            if *cancel_mask.get(i).unwrap_or(&false) {
-                q.cancel(*id);
-            } else {
-                expect.push(i);
-            }
-        }
-        let mut got = Vec::new();
-        while let Some((_, idx)) = q.pop() {
-            got.push(idx);
-        }
-        got.sort_unstable();
-        expect.sort_unstable();
-        prop_assert_eq!(got, expect);
-    }
-
     /// gen_range stays in bounds for arbitrary (lo, hi).
     #[test]
     fn rng_range_in_bounds(seed: u64, lo in 0u64..1_000_000, span in 0u64..1_000_000) {

@@ -1,13 +1,12 @@
 //! Model-based property test of [`EventQueue`]: under any interleaving of
-//! near and far-future pushes, pops, peeks, cancels (of live ids and of
-//! stale ids whose slot has since been recycled) and sequence burns, the
-//! queue behaves exactly like a `BTreeMap` keyed by `(time, seq)`, and
-//! `len()` is exact after every operation.
+//! near and far-future pushes, pops, peeks and sequence burns, the queue
+//! behaves exactly like a `BTreeMap` keyed by `(time, seq)`, and `len()` is
+//! exact after every operation.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use simcore::{EventId, EventQueue, Time};
+use simcore::{EventQueue, Time};
 
 /// One operation of a generated sequence.
 #[derive(Debug, Clone)]
@@ -17,11 +16,7 @@ enum Op {
     Push(u64),
     /// Pop one event; advances `now` to the popped time.
     Pop,
-    /// Cancel the id at index `i % issued.len()` among every id ever
-    /// issued: live ones are removed, fired or cancelled ones (whose slot
-    /// may hold a newer event by now) must be no-ops.
-    Cancel(usize),
-    /// Burn a sequence number, as the kernel's tick lane does.
+    /// Burn a sequence number, as the kernel's tick and run lanes do.
     AllocSeq,
     /// Peek the head key and time.
     Peek,
@@ -33,7 +28,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         5 => (0u64..200_000).prop_map(Op::Push),
         1 => (0u64..(1 << 44)).prop_map(Op::Push),
         4 => Just(Op::Pop),
-        3 => any::<usize>().prop_map(Op::Cancel),
         1 => Just(Op::AllocSeq),
         2 => Just(Op::Peek),
     ]
@@ -46,7 +40,6 @@ proptest! {
         let mut q = EventQueue::new();
         let mut model: BTreeMap<(Time, u64), u32> = BTreeMap::new();
         let mut next_seq = 0u64;
-        let mut issued: Vec<(EventId, (Time, u64))> = Vec::new();
         let mut now = 0u64;
         let mut payload = 0u32;
         for op in ops {
@@ -54,7 +47,7 @@ proptest! {
                 Op::Push(delta) => {
                     let key = (Time(now.saturating_add(delta)), next_seq);
                     next_seq += 1;
-                    issued.push((q.push(key.0, payload), key));
+                    q.push(key.0, payload);
                     model.insert(key, payload);
                     payload += 1;
                 }
@@ -63,13 +56,6 @@ proptest! {
                     prop_assert_eq!(q.pop(), want, "pop mismatch");
                     if let Some((at, _)) = want {
                         now = at.0;
-                    }
-                }
-                Op::Cancel(i) => {
-                    if !issued.is_empty() {
-                        let (id, key) = issued[i % issued.len()];
-                        q.cancel(id);
-                        model.remove(&key);
                     }
                 }
                 Op::AllocSeq => {

@@ -2,14 +2,20 @@
 //! kernel — starvation of batch threads, fork inheritance, timeslices,
 //! one-thread-per-core placement, slow-but-exact balancing.
 
-use kernel::{cpu_hog, from_fn, spinner, Action, AppSpec, Kernel, SimConfig, ThreadSpec};
+use kernel::{
+    cpu_hog, from_fn, spinner, Action, AppSpec, CheckMode, Kernel, SimConfig, ThreadSpec,
+};
 use simcore::{Dur, Time};
 use topology::{CpuId, Topology};
 use ule::Ule;
 
 fn ule_kernel(topo: Topology) -> Kernel {
     let sched = Box::new(Ule::new(&topo));
-    Kernel::new(topo, SimConfig::frictionless(7), sched)
+    let cfg = SimConfig {
+        check: CheckMode::Strict,
+        ..SimConfig::frictionless(7)
+    };
+    Kernel::new(topo, cfg, sched)
 }
 
 /// An interactive worker: runs briefly, sleeps longer (≈25% duty cycle).
