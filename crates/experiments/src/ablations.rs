@@ -12,7 +12,8 @@
 //!   apache advantage.
 
 use cfs::{params::CfsParams, Cfs};
-use kernel::{Kernel, SimConfig};
+use kernel::{FaultPlan, Kernel};
+use sched_api::Scheduler;
 use simcore::{Dur, Time};
 use topology::{CpuId, Topology};
 use ule::{params::UleParams, Ule};
@@ -41,10 +42,14 @@ pub struct Ablations {
     pub cfs_apache_rps_no_preempt: f64,
 }
 
+/// A kernel around an ablated class, under `cfg`'s seed and check mode.
+fn kernel(topo: &Topology, class: Box<dyn Scheduler>, cfg: &RunCfg) -> Kernel {
+    scenario::make_kernel_with_class(topo, class, cfg.seed, cfg.check, FaultPlan::default())
+}
+
 fn fibo_share(params: CfsParams, cfg: &RunCfg) -> f64 {
     let topo = Topology::single_core();
-    let sched = Box::new(Cfs::with_params(&topo, params));
-    let mut k = Kernel::new(topo, SimConfig::with_seed(cfg.seed), sched);
+    let mut k = kernel(&topo, Box::new(Cfs::with_params(&topo, params)), cfg);
     let fibo = k.queue_app(Time::ZERO, synthetic::fibo(Dur::secs(60)));
     let spec = workloads::sysbench::sysbench(
         &mut k,
@@ -68,8 +73,11 @@ fn fibo_share(params: CfsParams, cfg: &RunCfg) -> f64 {
 fn ule_core0_after(params: UleParams, cfg: &RunCfg) -> u32 {
     let topo = Topology::opteron_6172();
     let n = ((512.0 * cfg.scale) as usize).max(64);
-    let sched = Box::new(Ule::with_params(&topo, params, cfg.seed));
-    let mut k = Kernel::new(topo, SimConfig::with_seed(cfg.seed), sched);
+    let mut k = kernel(
+        &topo,
+        Box::new(Ule::with_params(&topo, params, cfg.seed)),
+        cfg,
+    );
     let app = k.queue_app(Time::ZERO, synthetic::pinned_spinners(n));
     k.queue_unpin(Time::ZERO + Dur::secs(1), app);
     k.run_until(Time::ZERO + Dur::secs_f64(1.0 + 60.0 * cfg.scale.max(0.2)));
@@ -79,8 +87,7 @@ fn ule_core0_after(params: UleParams, cfg: &RunCfg) -> u32 {
 fn cfs_spread(params: CfsParams, cfg: &RunCfg) -> u32 {
     let topo = Topology::opteron_6172();
     let n = ((512.0 * cfg.scale) as usize).max(64);
-    let sched = Box::new(Cfs::with_params(&topo, params));
-    let mut k = Kernel::new(topo, SimConfig::with_seed(cfg.seed), sched);
+    let mut k = kernel(&topo, Box::new(Cfs::with_params(&topo, params)), cfg);
     let app = k.queue_app(Time::ZERO, synthetic::pinned_spinners(n));
     k.queue_unpin(Time::ZERO + Dur::secs(1), app);
     k.run_until(Time::ZERO + Dur::secs(21));
@@ -94,8 +101,7 @@ fn topo_counts(k: &Kernel) -> Vec<usize> {
 
 fn apache_rps(params: CfsParams, cfg: &RunCfg) -> f64 {
     let topo = Topology::single_core();
-    let sched = Box::new(Cfs::with_params(&topo, params));
-    let mut k = Kernel::new(topo, SimConfig::with_seed(cfg.seed), sched);
+    let mut k = kernel(&topo, Box::new(Cfs::with_params(&topo, params)), cfg);
     let p = P::scaled(1, cfg.scale);
     let spec = workloads::apache::apache(&mut k, &p);
     let app = k.queue_app(Time::ZERO, spec);

@@ -19,12 +19,14 @@
 //! simulator's own speed is measured by the separate `simbench` package
 //! (see `BENCHMARK.json`).
 //!
-//! `fuzz` runs randomized workload/fault/topology combinations under the
-//! selected schedulers with strict checking (see `experiments::fuzz`):
+//! `fuzz` generates random scenarios (machine, fault plan, workload
+//! phases) and runs each under the selected schedulers with strict
+//! checking; a failure is shrunk and written as a scenario file that
+//! `battle run` replays (see `experiments::fuzz`):
 //!
 //! ```text
 //! battle fuzz [--cases N] [--seed N] [--sched NAME|both|all]
-//!             [--faults on|off] [--parts MASK] [--case-seed HEX]
+//!             [--faults on|off] [--case-timeout SECS]
 //! ```
 //!
 //! `tournament` runs every registered scheduler over a scenario corpus and
@@ -177,17 +179,6 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("bad --faults: {other} (on|off)")),
                 };
             }
-            "--parts" => {
-                let v = args.next().ok_or("missing value for --parts")?;
-                fz.parts = v.parse().map_err(|e| format!("bad --parts: {e}"))?;
-            }
-            "--case-seed" => {
-                let v = args.next().ok_or("missing value for --case-seed")?;
-                let hex = v.trim_start_matches("0x");
-                fz.case_seed = Some(
-                    u64::from_str_radix(hex, 16).map_err(|e| format!("bad --case-seed: {e}"))?,
-                );
-            }
             "--scale" => {
                 let v = args.next().ok_or("missing value for --scale")?;
                 cfg.scale = v.parse().map_err(|e| format!("bad --scale: {e}"))?;
@@ -242,7 +233,9 @@ fn usage() -> String {
     "usage: battle <table1|fig1|fig2|table2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|ablations|desktop|fuzz|trace|run|chaos|tournament|tune|golden|all> \
      [--scale S] [--seed N] [--json PATH] [--threads N] [--check strict|off]\n\
      schedulers:  cfs ule eevdf simple-rr scx-fifo scx-vtime (plus `both` = cfs+ule, `all`)\n\
-     fuzz flags: [--cases N] [--sched NAME|both|all] [--faults on|off] [--parts MASK] [--case-seed HEX] [--case-timeout SECS]\n\
+     fuzz flags: [--cases N] [--sched NAME|both|all] [--faults on|off] [--case-timeout SECS]\n\
+                 a failure is shrunk and written to results/crash/ as a scenario file that\n\
+                 `battle run FILE --seed N --check strict` replays\n\
      trace usage: battle trace <fig1|fig5|fig6|fig7> [--out PATH] [--sched NAME|both|all]\n\
                   `battle run <the figure's scenario> --trace`, writing the Chrome-trace/Perfetto JSON\n\
                   to --out (default: trace.json)\n\

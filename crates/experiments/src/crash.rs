@@ -8,7 +8,7 @@
 //! live tasks, trace tail) plus a one-line replay command — prints where the
 //! bundle went, and exits nonzero.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use kernel::{Kernel, SimError};
 
@@ -55,23 +55,11 @@ impl Crash {
         format!("{}\nreplay: {}\n", self.report, self.replay)
     }
 
-    /// Write the bundle to `results/crash/<label>.txt` (label sanitized),
-    /// creating the directory as needed.
+    /// Write the bundle to [`path`]`(label, "txt")`, creating the
+    /// directory as needed.
     pub fn write_bundle(&self) -> std::io::Result<PathBuf> {
-        let dir = PathBuf::from("results").join("crash");
-        std::fs::create_dir_all(&dir)?;
-        let safe: String = self
-            .label
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .collect();
-        let path = dir.join(format!("{safe}.txt"));
+        std::fs::create_dir_all(DIR)?;
+        let path = path(&self.label, "txt");
         std::fs::write(&path, self.render())?;
         Ok(path)
     }
@@ -95,6 +83,25 @@ impl Crash {
         eprintln!("replay: {}", self.replay);
         std::process::exit(1);
     }
+}
+
+/// The directory crash bundles (and files written beside them) go to.
+const DIR: &str = "results/crash";
+
+/// Where the bundle labelled `label` keeps its `ext` file:
+/// `results/crash/<label>.<ext>`, the label sanitized.
+pub fn path(label: &str, ext: &str) -> PathBuf {
+    let safe: String = label
+        .chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
+                c
+            } else {
+                '_'
+            }
+        })
+        .collect();
+    Path::new(DIR).join(format!("{safe}.{ext}"))
 }
 
 #[cfg(test)]

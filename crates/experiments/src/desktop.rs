@@ -7,7 +7,7 @@
 
 use simcore::{Dur, Time};
 use topology::{CpuId, Topology};
-use workloads::{suite, synthetic, sysbench::SysbenchCfg, P};
+use workloads::{suite, synthetic, sysbench::SysbenchCfg};
 
 use crate::{make_kernel, pct_diff, run_entry, RunCfg, Sched};
 
@@ -92,7 +92,6 @@ pub fn try_run(cfg: &RunCfg) -> Result<Desktop, String> {
         .find(|e| e.name == "MG")
         .ok_or("suite is missing the MG entry")?;
     let p = |e: &workloads::Entry, s| run_entry(e, s, topo, cfg, true).perf;
-    let _ = P::full(8); // the machine size the entries will see
     let jobs: Vec<Box<dyn FnOnce() -> f64 + Send + '_>> = vec![
         Box::new(|| fibo_gain(Sched::Cfs, cfg)),
         Box::new(|| fibo_gain(Sched::Ule, cfg)),

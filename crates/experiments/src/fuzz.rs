@@ -1,37 +1,30 @@
 //! `battle fuzz` — randomized differential stress testing under SchedSan.
 //!
 //! Each fuzz case derives a private seed from the base seed and the case
-//! index, generates a random topology, workload mix, and fault plan from
-//! it, and runs the same case under every requested scheduler with strict
-//! invariant checking enabled. The workload mix is built from four
-//! independently toggleable *parts* (CPU hogs, interactive sleepers, a
-//! queue pipeline, a barrier/mutex/semaphore gang), which is what makes
-//! failures shrinkable: when a case fails, the harness greedily drops parts
-//! that are not needed to reproduce the violation and reports a one-line
-//! repro command for the minimal mix.
+//! index and generates a [`Scenario`] from it ([`gen_case`]): one of five
+//! preset machines, a fault plan, and one to four finite phases of the
+//! corpus's own workload kinds. Every requested scheduler runs it through
+//! [`scenario::run_sched`] with strict invariant checking, and a run fails
+//! exactly when `battle run` would fail it: a crash, a supervision abort,
+//! or a violated assertion (every case asserts that all its apps finish
+//! within the horizon, so a lost wakeup fails it). A wall-clock
+//! cancellation is counted apart: where it trips depends on the host.
 //!
-//! Every failure also produces a crash bundle under `results/crash/` (see
-//! [`crate::crash`]).
+//! A failing case is shrunk by greedily dropping phases while it still
+//! fails, restricted to the failing class and written as JSON beside its
+//! crash bundle under `results/crash/` (see [`crate::crash`]). The report
+//! prints the `battle run <file> --seed <case seed> --check strict` line
+//! that replays it.
 
-use kernel::{
-    Action, AppSpec, CancelToken, CheckMode, FaultPlan, Kernel, Script, SimConfig, SimError,
-    ThreadSpec,
+use kernel::{CancelToken, CheckMode};
+use scenario::expr::{CountExpr, TimeExpr};
+use scenario::spec::{
+    AssertSpec, FaultSpec, MutexThreadSpec, PhaseSpec, RunSpec, TopoSpec, WorkloadSpec,
 };
-use simcore::{Dur, SimRng, Time};
-use topology::Topology;
+use scenario::{AbortKind, BudgetSpec, EngineError, EngineOpts, Scenario};
+use simcore::SimRng;
 
-use crate::{crash::Crash, runner, Sched};
-
-/// Workload part bits (the `--parts` mask).
-pub const PART_HOGS: u8 = 1 << 0;
-/// Interactive run/sleep loops.
-pub const PART_INTERACTIVE: u8 = 1 << 1;
-/// Bounded-queue producer/consumer pipeline.
-pub const PART_PIPELINE: u8 = 1 << 2;
-/// Barrier gang + mutex contenders + semaphore ping-pong.
-pub const PART_SYNC: u8 = 1 << 3;
-/// All parts enabled.
-pub const PART_ALL: u8 = PART_HOGS | PART_INTERACTIVE | PART_PIPELINE | PART_SYNC;
+use crate::{crash, runner, Sched};
 
 /// Fuzzing configuration (the `battle fuzz` flags).
 #[derive(Debug, Clone)]
@@ -44,16 +37,12 @@ pub struct FuzzCfg {
     pub scheds: Vec<Sched>,
     /// Inject faults (spurious wakeups, tick jitter, hotplug).
     pub faults: bool,
-    /// Workload-part mask ([`PART_ALL`] by default).
-    pub parts: u8,
-    /// Run exactly one case with this exact seed (replay mode).
-    pub case_seed: Option<u64>,
     /// Per-case timeout in seconds (`--case-timeout`). Bounds both the
-    /// *simulated* run (an unfinished app at this simulated time is a
-    /// genuine hang and fails the case — the old hardcoded 120 s) and the
-    /// *wall clock* (a case that takes this long in real time is
-    /// cooperatively cancelled and reported, without failing the
-    /// campaign, since wall-clock cancellation is host-dependent).
+    /// *simulated* run (the generated horizon: an app unfinished there is
+    /// a genuine hang and fails the case) and the *wall clock* (a case
+    /// that takes this long in real time is cooperatively cancelled and
+    /// reported, without failing the campaign, since wall-clock
+    /// cancellation is host-dependent).
     pub case_timeout_s: f64,
 }
 
@@ -64,8 +53,6 @@ impl Default for FuzzCfg {
             seed: 42,
             scheds: Sched::BOTH.to_vec(),
             faults: true,
-            parts: PART_ALL,
-            case_seed: None,
             case_timeout_s: 120.0,
         }
     }
@@ -76,15 +63,13 @@ impl Default for FuzzCfg {
 pub struct Failure {
     /// The exact per-case seed.
     pub case_seed: u64,
-    /// Scheduler that violated an invariant.
+    /// Scheduler that failed the case.
     pub sched: Sched,
-    /// Minimal part mask that still reproduces the failure.
-    pub parts: u8,
-    /// The violated invariant.
+    /// What failed, as `battle run` reports it.
     pub error: String,
     /// Where the crash bundle was written (`None` if the write failed).
     pub bundle: Option<String>,
-    /// One-line repro command.
+    /// One-line `battle run` command replaying the shrunk scenario file.
     pub repro: String,
 }
 
@@ -112,7 +97,7 @@ pub struct FuzzReport {
 }
 
 /// SplitMix64-style seed derivation: decorrelates per-case streams while
-/// keeping `case i of seed s` stable forever (repro lines depend on it).
+/// keeping `case i of seed s` stable for a given generator.
 fn case_seed(seed: u64, i: u32) -> u64 {
     let mut z = seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(i) + 1);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -120,300 +105,302 @@ fn case_seed(seed: u64, i: u32) -> u64 {
     z ^ (z >> 31)
 }
 
-fn pick_topo(rng: &mut SimRng) -> Topology {
-    match rng.gen_below(5) {
-        0 => Topology::single_core(),
-        1 => Topology::flat(2),
-        2 => Topology::flat(4),
-        3 => Topology::core_i7_3770(),
-        _ => Topology::opteron_6172(),
-    }
+/// The machines a case runs on: 1 to 32 CPUs, with and without SMT and
+/// NUMA.
+const MACHINES: [&str; 5] = ["single-core", "flat-2", "flat-4", "i7-3770", "opteron-6172"];
+
+/// Milliseconds drawn uniformly from `lo_us..=hi_us` microseconds.
+fn ms(rng: &mut SimRng, lo_us: u64, hi_us: u64) -> f64 {
+    rng.gen_range(lo_us, hi_us) as f64 / 1000.0
 }
 
-fn pick_faults(rng: &mut SimRng, topo: &Topology) -> FaultPlan {
-    let mut plan = FaultPlan {
-        spurious_wake_period: Some(Dur::micros(rng.gen_range(500, 5_000))),
-        tick_jitter: Dur::micros(rng.gen_below(300)),
-        missed_tick_pct: rng.gen_below(25) as u8,
-        ..FaultPlan::default()
+/// A fixed count drawn uniformly from `lo..=hi`.
+fn count(rng: &mut SimRng, lo: u64, hi: u64) -> CountExpr {
+    CountExpr::fixed(rng.gen_range(lo, hi))
+}
+
+fn gen_faults(rng: &mut SimRng, smp: bool) -> FaultSpec {
+    let mut f = FaultSpec {
+        spurious_wake_ms: Some(ms(rng, 500, 5_000)),
+        tick_jitter_us: rng.gen_below(300) as f64,
+        missed_tick_pct: rng.gen_below(25),
+        hotplug_period_s: None,
+        hotplug_down_ms: 100.0,
     };
-    if topo.nr_cpus() > 1 && rng.gen_bool(0.7) {
-        plan.hotplug_period = Some(Dur::millis(rng.gen_range(5, 40)));
-        plan.hotplug_down = Dur::millis(rng.gen_range(2, 15));
+    if smp && rng.gen_bool(0.7) {
+        f.hotplug_period_s = Some(rng.gen_range(5, 40) as f64 / 1000.0);
+        f.hotplug_down_ms = rng.gen_range(2, 15) as f64;
     }
-    plan
+    f
 }
 
-fn dur_ms(rng: &mut SimRng, lo_us: u64, hi_us: u64) -> Dur {
-    Dur::micros(rng.gen_range(lo_us, hi_us))
+/// One finite phase: every kind ends on its own, so a correct scheduler
+/// always finishes the case.
+fn gen_phase(rng: &mut SimRng, i: usize) -> PhaseSpec {
+    let workload = match rng.gen_below(7) {
+        0 => WorkloadSpec::CpuHogs {
+            count: count(rng, 1, 7),
+            work: TimeExpr::fixed(ms(rng, 5_000, 30_000) / 1000.0),
+            chunk_ms: ms(rng, 1_000, 3_000),
+            nice: rng.gen_below(11) as i64 - 5,
+            pin: None,
+        },
+        // Interactive run/sleep loops: mutex-mix threads that never lock.
+        1 => WorkloadSpec::MutexMix {
+            threads: (0..rng.gen_range(1, 5))
+                .map(|t| MutexThreadSpec {
+                    name: format!("inter{t}"),
+                    nice: 0,
+                    iters: count(rng, 5, 16),
+                    lock: false,
+                    hold_ms: 0.0,
+                    work_ms: ms(rng, 100, 1_000),
+                    sleep_ms: Some(ms(rng, 1_000, 5_000)),
+                })
+                .collect(),
+        },
+        2 => WorkloadSpec::MutexMix {
+            threads: (0..rng.gen_range(2, 4))
+                .map(|t| MutexThreadSpec {
+                    name: format!("locker{t}"),
+                    nice: 0,
+                    iters: count(rng, 5, 11),
+                    lock: true,
+                    hold_ms: ms(rng, 200, 1_000),
+                    work_ms: 0.0,
+                    sleep_ms: None,
+                })
+                .collect(),
+        },
+        3 => WorkloadSpec::ForkJoin {
+            workers: count(rng, 2, 6),
+            rounds: count(rng, 3, 9),
+            work_ms: ms(rng, 500, 2_000),
+        },
+        4 => WorkloadSpec::Herd {
+            waiters: count(rng, 1, 6),
+            rounds: count(rng, 4, 10),
+            work_us: rng.gen_range(100, 800) as f64,
+            pause_ms: ms(rng, 100, 800),
+        },
+        5 => WorkloadSpec::ClientServer {
+            clients: count(rng, 1, 4),
+            servers: count(rng, 1, 4),
+            rounds: count(rng, 5, 16),
+            burst: rng.gen_range(1, 3),
+            service_us: rng.gen_range(100, 500) as f64,
+            think_ms: ms(rng, 200, 1_000),
+        },
+        _ => WorkloadSpec::Hackbench {
+            groups: CountExpr::fixed(1),
+            msgs: count(rng, 2, 20),
+        },
+    };
+    PhaseSpec {
+        name: format!("{}-{i}", workload.kind()),
+        tenant: None,
+        at: TimeExpr::fixed(rng.gen_below(21) as f64 / 1000.0),
+        workload,
+    }
 }
 
-/// Generate the case's threads into `k` and queue them as one app.
-///
-/// Every part is finite, so a correct scheduler always finishes the app;
-/// a timeout is reported as a (likely lost-wakeup) failure.
-fn build_case(k: &mut Kernel, cs: u64, parts: u8) {
-    let mut base = SimRng::new(cs);
-    let mut threads: Vec<ThreadSpec> = Vec::new();
-
-    if parts & PART_HOGS != 0 {
-        let mut rng = base.fork(10);
-        for i in 0..rng.gen_range(1, 7) {
-            let total = dur_ms(&mut rng, 5_000, 30_000);
-            let chunk = dur_ms(&mut rng, 1_000, 3_000);
-            let nice = rng.gen_below(11) as i32 - 5;
-            threads
-                .push(ThreadSpec::new(format!("hog{i}"), kernel::cpu_hog(total, chunk)).nice(nice));
-        }
+/// Generate fuzz case `case_seed`: a preset machine, a fault plan (or
+/// none), and one to four phases starting within the first 20 ms, run
+/// until every app is done or the simulated horizon `case_timeout_s`
+/// passes, and asserting that every app finished. Every expression is
+/// fixed, so the case is the same at any `--scale`.
+pub fn gen_case(case_seed: u64, faults: bool, case_timeout_s: f64) -> Scenario {
+    let mut base = SimRng::new(case_seed);
+    let machine = MACHINES[base.fork(1).gen_below(MACHINES.len() as u64) as usize];
+    // Fork every stream whatever `faults` says, so the phases of case `i`
+    // are the same with faults on and off.
+    let mut fault_rng = base.fork(2);
+    let mut rng = base.fork(3);
+    let phases = (0..rng.gen_range(1, 4))
+        .map(|i| gen_phase(&mut rng, i as usize))
+        .collect();
+    Scenario {
+        name: format!("fuzz-{case_seed:016x}"),
+        description: format!("battle fuzz case; replay with --seed {case_seed} --check strict"),
+        scheds: Sched::BOTH.to_vec(),
+        topology: TopoSpec::Preset(machine.to_string()),
+        phases,
+        events: Vec::new(),
+        faults: if faults {
+            gen_faults(&mut fault_rng, machine != "single-core")
+        } else {
+            FaultSpec::default()
+        },
+        budget: BudgetSpec::default(),
+        run: RunSpec {
+            horizon: TimeExpr::fixed(case_timeout_s),
+            horizon_cfs: None,
+            horizon_ule: None,
+            step: TimeExpr::fixed(0.1),
+            until_apps_done: true,
+            stop_spread_le: None,
+            stop_spread_after: None,
+        },
+        asserts: AssertSpec {
+            all_apps_done: Some(true),
+            ..AssertSpec::default()
+        },
     }
-
-    if parts & PART_INTERACTIVE != 0 {
-        let mut rng = base.fork(11);
-        for i in 0..rng.gen_range(1, 5) {
-            let iters = rng.gen_range(5, 16);
-            let mut steps = Vec::new();
-            for _ in 0..iters {
-                steps.push(Action::Run(dur_ms(&mut rng, 100, 1_000)));
-                steps.push(Action::Sleep(dur_ms(&mut rng, 1_000, 5_000)));
-                steps.push(Action::CountOps(1));
-            }
-            threads.push(ThreadSpec::new(
-                format!("inter{i}"),
-                Box::new(Script::new(steps)),
-            ));
-        }
-    }
-
-    if parts & PART_PIPELINE != 0 {
-        let mut rng = base.fork(12);
-        let q = k.new_queue(rng.gen_range(1, 4) as usize);
-        let consumers = rng.gen_range(1, 4);
-        let per = rng.gen_range(5, 16);
-        let total = consumers * per;
-        let mut put = Vec::new();
-        for v in 0..total {
-            put.push(Action::Run(dur_ms(&mut rng, 100, 500)));
-            put.push(Action::QueuePut(q, v));
-        }
-        threads.push(ThreadSpec::new("producer", Box::new(Script::new(put))));
-        for i in 0..consumers {
-            let mut get = Vec::new();
-            for _ in 0..per {
-                get.push(Action::QueueGet(q));
-                get.push(Action::Run(dur_ms(&mut rng, 200, 1_000)));
-                get.push(Action::CountOps(1));
-            }
-            threads.push(ThreadSpec::new(
-                format!("consumer{i}"),
-                Box::new(Script::new(get)),
-            ));
-        }
-    }
-
-    if parts & PART_SYNC != 0 {
-        let mut rng = base.fork(13);
-        // Barrier gang: every party runs the same number of rounds.
-        let parties = rng.gen_range(2, 6) as usize;
-        let b = k.new_barrier(parties);
-        let rounds = rng.gen_range(3, 9);
-        for i in 0..parties {
-            let mut steps = Vec::new();
-            for _ in 0..rounds {
-                steps.push(Action::Run(dur_ms(&mut rng, 500, 2_000)));
-                steps.push(Action::BarrierWait(b));
-            }
-            threads.push(ThreadSpec::new(
-                format!("gang{i}"),
-                Box::new(Script::new(steps)),
-            ));
-        }
-        // Two mutex contenders.
-        let m = k.new_mutex();
-        for i in 0..2 {
-            let mut steps = Vec::new();
-            for _ in 0..rng.gen_range(5, 11) {
-                steps.push(Action::MutexLock(m));
-                steps.push(Action::Run(dur_ms(&mut rng, 200, 1_000)));
-                steps.push(Action::MutexUnlock(m));
-            }
-            threads.push(ThreadSpec::new(
-                format!("locker{i}"),
-                Box::new(Script::new(steps)),
-            ));
-        }
-        // Semaphore ping-pong.
-        let s = k.new_sem(0);
-        let k_posts = rng.gen_range(4, 10);
-        let mut post = Vec::new();
-        let mut wait = Vec::new();
-        for _ in 0..k_posts {
-            post.push(Action::Run(dur_ms(&mut rng, 100, 800)));
-            post.push(Action::SemPost(s));
-            wait.push(Action::SemWait(s));
-            wait.push(Action::Run(dur_ms(&mut rng, 100, 800)));
-        }
-        threads.push(ThreadSpec::new("poster", Box::new(Script::new(post))));
-        threads.push(ThreadSpec::new("waiter", Box::new(Script::new(wait))));
-    }
-
-    if threads.is_empty() {
-        // Empty masks degenerate to one hog so every case does something.
-        threads.push(ThreadSpec::new(
-            "hog0",
-            kernel::cpu_hog(Dur::millis(10), Dur::millis(1)),
-        ));
-    }
-    k.queue_app(Time::ZERO, AppSpec::new("fuzz", threads));
 }
 
-/// Why one case did not return clean counters.
+/// The scenario file's contents: the JSON form `battle run` reads.
+fn to_json(sc: &Scenario) -> serde_json::Result<String> {
+    serde_json::to_string_pretty(&sc.to_value()).map(|json| json + "\n")
+}
+
+/// Why one case run did not pass.
 enum CaseFail {
-    /// Invariant violation or kernel error: reproducible, shrinkable.
+    /// What `battle run` fails: a crash, a supervision abort or a
+    /// violated assertion. Reproducible, shrinkable.
     Error { error: String, report: String },
     /// The wall-clock deadline expired mid-run. Not shrinkable (the abort
     /// point depends on host speed, not the workload).
     Cancelled,
 }
 
-/// Run one case under one scheduler. `Ok` carries the kernel's counters
-/// for aggregation.
+/// Run `sc` under `sched` as `battle run <file> --seed <seed> --check
+/// strict` would. `Ok` carries the kernel's counters for aggregation.
 fn run_case(
-    cs: u64,
+    sc: &Scenario,
     sched: Sched,
-    parts: u8,
-    faults: bool,
-    timeout_s: f64,
+    seed: u64,
     cancel: Option<&CancelToken>,
 ) -> Result<kernel::Counters, CaseFail> {
-    let mut base = SimRng::new(cs);
-    let topo = pick_topo(&mut base.fork(1));
-    let mut cfg = SimConfig::with_seed(cs);
-    cfg.check = CheckMode::Strict;
-    cfg.trace_capacity = 256;
-    if faults {
-        cfg.faults = pick_faults(&mut base.fork(2), &topo);
-    }
-    let class = scenario::make_class(&topo, sched, cs);
-    let mut k = Kernel::new(topo, cfg, class);
-    if let Some(token) = cancel {
-        k.set_cancel_token(token.clone());
-    }
-    build_case(&mut k, cs, parts);
-    // Fuzz workloads are a few hundred simulated ms; the default 120 s
-    // means a simulated-time timeout is a genuine hang (lost wakeup /
-    // livelock), not slowness.
-    let limit = Time::ZERO + Dur::secs_f64(timeout_s);
-    let err = match k.try_run_until_apps_done(limit) {
-        Ok(true) => return Ok(k.counters().clone()),
-        Ok(false) => SimError::Invariant {
-            at: k.now(),
-            detail: "app not finished at the time limit (lost wakeup or livelock?)".into(),
-        },
-        Err(SimError::Cancelled { .. }) => return Err(CaseFail::Cancelled),
-        Err(e) => e,
+    let opts = EngineOpts {
+        seed,
+        check: CheckMode::Strict,
+        cancel: cancel.cloned(),
+        ..EngineOpts::default()
     };
-    Err(CaseFail::Error {
-        error: err.to_string(),
-        report: k.crash_report(&err),
-    })
+    let run = match scenario::run_sched(sc, sched, &opts) {
+        Ok(out) => out.run,
+        Err(e) => {
+            let (error, report) = match e {
+                EngineError::Crash(c) => (c.error, c.report),
+                spec => (spec.to_string(), spec.to_string()),
+            };
+            return Err(CaseFail::Error { error, report });
+        }
+    };
+    if run.abort_kind == Some(AbortKind::Cancelled) {
+        return Err(CaseFail::Cancelled);
+    }
+    let mut lines: Vec<String> = run
+        .abort
+        .iter()
+        .map(|a| format!("[{}] partial: {a}", sched.name()))
+        .collect();
+    lines.extend(scenario::failures(sc, std::slice::from_ref(&run)));
+    if lines.is_empty() {
+        Ok(run.counters)
+    } else {
+        Err(CaseFail::Error {
+            error: lines.join("; "),
+            report: lines.join("\n") + "\n",
+        })
+    }
 }
 
-/// Greedily drop workload parts while the failure still reproduces;
-/// returns the minimal mask. Shrink runs are never wall-clock cancelled
-/// (a cancelled replay says nothing about the workload).
-fn shrink(cs: u64, sched: Sched, mut parts: u8, faults: bool, timeout_s: f64) -> u8 {
+/// Greedily drop phases while `fails` still holds; never drops the last
+/// one.
+fn shrink(mut sc: Scenario, mut fails: impl FnMut(&Scenario) -> bool) -> Scenario {
     loop {
         let mut shrunk = false;
-        for bit in [PART_HOGS, PART_INTERACTIVE, PART_PIPELINE, PART_SYNC] {
-            if parts & bit == 0 || parts == bit {
-                continue;
-            }
-            if matches!(
-                run_case(cs, sched, parts & !bit, faults, timeout_s, None),
-                Err(CaseFail::Error { .. })
-            ) {
-                parts &= !bit;
+        let mut i = 0;
+        while i < sc.phases.len() && sc.phases.len() > 1 {
+            let mut candidate = sc.clone();
+            candidate.phases.remove(i);
+            if fails(&candidate) {
+                sc = candidate;
                 shrunk = true;
+            } else {
+                i += 1;
             }
         }
         if !shrunk {
-            return parts;
+            return sc;
         }
     }
 }
 
-fn sched_flag(scheds: &[Sched]) -> &'static str {
-    match scheds {
-        [one] => one.flag_name(),
-        s if s == Sched::ALL => "all",
-        _ => "both",
+/// Shrink case `cs` that `sched` failed with `error`, write the minimal
+/// scenario beside its crash bundle, and describe it.
+fn failure(sc: &Scenario, sched: Sched, cs: u64, error: String, report: String) -> Failure {
+    // `last` tracks the most recent failing candidate, which is what the
+    // shrinker returns. Shrink runs are never wall-clock cancelled (a
+    // cancelled replay says nothing about the workload).
+    let mut last = (error, report);
+    let mut minimal = shrink(sc.clone(), |c| match run_case(c, sched, cs, None) {
+        Err(CaseFail::Error { error, report }) => {
+            last = (error, report);
+            true
+        }
+        _ => false,
+    });
+    minimal.scheds = vec![sched];
+    let (error, report) = last;
+    let label = format!("{}-{}", minimal.name, sched.name());
+    let file = crash::path(&label, "json");
+    let repro = format!("battle run {} --seed {cs} --check strict", file.display());
+    let bundle = crash::Crash {
+        label,
+        error: error.clone(),
+        report,
+        replay: repro.clone(),
+    }
+    .write_bundle();
+    let written = to_json(&minimal)
+        .map_err(std::io::Error::other)
+        .and_then(|json| std::fs::write(&file, json));
+    if let Err(e) = written {
+        eprintln!("cannot write {}: {e}", file.display());
+    }
+    Failure {
+        case_seed: cs,
+        sched,
+        error,
+        bundle: bundle.ok().map(|p| p.display().to_string()),
+        repro,
     }
 }
 
 /// Run the whole campaign on `threads` workers. Deterministic for a given
 /// config, whatever the worker-pool size.
 pub fn run(cfg: &FuzzCfg, threads: usize) -> FuzzReport {
-    let seeds: Vec<u64> = match cfg.case_seed {
-        Some(cs) => vec![cs],
-        None => (0..cfg.cases).map(|i| case_seed(cfg.seed, i)).collect(),
-    };
-    let scheds = cfg.scheds.clone();
-    let faults = cfg.faults;
-    let parts = cfg.parts;
+    let seeds: Vec<u64> = (0..cfg.cases).map(|i| case_seed(cfg.seed, i)).collect();
     let timeout_s = cfg.case_timeout_s;
-    let outcomes = runner::par_map(threads, seeds, move |cs| {
+    // Per (case, class) run: its counters, or `Err(None)` when the wall
+    // clock cancelled it, or `Err(Some(_))` with the shrunk failure.
+    let outcomes = runner::par_map(threads, seeds, |cs| {
+        let sc = gen_case(cs, cfg.faults, timeout_s);
         // One wall-clock deadline per case: slow hosts abort the case
         // cooperatively instead of wedging the campaign.
         let token = CancelToken::with_deadline(std::time::Duration::from_secs_f64(timeout_s));
-        let mut events = 0u64;
-        let mut spurious = 0u64;
-        let mut hotplug = 0u64;
-        let mut cancelled = 0u32;
-        let mut failures = Vec::new();
-        for &sched in &scheds {
-            match run_case(cs, sched, parts, faults, timeout_s, Some(&token)) {
-                Ok(c) => {
-                    events += c.events;
-                    spurious += c.spurious_wakes;
-                    hotplug += c.hotplug_events;
-                }
+        cfg.scheds
+            .iter()
+            .map(|&sched| match run_case(&sc, sched, cs, Some(&token)) {
+                Ok(c) => Ok(c),
                 Err(CaseFail::Cancelled) => {
                     eprintln!(
                         "fuzz case {cs:#x} [{}] cancelled after {timeout_s}s wall clock",
                         sched.name()
                     );
-                    cancelled += 1;
+                    Err(None)
                 }
                 Err(CaseFail::Error { error, report }) => {
-                    let minimal = shrink(cs, sched, parts, faults, timeout_s);
-                    let repro = format!(
-                        "battle fuzz --case-seed {cs:#x} --parts {minimal} --sched {} --faults {}",
-                        sched_flag(&[sched]),
-                        if faults { "on" } else { "off" },
-                    );
-                    let crash = Crash {
-                        label: format!("fuzz-{cs:016x}-{}", sched.name()),
-                        error: error.clone(),
-                        report,
-                        replay: repro.clone(),
-                    };
-                    let bundle = crash.write_bundle().ok().map(|p| p.display().to_string());
-                    failures.push(Failure {
-                        case_seed: cs,
-                        sched,
-                        parts: minimal,
-                        error,
-                        bundle,
-                        repro,
-                    });
+                    Err(Some(failure(&sc, sched, cs, error, report)))
                 }
-            }
-        }
-        (events, spurious, hotplug, cancelled, failures)
+            })
+            .collect::<Vec<_>>()
     });
 
     let mut report = FuzzReport {
-        cases: seeds_len(cfg),
+        cases: cfg.cases,
         seed: cfg.seed,
         faults: cfg.faults,
         failures: Vec::new(),
@@ -422,22 +409,18 @@ pub fn run(cfg: &FuzzCfg, threads: usize) -> FuzzReport {
         spurious_wakes: 0,
         hotplug_events: 0,
     };
-    for (e, s, h, c, f) in outcomes {
-        report.events += e;
-        report.spurious_wakes += s;
-        report.hotplug_events += h;
-        report.cancelled += c;
-        report.failures.extend(f);
+    for outcome in outcomes.into_iter().flatten() {
+        match outcome {
+            Ok(c) => {
+                report.events += c.events;
+                report.spurious_wakes += c.spurious_wakes;
+                report.hotplug_events += c.hotplug_events;
+            }
+            Err(None) => report.cancelled += 1,
+            Err(Some(f)) => report.failures.push(f),
+        }
     }
     report
-}
-
-fn seeds_len(cfg: &FuzzCfg) -> u32 {
-    if cfg.case_seed.is_some() {
-        1
-    } else {
-        cfg.cases
-    }
 }
 
 /// Render the campaign summary.
@@ -499,15 +482,101 @@ mod tests {
     }
 
     #[test]
-    fn single_part_case_runs() {
+    fn faults_off_case_runs() {
         let cfg = FuzzCfg {
             cases: 1,
             seed: 3,
-            parts: PART_PIPELINE,
             faults: false,
             ..Default::default()
         };
         let r = run(&cfg, 1);
         assert!(r.failures.is_empty(), "{}", report(&r));
+        assert!(r.events > 0);
+        assert_eq!((r.spurious_wakes, r.hotplug_events), (0, 0));
+    }
+
+    /// The file a failure writes parses back to the generated scenario,
+    /// and replays with the same decisions under every class.
+    #[test]
+    fn generated_cases_round_trip_through_their_file() {
+        for i in 0..64 {
+            let cs = case_seed(11, i);
+            let sc = gen_case(cs, i % 4 != 0, 120.0);
+            let json = to_json(&sc).expect("generated case serializes");
+            let back = Scenario::from_json(&json).expect("generated case parses");
+            assert_eq!(back, sc, "case {cs:#x}");
+            for sched in Sched::ALL {
+                let opts = EngineOpts {
+                    seed: cs,
+                    ..EngineOpts::default()
+                };
+                let digest =
+                    |s: &Scenario| scenario::run_sched(s, sched, &opts).unwrap().run.digest;
+                assert_eq!(
+                    digest(&back),
+                    digest(&sc),
+                    "case {cs:#x} [{}]",
+                    sched.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn shrink_keeps_only_the_failing_phase() {
+        let is_herd = |p: &PhaseSpec| p.workload.kind() == "herd";
+        let herds = |sc: &Scenario| sc.phases.iter().filter(|p| is_herd(p)).count();
+        let sc = (0..)
+            .map(|i| gen_case(case_seed(1, i), true, 120.0))
+            .find(|sc| sc.phases.len() >= 3 && herds(sc) == 1)
+            .expect("some case mixes one herd phase with two others");
+        let minimal = shrink(sc.clone(), |c| herds(c) > 0);
+        let herd: Vec<PhaseSpec> = sc.phases.iter().filter(|p| is_herd(p)).cloned().collect();
+        assert_eq!(minimal.phases, herd);
+        // A predicate that always holds still leaves one phase; one that
+        // never holds leaves the case as it was.
+        assert_eq!(shrink(sc.clone(), |_| true).phases.len(), 1);
+        assert_eq!(shrink(sc.clone(), |_| false), sc);
+    }
+
+    /// A failing case is shrunk, written under `results/crash/`, and the
+    /// written file fails again when run as its repro line says.
+    #[test]
+    fn failing_case_is_written_as_a_replayable_file() {
+        let cs = case_seed(5, 0);
+        let mut sc = gen_case(cs, false, 120.0);
+        sc.phases.push(PhaseSpec {
+            name: "hogs".into(),
+            tenant: None,
+            at: TimeExpr::fixed(0.0),
+            workload: WorkloadSpec::CpuHogs {
+                count: CountExpr::fixed(2),
+                work: TimeExpr::fixed(0.05),
+                chunk_ms: 1.0,
+                nice: 0,
+                pin: None,
+            },
+        });
+        // Too short a run for the hogs to finish: `all_apps_done` fails.
+        sc.run.horizon = TimeExpr::fixed(0.002);
+        sc.run.step = TimeExpr::fixed(0.002);
+        let Err(CaseFail::Error { error, report }) = run_case(&sc, Sched::Cfs, cs, None) else {
+            panic!("the cut-short case must fail");
+        };
+        assert!(error.contains("all_apps_done"), "{error}");
+        let f = failure(&sc, Sched::Cfs, cs, error, report);
+        let file = crash::path(&format!("{}-CFS", sc.name), "json");
+        assert_eq!(
+            f.repro,
+            format!("battle run {} --seed {cs} --check strict", file.display())
+        );
+        let src = std::fs::read_to_string(&file).expect("scenario file written");
+        let written = Scenario::from_json(&src).expect("written file parses");
+        assert_eq!(written.scheds, vec![Sched::Cfs]);
+        assert!(!written.phases.is_empty() && written.phases.len() <= sc.phases.len());
+        assert!(matches!(
+            run_case(&written, Sched::Cfs, cs, None),
+            Err(CaseFail::Error { .. })
+        ));
     }
 }

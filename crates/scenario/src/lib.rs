@@ -199,16 +199,31 @@ pub fn make_kernel_tuned(
     faults: FaultPlan,
     params: Option<&ParamVector>,
 ) -> Kernel {
+    make_kernel_with_class(
+        topo,
+        make_class_tuned(topo, sched, seed, params),
+        seed,
+        check,
+        faults,
+    )
+}
+
+/// Build a kernel for `topo` around a ready scheduling class (drivers that
+/// hand-tune a class's typed parameters, like the ablations). The one
+/// place that applies a check mode: strict checking also keeps a
+/// 256-event flight-recorder tail so a crash bundle has context.
+pub fn make_kernel_with_class(
+    topo: &Topology,
+    class: Box<dyn sched_api::Scheduler>,
+    seed: u64,
+    check: CheckMode,
+    faults: FaultPlan,
+) -> Kernel {
     let mut cfg = SimConfig::with_seed(seed);
     cfg.check = check;
     cfg.faults = faults;
     if cfg.check == CheckMode::Strict {
-        // Keep a flight-recorder tail so a crash bundle has context.
         cfg.trace_capacity = cfg.trace_capacity.max(256);
     }
-    Kernel::new(
-        topo.clone(),
-        cfg,
-        make_class_tuned(topo, sched, seed, params),
-    )
+    Kernel::new(topo.clone(), cfg, class)
 }

@@ -2,7 +2,7 @@
 //! analyses all hinge on *which* threads ULE deems interactive. These tests
 //! pin that mapping down for the key workloads.
 
-use kernel::{Kernel, SimConfig};
+use kernel::{CheckMode, Kernel, SimConfig};
 use simcore::{Dur, Time};
 use topology::Topology;
 use ule::Ule;
@@ -10,11 +10,11 @@ use workloads::{sysbench::SysbenchCfg, P};
 
 fn ule_kernel(cores: u32) -> Kernel {
     let topo = Topology::flat(cores);
-    Kernel::new(
-        topo.clone(),
-        SimConfig::with_seed(5),
-        Box::new(Ule::new(&topo)),
-    )
+    let cfg = SimConfig {
+        check: CheckMode::Strict,
+        ..SimConfig::with_seed(5)
+    };
+    Kernel::new(topo.clone(), cfg, Box::new(Ule::new(&topo)))
 }
 
 #[test]

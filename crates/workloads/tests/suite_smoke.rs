@@ -1,8 +1,9 @@
-//! Smoke tests: every suite entry must build, run to completion, and
-//! produce a positive performance number under *both* real schedulers.
+//! Smoke tests: every suite entry must build, run to completion under
+//! strict invariant checking, and produce a positive performance number
+//! under *both* real schedulers.
 
 use cfs::Cfs;
-use kernel::{Kernel, SimConfig};
+use kernel::{CheckMode, Kernel, SimConfig};
 use simcore::{Dur, Time};
 use topology::Topology;
 use ule::Ule;
@@ -15,7 +16,11 @@ fn run_entry_smoke(entry: &workloads::Entry, use_ule: bool) {
     } else {
         Box::new(Cfs::new(&topo))
     };
-    let mut k = Kernel::new(topo, SimConfig::with_seed(11), sched);
+    let cfg = SimConfig {
+        check: CheckMode::Strict,
+        ..SimConfig::with_seed(11)
+    };
+    let mut k = Kernel::new(topo, cfg, sched);
     let p = P::scaled(4, 0.01);
     let spec = (entry.build)(&mut k, &p);
     let app = k.queue_app(Time::ZERO, spec);
