@@ -1,14 +1,12 @@
-//! Criterion benchmark harness.
+//! Criterion micro-benchmark harness.
 //!
-//! Two suites:
+//! One suite, `scheduler_micro`: micro-benchmarks of the scheduler hot
+//! paths (enqueue/pick/put, placement scans, balancing passes) and of the
+//! simulation substrate (event queue, tick and run lanes, PELT math,
+//! interactivity scoring, SchedSan sweeps). Run it with
+//! `cargo bench -p bench --bench scheduler_micro`.
 //!
-//! * `paper_experiments` — one benchmark per table/figure of the paper,
-//!   running the corresponding experiment driver at a reduced scale. These
-//!   keep the regeneration paths hot and measure simulator throughput; the
-//!   full paper-sized regenerations are produced by the `battle` binary
-//!   (`cargo run --release -p experiments --bin battle -- all`).
-//! * `scheduler_micro` — micro-benchmarks of the scheduler hot paths
-//!   (enqueue/pick/put, placement scans, balancing passes) and of the
-//!   simulation substrate (event queue, PELT math, interactivity scoring).
-
-pub use experiments;
+//! End-to-end simulator speed is measured by `simbench/` (declared in
+//! `BENCHMARK.json`), and the paper's tables and figures are regenerated
+//! by the `battle` binary (`cargo run --release -p experiments --bin
+//! battle -- all`).

@@ -19,7 +19,7 @@ use topology::{CpuId, Topology};
 use ule::{params::UleParams, Ule};
 use workloads::{synthetic, sysbench::SysbenchCfg, P};
 
-use crate::RunCfg;
+use crate::{or_bail, RunCfg};
 
 /// Results of the four ablations.
 #[derive(Debug, serde::Serialize)]
@@ -63,10 +63,12 @@ fn fibo_share(params: CfsParams, cfg: &RunCfg) -> f64 {
     // Measure fibo's share over a window where sysbench is in full swing.
     let start = Time::ZERO + Dur::secs_f64(4.0);
     let span = Dur::secs_f64(6.0);
-    k.run_until(start);
+    let res = k.try_run_until(start);
+    or_bail(res, &k, "ablations-fibo_share", "ablations", cfg);
     let tid = k.app_tasks(fibo)[0];
     let before = k.task_runtime(tid);
-    k.run_until(start + span);
+    let res = k.try_run_until(start + span);
+    or_bail(res, &k, "ablations-fibo_share", "ablations", cfg);
     (k.task_runtime(tid) - before).as_secs_f64() / span.as_secs_f64()
 }
 
@@ -80,7 +82,8 @@ fn ule_core0_after(params: UleParams, cfg: &RunCfg) -> u32 {
     );
     let app = k.queue_app(Time::ZERO, synthetic::pinned_spinners(n));
     k.queue_unpin(Time::ZERO + Dur::secs(1), app);
-    k.run_until(Time::ZERO + Dur::secs_f64(1.0 + 60.0 * cfg.scale.max(0.2)));
+    let res = k.try_run_until(Time::ZERO + Dur::secs_f64(1.0 + 60.0 * cfg.scale.max(0.2)));
+    or_bail(res, &k, "ablations-ule_core0", "ablations", cfg);
     k.nr_queued(CpuId(0)) as u32
 }
 
@@ -90,7 +93,8 @@ fn cfs_spread(params: CfsParams, cfg: &RunCfg) -> u32 {
     let mut k = kernel(&topo, Box::new(Cfs::with_params(&topo, params)), cfg);
     let app = k.queue_app(Time::ZERO, synthetic::pinned_spinners(n));
     k.queue_unpin(Time::ZERO + Dur::secs(1), app);
-    k.run_until(Time::ZERO + Dur::secs(21));
+    let res = k.try_run_until(Time::ZERO + Dur::secs(21));
+    or_bail(res, &k, "ablations-cfs_spread", "ablations", cfg);
     let counts: Vec<usize> = topo_counts(&k);
     (*counts.iter().max().unwrap() - *counts.iter().min().unwrap()) as u32
 }
@@ -105,7 +109,8 @@ fn apache_rps(params: CfsParams, cfg: &RunCfg) -> f64 {
     let p = P::scaled(1, cfg.scale);
     let spec = workloads::apache::apache(&mut k, &p);
     let app = k.queue_app(Time::ZERO, spec);
-    k.run_until_apps_done(Time::ZERO + Dur::secs(600));
+    let res = k.try_run_until_apps_done(Time::ZERO + Dur::secs(600));
+    or_bail(res, &k, "ablations-apache_rps", "ablations", cfg);
     k.app(app).ops_per_sec(k.now())
 }
 

@@ -360,17 +360,12 @@ fn run_one(name: &str, args: &Args, json: &Option<String>) -> bool {
             print_validation("ablations", ablations::validate(&a));
             dump_json(json, &a)
         }
-        "desktop" => match desktop::try_run(cfg) {
-            Ok(d) => {
-                print!("{}", desktop::report(&d));
-                print_validation("desktop", desktop::validate(&d));
-                dump_json(json, &d)
-            }
-            Err(e) => {
-                eprintln!("desktop cross-check failed: {e}");
-                false
-            }
-        },
+        "desktop" => {
+            let d = desktop::run(cfg);
+            print!("{}", desktop::report(&d));
+            print_validation("desktop", desktop::validate(&d));
+            dump_json(json, &d)
+        }
         "fuzz" => {
             let r = fuzz::run(fz, cfg.threads);
             print!("{}", fuzz::report(&r));

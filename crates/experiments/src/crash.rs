@@ -6,11 +6,14 @@
 //! a *crash bundle* under `results/crash/` — the full
 //! [`kernel::Kernel::crash_report`] (error, seed, counters, per-CPU state,
 //! live tasks, trace tail) plus a one-line replay command — prints where the
-//! bundle went, and exits nonzero.
+//! bundle went, and exits nonzero. A failing scenario run also leaves the
+//! scenario file that `battle run` replays beside its bundle
+//! ([`write_case`]).
 
 use std::path::{Path, PathBuf};
 
 use kernel::{Kernel, SimError};
+use scenario::{Scenario, Sched};
 
 /// Everything needed to diagnose and replay one failed simulation.
 #[derive(Debug, Clone)]
@@ -102,6 +105,37 @@ pub fn path(label: &str, ext: &str) -> PathBuf {
         })
         .collect();
     Path::new(DIR).join(format!("{safe}.{ext}"))
+}
+
+/// The JSON form of `sc` that `battle run` reads.
+pub fn case_json(sc: &Scenario) -> std::io::Result<String> {
+    serde_json::to_string_pretty(&sc.to_value())
+        .map(|json| json + "\n")
+        .map_err(std::io::Error::other)
+}
+
+/// The bundle label of scenario `sc` failing under `sched`:
+/// `<name>-<class>`.
+pub fn case_label(sc: &Scenario, sched: Sched) -> String {
+    format!("{}-{}", sc.name, sched.name())
+}
+
+/// Write the scenario `sc` that failed under `sched`, restricted to that
+/// class, as the JSON file that replays it: [`path`]`(label, "json")`,
+/// beside the bundle of the same [`case_label`]. Returns the file; a
+/// failed write is reported on stderr.
+pub fn write_case(sc: &Scenario, sched: Sched) -> PathBuf {
+    let file = path(&case_label(sc, sched), "json");
+    let case = Scenario {
+        scheds: vec![sched],
+        ..sc.clone()
+    };
+    let written =
+        std::fs::create_dir_all(DIR).and_then(|()| std::fs::write(&file, case_json(&case)?));
+    if let Err(e) = written {
+        eprintln!("cannot write {}: {e}", file.display());
+    }
+    file
 }
 
 #[cfg(test)]

@@ -6,10 +6,12 @@
 //! the same qualitative outcomes hold there.
 
 use simcore::{Dur, Time};
-use topology::{CpuId, Topology};
-use workloads::{suite, synthetic, sysbench::SysbenchCfg};
+use topology::Topology;
+use workloads::{synthetic, sysbench::SysbenchCfg};
 
-use crate::{make_kernel, pct_diff, run_entry, RunCfg, Sched};
+use crate::{
+    figure_scenario, make_kernel, or_bail, pct_diff, run_case, run_cell, suite_case, RunCfg, Sched,
+};
 
 /// Desktop cross-check results.
 #[derive(Debug, serde::Serialize)]
@@ -47,70 +49,68 @@ fn fibo_gain(sched: Sched, cfg: &RunCfg) -> f64 {
         },
     );
     let _db = k.queue_app(Time::ZERO + Dur::millis(200), spec);
-    k.run_until(Time::ZERO + Dur::secs(4));
+    let label = format!("desktop-fibo-{}", sched.name());
+    let res = k.try_run_until(Time::ZERO + Dur::secs(4));
+    or_bail(res, &k, &label, "desktop", cfg);
     let tid = k.app_tasks(fibo)[0];
     let before = k.task_runtime(tid);
-    k.run_until(Time::ZERO + Dur::secs(10));
+    let res = k.try_run_until(Time::ZERO + Dur::secs(10));
+    or_bail(res, &k, &label, "desktop", cfg);
     (k.task_runtime(tid) - before).as_secs_f64()
 }
 
-fn unpin_spread(sched: Sched, cfg: &RunCfg) -> u32 {
-    let topo = Topology::core_i7_3770();
-    let mut k = make_kernel(&topo, sched, cfg);
-    let app = k.queue_app(Time::ZERO, synthetic::pinned_spinners(64));
-    k.queue_unpin(Time::ZERO + Dur::millis(200), app);
-    k.run_until(Time::ZERO + Dur::millis(1200));
-    let counts: Vec<usize> = (0..8).map(|c| k.nr_queued(CpuId(c))).collect();
-    let max = counts.iter().copied().max().unwrap_or(0);
-    let min = counts.iter().copied().min().unwrap_or(0);
-    (max - min) as u32
-}
+/// The rebalance check: 64 spinners pinned to CPU 0 of the desktop,
+/// unpinned at 0.2 s, with the per-core spread read 1 s later. The
+/// spinners are a daemon app, so only the horizon ends the run.
+const UNPIN: &str = r#"
+name = "desktop-unpin"
 
-/// Run the desktop cross-check, aborting the process on error (figure
-/// drivers' legacy contract; `battle` uses [`try_run`]).
-pub fn run(cfg: &RunCfg) -> Desktop {
-    match try_run(cfg) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("desktop cross-check failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
+[topology]
+preset = "i7-3770"
+
+[[phase]]
+name = "spinners"
+kind = "spinners"
+count = 64
+
+[[event]]
+kind = "unpin"
+phase = "spinners"
+at = { base_s = 0.2, scaled = false }
+
+[run]
+horizon = { base_s = 1.2, scaled = false }
+until_apps_done = false
+"#;
 
 /// Run the desktop cross-check. The eight underlying simulations are
 /// independent, so they go through the runner pool.
-pub fn try_run(cfg: &RunCfg) -> Result<Desktop, String> {
-    let topo = &Topology::core_i7_3770();
-    let all = suite();
-    let apache = all
-        .iter()
-        .find(|e| e.name == "Apache")
-        .ok_or("suite is missing the Apache entry")?;
-    let mg = all
-        .iter()
-        .find(|e| e.name == "MG")
-        .ok_or("suite is missing the MG entry")?;
-    let p = |e: &workloads::Entry, s| run_entry(e, s, topo, cfg, true).perf;
+pub fn run(cfg: &RunCfg) -> Desktop {
+    let perf = |entry: &str, sched| {
+        let sc = suite_case(&[entry], "i7-3770", true);
+        run_cell(&sc, sched, cfg)[0].perf
+    };
+    let unpin = figure_scenario(UNPIN);
+    let spread = |sched| f64::from(run_case(&unpin, sched, cfg, &mut ()).run.final_spread);
     let jobs: Vec<Box<dyn FnOnce() -> f64 + Send + '_>> = vec![
         Box::new(|| fibo_gain(Sched::Cfs, cfg)),
         Box::new(|| fibo_gain(Sched::Ule, cfg)),
-        Box::new(|| p(apache, Sched::Ule)),
-        Box::new(|| p(apache, Sched::Cfs)),
-        Box::new(|| f64::from(unpin_spread(Sched::Cfs, cfg))),
-        Box::new(|| f64::from(unpin_spread(Sched::Ule, cfg))),
-        Box::new(|| p(mg, Sched::Ule)),
-        Box::new(|| p(mg, Sched::Cfs)),
+        Box::new(|| perf("Apache", Sched::Ule)),
+        Box::new(|| perf("Apache", Sched::Cfs)),
+        Box::new(|| spread(Sched::Cfs)),
+        Box::new(|| spread(Sched::Ule)),
+        Box::new(|| perf("MG", Sched::Ule)),
+        Box::new(|| perf("MG", Sched::Cfs)),
     ];
     let r = crate::runner::par_map(cfg.threads, jobs, |job| job());
-    Ok(Desktop {
+    Desktop {
         fibo_gain_cfs_s: r[0],
         fibo_gain_ule_s: r[1],
         apache_diff_pct: pct_diff(r[2], r[3]),
         spread_after_1s_cfs: r[4] as u32,
         spread_after_1s_ule: r[5] as u32,
         mg_diff_pct: pct_diff(r[6], r[7]),
-    })
+    }
 }
 
 /// Render the comparison.
@@ -184,4 +184,31 @@ pub fn validate(d: &Desktop) -> Vec<String> {
         ));
     }
     bad
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The spinners are a daemon app, so the unpin check must run to its
+    /// horizon instead of stopping after the first step, and CFS must
+    /// spread the pile that ULE leaves on CPU 0.
+    #[test]
+    fn unpin_check_runs_to_its_horizon() {
+        let cfg = RunCfg {
+            check: kernel::CheckMode::Strict,
+            ..RunCfg::at_scale(0.02)
+        };
+        let sc = figure_scenario(UNPIN);
+        let [cfs, ule] = Sched::BOTH.map(|s| run_case(&sc, s, &cfg, &mut ()).run);
+        for run in [&cfs, &ule] {
+            assert_eq!(run.end_s, 1.2, "[{}]", run.sched.name());
+        }
+        assert!(
+            ule.final_spread > cfs.final_spread + 10,
+            "ULE {} vs CFS {}",
+            ule.final_spread,
+            cfs.final_spread
+        );
+    }
 }

@@ -11,7 +11,7 @@
 use kernel::{AppId, Kernel};
 use metrics::TimeSeries;
 
-use crate::{figure_scenario, obs_of, run_figure, RunCfg, Sched};
+use crate::{figure_scenario, obs_of, run_case, RunCfg, Sched};
 
 /// `scenarios/fig1.toml`, compiled in: the workload this figure runs.
 pub const SCENARIO: &str = include_str!("../../../scenarios/fig1.toml");
@@ -82,7 +82,7 @@ pub fn run(sched: Sched, cfg: &RunCfg) -> Fig1Run {
         }
     };
     let sc = figure_scenario(SCENARIO);
-    let out = run_figure(&sc, sched, cfg, &mut sample);
+    let out = run_case(&sc, sched, cfg, &mut sample);
 
     let k = &out.kernel;
     let (fibo, sysbench) = fibo_sysbench_apps(&out.apps);

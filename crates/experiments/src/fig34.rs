@@ -10,7 +10,7 @@ use metrics::TimeSeries;
 use simcore::{Dur, Time};
 use workloads::sysbench::{sysbench, SysbenchCfg};
 
-use crate::{make_kernel, RunCfg, Sched};
+use crate::{make_kernel, or_bail, RunCfg, Sched};
 
 /// Result of the single-app starvation experiment.
 #[derive(Debug, serde::Serialize)]
@@ -51,7 +51,8 @@ pub fn run(cfg: &RunCfg) -> Fig34 {
     // everything (workers wait at the start gate meanwhile), independent of
     // the transaction-budget scale.
     let spawn_wait = Dur::secs_f64(4.5);
-    k.run_until(Time::ZERO + spawn_wait);
+    let res = k.try_run_until(Time::ZERO + spawn_wait);
+    or_bail(res, &k, "fig34-ULE", "fig34", cfg);
     let tasks = k.app_tasks(app);
     let master = tasks[0];
     let workers: Vec<_> = tasks[1..].to_vec();
@@ -77,8 +78,8 @@ pub fn run(cfg: &RunCfg) -> Fig34 {
     let norm = |v: f64, max: f64| if max > 0.0 { v / max } else { 0.0 };
     let limit = Time::ZERO + horizon;
     while k.now() < limit {
-        let next = k.now() + step;
-        k.run_until(next);
+        let res = k.try_run_until(k.now() + step);
+        or_bail(res, &k, "fig34-ULE", "fig34", cfg);
         let mrt = k.task_runtime(master).as_secs_f64();
         let mean_rt = |set: &[sched_api::Tid]| -> f64 {
             if set.is_empty() {

@@ -10,10 +10,10 @@
 //! ([`APACHE_SCENARIO`]), which `battle trace fig5` traces.
 
 use metrics::BarChart;
-use topology::Topology;
+use scenario::Scenario;
 use workloads::suite;
 
-use crate::{pct_diff, run_entry, runner, PerfResult, RunCfg, Sched};
+use crate::{pct_diff, run_cell, runner, suite_case, PerfResult, RunCfg, Sched};
 
 /// `scenarios/apache.toml`, compiled in: the suite's apache entry alone on
 /// one core, the run `battle trace fig5` exports.
@@ -41,29 +41,31 @@ pub struct SuiteRow {
 
 /// Run the full single-core suite under both schedulers.
 pub fn run(cfg: &RunCfg) -> SuiteComparison {
-    run_on(&Topology::single_core(), cfg, false, &[])
+    run_on("single-core", cfg, false, &[])
 }
 
-/// Run the suite on an arbitrary machine (used by Figure 8), optionally
-/// with kernel noise and extra entries.
-pub fn run_on(
-    topo: &Topology,
-    cfg: &RunCfg,
-    with_noise: bool,
-    extra: &[workloads::Entry],
-) -> SuiteComparison {
-    let all = suite();
+/// Run the suite, one [`suite_case`] per application, on a preset machine
+/// (Figure 8 runs `opteron-6172`), optionally with kernel noise and the
+/// `extra` catalog entries after the suite's.
+pub fn run_on(preset: &str, cfg: &RunCfg, with_noise: bool, extra: &[&str]) -> SuiteComparison {
+    let cases: Vec<Scenario> = suite()
+        .iter()
+        .map(|e| e.name)
+        .chain(extra.iter().copied())
+        .map(|name| suite_case(&[name], preset, with_noise))
+        .collect();
     // One job per (application, scheduler) pair; the runner returns
     // results in submission order, so the rows of the table are identical
     // whatever the thread count.
-    let sims: Vec<(&workloads::Entry, Sched)> = all
+    let sims: Vec<(&Scenario, Sched)> = cases
         .iter()
-        .chain(extra.iter())
-        .flat_map(|e| Sched::BOTH.into_iter().map(move |s| (e, s)))
+        .flat_map(|sc| Sched::BOTH.into_iter().map(move |s| (sc, s)))
         .collect();
-    let results = runner::par_map(cfg.threads, sims, |(entry, sched)| {
-        run_entry(entry, sched, topo, cfg, with_noise)
-    });
+    let results: Vec<PerfResult> =
+        runner::par_map(cfg.threads, sims, |(sc, sched)| run_cell(sc, sched, cfg))
+            .into_iter()
+            .flatten()
+            .collect();
     let rows = results
         .chunks_exact(2)
         .map(|pair| {

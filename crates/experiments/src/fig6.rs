@@ -16,7 +16,7 @@ use metrics::PerCoreSeries;
 use simcore::{Dur, Time};
 use topology::CpuId;
 
-use crate::{figure_scenario, obs_of, run_figure, RunCfg, Sched};
+use crate::{figure_scenario, obs_of, run_case, RunCfg, Sched};
 
 /// `scenarios/fig6.toml`, compiled in: the workload this figure runs.
 pub const SCENARIO: &str = include_str!("../../../scenarios/fig6.toml");
@@ -59,7 +59,7 @@ pub fn run(sched: Sched, cfg: &RunCfg) -> Fig6Run {
             on_core0_after_unpin = on_core0;
         }
     };
-    let out = run_figure(&sc, sched, cfg, &mut sample);
+    let out = run_case(&sc, sched, cfg, &mut sample);
 
     let since_unpin = |t: f64| t - unpin_at.as_secs_f64();
     Fig6Run {

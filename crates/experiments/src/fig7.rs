@@ -12,7 +12,7 @@ use kernel::{AppId, Kernel};
 use metrics::PerCoreSeries;
 use scenario::spec::WorkloadSpec;
 
-use crate::{figure_scenario, obs_of, run_figure, RunCfg, Sched};
+use crate::{figure_scenario, obs_of, run_case, RunCfg, Sched};
 
 /// `scenarios/fig7.toml`, compiled in: the workload this figure runs.
 pub const SCENARIO: &str = include_str!("../../../scenarios/fig7.toml");
@@ -62,7 +62,7 @@ pub fn run(sched: Sched, cfg: &RunCfg) -> Fig7Run {
             all_runnable_s = Some(k.now().as_secs_f64());
         }
     };
-    let out = run_figure(&sc, sched, cfg, &mut sample);
+    let out = run_case(&sc, sched, cfg, &mut sample);
     Fig7Run {
         sched,
         all_runnable_s,

@@ -7,17 +7,17 @@
 //! [pickcpu scanning] (...) 13% of all CPU cycles being spent on scanning
 //! cores."
 
-use topology::Topology;
-
 use crate::fig5::{self, SuiteComparison};
 use crate::RunCfg;
 
 /// Run the multicore suite (with per-core kernel noise, as on a real
 /// machine) under both schedulers, including Hackb-800 and Hackb-10.
 pub fn run(cfg: &RunCfg) -> SuiteComparison {
-    let topo = Topology::opteron_6172();
-    let extra = workloads::multicore_extra();
-    fig5::run_on(&topo, cfg, true, &extra)
+    let extra: Vec<&str> = workloads::multicore_extra()
+        .iter()
+        .map(|e| e.name)
+        .collect();
+    fig5::run_on("opteron-6172", cfg, true, &extra)
 }
 
 /// Render the bar chart.

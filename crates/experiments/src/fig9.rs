@@ -5,11 +5,9 @@
 //! (interactive + interactive). Each application's performance is reported
 //! relative to running **alone on CFS**.
 
-use simcore::{Dur, Time};
-use topology::Topology;
-use workloads::{suite, Entry, Metric, P};
+use scenario::Scenario;
 
-use crate::{make_kernel, pct_diff, perf_of, RunCfg, Sched};
+use crate::{pct_diff, run_cell, runner, suite_case, PerfResult, RunCfg, Sched};
 
 /// The four workload pairs, with the paper's category labels.
 pub const PAIRS: [(&str, &str, &str); 4] = [
@@ -41,99 +39,48 @@ pub struct Fig9 {
     pub cells: Vec<Fig9Cell>,
 }
 
-fn find_entry(name: &str) -> Entry {
-    if name == "fibo" {
-        return Entry {
-            name: "fibo",
-            metric: Metric::InvTime,
-            build: workloads::synthetic::fibo_suite,
-        };
-    }
-    suite()
-        .into_iter()
-        .find(|e| e.name == name)
-        .unwrap_or_else(|| panic!("no suite entry named {name}"))
-}
+/// The machine of every run: the 32-core Opteron.
+const MACHINE: &str = "opteron-6172";
 
-/// Run one (pair, scheduler) configuration; returns perf of (a, b).
-fn run_pair(a: &Entry, b: &Entry, sched: Sched, topo: &Topology, cfg: &RunCfg) -> (f64, f64) {
-    let mut k = make_kernel(topo, sched, cfg);
-    let p = P::scaled(topo.nr_cpus(), cfg.scale);
-    let sa = (a.build)(&mut k, &p);
-    let ia = k.queue_app(Time::ZERO, sa);
-    let sb = (b.build)(&mut k, &p);
-    let ib = k.queue_app(Time::ZERO, sb);
-    let limit = Time::ZERO + Dur::secs_f64(900.0 * cfg.scale.max(0.05) + 120.0);
-    let done = k.run_until_apps_done(limit);
-    (
-        perf_of(a, sched, &k, ia, done).perf,
-        perf_of(b, sched, &k, ib, done).perf,
-    )
-}
-
-fn run_alone(e: &Entry, sched: Sched, topo: &Topology, cfg: &RunCfg) -> f64 {
-    crate::run_entry(e, sched, topo, cfg, false).perf
-}
-
-/// The six independent simulations behind one workload pair.
-#[derive(Clone, Copy)]
-enum Sim {
-    /// `.0` = perf of app A or B alone under the scheduler.
-    AloneA(Sched),
-    AloneB(Sched),
-    /// `.0`/`.1` = perf of A/B co-scheduled under the scheduler.
-    Together(Sched),
-}
-
-/// Run the whole figure. Each pair decomposes into six independent
-/// simulations (4 alone + 2 co-scheduled); all 24 go to the runner pool.
-pub fn run(cfg: &RunCfg) -> Fig9 {
-    let topo = Topology::opteron_6172();
-    const SIMS: [Sim; 6] = [
-        Sim::AloneA(Sched::Cfs),
-        Sim::AloneB(Sched::Cfs),
-        Sim::AloneA(Sched::Ule),
-        Sim::AloneB(Sched::Ule),
-        Sim::Together(Sched::Cfs),
-        Sim::Together(Sched::Ule),
-    ];
-    let jobs: Vec<(usize, Sim)> = (0..PAIRS.len())
-        .flat_map(|pi| SIMS.into_iter().map(move |s| (pi, s)))
+/// The figure's 24 independent runs, six per pair in [`PAIRS`] order: A
+/// and B alone under CFS, then under ULE (one-entry cases), then A + B
+/// together under CFS and ULE (a two-entry case). Each run is its
+/// entries' results; all go to the runner pool.
+pub fn runs(cfg: &RunCfg) -> Vec<Vec<PerfResult>> {
+    let alone = |e: &str| suite_case(&[e], MACHINE, false);
+    let jobs: Vec<(Scenario, Sched)> = PAIRS
+        .iter()
+        .flat_map(|&(a, b, _)| {
+            let together = suite_case(&[a, b], MACHINE, false);
+            [
+                (alone(a), Sched::Cfs),
+                (alone(b), Sched::Cfs),
+                (alone(a), Sched::Ule),
+                (alone(b), Sched::Ule),
+                (together.clone(), Sched::Cfs),
+                (together, Sched::Ule),
+            ]
+        })
         .collect();
-    let results = crate::runner::par_map(cfg.threads, jobs, |(pi, sim)| {
-        let (an, bn, _) = PAIRS[pi];
-        let a = find_entry(an);
-        let b = find_entry(bn);
-        match sim {
-            Sim::AloneA(s) => (run_alone(&a, s, &topo, cfg), f64::NAN),
-            Sim::AloneB(s) => (run_alone(&b, s, &topo, cfg), f64::NAN),
-            Sim::Together(s) => run_pair(&a, &b, s, &topo, cfg),
-        }
-    });
+    runner::par_map(cfg.threads, jobs, |(sc, sched)| run_cell(&sc, sched, cfg))
+}
 
+/// Run the whole figure.
+pub fn run(cfg: &RunCfg) -> Fig9 {
+    let runs = runs(cfg);
     let mut cells = Vec::new();
-    for (pi, (an, bn, category)) in PAIRS.into_iter().enumerate() {
-        let r = &results[pi * SIMS.len()..(pi + 1) * SIMS.len()];
-        let a_cfs_alone = r[0].0;
-        let b_cfs_alone = r[1].0;
-        let a_ule_alone = r[2].0;
-        let b_ule_alone = r[3].0;
-        let (a_cfs_multi, b_cfs_multi) = r[4];
-        let (a_ule_multi, b_ule_multi) = r[5];
-        cells.push(Fig9Cell {
-            name: an.to_string(),
-            category,
-            cfs_multi_pct: pct_diff(a_cfs_multi, a_cfs_alone),
-            ule_single_pct: pct_diff(a_ule_alone, a_cfs_alone),
-            ule_multi_pct: pct_diff(a_ule_multi, a_cfs_alone),
-        });
-        cells.push(Fig9Cell {
-            name: bn.to_string(),
-            category,
-            cfs_multi_pct: pct_diff(b_cfs_multi, b_cfs_alone),
-            ule_single_pct: pct_diff(b_ule_alone, b_cfs_alone),
-            ule_multi_pct: pct_diff(b_ule_multi, b_cfs_alone),
-        });
+    for ((a, b, category), r) in PAIRS.into_iter().zip(runs.chunks_exact(6)) {
+        for (j, name) in [a, b].into_iter().enumerate() {
+            let cfs_alone = r[j][0].perf;
+            let ule_alone = r[2 + j][0].perf;
+            cells.push(Fig9Cell {
+                name: name.to_string(),
+                category,
+                cfs_multi_pct: pct_diff(r[4][j].perf, cfs_alone),
+                ule_single_pct: pct_diff(ule_alone, cfs_alone),
+                ule_multi_pct: pct_diff(r[5][j].perf, cfs_alone),
+            });
+        }
     }
     Fig9 { cells }
 }

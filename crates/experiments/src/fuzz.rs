@@ -18,10 +18,8 @@
 
 use kernel::{CancelToken, CheckMode};
 use scenario::expr::{CountExpr, TimeExpr};
-use scenario::spec::{
-    AssertSpec, FaultSpec, MutexThreadSpec, PhaseSpec, RunSpec, TopoSpec, WorkloadSpec,
-};
-use scenario::{AbortKind, BudgetSpec, EngineError, EngineOpts, Scenario};
+use scenario::spec::{FaultSpec, MutexThreadSpec, PhaseSpec, TopoSpec, WorkloadSpec};
+use scenario::{AbortKind, EngineError, EngineOpts, Scenario};
 use simcore::SimRng;
 
 use crate::{crash, runner, Sched};
@@ -219,38 +217,18 @@ pub fn gen_case(case_seed: u64, faults: bool, case_timeout_s: f64) -> Scenario {
     let phases = (0..rng.gen_range(1, 4))
         .map(|i| gen_phase(&mut rng, i as usize))
         .collect();
-    Scenario {
-        name: format!("fuzz-{case_seed:016x}"),
-        description: format!("battle fuzz case; replay with --seed {case_seed} --check strict"),
-        scheds: Sched::BOTH.to_vec(),
-        topology: TopoSpec::Preset(machine.to_string()),
+    let mut sc = Scenario::new(
+        format!("fuzz-{case_seed:016x}"),
+        TopoSpec::Preset(machine.to_string()),
         phases,
-        events: Vec::new(),
-        faults: if faults {
-            gen_faults(&mut fault_rng, machine != "single-core")
-        } else {
-            FaultSpec::default()
-        },
-        budget: BudgetSpec::default(),
-        run: RunSpec {
-            horizon: TimeExpr::fixed(case_timeout_s),
-            horizon_cfs: None,
-            horizon_ule: None,
-            step: TimeExpr::fixed(0.1),
-            until_apps_done: true,
-            stop_spread_le: None,
-            stop_spread_after: None,
-        },
-        asserts: AssertSpec {
-            all_apps_done: Some(true),
-            ..AssertSpec::default()
-        },
+        TimeExpr::fixed(case_timeout_s),
+    );
+    sc.description = format!("battle fuzz case; replay with --seed {case_seed} --check strict");
+    if faults {
+        sc.faults = gen_faults(&mut fault_rng, machine != "single-core");
     }
-}
-
-/// The scenario file's contents: the JSON form `battle run` reads.
-fn to_json(sc: &Scenario) -> serde_json::Result<String> {
-    serde_json::to_string_pretty(&sc.to_value()).map(|json| json + "\n")
+    sc.asserts.all_apps_done = Some(true);
+    sc
 }
 
 /// Why one case run did not pass.
@@ -335,31 +313,23 @@ fn failure(sc: &Scenario, sched: Sched, cs: u64, error: String, report: String) 
     // shrinker returns. Shrink runs are never wall-clock cancelled (a
     // cancelled replay says nothing about the workload).
     let mut last = (error, report);
-    let mut minimal = shrink(sc.clone(), |c| match run_case(c, sched, cs, None) {
+    let minimal = shrink(sc.clone(), |c| match run_case(c, sched, cs, None) {
         Err(CaseFail::Error { error, report }) => {
             last = (error, report);
             true
         }
         _ => false,
     });
-    minimal.scheds = vec![sched];
     let (error, report) = last;
-    let label = format!("{}-{}", minimal.name, sched.name());
-    let file = crash::path(&label, "json");
+    let file = crash::write_case(&minimal, sched);
     let repro = format!("battle run {} --seed {cs} --check strict", file.display());
     let bundle = crash::Crash {
-        label,
+        label: crash::case_label(&minimal, sched),
         error: error.clone(),
         report,
         replay: repro.clone(),
     }
     .write_bundle();
-    let written = to_json(&minimal)
-        .map_err(std::io::Error::other)
-        .and_then(|json| std::fs::write(&file, json));
-    if let Err(e) = written {
-        eprintln!("cannot write {}: {e}", file.display());
-    }
     Failure {
         case_seed: cs,
         sched,
@@ -502,7 +472,7 @@ mod tests {
         for i in 0..64 {
             let cs = case_seed(11, i);
             let sc = gen_case(cs, i % 4 != 0, 120.0);
-            let json = to_json(&sc).expect("generated case serializes");
+            let json = crash::case_json(&sc).expect("generated case serializes");
             let back = Scenario::from_json(&json).expect("generated case parses");
             assert_eq!(back, sc, "case {cs:#x}");
             for sched in Sched::ALL {

@@ -24,8 +24,8 @@ use crate::{fig5, runner, RunCfg};
 #[derive(Debug, Clone)]
 pub enum Job {
     /// The fig5 suite comparison, the one pinned figure without a
-    /// scenario file (the figure scenarios are pinned as `Scenario`
-    /// entries).
+    /// scenario file: its cells are generated ([`crate::suite_case`]),
+    /// and the figure files are pinned as `Scenario` entries.
     Fig5,
     /// A scenario file, relative to the repo root.
     Scenario(&'static str),

@@ -15,10 +15,17 @@
 //! | [`ablations`] | design-choice ablations (cgroups, balancer bug, NUMA tolerance, wakeup preemption) |
 //!
 //! All drivers are deterministic given a seed and accept a `scale`
-//! parameter that shrinks work volumes (tests and benches use small
-//! scales; the `battle` CLI defaults to the paper-sized runs). Figures 1,
-//! 6 and 7 run their `scenarios/figN.toml` files (compiled in) through the
-//! scenario engine, so each workload is defined once, in its file.
+//! parameter that shrinks work volumes (tests use small scales; the
+//! `battle` CLI defaults to the paper-sized runs). Workloads are built one
+//! way, as scenarios the scenario engine runs: Figures 1, 6 and 7 run
+//! their `scenarios/figN.toml` files (compiled in), and every cell of
+//! Figures 5, 8 and 9 and of the desktop check is a [`suite_case`]. A
+//! failing scenario run leaves a file `battle run` replays. Four drivers
+//! build kernels by hand, each for something a scenario cannot express:
+//! the ablations (class parameters outside the tunable dimensions),
+//! desktop's fibo window (sysbench's `init_per_thread`), fig34 (tasks
+//! classified at exactly 4.5 s) and chaos's probes (deliberately broken
+//! behaviours).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,11 +57,12 @@ pub mod table2;
 pub mod tournament;
 pub mod tune;
 
-use kernel::{AppId, CheckMode, FaultPlan, Kernel};
+use kernel::{CheckMode, FaultPlan, Kernel, SimError};
+use scenario::expr::TimeExpr;
+use scenario::spec::{PhaseSpec, TopoSpec, WorkloadSpec};
 use scenario::{EngineError, EngineOpts, Observer, RunOutput, Scenario};
-use simcore::{Dur, Time};
 use topology::Topology;
-use workloads::{Entry, Metric, P};
+use workloads::Metric;
 
 pub use scenario::Sched;
 
@@ -111,29 +119,63 @@ pub fn make_kernel(topo: &Topology, sched: Sched, cfg: &RunCfg) -> Kernel {
     scenario::make_kernel(topo, sched, cfg.seed, cfg.check, FaultPlan::default())
 }
 
-/// Parse a figure's compiled-in scenario file.
+/// Parse a driver's compiled-in scenario.
 fn figure_scenario(toml: &str) -> Scenario {
     Scenario::from_toml(toml).unwrap_or_else(|e| panic!("compiled-in figure scenario: {e}"))
 }
 
-/// Run a figure's scenario under `sched` with `obs` sampling every step.
-/// A simulator error (a strict-mode violation) writes a crash bundle and
-/// exits, like [`run_entry`].
-fn run_figure(sc: &Scenario, sched: Sched, cfg: &RunCfg, obs: &mut impl Observer) -> RunOutput {
-    match scenario::run_observed(sc, sched, &cfg.engine_opts(), obs) {
-        Ok(out) => out,
-        Err(EngineError::Crash(c)) => crash::Crash {
-            label: format!("{}-{}", sc.name, sched.name()),
-            error: c.error,
-            report: c.report,
-            replay: format!(
-                "battle {} --seed {} --scale {} --check strict",
-                sc.name, cfg.seed, cfg.scale
-            ),
-        }
-        .bail(),
-        Err(EngineError::Spec(e)) => panic!("figure scenario {}: {e}", sc.name),
-    }
+/// The command that re-runs `battle <experiment>` as `cfg` ran it, under
+/// strict checking.
+fn replay(experiment: &str, cfg: &RunCfg) -> String {
+    let (seed, scale) = (cfg.seed, cfg.scale);
+    format!("battle {experiment} --seed {seed} --scale {scale} --check strict")
+}
+
+/// Run scenario `sc` (a figure's file or a generated case) under `sched`
+/// with `obs` watching every step. A run that fails writes `sc`,
+/// restricted to `sched`, as a scenario file beside its crash bundle and
+/// exits, replayed by `battle run <file>` (see [`try_run_case`]).
+fn run_case(sc: &Scenario, sched: Sched, cfg: &RunCfg, obs: &mut impl Observer) -> RunOutput {
+    try_run_case(sc, sched, cfg, obs).unwrap_or_else(|c| {
+        crash::write_case(sc, sched);
+        c.bail()
+    })
+}
+
+/// Like [`run_case`], but a failure comes back as the crash it would
+/// leave and writes nothing. A run fails on a simulator error (a
+/// strict-mode violation) and on a supervision abort (the no-progress
+/// watchdog): a salvaged partial run would measure a truncated workload,
+/// and `battle run` fails the same file for it.
+fn try_run_case(
+    sc: &Scenario,
+    sched: Sched,
+    cfg: &RunCfg,
+    obs: &mut impl Observer,
+) -> Result<RunOutput, crash::Crash> {
+    let (error, report) = match scenario::run_observed(sc, sched, &cfg.engine_opts(), obs) {
+        Ok(out) => match &out.run.abort {
+            None => return Ok(out),
+            Some(abort) => (abort.clone(), out.kernel.crash_report(abort)),
+        },
+        Err(EngineError::Crash(c)) => (c.error, c.report),
+        Err(EngineError::Spec(e)) => panic!("scenario {}: {e}", sc.name),
+    };
+    let label = crash::case_label(sc, sched);
+    let file = crash::path(&label, "json");
+    Err(crash::Crash {
+        replay: replay(&format!("run {}", file.display()), cfg),
+        label,
+        error,
+        report,
+    })
+}
+
+/// Unwrap the result of running a hand-built kernel `k` in `battle
+/// <driver>`. A simulator error (a strict-mode violation) writes the crash
+/// bundle `label` and exits, replayed by `battle <driver>`.
+fn or_bail<T>(res: Result<T, SimError>, k: &Kernel, label: &str, driver: &str, cfg: &RunCfg) -> T {
+    res.unwrap_or_else(|e| crash::Crash::capture(k, &e, label, &replay(driver, cfg)).bail())
 }
 
 /// Structured observability snapshot of one finished kernel run
@@ -168,7 +210,7 @@ pub fn obs_of(k: &Kernel) -> SchedObs {
     }
 }
 
-/// Result of running one suite entry under one scheduler.
+/// Result of one suite entry in a suite cell under one scheduler.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct PerfResult {
     /// Application name.
@@ -186,79 +228,72 @@ pub struct PerfResult {
     pub obs: SchedObs,
 }
 
-/// Run one suite entry to completion under `sched` and measure it.
-///
-/// `with_noise` adds the per-core kernel-noise daemon (used by the
-/// multicore experiments; see `workloads::noise`).
-pub fn run_entry(
-    entry: &Entry,
-    sched: Sched,
-    topo: &Topology,
-    cfg: &RunCfg,
-    with_noise: bool,
-) -> PerfResult {
-    match try_run_entry(entry, sched, topo, cfg, with_noise) {
-        Ok(r) => r,
-        Err(c) => c.bail(),
-    }
-}
+/// Catalog name of the per-core kernel-noise daemon.
+const NOISE: &str = "kworkers";
 
-/// Like [`run_entry`], but an invariant violation (strict mode) comes back
-/// as a [`crash::Crash`] instead of aborting the process.
-pub fn try_run_entry(
-    entry: &Entry,
-    sched: Sched,
-    topo: &Topology,
-    cfg: &RunCfg,
-    with_noise: bool,
-) -> Result<PerfResult, crash::Crash> {
-    let mut k = make_kernel(topo, sched, cfg);
-    let p = P::scaled(topo.nr_cpus(), cfg.scale);
-    let mut start = Time::ZERO;
-    if with_noise {
-        let noise = workloads::noise::kernel_noise(&mut k, &p);
-        k.queue_app(Time::ZERO, noise);
-        // Let the background kthreads run before the workload starts, as
-        // on a live machine: their load residue is what perturbs CFS's
-        // placement (§6.3).
-        start = Time::ZERO + Dur::secs(1);
-    }
-    let spec = (entry.build)(&mut k, &p);
-    let app = k.queue_app(start, spec);
-    // A generous limit: suite apps are sized for tens of simulated seconds
-    // at scale 1.
-    let limit = Time::ZERO + Dur::secs_f64(600.0 * cfg.scale.max(0.05) + 120.0);
-    let done = k.try_run_until_apps_done(limit).map_err(|e| {
-        let label = format!("{}-{}", entry.name, sched.name());
-        let replay = format!(
-            "battle <experiment> --seed {} --scale {} --check strict",
-            cfg.seed, cfg.scale
-        );
-        crash::Crash::capture(&k, &e, &label, &replay)
-    })?;
-    Ok(perf_of(entry, sched, &k, app, done))
-}
-
-/// Compute the §5.3 performance number for a finished (or timed-out) app
-/// that ran under `sched`.
-pub fn perf_of(entry: &Entry, sched: Sched, k: &Kernel, app: AppId, done: bool) -> PerfResult {
-    let a = k.app(app);
-    let elapsed = a.elapsed().map(|d| d.as_secs_f64());
-    let perf = match entry.metric {
-        Metric::Ops => a.ops_per_sec(k.now()),
-        Metric::InvTime => match elapsed {
-            Some(e) if e > 0.0 => 1.0 / e,
-            _ => 0.0,
+/// A suite cell as a scenario: the catalog `entries` (see
+/// [`workloads::entry`]) launched together on the `preset` machine, each
+/// phase named after its entry. With `noise` the per-core `kworkers`
+/// daemon starts at 0 s and the entries at 1 s, so the kthreads' load
+/// residue is there to perturb CFS's placement, as on a live machine
+/// (§6.3); without it the entries start at 0 s. The run is sampled every
+/// 100 ms and stops once every entry is done, or at the horizon
+/// `base × max(scale, 0.05) + 120 s`, `base` being 600 s for one app and
+/// 900 s for co-scheduled apps (suite apps are sized for tens of
+/// simulated seconds at scale 1).
+pub fn suite_case(entries: &[&str], preset: &str, noise: bool) -> Scenario {
+    let phase = |entry: &str, at: f64| PhaseSpec {
+        name: entry.to_string(),
+        tenant: None,
+        at: TimeExpr::fixed(at),
+        workload: WorkloadSpec::Suite {
+            entry: entry.to_string(),
         },
     };
-    PerfResult {
-        name: entry.name.to_string(),
-        sched,
-        elapsed_s: if done { elapsed } else { None },
-        ops: a.ops,
-        perf,
-        obs: obs_of(k),
-    }
+    let start = if noise { 1.0 } else { 0.0 };
+    let phases = noise
+        .then(|| phase(NOISE, 0.0))
+        .into_iter()
+        .chain(entries.iter().map(|e| phase(e, start)))
+        .collect();
+    let horizon = TimeExpr {
+        base_s: if entries.len() == 1 { 600.0 } else { 900.0 },
+        scale_min: 0.05,
+        plus_s: 120.0,
+        ..TimeExpr::default()
+    };
+    Scenario::new(
+        entries.join("+"),
+        TopoSpec::Preset(preset.to_string()),
+        phases,
+        horizon,
+    )
+}
+
+/// Run suite cell `sc` (see [`suite_case`]) under `sched` and measure
+/// each entry, in phase order, by the entry's [`Metric`].
+pub fn run_cell(sc: &Scenario, sched: Sched, cfg: &RunCfg) -> Vec<PerfResult> {
+    let out = run_case(sc, sched, cfg, &mut ());
+    let obs = obs_of(&out.kernel);
+    out.run
+        .apps
+        .iter()
+        .filter_map(|app| {
+            let entry = workloads::entry(&app.phase).filter(|e| e.name != NOISE)?;
+            let perf = match entry.metric {
+                Metric::Ops => app.ops_per_sec,
+                Metric::InvTime => app.elapsed_s.filter(|&e| e > 0.0).map_or(0.0, |e| 1.0 / e),
+            };
+            Some(PerfResult {
+                name: entry.name.to_string(),
+                sched,
+                elapsed_s: app.elapsed_s,
+                ops: app.ops,
+                perf,
+                obs: obs.clone(),
+            })
+        })
+        .collect()
 }
 
 /// Percentage difference of ULE relative to CFS, the y-axis of Figures 5
@@ -280,6 +315,33 @@ mod tests {
         assert!((pct_diff(2.0, 1.0) - 100.0).abs() < 1e-12);
         assert!((pct_diff(0.5, 1.0) + 50.0).abs() < 1e-12);
         assert_eq!(pct_diff(1.0, 0.0), 0.0);
+    }
+
+    #[test]
+    fn watchdog_abort_fails_the_cell() {
+        let cfg = RunCfg::at_scale(0.02);
+        let mut sc = suite_case(&["Apache"], "single-core", false);
+        assert!(try_run_case(&sc, Sched::Cfs, &cfg, &mut ()).is_ok());
+        // Every task of the app spawns at 0 s: two events at one instant
+        // already count as a stall.
+        sc.budget.stall_events = Some(2);
+        let Err(c) = try_run_case(&sc, Sched::Cfs, &cfg, &mut ()) else {
+            panic!("a tripped watchdog must fail the cell");
+        };
+        assert_eq!(c.label, "Apache-CFS");
+        assert!(c.error.contains("stalled"), "{}", c.error);
+        assert!(c.report.contains(&c.error), "{}", c.report);
+        let file = crash::path("Apache-CFS", "json");
+        assert_eq!(
+            c.replay,
+            format!(
+                "battle run {} --seed 42 --scale 0.02 --check strict",
+                file.display()
+            )
+        );
+        // What `battle run` replays is the same partial run, which it fails.
+        let replayed = scenario::run_sched(&sc, Sched::Cfs, &cfg.engine_opts()).unwrap();
+        assert_eq!(replayed.run.abort.as_ref(), Some(&c.error));
     }
 
     #[test]

@@ -405,8 +405,9 @@ impl Kernel {
     /// (scheduler, seed, time), global counters, per-CPU scheduler state,
     /// the live task table, and the tail of the flight-recorder trace.
     /// Drivers write this next to a replay command when a
-    /// [`SimError`] escapes the event loop.
-    pub fn crash_report(&self, err: &SimError) -> String {
+    /// [`SimError`] escapes the event loop, or when a supervision abort
+    /// (its rendered error) ends a run that had to finish.
+    pub fn crash_report(&self, err: &dyn std::fmt::Display) -> String {
         use std::fmt::Write as _;
         let mut r = String::new();
         let _ = writeln!(r, "SchedSan crash report");

@@ -405,11 +405,6 @@ impl Kernel {
         &self.apps[app.0 as usize]
     }
 
-    /// Number of applications registered.
-    pub fn nr_apps(&self) -> usize {
-        self.apps.len()
-    }
-
     /// `true` once every registered application has finished.
     pub fn all_apps_done(&self) -> bool {
         self.live_apps == 0
@@ -469,15 +464,6 @@ impl Kernel {
     /// [`SimConfig::trace_capacity`] is set).
     pub fn trace(&self) -> &simcore::TraceBuffer<TraceEvent> {
         &self.trace
-    }
-
-    /// Resize the flight-recorder buffer (discarding recorded events) and
-    /// enable/disable tracing accordingly. Call before running; tracing
-    /// never alters scheduling decisions, only what is observed.
-    pub fn set_trace_capacity(&mut self, capacity: usize) {
-        self.cfg.trace_capacity = capacity;
-        self.trace = simcore::TraceBuffer::with_capacity(capacity);
-        self.trace_on = capacity > 0 || self.trace_sink.is_some();
     }
 
     /// Install a streaming trace observer. Every subsequent trace event is

@@ -187,11 +187,6 @@ impl SyncTable {
         }
     }
 
-    /// Items remaining in a pool.
-    pub fn pool_len(&self, p: PoolId) -> u64 {
-        self.pools[p.0 as usize]
-    }
-
     /// Lock `m` for `tid`; blocks if held.
     pub fn mutex_lock(&mut self, m: MutexId, tid: Tid) -> OpOutcome {
         let mx = &mut self.mutexes[m.0 as usize];

@@ -5,9 +5,11 @@
 //! [`spec::Scenario`] and executed by [`engine::run_sched`] on any
 //! registered scheduler. The `battle run` subcommand is the CLI front-end;
 //! `scenarios/` in the repo root is the library of figure workloads and
-//! stress scenarios the golden-digest CI gate pins. The figure drivers
-//! (`experiments::fig1`, `fig6`, `fig7`) run their scenario files through
-//! [`engine::run_observed`] and only add their sampling.
+//! stress scenarios the golden-digest CI gate pins. The figure drivers run
+//! every workload through [`engine::run_observed`]: `experiments::fig1`,
+//! `fig6` and `fig7` their scenario files, adding only their sampling, and
+//! fig5, fig8, fig9 and the desktop check generated suite cells
+//! (`experiments::suite_case`).
 //!
 //! Layering:
 //!

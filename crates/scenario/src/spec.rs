@@ -471,9 +471,10 @@ pub enum WorkloadSpec {
         /// Messages per sender.
         msgs: CountExpr,
     },
-    /// One entry of the 37-application suite, by name.
+    /// One workload of the application catalog, by name.
     Suite {
-        /// Entry name as listed by `workloads::suite()`.
+        /// A name `workloads::entry` resolves: a Figure 5 or Figure 8 suite
+        /// entry, `fibo` or the `kworkers` noise daemon.
         entry: String,
     },
     /// Barrier-synchronised fork/join rounds.
@@ -1612,6 +1613,39 @@ pub struct Scenario {
 }
 
 impl Scenario {
+    /// A scenario of `phases` on `topology` for CFS and ULE, run until
+    /// every app is done or `horizon` passes, sampled every 100 ms, with no
+    /// events, faults, budget or assertions: what a file that sets only
+    /// these keys parses to. Generated scenarios (fuzz cases, suite cells)
+    /// start here.
+    pub fn new(
+        name: impl Into<String>,
+        topology: TopoSpec,
+        phases: Vec<PhaseSpec>,
+        horizon: TimeExpr,
+    ) -> Scenario {
+        Scenario {
+            name: name.into(),
+            description: String::new(),
+            scheds: Sched::BOTH.to_vec(),
+            topology,
+            phases,
+            events: Vec::new(),
+            faults: FaultSpec::default(),
+            budget: BudgetSpec::default(),
+            run: RunSpec {
+                horizon,
+                horizon_cfs: None,
+                horizon_ule: None,
+                step: TimeExpr::fixed(0.1),
+                until_apps_done: true,
+                stop_spread_le: None,
+                stop_spread_after: None,
+            },
+            asserts: AssertSpec::default(),
+        }
+    }
+
     /// Parse a TOML scenario document.
     pub fn from_toml(src: &str) -> Result<Scenario, ParseError> {
         let v = crate::toml::parse(src)?;

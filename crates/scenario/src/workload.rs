@@ -102,11 +102,10 @@ pub fn build(
             msgs.eval(scale, ncpu),
         )),
         WorkloadSpec::Suite { entry } => {
-            let suite = workloads::suite();
-            let e = suite.iter().find(|e| e.name == *entry).ok_or_else(|| {
+            let e = workloads::entry(entry).ok_or_else(|| {
                 SpecError::new(
                     "phase",
-                    format!("unknown suite entry `{entry}` (see `workloads::suite()`)"),
+                    format!("unknown suite entry `{entry}` (see `workloads::entry`)"),
                 )
             })?;
             Ok((e.build)(k, &workloads::P::scaled(ncpu, scale)))

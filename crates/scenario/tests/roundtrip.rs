@@ -176,6 +176,40 @@ fn toml_json_toml_round_trip_is_identity() {
 }
 
 #[test]
+fn new_scenario_is_what_a_minimal_file_parses_to() {
+    use scenario::expr::TimeExpr;
+    use scenario::spec::{PhaseSpec, TopoSpec, WorkloadSpec};
+    let src = r#"
+name = "minimal"
+
+[topology]
+preset = "flat-2"
+
+[[phase]]
+kind = "fibo"
+work = 1.0
+
+[run]
+horizon = 5.0
+"#;
+    let phase = PhaseSpec {
+        name: "fibo".to_string(),
+        tenant: None,
+        at: TimeExpr::fixed(0.0),
+        workload: WorkloadSpec::Fibo {
+            work: TimeExpr::scaled(1.0),
+        },
+    };
+    let built = Scenario::new(
+        "minimal",
+        TopoSpec::Preset("flat-2".to_string()),
+        vec![phase],
+        TimeExpr::scaled(5.0),
+    );
+    assert_eq!(Scenario::from_toml(src).expect("parses"), built);
+}
+
+#[test]
 fn unknown_keys_are_rejected_with_field_path() {
     let src = r#"
 name = "x"

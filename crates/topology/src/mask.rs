@@ -142,14 +142,6 @@ impl CpuMask {
         out
     }
 
-    /// In-place intersection.
-    #[inline]
-    pub fn intersect_with(&mut self, other: &CpuMask) {
-        for w in 0..WORDS {
-            self.words[w] &= other.words[w];
-        }
-    }
-
     /// In-place union.
     #[inline]
     pub fn union_with(&mut self, other: &CpuMask) {

@@ -131,18 +131,11 @@ pub fn suite() -> Vec<Entry> {
             build: phoronix::hmmer,
         },
     ];
-    for i in 1..=6 {
+    for (name, build) in phoronix::SCIMARK.iter().chain(phoronix::JOHN) {
         v.push(Entry {
-            name: Box::leak(format!("scimark2-({i})").into_boxed_str()),
+            name,
             metric: Metric::InvTime,
-            build: phoronix::SCIMARK_BUILDERS[i - 1],
-        });
-    }
-    for i in 1..=3 {
-        v.push(Entry {
-            name: Box::leak(format!("john-({i})").into_boxed_str()),
-            metric: Metric::InvTime,
-            build: phoronix::JOHN_BUILDERS[i - 1],
+            build: *build,
         });
     }
     v.push(Entry {
@@ -193,9 +186,48 @@ pub fn multicore_extra() -> Vec<Entry> {
     ]
 }
 
+/// Look up a catalog workload by name: every [`suite`] and
+/// [`multicore_extra`] entry, plus `fibo` (the fibo of Figure 9's pairs,
+/// [`synthetic::fibo_suite`]) and `kworkers` (the per-core kernel-noise
+/// daemon of the multicore runs, [`noise::kernel_noise`], whose metric is
+/// never read). The scenario `suite` kind resolves its `entry` here.
+pub fn entry(name: &str) -> Option<Entry> {
+    let extra = [
+        Entry {
+            name: "fibo",
+            metric: Metric::InvTime,
+            build: synthetic::fibo_suite,
+        },
+        Entry {
+            name: "kworkers",
+            metric: Metric::InvTime,
+            build: noise::kernel_noise,
+        },
+    ];
+    suite()
+        .into_iter()
+        .chain(multicore_extra())
+        .chain(extra)
+        .find(|e| e.name == name)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn entry_resolves_every_catalog_name() {
+        for e in suite().into_iter().chain(multicore_extra()) {
+            let found = entry(e.name).expect(e.name);
+            assert_eq!((found.name, found.metric), (e.name, e.metric));
+        }
+        for name in ["fibo", "kworkers"] {
+            assert_eq!(entry(name).map(|e| e.name), Some(name));
+        }
+        for unknown in ["", "nope", "mg", "scimark2-(7)"] {
+            assert!(entry(unknown).is_none(), "{unknown}");
+        }
+    }
 
     #[test]
     fn suite_has_the_papers_applications() {

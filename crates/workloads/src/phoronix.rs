@@ -6,6 +6,7 @@ use kernel::{
 };
 use simcore::Dur;
 
+use crate::nas::Builder;
 use crate::P;
 
 const STOP: u64 = u64::MAX;
@@ -358,9 +359,15 @@ scimark_builder!(scimark4, 4);
 scimark_builder!(scimark5, 5);
 scimark_builder!(scimark6, 6);
 
-/// The six scimark builders.
-pub const SCIMARK_BUILDERS: [fn(&mut Kernel, &P) -> AppSpec; 6] =
-    [scimark1, scimark2, scimark3, scimark4, scimark5, scimark6];
+/// The six scimark sub-benchmarks with their suite names.
+pub const SCIMARK: &[(&str, Builder)] = &[
+    ("scimark2-(1)", scimark1),
+    ("scimark2-(2)", scimark2),
+    ("scimark2-(3)", scimark3),
+    ("scimark2-(4)", scimark4),
+    ("scimark2-(5)", scimark5),
+    ("scimark2-(6)", scimark6),
+];
 
 // ---------------------------------------------------------------------
 // john-the-ripper: embarrassingly parallel password cracking.
@@ -395,8 +402,12 @@ john_builder!(john1, 1);
 john_builder!(john2, 2);
 john_builder!(john3, 3);
 
-/// The three john builders.
-pub const JOHN_BUILDERS: [fn(&mut Kernel, &P) -> AppSpec; 3] = [john1, john2, john3];
+/// The three john hash formats with their suite names.
+pub const JOHN: &[(&str, Builder)] = &[
+    ("john-(1)", john1),
+    ("john-(2)", john2),
+    ("john-(3)", john3),
+];
 
 #[cfg(test)]
 mod tests {

@@ -194,18 +194,6 @@ pub fn sysbench_default(k: &mut Kernel, p: &P) -> AppSpec {
     )
 }
 
-/// The §5.2 instance: 128 workers on one core (Figures 3/4).
-pub fn sysbench_128(k: &mut Kernel, p: &P) -> AppSpec {
-    sysbench(
-        k,
-        SysbenchCfg {
-            threads: 128,
-            total_tx: p.count(64_000),
-            ..Default::default()
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

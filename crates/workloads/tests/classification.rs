@@ -52,7 +52,7 @@ fn fibo_is_batch_sysbench_workers_are_interactive() {
 fn scimark_helpers_are_interactive_compute_is_batch() {
     let mut k = ule_kernel(1);
     let p = P::scaled(1, 0.2);
-    let spec = workloads::phoronix::SCIMARK_BUILDERS[0](&mut k, &p);
+    let spec = (workloads::phoronix::SCIMARK[0].1)(&mut k, &p);
     let app = k.queue_app(Time::ZERO, spec);
     k.run_until(Time::ZERO + Dur::secs(3));
     let tasks = k.app_tasks(app);
