@@ -321,8 +321,11 @@ impl Cfs {
     /// Wakeup-preemption test (`check_preempt_wakeup`): compare at the
     /// deepest common level of the hierarchy; preempt when the waking
     /// entity's vruntime is more than the (virtual) wakeup granularity
-    /// behind the running one.
+    /// behind the running one. Never, with `wakeup_preemption` off.
     fn should_preempt_on_wakeup(&self, cpu: CpuId, woken: Tid) -> bool {
+        if !self.p.wakeup_preemption {
+            return false;
+        }
         let Some(curr) = self.cpus[cpu.index()].curr else {
             return true;
         };

@@ -48,8 +48,12 @@ pub struct CfsParams {
     pub group_shares: u64,
     /// Enable the per-application cgroup hierarchy (Linux ≥ 2.6.38
     /// behaviour described in §2.1). Disabling reverts to per-thread
-    /// fairness, used by the ablation benches.
+    /// fairness (an ablation switch).
     pub cgroups: bool,
+    /// Let a waking thread preempt the running one (Linux's
+    /// `WAKEUP_PREEMPTION` sched feature, §5.3). Disabling it never
+    /// preempts on wakeup (an ablation switch).
+    pub wakeup_preemption: bool,
 }
 
 impl Default for CfsParams {
@@ -69,6 +73,7 @@ impl Default for CfsParams {
             cache_nice_tries: 1,
             group_shares: 1024,
             cgroups: true,
+            wakeup_preemption: true,
         }
     }
 }
@@ -85,10 +90,11 @@ impl CfsParams {
     }
 }
 
-/// The searchable subset of [`CfsParams`] (`battle tune`). Structural
-/// switches (`cgroups`) and bulk-migration internals stay fixed; the nine
-/// dimensions below are the latency/granularity/balancing knobs Linux
-/// exposes through `sysctl kernel.sched_*`.
+/// The searchable subset of [`CfsParams`] (`battle tune`). Bulk-migration
+/// internals stay fixed; the nine dimensions below are the
+/// latency/granularity/balancing knobs Linux exposes through
+/// `sysctl kernel.sched_*`. `cgroups` and `wakeup_preemption` are the
+/// switches.
 impl ParamSpace for CfsParams {
     fn dims() -> Vec<Dim> {
         vec![
@@ -163,6 +169,13 @@ impl ParamSpace for CfsParams {
             ..CfsParams::default()
         }
     }
+
+    fn switches(&mut self) -> Vec<(&'static str, &mut bool)> {
+        vec![
+            ("cgroups", &mut self.cgroups),
+            ("wakeup_preemption", &mut self.wakeup_preemption),
+        ]
+    }
 }
 
 #[cfg(test)]
@@ -191,6 +204,7 @@ mod tests {
         assert_eq!(p.sched_latency, Dur::millis(48));
         assert_eq!(p.nr_latency, 8);
         assert!(p.cgroups, "non-tunable fields keep their defaults");
+        assert!(p.wakeup_preemption);
     }
 
     #[test]

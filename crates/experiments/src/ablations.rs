@@ -10,16 +10,15 @@
 //!   never achieves perfect load balance".
 //! * **CFS wakeup preemption** (§5.3): disabling it closes most of ULE's
 //!   apache advantage.
+//!
+//! Each ablation is a scenario under `scenarios/drivers/` run twice: as it
+//! is, and with the `[params.<class>]` table that switches its mechanism
+//! off.
 
-use cfs::{params::CfsParams, Cfs};
-use kernel::{FaultPlan, Kernel};
-use sched_api::Scheduler;
-use simcore::{Dur, Time};
-use topology::{CpuId, Topology};
-use ule::{params::UleParams, Ule};
-use workloads::{synthetic, sysbench::SysbenchCfg, P};
+use scenario::Scenario;
+use topology::CpuId;
 
-use crate::{or_bail, RunCfg};
+use crate::{fibo_window, figure_scenario, run_case, RunCfg, Sched};
 
 /// Results of the four ablations.
 #[derive(Debug, serde::Serialize)]
@@ -38,111 +37,77 @@ pub struct Ablations {
     pub cfs_spread_pct100: u32,
     /// Apache requests/s with CFS wakeup preemption enabled.
     pub cfs_apache_rps_preempt: f64,
-    /// ... and effectively disabled (huge wakeup granularity).
+    /// ... and with it switched off.
     pub cfs_apache_rps_no_preempt: f64,
 }
 
-/// A kernel around an ablated class, under `cfg`'s seed and check mode.
-fn kernel(topo: &Topology, class: Box<dyn Scheduler>, cfg: &RunCfg) -> Kernel {
-    scenario::make_kernel_with_class(topo, class, cfg.seed, cfg.check, FaultPlan::default())
+/// `scenarios/drivers/ablation-fibo-share.toml`, compiled in.
+pub const FIBO_SHARE: &str = include_str!("../../../scenarios/drivers/ablation-fibo-share.toml");
+/// `scenarios/drivers/ablation-ule-pile.toml`, compiled in.
+pub const ULE_PILE: &str = include_str!("../../../scenarios/drivers/ablation-ule-pile.toml");
+/// `scenarios/drivers/ablation-cfs-pile.toml`, compiled in.
+pub const CFS_PILE: &str = include_str!("../../../scenarios/drivers/ablation-cfs-pile.toml");
+/// `scenarios/drivers/ablation-apache.toml`, compiled in.
+pub const APACHE: &str = include_str!("../../../scenarios/drivers/ablation-apache.toml");
+
+/// An ablation's two scenarios: `src` as it is, and `src` with the
+/// `[params.<class>]` table `table` appended, named `<name>-<suffix>`.
+fn pair(src: &str, suffix: &str, table: &str) -> [Scenario; 2] {
+    let stock = figure_scenario(src);
+    let mut ablated = figure_scenario(&format!("{src}\n{table}"));
+    ablated.name = format!("{}-{suffix}", stock.name);
+    [stock, ablated]
 }
 
-fn fibo_share(params: CfsParams, cfg: &RunCfg) -> f64 {
-    let topo = Topology::single_core();
-    let mut k = kernel(&topo, Box::new(Cfs::with_params(&topo, params)), cfg);
-    let fibo = k.queue_app(Time::ZERO, synthetic::fibo(Dur::secs(60)));
-    let spec = workloads::sysbench::sysbench(
-        &mut k,
-        SysbenchCfg {
-            threads: 80,
-            total_tx: ((80_000.0 * cfg.scale) as u64).max(1000),
-            ..Default::default()
-        },
-    );
-    let _db = k.queue_app(Time::ZERO, spec);
-    // Measure fibo's share over a window where sysbench is in full swing.
-    let start = Time::ZERO + Dur::secs_f64(4.0);
-    let span = Dur::secs_f64(6.0);
-    let res = k.try_run_until(start);
-    or_bail(res, &k, "ablations-fibo_share", "ablations", cfg);
-    let tid = k.app_tasks(fibo)[0];
-    let before = k.task_runtime(tid);
-    let res = k.try_run_until(start + span);
-    or_bail(res, &k, "ablations-fibo_share", "ablations", cfg);
-    (k.task_runtime(tid) - before).as_secs_f64() / span.as_secs_f64()
-}
-
-fn ule_core0_after(params: UleParams, cfg: &RunCfg) -> u32 {
-    let topo = Topology::opteron_6172();
-    let n = ((512.0 * cfg.scale) as usize).max(64);
-    let mut k = kernel(
-        &topo,
-        Box::new(Ule::with_params(&topo, params, cfg.seed)),
-        cfg,
-    );
-    let app = k.queue_app(Time::ZERO, synthetic::pinned_spinners(n));
-    k.queue_unpin(Time::ZERO + Dur::secs(1), app);
-    let res = k.try_run_until(Time::ZERO + Dur::secs_f64(1.0 + 60.0 * cfg.scale.max(0.2)));
-    or_bail(res, &k, "ablations-ule_core0", "ablations", cfg);
-    k.nr_queued(CpuId(0)) as u32
-}
-
-fn cfs_spread(params: CfsParams, cfg: &RunCfg) -> u32 {
-    let topo = Topology::opteron_6172();
-    let n = ((512.0 * cfg.scale) as usize).max(64);
-    let mut k = kernel(&topo, Box::new(Cfs::with_params(&topo, params)), cfg);
-    let app = k.queue_app(Time::ZERO, synthetic::pinned_spinners(n));
-    k.queue_unpin(Time::ZERO + Dur::secs(1), app);
-    let res = k.try_run_until(Time::ZERO + Dur::secs(21));
-    or_bail(res, &k, "ablations-cfs_spread", "ablations", cfg);
-    let counts: Vec<usize> = topo_counts(&k);
-    (*counts.iter().max().unwrap() - *counts.iter().min().unwrap()) as u32
-}
-
-fn topo_counts(k: &Kernel) -> Vec<usize> {
-    k.topology().all_cpus().map(|c| k.nr_queued(c)).collect()
-}
-
-fn apache_rps(params: CfsParams, cfg: &RunCfg) -> f64 {
-    let topo = Topology::single_core();
-    let mut k = kernel(&topo, Box::new(Cfs::with_params(&topo, params)), cfg);
-    let p = P::scaled(1, cfg.scale);
-    let spec = workloads::apache::apache(&mut k, &p);
-    let app = k.queue_app(Time::ZERO, spec);
-    let res = k.try_run_until_apps_done(Time::ZERO + Dur::secs(600));
-    or_bail(res, &k, "ablations-apache_rps", "ablations", cfg);
-    k.app(app).ops_per_sec(k.now())
+/// The four ablations' scenario pairs: cgroups, the periodic balancer,
+/// the imbalance tolerance and wakeup preemption.
+fn scenarios() -> [[Scenario; 2]; 4] {
+    [
+        pair(FIBO_SHARE, "no-cgroups", "[params.cfs]\ncgroups = false\n"),
+        pair(
+            ULE_PILE,
+            "no-periodic-balance",
+            "[params.ule]\nperiodic_balance = false\n",
+        ),
+        pair(
+            CFS_PILE,
+            "no-imbalance-tolerance",
+            "[params.cfs]\nimbalance_pct_llc = 100\nimbalance_pct_numa = 100\n",
+        ),
+        pair(
+            APACHE,
+            "no-wakeup-preemption",
+            "[params.cfs]\nwakeup_preemption = false\n",
+        ),
+    ]
 }
 
 /// Run all four ablations.
 pub fn run(cfg: &RunCfg) -> Ablations {
-    let defaults = CfsParams::default();
-    let mut no_cgroups = CfsParams::default();
-    no_cgroups.cgroups = false;
-    let mut pct100 = CfsParams::default();
-    pct100.imbalance_pct_numa = 100;
-    pct100.imbalance_pct_llc = 100;
-    let mut no_preempt = CfsParams::default();
-    no_preempt.wakeup_granularity = Dur::secs(10); // effectively off
+    let [fibo, ule, cfs, apache] = scenarios();
 
-    let ule_fixed = UleParams::default();
-    let mut ule_buggy = UleParams::default();
-    ule_buggy.periodic_balance = false;
+    // fibo's share of the 6 s window that ends at the 10 s horizon.
+    let fibo_share = |sc| fibo_window(sc, Sched::Cfs, cfg).as_secs_f64() / 6.0;
+    let core0 = |sc| {
+        run_case(sc, Sched::Ule, cfg, &mut ())
+            .kernel
+            .nr_queued(CpuId(0)) as f64
+    };
+    let spread = |sc| f64::from(run_case(sc, Sched::Cfs, cfg, &mut ()).run.final_spread);
+    let rps = |sc| run_case(sc, Sched::Cfs, cfg, &mut ()).run.apps[0].ops_per_sec;
 
-    // All eight ablation runs are independent simulations; hand them to
-    // the runner pool. `u32` results are carried as `f64` (they are small
-    // integer counts, exactly representable).
-    let d2 = defaults.clone();
-    let d3 = defaults.clone();
+    // All eight runs are independent simulations; hand them to the runner
+    // pool. Counts are carried as `f64` (small integers, exactly
+    // representable).
     let jobs: Vec<Box<dyn FnOnce() -> f64 + Send + '_>> = vec![
-        Box::new(|| fibo_share(defaults, cfg)),
-        Box::new(|| fibo_share(no_cgroups, cfg)),
-        Box::new(|| f64::from(ule_core0_after(ule_fixed, cfg))),
-        Box::new(|| f64::from(ule_core0_after(ule_buggy, cfg))),
-        Box::new(|| f64::from(cfs_spread(d2, cfg))),
-        Box::new(|| f64::from(cfs_spread(pct100, cfg))),
-        Box::new(|| apache_rps(d3, cfg)),
-        Box::new(|| apache_rps(no_preempt, cfg)),
+        Box::new(|| fibo_share(&fibo[0])),
+        Box::new(|| fibo_share(&fibo[1])),
+        Box::new(|| core0(&ule[0])),
+        Box::new(|| core0(&ule[1])),
+        Box::new(|| spread(&cfs[0])),
+        Box::new(|| spread(&cfs[1])),
+        Box::new(|| rps(&apache[0])),
+        Box::new(|| rps(&apache[1])),
     ];
     let r = crate::runner::par_map(cfg.threads, jobs, |job| job());
     Ablations {
@@ -217,4 +182,54 @@ pub fn validate(a: &Ablations) -> Vec<String> {
         ));
     }
     bad
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{crash, try_run_case};
+
+    /// A failing ablated variant leaves a file that carries its table, and
+    /// `battle run` on that file fails the same way.
+    #[test]
+    fn failing_variant_writes_a_file_that_replays_its_table() {
+        let cfg = RunCfg::at_scale(0.02);
+        let [.., [_, mut sc]] = scenarios();
+        // Every task of the app spawns at 0 s: two events at one instant
+        // already count as a stall.
+        sc.budget.stall_events = Some(2);
+        let Err(c) = try_run_case(&sc, Sched::Cfs, &cfg, &mut ()) else {
+            panic!("a tripped watchdog must fail the run");
+        };
+        assert_eq!(c.label, "ablation-apache-no-wakeup-preemption-CFS");
+        let file = crash::write_case(&sc, Sched::Cfs);
+        assert_eq!(file, crash::path(&c.label, "json"));
+        let json = std::fs::read_to_string(&file).unwrap();
+        assert!(json.contains("\"wakeup_preemption\": false"), "{json}");
+        let replayed = Scenario::from_json(&json).unwrap();
+        assert_eq!(
+            replayed.class_params(Sched::Cfs),
+            sc.class_params(Sched::Cfs)
+        );
+        let out = scenario::run_sched(&replayed, Sched::Cfs, &cfg.engine_opts()).unwrap();
+        assert_eq!(out.run.abort.as_ref(), Some(&c.error));
+    }
+
+    /// The eight ablation runs and desktop's two fibo runs leave ten
+    /// distinct crash labels.
+    #[test]
+    fn every_run_has_its_own_label() {
+        let ablations = scenarios().into_iter().flatten();
+        let mut labels: Vec<String> = ablations
+            .map(|sc| {
+                assert_eq!(sc.scheds.len(), 1, "{}", sc.name);
+                crash::case_label(&sc, sc.scheds[0])
+            })
+            .collect();
+        let fibo = figure_scenario(crate::desktop::FIBO);
+        labels.extend(Sched::BOTH.map(|s| crash::case_label(&fibo, s)));
+        labels.sort();
+        labels.dedup();
+        assert_eq!(labels.len(), 10, "{labels:?}");
+    }
 }

@@ -21,7 +21,9 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use kernel::{from_fn, Action, AppSpec, CancelToken, RunBudget, SimError, ThreadSpec};
+use kernel::{
+    from_fn, Action, AppSpec, CancelToken, FaultPlan, Kernel, RunBudget, SimError, ThreadSpec,
+};
 use scenario::{AbortKind, EngineError, EngineOpts, Scenario, Sched};
 use simcore::{Dur, SimRng, Time};
 use topology::Topology;
@@ -189,6 +191,13 @@ fn budget_events(max_events: u64) -> RunBudget {
     }
 }
 
+/// A bare two-CPU CFS kernel for a probe, under `cfg`'s seed and check
+/// mode.
+fn probe_kernel(cfg: &RunCfg) -> Kernel {
+    let topo = Topology::flat(2);
+    scenario::make_kernel(&topo, Sched::Cfs, cfg.seed, cfg.check, FaultPlan::default())
+}
+
 /// The deterministic failure probes: one case per abnormal class, built on
 /// bare kernels so the class is guaranteed whatever the scenario corpus
 /// looks like.
@@ -209,8 +218,7 @@ fn probes(cfg: RunCfg) -> Vec<Box<dyn FnOnce() -> Case + Send>> {
         // Livelock: a zero-length sleep loop stalls simulated time
         // forever; the stall watchdog must catch it.
         Box::new(move || {
-            let topo = Topology::flat(2);
-            let mut k = crate::make_kernel(&topo, Sched::Cfs, &cfg);
+            let mut k = probe_kernel(&cfg);
             k.set_watchdog(2_000, 0);
             k.queue_app(
                 Time::ZERO,
@@ -238,8 +246,7 @@ fn probes(cfg: RunCfg) -> Vec<Box<dyn FnOnce() -> Case + Send>> {
         // the CPU; this is *not* a supervision abort but a kernel error,
         // so it must produce a crash bundle (the Crashed class).
         Box::new(move || {
-            let topo = Topology::flat(2);
-            let mut k = crate::make_kernel(&topo, Sched::Cfs, &cfg);
+            let mut k = probe_kernel(&cfg);
             // Watchdog off: the instant-action guard must be what fires.
             k.set_watchdog(0, 0);
             k.queue_app(
@@ -268,8 +275,7 @@ fn probes(cfg: RunCfg) -> Vec<Box<dyn FnOnce() -> Case + Send>> {
         // cancellation poll (a fixed event count), so even this class is
         // deterministic.
         Box::new(move || {
-            let topo = Topology::flat(2);
-            let mut k = crate::make_kernel(&topo, Sched::Cfs, &cfg);
+            let mut k = probe_kernel(&cfg);
             let token = CancelToken::new();
             token.cancel();
             k.set_cancel_token(token);

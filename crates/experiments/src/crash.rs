@@ -15,6 +15,8 @@ use std::path::{Path, PathBuf};
 use kernel::{Kernel, SimError};
 use scenario::{Scenario, Sched};
 
+use crate::RunCfg;
+
 /// Everything needed to diagnose and replay one failed simulation.
 #[derive(Debug, Clone)]
 pub struct Crash {
@@ -112,6 +114,17 @@ pub fn case_json(sc: &Scenario) -> std::io::Result<String> {
     serde_json::to_string_pretty(&sc.to_value())
         .map(|json| json + "\n")
         .map_err(std::io::Error::other)
+}
+
+/// The command that replays the scenario file `file` as `cfg` ran it,
+/// under strict checking.
+pub fn replay(file: &Path, cfg: &RunCfg) -> String {
+    format!(
+        "battle run {} --seed {} --scale {} --check strict",
+        file.display(),
+        cfg.seed,
+        cfg.scale
+    )
 }
 
 /// The bundle label of scenario `sc` failing under `sched`:

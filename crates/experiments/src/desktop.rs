@@ -3,14 +3,12 @@
 //!
 //! This driver repeats the paper's key contrasts on the SMT desktop
 //! topology (4 cores × 2 hardware threads, one shared LLC) and verifies
-//! the same qualitative outcomes hold there.
-
-use simcore::{Dur, Time};
-use topology::Topology;
-use workloads::{synthetic, sysbench::SysbenchCfg};
+//! the same qualitative outcomes hold there. The fibo window and the
+//! rebalance check run `scenarios/drivers/desktop-fibo.toml` and
+//! `desktop-unpin.toml`; the Apache and MG comparisons are suite cells.
 
 use crate::{
-    figure_scenario, make_kernel, or_bail, pct_diff, run_case, run_cell, suite_case, RunCfg, Sched,
+    fibo_window, figure_scenario, pct_diff, run_case, run_cell, suite_case, RunCfg, Sched,
 };
 
 /// Desktop cross-check results.
@@ -30,58 +28,14 @@ pub struct Desktop {
     pub mg_diff_pct: f64,
 }
 
-fn fibo_gain(sched: Sched, cfg: &RunCfg) -> f64 {
-    // The desktop has 8 hardware threads; 200 sysbench workers oversubscribe
-    // every one of them (the paper's >80-threads-per-core datacenter point),
-    // so fibo — one batch thread — starves under ULE machine-wide.
-    let topo = Topology::core_i7_3770();
-    let mut k = make_kernel(&topo, sched, cfg);
-    let fibo = k.queue_app(Time::ZERO, synthetic::fibo(Dur::secs(120)));
-    let spec = workloads::sysbench::sysbench(
-        &mut k,
-        SysbenchCfg {
-            threads: 200,
-            total_tx: ((1_500_000.0 * cfg.scale) as u64).max(20_000),
-            // Lighter per-thread setup so all 200 workers are live before
-            // the 4–10 s measurement window.
-            init_per_thread: simcore::Dur::millis(8),
-            ..Default::default()
-        },
-    );
-    let _db = k.queue_app(Time::ZERO + Dur::millis(200), spec);
-    let label = format!("desktop-fibo-{}", sched.name());
-    let res = k.try_run_until(Time::ZERO + Dur::secs(4));
-    or_bail(res, &k, &label, "desktop", cfg);
-    let tid = k.app_tasks(fibo)[0];
-    let before = k.task_runtime(tid);
-    let res = k.try_run_until(Time::ZERO + Dur::secs(10));
-    or_bail(res, &k, &label, "desktop", cfg);
-    (k.task_runtime(tid) - before).as_secs_f64()
-}
+/// `scenarios/drivers/desktop-fibo.toml`, compiled in: fibo against 200
+/// sysbench workers, measured over the 4–10 s window.
+pub const FIBO: &str = include_str!("../../../scenarios/drivers/desktop-fibo.toml");
 
-/// The rebalance check: 64 spinners pinned to CPU 0 of the desktop,
-/// unpinned at 0.2 s, with the per-core spread read 1 s later. The
-/// spinners are a daemon app, so only the horizon ends the run.
-const UNPIN: &str = r#"
-name = "desktop-unpin"
-
-[topology]
-preset = "i7-3770"
-
-[[phase]]
-name = "spinners"
-kind = "spinners"
-count = 64
-
-[[event]]
-kind = "unpin"
-phase = "spinners"
-at = { base_s = 0.2, scaled = false }
-
-[run]
-horizon = { base_s = 1.2, scaled = false }
-until_apps_done = false
-"#;
+/// `scenarios/drivers/desktop-unpin.toml`, compiled in: 64 spinners
+/// pinned to CPU 0, unpinned at 0.2 s, with the per-core spread read 1 s
+/// later.
+pub const UNPIN: &str = include_str!("../../../scenarios/drivers/desktop-unpin.toml");
 
 /// Run the desktop cross-check. The eight underlying simulations are
 /// independent, so they go through the runner pool.
@@ -90,11 +44,13 @@ pub fn run(cfg: &RunCfg) -> Desktop {
         let sc = suite_case(&[entry], "i7-3770", true);
         run_cell(&sc, sched, cfg)[0].perf
     };
+    let fibo = figure_scenario(FIBO);
+    let fibo_gain = |sched| fibo_window(&fibo, sched, cfg).as_secs_f64();
     let unpin = figure_scenario(UNPIN);
     let spread = |sched| f64::from(run_case(&unpin, sched, cfg, &mut ()).run.final_spread);
     let jobs: Vec<Box<dyn FnOnce() -> f64 + Send + '_>> = vec![
-        Box::new(|| fibo_gain(Sched::Cfs, cfg)),
-        Box::new(|| fibo_gain(Sched::Ule, cfg)),
+        Box::new(|| fibo_gain(Sched::Cfs)),
+        Box::new(|| fibo_gain(Sched::Ule)),
         Box::new(|| perf("Apache", Sched::Ule)),
         Box::new(|| perf("Apache", Sched::Cfs)),
         Box::new(|| spread(Sched::Cfs)),

@@ -4,13 +4,26 @@
 //! "The first threads are created with an interactivity penalty below the
 //! interactive threshold, while the remaining threads are created with an
 //! interactivity penalty above it. (...) The latter threads sysbench may
-//! starve forever."
+//! starve forever." The workload, horizon and step are
+//! `scenarios/drivers/fig34.toml`; this driver classifies the workers and
+//! samples the series.
 
+use kernel::{AppId, Kernel};
 use metrics::TimeSeries;
+use scenario::Observer;
+use sched_api::Tid;
 use simcore::{Dur, Time};
-use workloads::sysbench::{sysbench, SysbenchCfg};
 
-use crate::{make_kernel, or_bail, RunCfg, Sched};
+use crate::{figure_scenario, run_case, RunCfg, Sched};
+
+/// `scenarios/drivers/fig34.toml`, compiled in: the workload this figure
+/// runs.
+pub const SCENARIO: &str = include_str!("../../../scenarios/drivers/fig34.toml");
+
+/// When the workers are classified. The master needs 128 × 25 ms ≈ 3.2 s
+/// of CPU to initialise and fork everything (workers wait at the start
+/// gate meanwhile), independent of the transaction-budget scale.
+const CLASSIFY_AT: Dur = Dur::millis(4500);
 
 /// Result of the single-app starvation experiment.
 #[derive(Debug, serde::Serialize)]
@@ -31,57 +44,34 @@ pub struct Fig34 {
     pub background_count: usize,
 }
 
-/// Run on ULE (the experiment is specific to ULE's classification).
-pub fn run(cfg: &RunCfg) -> Fig34 {
-    let topo = topology::Topology::single_core();
-    let mut k = make_kernel(&topo, Sched::Ule, cfg);
-    let sb_cfg = SysbenchCfg {
-        threads: 128,
-        total_tx: ((250_000.0 * cfg.scale).round() as u64).max(500),
-        ..Default::default()
-    };
-    let spec = sysbench(&mut k, sb_cfg);
-    let app = k.queue_app(Time::ZERO, spec);
+/// The master and the workers split by their classification at
+/// [`CLASSIFY_AT`].
+struct Groups {
+    master: Tid,
+    interactive: Vec<Tid>,
+    background: Vec<Tid>,
+}
 
-    // Let the master finish spawning so the 129 tasks exist, then record
-    // each worker's classification at spawn time.
-    let horizon = Dur::secs_f64((140.0 * cfg.scale).max(20.0));
-    let step = Dur::secs_f64((1.0 * cfg.scale).max(0.05));
-    // The master needs 128 × 25 ms ≈ 3.2 s of CPU to initialise and fork
-    // everything (workers wait at the start gate meanwhile), independent of
-    // the transaction-budget scale.
-    let spawn_wait = Dur::secs_f64(4.5);
-    let res = k.try_run_until(Time::ZERO + spawn_wait);
-    or_bail(res, &k, "fig34-ULE", "fig34", cfg);
-    let tasks = k.app_tasks(app);
-    let master = tasks[0];
-    let workers: Vec<_> = tasks[1..].to_vec();
-    let mut interactive = Vec::new();
-    let mut background = Vec::new();
-    for &t in &workers {
-        match k.snapshot(t).interactive {
-            Some(true) => interactive.push(t),
-            _ => background.push(t),
+impl Groups {
+    /// The master and the workers of the sysbench app `app`, the workers
+    /// split by their classification now.
+    fn classify(k: &Kernel, app: AppId) -> Groups {
+        let tasks = k.app_tasks(app);
+        let (interactive, background) = tasks[1..]
+            .iter()
+            .partition(|&&t| k.snapshot(t).interactive == Some(true));
+        Groups {
+            master: tasks[0],
+            interactive,
+            background,
         }
     }
 
-    let mut out = Fig34 {
-        master_runtime: TimeSeries::new("master"),
-        interactive_runtime: TimeSeries::new("interactive threads"),
-        background_runtime: TimeSeries::new("background threads"),
-        interactive_penalty: TimeSeries::new("interactive penalty"),
-        background_penalty: TimeSeries::new("background penalty"),
-        interactive_count: interactive.len(),
-        background_count: background.len(),
-    };
-
-    let norm = |v: f64, max: f64| if max > 0.0 { v / max } else { 0.0 };
-    let limit = Time::ZERO + horizon;
-    while k.now() < limit {
-        let res = k.try_run_until(k.now() + step);
-        or_bail(res, &k, "fig34-ULE", "fig34", cfg);
-        let mrt = k.task_runtime(master).as_secs_f64();
-        let mean_rt = |set: &[sched_api::Tid]| -> f64 {
+    /// Push one point of every series of `fig`.
+    fn sample(&self, k: &Kernel, fig: &mut Fig34) {
+        let norm = |v: f64, max: f64| if max > 0.0 { v / max } else { 0.0 };
+        let mrt = k.task_runtime(self.master).as_secs_f64();
+        let mean_rt = |set: &[Tid]| -> f64 {
             if set.is_empty() {
                 return 0.0;
             }
@@ -90,7 +80,7 @@ pub fn run(cfg: &RunCfg) -> Fig34 {
                 .sum::<f64>()
                 / set.len() as f64
         };
-        let mean_pen = |set: &[sched_api::Tid]| -> Option<f64> {
+        let mean_pen = |set: &[Tid]| -> Option<f64> {
             let vals: Vec<f64> = set
                 .iter()
                 .filter_map(|&t| k.snapshot(t).ule_penalty.map(|p| p as f64))
@@ -101,23 +91,62 @@ pub fn run(cfg: &RunCfg) -> Fig34 {
                 Some(vals.iter().sum::<f64>() / vals.len() as f64)
             }
         };
-        let irt = mean_rt(&interactive);
-        let brt = mean_rt(&background);
+        let irt = mean_rt(&self.interactive);
+        let brt = mean_rt(&self.background);
         let max = mrt.max(irt).max(brt).max(1e-12);
-        out.master_runtime.push(k.now(), norm(mrt, max));
-        out.interactive_runtime.push(k.now(), norm(irt, max));
-        out.background_runtime.push(k.now(), norm(brt, max));
-        if let Some(p) = mean_pen(&interactive) {
-            out.interactive_penalty.push(k.now(), p);
+        fig.master_runtime.push(k.now(), norm(mrt, max));
+        fig.interactive_runtime.push(k.now(), norm(irt, max));
+        fig.background_runtime.push(k.now(), norm(brt, max));
+        if let Some(p) = mean_pen(&self.interactive) {
+            fig.interactive_penalty.push(k.now(), p);
         }
-        if let Some(p) = mean_pen(&background) {
-            out.background_penalty.push(k.now(), p);
-        }
-        if k.all_apps_done() {
-            break;
+        if let Some(p) = mean_pen(&self.background) {
+            fig.background_penalty.push(k.now(), p);
         }
     }
-    out
+}
+
+/// Classifies the workers at [`CLASSIFY_AT`], then samples every step.
+struct Sampler {
+    groups: Option<Groups>,
+    fig: Fig34,
+}
+
+impl Observer for Sampler {
+    fn step(&mut self, k: &Kernel, apps: &[(String, AppId)]) {
+        match &self.groups {
+            Some(g) => g.sample(k, &mut self.fig),
+            None if k.now() == Time::ZERO + CLASSIFY_AT => {
+                let g = Groups::classify(k, apps[0].1);
+                self.fig.interactive_count = g.interactive.len();
+                self.fig.background_count = g.background.len();
+                self.groups = Some(g);
+            }
+            None => {}
+        }
+    }
+
+    fn stop_at(&self) -> Option<Time> {
+        self.groups.is_none().then_some(Time::ZERO + CLASSIFY_AT)
+    }
+}
+
+/// Run on ULE (the experiment is specific to ULE's classification).
+pub fn run(cfg: &RunCfg) -> Fig34 {
+    let mut sampler = Sampler {
+        groups: None,
+        fig: Fig34 {
+            master_runtime: TimeSeries::new("master"),
+            interactive_runtime: TimeSeries::new("interactive threads"),
+            background_runtime: TimeSeries::new("background threads"),
+            interactive_penalty: TimeSeries::new("interactive penalty"),
+            background_penalty: TimeSeries::new("background penalty"),
+            interactive_count: 0,
+            background_count: 0,
+        },
+    };
+    run_case(&figure_scenario(SCENARIO), Sched::Ule, cfg, &mut sampler);
+    sampler.fig
 }
 
 /// Render both figures.

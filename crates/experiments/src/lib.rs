@@ -16,16 +16,15 @@
 //!
 //! All drivers are deterministic given a seed and accept a `scale`
 //! parameter that shrinks work volumes (tests use small scales; the
-//! `battle` CLI defaults to the paper-sized runs). Workloads are built one
-//! way, as scenarios the scenario engine runs: Figures 1, 6 and 7 run
-//! their `scenarios/figN.toml` files (compiled in), and every cell of
-//! Figures 5, 8 and 9 and of the desktop check is a [`suite_case`]. A
-//! failing scenario run leaves a file `battle run` replays. Four drivers
-//! build kernels by hand, each for something a scenario cannot express:
-//! the ablations (class parameters outside the tunable dimensions),
-//! desktop's fibo window (sysbench's `init_per_thread`), fig34 (tasks
-//! classified at exactly 4.5 s) and chaos's probes (deliberately broken
-//! behaviours).
+//! `battle` CLI defaults to the paper-sized runs). Every driver run is a
+//! scenario the scenario engine runs: Figures 1, 6 and 7 run their
+//! `scenarios/figN.toml` files, Figures 3–4, the ablations and the
+//! desktop check theirs under `scenarios/drivers/` (all compiled in), and
+//! every cell of Figures 5, 8 and 9 and of the desktop check is a
+//! [`suite_case`]. An ablation is its stock scenario plus a
+//! `[params.<class>]` table. A failing run leaves a file `battle run`
+//! replays. Only chaos's probes build kernels by hand: they test the
+//! supervisor with behaviours that are broken on purpose.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,11 +56,11 @@ pub mod table2;
 pub mod tournament;
 pub mod tune;
 
-use kernel::{CheckMode, FaultPlan, Kernel, SimError};
+use kernel::{AppId, CheckMode, Kernel};
 use scenario::expr::TimeExpr;
 use scenario::spec::{PhaseSpec, TopoSpec, WorkloadSpec};
 use scenario::{EngineError, EngineOpts, Observer, RunOutput, Scenario};
-use topology::Topology;
+use simcore::{Dur, Time};
 use workloads::Metric;
 
 pub use scenario::Sched;
@@ -100,8 +99,7 @@ impl RunCfg {
         }
     }
 
-    /// Scenario-engine options for this run (no budget, no cancellation,
-    /// stock scheduler parameters).
+    /// Scenario-engine options for this run (no budget, no cancellation).
     pub fn engine_opts(&self) -> EngineOpts {
         EngineOpts {
             scale: self.scale,
@@ -112,23 +110,9 @@ impl RunCfg {
     }
 }
 
-/// Build a kernel for `topo` driven by `sched`, with `cfg`'s seed and
-/// check mode. Delegates to [`scenario::make_kernel`] (the one kernel
-/// factory the drivers and the scenario engine share).
-pub fn make_kernel(topo: &Topology, sched: Sched, cfg: &RunCfg) -> Kernel {
-    scenario::make_kernel(topo, sched, cfg.seed, cfg.check, FaultPlan::default())
-}
-
 /// Parse a driver's compiled-in scenario.
 fn figure_scenario(toml: &str) -> Scenario {
     Scenario::from_toml(toml).unwrap_or_else(|e| panic!("compiled-in figure scenario: {e}"))
-}
-
-/// The command that re-runs `battle <experiment>` as `cfg` ran it, under
-/// strict checking.
-fn replay(experiment: &str, cfg: &RunCfg) -> String {
-    let (seed, scale) = (cfg.seed, cfg.scale);
-    format!("battle {experiment} --seed {seed} --scale {scale} --check strict")
 }
 
 /// Run scenario `sc` (a figure's file or a generated case) under `sched`
@@ -162,20 +146,30 @@ fn try_run_case(
         Err(EngineError::Spec(e)) => panic!("scenario {}: {e}", sc.name),
     };
     let label = crash::case_label(sc, sched);
-    let file = crash::path(&label, "json");
     Err(crash::Crash {
-        replay: replay(&format!("run {}", file.display()), cfg),
+        replay: crash::replay(&crash::path(&label, "json"), cfg),
         label,
         error,
         report,
     })
 }
 
-/// Unwrap the result of running a hand-built kernel `k` in `battle
-/// <driver>`. A simulator error (a strict-mode violation) writes the crash
-/// bundle `label` and exits, replayed by `battle <driver>`.
-fn or_bail<T>(res: Result<T, SimError>, k: &Kernel, label: &str, driver: &str, cfg: &RunCfg) -> T {
-    res.unwrap_or_else(|e| crash::Crash::capture(k, &e, label, &replay(driver, cfg)).bail())
+/// fibo's CPU time over the window from 4 s, when sysbench is in full
+/// swing, to the end of scenario `sc`'s run under `sched` (see
+/// [`run_case`]). fibo is phase 0, and 4 s lies on the step grid.
+fn fibo_window(sc: &Scenario, sched: Sched, cfg: &RunCfg) -> Dur {
+    let start = Time::ZERO + Dur::secs(4);
+    let fibo_runtime =
+        |k: &Kernel, apps: &[(String, AppId)]| k.task_runtime(k.app_tasks(apps[0].1)[0]);
+    let mut before = None;
+    let mut at_start = |k: &Kernel, apps: &[(String, AppId)]| {
+        if k.now() == start {
+            before = Some(fibo_runtime(k, apps));
+        }
+    };
+    let out = run_case(sc, sched, cfg, &mut at_start);
+    let before = before.expect("the run reaches the window start");
+    fibo_runtime(&out.kernel, &out.apps) - before
 }
 
 /// Structured observability snapshot of one finished kernel run
@@ -194,9 +188,6 @@ pub struct SchedObs {
     /// Decision digest at the end of the run (what the golden-digest
     /// regression gate pins).
     pub digest: u64,
-    /// `true` if the run was aborted by supervision (budget, watchdog or
-    /// cancellation) and these numbers are a salvaged partial snapshot.
-    pub partial: bool,
 }
 
 /// Capture a [`SchedObs`] from a kernel at the end of a run.
@@ -206,7 +197,6 @@ pub fn obs_of(k: &Kernel) -> SchedObs {
         run_delay: k.run_delay().summary(),
         wakeup_latency: k.wakeup_latency().summary(),
         digest: k.decision_digest(),
-        partial: false,
     }
 }
 
@@ -342,13 +332,5 @@ mod tests {
         // What `battle run` replays is the same partial run, which it fails.
         let replayed = scenario::run_sched(&sc, Sched::Cfs, &cfg.engine_opts()).unwrap();
         assert_eq!(replayed.run.abort.as_ref(), Some(&c.error));
-    }
-
-    #[test]
-    fn make_kernel_both_scheds() {
-        let topo = Topology::single_core();
-        let cfg = RunCfg::default();
-        assert_eq!(make_kernel(&topo, Sched::Cfs, &cfg).sched_name(), "cfs");
-        assert_eq!(make_kernel(&topo, Sched::Ule, &cfg).sched_name(), "ule");
     }
 }

@@ -141,15 +141,10 @@ fn partial_failures(runs: &[ScenarioRun]) -> Vec<String> {
 
 fn crash_failure(path: &Path, sc: &Scenario, cfg: &RunCfg, c: &scenario::EngineCrash) -> String {
     let bundle = crash::Crash {
-        label: format!("{}-{}", sc.name, c.sched.name()),
+        label: crash::case_label(sc, c.sched),
         error: c.error.clone(),
         report: c.report.clone(),
-        replay: format!(
-            "battle run {} --seed {} --scale {} --check strict",
-            path.display(),
-            cfg.seed,
-            cfg.scale
-        ),
+        replay: crash::replay(path, cfg),
     };
     let written = match bundle.write_bundle() {
         Ok(p) => format!(" (bundle: {})", p.display()),
@@ -219,14 +214,9 @@ pub fn run_all(
             runner::JobOutcome::Panicked(msg) => {
                 let (path, sc) = &scenarios[i];
                 let bundle = crash::Crash::from_panic(
-                    &format!("{}-{}", sc.name, sched.name()),
+                    &crash::case_label(sc, sched),
                     &msg,
-                    &format!(
-                        "battle run {} --seed {} --scale {} --check strict",
-                        path.display(),
-                        cfg.seed,
-                        cfg.scale
-                    ),
+                    &crash::replay(path, cfg),
                 );
                 let written = match bundle.write_bundle() {
                     Ok(p) => format!(" (bundle: {})", p.display()),

@@ -18,6 +18,9 @@
 //!    `(3 + jain) / 4` under this scheme, so tuned-vs-stock composites
 //!    are directly comparable.
 //!
+//! A candidate reaches the class the one way any non-stock parameters
+//! do: as the vector of each scenario's `[params.<class>]` table.
+//!
 //! Candidate × scenario runs fan out through
 //! [`runner::par_map_supervised`], which returns results in submission
 //! order whatever the pool size — the whole report (ASCII, JSON, and the
@@ -31,7 +34,7 @@ use std::path::{Path, PathBuf};
 use ::tune::{search, SearchCfg, TrajPoint};
 use kernel::RunBudget;
 use metrics::table::Table;
-use scenario::{EngineError, EngineOpts, Scenario, Sched};
+use scenario::{ClassParams, EngineError, EngineOpts, Scenario, Sched};
 use sched_api::params::{Dim, DimScale, ParamVector};
 
 use crate::{runner, scenarios, tournament, RunCfg};
@@ -145,18 +148,25 @@ fn composite_rel(cand: &Meas, stock: &Meas) -> f64 {
         / 4.0
 }
 
-/// Run one scenario under one candidate vector. `None` params = stock.
+/// `sc` with the candidate `v` as the vector of `sched`'s
+/// `[params.<class>]` table; the table's switches stay as `sc` sets them.
+fn with_candidate(sc: &Scenario, sched: Sched, v: &ParamVector) -> Scenario {
+    let mut table = sc
+        .class_params(sched)
+        .cloned()
+        .unwrap_or_else(|| ClassParams::stock(sched));
+    table.vector = v.clone();
+    let mut sc = sc.clone();
+    sc.params.retain(|t| t.sched != sched);
+    sc.params.push(table);
+    sc
+}
+
+/// Run one scenario (stock, or a candidate's [`with_candidate`]).
 /// Partial (supervision-aborted) and crashed runs come back as `Err`.
-fn run_meas(
-    sc: &Scenario,
-    sched: Sched,
-    cfg: &TuneCfg,
-    budget: RunBudget,
-    params: Option<&ParamVector>,
-) -> Result<Meas, String> {
+fn run_meas(sc: &Scenario, sched: Sched, cfg: &TuneCfg, budget: RunBudget) -> Result<Meas, String> {
     let opts = EngineOpts {
         budget,
-        params: params.cloned(),
         ..cfg.run.engine_opts()
     };
     let out = scenario::run_sched(sc, sched, &opts).map_err(|e| match e {
@@ -185,7 +195,8 @@ fn run_meas(
 /// tuned raw values.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct DimReport {
-    /// Dimension name (the key in the emitted TOML's `[params]`).
+    /// Dimension name (the key in the emitted TOML's `[params]`, and in a
+    /// scenario's `[params.<class>]` table).
     pub name: String,
     /// Scale kind ("linear", "log", "integer", "duration").
     pub scale: String,
@@ -256,7 +267,7 @@ pub fn run(corpus: &[(PathBuf, Scenario)], sched: Sched, cfg: &TuneCfg) -> TuneR
     // Stage 1: stock baseline, unbudgeted, fanned out over the corpus.
     let idxs: Vec<usize> = (0..corpus.len()).collect();
     let base_outcomes = runner::par_map_supervised(cfg.run.threads, idxs, |i| {
-        run_meas(&corpus[i].1, sched, cfg, RunBudget::default(), None)
+        run_meas(&corpus[i].1, sched, cfg, RunBudget::default())
     });
     // Scenarios that score, each with its stock measurement: stock
     // completed, so ratios are well defined.
@@ -298,13 +309,8 @@ pub fn run(corpus: &[(PathBuf, Scenario)], sched: Sched, cfg: &TuneCfg) -> TuneR
             .collect();
         let outcomes = runner::par_map_supervised(cfg.run.threads, jobs.clone(), |(b, k)| {
             let (i, stock) = scored[k];
-            run_meas(
-                &corpus[i].1,
-                sched,
-                cfg,
-                cand_budget(&stock),
-                Some(&batch[b]),
-            )
+            let sc = with_candidate(&corpus[i].1, sched, &batch[b]);
+            run_meas(&sc, sched, cfg, cand_budget(&stock))
         });
         let mut per_cand: Vec<Vec<Option<Meas>>> = vec![Vec::new(); batch.len()];
         for (&(b, _), o) in jobs.iter().zip(outcomes) {

@@ -2,19 +2,15 @@
 //! plus the simulator's own determinism mean every driver's output must be
 //! byte-identical whatever `--threads` is set to.
 
-use experiments::{fig5, make_kernel, runner, RunCfg, Sched};
-use kernel::{cpu_hog, AppSpec, ThreadSpec};
+use experiments::{fig5, runner, RunCfg, Sched};
+use kernel::{cpu_hog, AppSpec, CheckMode, FaultPlan, ThreadSpec};
 use simcore::{Dur, Time};
 use topology::Topology;
 
 /// A deterministic digest for one busy-machine simulation.
 fn digest_of(sched: Sched, seed: u64) -> (u64, u64) {
     let topo = Topology::core_i7_3770();
-    let cfg = RunCfg {
-        seed,
-        ..RunCfg::default()
-    };
-    let mut k = make_kernel(&topo, sched, &cfg);
+    let mut k = scenario::make_kernel(&topo, sched, seed, CheckMode::Off, FaultPlan::default());
     let threads = (0..16)
         .map(|i| ThreadSpec::new(format!("w{i}"), cpu_hog(Dur::millis(300), Dur::millis(4))))
         .collect();

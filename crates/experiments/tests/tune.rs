@@ -2,17 +2,21 @@
 //!
 //! * the report is byte-identical across worker-pool sizes and the
 //!   incumbent never loses to stock;
-//! * the tuned construction path with *explicit default* parameters
-//!   reproduces the committed golden digests byte-for-byte (hoisting the
-//!   tunables changed nothing at stock settings);
-//! * the committed `results/tuned/<sched>.toml` artifacts parse and every
-//!   value sits inside its declared dimension bounds.
+//! * a `[params.<class>]` table that spells out every default reproduces
+//!   the committed golden digests byte-for-byte (hoisting the tunables
+//!   changed nothing at stock settings);
+//! * the committed `results/tuned/<sched>.toml` artifacts parse, every
+//!   value sits inside its declared dimension bounds, and their `[params]`
+//!   replay through the scenario table as the class `tune.json` reports.
 
+use cfs::params::CfsParams;
 use eevdf::EevdfParams;
 use experiments::{tune, RunCfg};
-use scenario::{EngineOpts, Scenario, Sched};
+use scenario::{ClassParams, EngineOpts, Scenario, Sched};
 use sched_api::params::{ParamSpace, ParamVector};
+use sched_api::scx::VtimeParams;
 use std::path::{Path, PathBuf};
+use ule::params::UleParams;
 
 const ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
 
@@ -74,26 +78,44 @@ fn golden_digest(stem: &str, sched: Sched) -> String {
         .to_string()
 }
 
+/// `scenarios/fig1.toml` with `table` appended under `[params.<sched>]`.
+fn fig1_with_table(sched: Sched, table: &str) -> Scenario {
+    let p = format!("{ROOT}/scenarios/fig1.toml");
+    let src = std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("{p}: {e}"));
+    let src = format!("{src}\n[params.{}]\n{table}", sched.flag_name());
+    Scenario::from_toml(&src).unwrap_or_else(|e| panic!("[{}] {e}", sched.name()))
+}
+
 #[test]
 fn explicit_default_params_reproduce_golden_digests() {
     // The golden gate pins sc-fig1 at scale 0.05, seed 42, for cfs, ule
-    // and eevdf. Running through the tuned construction path with each
-    // scheduler's default vector must land on the very same digests:
-    // hoisting EEVDF's slice/lag constants (and every other tunable) into
-    // params changed nothing at stock settings.
-    let corpus = load_scenarios(&["fig1"]);
+    // and eevdf. A `[params.<class>]` table that writes out every
+    // dimension's default (EEVDF's from its struct) and every switch
+    // must land on the very same digests: hoisting EEVDF's slice/lag
+    // constants (and every other tunable) into params changed nothing at
+    // stock settings.
     for sched in [Sched::Cfs, Sched::Ule, Sched::Eevdf] {
-        let params = match sched {
+        let dims = scenario::param_dims(sched);
+        let vector = match sched {
             Sched::Eevdf => EevdfParams::default().to_vector(),
-            _ => ParamVector::defaults(&scenario::param_dims(sched)),
+            _ => ParamVector::defaults(&dims),
         };
+        let mut table: String = dims
+            .iter()
+            .zip(&vector.0)
+            .map(|(d, x)| format!("{} = {x}\n", d.name))
+            .collect();
+        for (name, on) in ClassParams::stock(sched).switches {
+            table.push_str(&format!("{name} = {on}\n"));
+        }
+        let sc = fig1_with_table(sched, &table);
+        assert_eq!(sc.class_params(sched), Some(&ClassParams::stock(sched)));
         let opts = EngineOpts {
             scale: 0.05,
             seed: 42,
-            params: Some(params),
             ..EngineOpts::default()
         };
-        let out = scenario::run_sched(&corpus[0].1, sched, &opts)
+        let out = scenario::run_sched(&sc, sched, &opts)
             .unwrap_or_else(|e| panic!("[{}] {e}", sched.name()));
         assert_eq!(
             out.run.digest_hex,
@@ -175,5 +197,65 @@ fn tuned_toml_roundtrips_through_the_parser() {
     let params = v.get("params").unwrap();
     for (i, d) in dims.iter().enumerate() {
         assert_eq!(num(params, d.name), r.incumbent.value(i, &dims));
+    }
+}
+
+/// `table` decoded into its class's parameter struct, as a vector.
+fn decoded(table: &ClassParams) -> ParamVector {
+    match table.sched {
+        Sched::Cfs => table.decode::<CfsParams>().to_vector(),
+        Sched::Ule => table.decode::<UleParams>().to_vector(),
+        Sched::Eevdf => table.decode::<EevdfParams>().to_vector(),
+        Sched::ScxVtime => table.decode::<VtimeParams>().to_vector(),
+        other => panic!("{} has no parameters", other.name()),
+    }
+}
+
+/// The struct `from_vector` builds from `v` for `sched`, as a vector.
+fn from_vector(sched: Sched, v: &ParamVector) -> ParamVector {
+    match sched {
+        Sched::Cfs => CfsParams::from_vector(v).to_vector(),
+        Sched::Ule => UleParams::from_vector(v).to_vector(),
+        Sched::Eevdf => EevdfParams::from_vector(v).to_vector(),
+        Sched::ScxVtime => VtimeParams::from_vector(v).to_vector(),
+        other => panic!("{} has no parameters", other.name()),
+    }
+}
+
+#[test]
+fn committed_tuned_params_replay_through_the_scenario_table() {
+    // Each committed `[params]` section, read as a scenario's
+    // `[params.<class>]` table, builds the class `tune.json` records as
+    // that class's incumbent.
+    let p = format!("{ROOT}/results/tuned/tune.json");
+    let src = std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("{p}: {e}"));
+    let batch: serde::Value = serde_json::from_str(&src).unwrap_or_else(|e| panic!("{p}: {e}"));
+    let reports = batch.get("reports").and_then(|r| r.as_array()).unwrap();
+    for sched in Sched::TUNABLE {
+        let report = reports
+            .iter()
+            .find(|r| r.get("sched").and_then(|s| s.as_str()) == Some(sched.name()))
+            .unwrap_or_else(|| panic!("{p}: no {} report", sched.name()));
+        let incumbent = ParamVector(
+            report
+                .get("incumbent")
+                .and_then(|v| v.as_array())
+                .unwrap()
+                .iter()
+                .map(|x| x.as_f64().unwrap())
+                .collect(),
+        );
+        let tp = format!("{ROOT}/results/tuned/{}.toml", sched.flag_name());
+        let toml = std::fs::read_to_string(&tp).unwrap_or_else(|e| panic!("{tp}: {e}"));
+        let (_, params) = toml
+            .split_once("\n[params]\n")
+            .unwrap_or_else(|| panic!("{tp}: no [params]"));
+        let sc = fig1_with_table(sched, params);
+        let table = sc.class_params(sched).unwrap();
+        assert_eq!(
+            decoded(table),
+            from_vector(sched, &incumbent),
+            "{tp} and {p} disagree"
+        );
     }
 }

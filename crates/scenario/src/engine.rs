@@ -17,7 +17,7 @@ use simcore::Time;
 use topology::CpuId;
 
 use crate::spec::{RelationBound, Scenario, SchedSel};
-use crate::{make_kernel_tuned, Sched};
+use crate::{build_class, kernel_with, Sched};
 
 /// Engine knobs shared by every run of a scenario batch.
 #[derive(Debug, Clone)]
@@ -35,9 +35,6 @@ pub struct EngineOpts {
     /// salvages a partial result like a budget-killed one, but its abort
     /// point is not deterministic.
     pub cancel: Option<CancelToken>,
-    /// Scheduler parameter-vector override (`battle tune` candidates);
-    /// `None` runs the stock defaults.
-    pub params: Option<sched_api::params::ParamVector>,
 }
 
 impl Default for EngineOpts {
@@ -48,7 +45,6 @@ impl Default for EngineOpts {
             check: CheckMode::Off,
             budget: RunBudget::default(),
             cancel: None,
-            params: None,
         }
     }
 }
@@ -189,8 +185,8 @@ pub struct RunOutput {
     pub apps: Vec<(String, AppId)>,
 }
 
-/// Watches a run from the driver's side of the step loop. Both calls
-/// default to doing nothing; any `FnMut(&Kernel, &[(String, AppId)])`
+/// Watches a run from the driver's side of the step loop. Every call
+/// defaults to doing nothing; any `FnMut(&Kernel, &[(String, AppId)])`
 /// closure is an observer whose body is the per-step call.
 pub trait Observer {
     /// Called once on the freshly built kernel, before any phase is queued
@@ -201,6 +197,14 @@ pub trait Observer {
     /// pushed and before the stop rule is checked. `apps` maps each phase
     /// name to its app, in phase order.
     fn step(&mut self, _k: &Kernel, _apps: &[(String, AppId)]) {}
+
+    /// An instant off the step grid to stop at, asked before every step:
+    /// when it lies after the current time and before the next grid point,
+    /// the step ends there instead (a step like any other), and the grid
+    /// goes on from that instant.
+    fn stop_at(&self) -> Option<Time> {
+        None
+    }
 }
 
 /// The observer [`run_sched`] passes: it watches nothing.
@@ -226,14 +230,8 @@ pub fn run_observed(
 ) -> Result<RunOutput, EngineError> {
     let topo = sc.topology.build();
     let ncpu = topo.nr_cpus();
-    let mut k = make_kernel_tuned(
-        &topo,
-        sched,
-        opts.seed,
-        opts.check,
-        sc.faults.to_plan(),
-        opts.params.as_ref(),
-    );
+    let class = build_class(&topo, sched, opts.seed, sc.class_params(sched));
+    let mut k = kernel_with(&topo, class, opts.seed, opts.check, sc.faults.to_plan());
 
     // SchedGuard: the scenario's own [budget] combined with the driver's,
     // tighter limit winning; watchdog overrides; cancellation token.
@@ -306,7 +304,10 @@ pub fn run_observed(
     };
     let mut abort: Option<(AbortKind, String)> = None;
     while k.now() < limit && !(sc.run.until_apps_done && k.all_apps_done()) {
-        let next = k.now() + step;
+        let mut next = k.now() + step;
+        if let Some(at) = obs.stop_at().filter(|&at| at > k.now()) {
+            next = next.min(at);
+        }
         if let Err(e) = k.try_run_until(next) {
             // Supervision aborts leave a *consistent* kernel: salvage the
             // partial result. Anything else is a real crash.

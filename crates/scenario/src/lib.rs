@@ -5,11 +5,13 @@
 //! [`spec::Scenario`] and executed by [`engine::run_sched`] on any
 //! registered scheduler. The `battle run` subcommand is the CLI front-end;
 //! `scenarios/` in the repo root is the library of figure workloads and
-//! stress scenarios the golden-digest CI gate pins. The figure drivers run
-//! every workload through [`engine::run_observed`]: `experiments::fig1`,
-//! `fig6` and `fig7` their scenario files, adding only their sampling, and
-//! fig5, fig8, fig9 and the desktop check generated suite cells
-//! (`experiments::suite_case`).
+//! stress scenarios the golden-digest CI gate pins. Every driver run goes
+//! through [`engine::run_observed`]: Figures 1, 6 and 7 run their
+//! `scenarios/figN.toml` files and Figures 3–4, the ablations and the
+//! desktop check theirs under `scenarios/drivers/`, each adding only its
+//! sampling, and fig5, fig8, fig9 and the desktop check run generated
+//! suite cells (`experiments::suite_case`). A class gets non-stock
+//! parameters only from a scenario's `[params.<class>]` table.
 //!
 //! Layering:
 //!
@@ -18,7 +20,8 @@
 //! | [`toml`]     | minimal TOML → [`serde::Value`] parser (the vendored serde has no deserializer) |
 //! | [`expr`]     | scale-aware time/count expressions (`{ base_s = 420, plus_s = 30 }`) |
 //! | [`spec`]     | the typed scenario schema, with unknown-key rejection and field-path errors |
-//! | [`workload`] | phase specs → kernel [`AppSpec`]s |
+//! | [`params`]   | the `[params.<class>]` table: dimensions and switches, checked against their bounds |
+//! | [`workload`] | phase specs → kernel [`AppSpec`](kernel::AppSpec)s |
 //! | [`engine`]   | build kernel, queue phases, drive the loop (with an [`Observer`]), evaluate assertions |
 
 #![forbid(unsafe_code)]
@@ -26,6 +29,7 @@
 
 pub mod engine;
 pub mod expr;
+pub mod params;
 pub mod spec;
 pub mod toml;
 pub mod workload;
@@ -34,7 +38,7 @@ use cfs::params::CfsParams;
 use cfs::Cfs;
 use eevdf::{Eevdf, EevdfParams};
 use kernel::{CheckMode, FaultPlan, Kernel, SimConfig, SimpleRR};
-use sched_api::params::{Dim, ParamSpace, ParamVector};
+use sched_api::params::{Dim, ParamSpace};
 use sched_api::scx::{FifoPolicy, ScxSched, VtimeParams, VtimePolicy};
 use topology::Topology;
 use ule::params::UleParams;
@@ -44,6 +48,7 @@ pub use engine::{
     failures, run_observed, run_sched, AbortKind, EngineCrash, EngineError, EngineOpts, Observer,
     RunOutput, ScenarioRun,
 };
+pub use params::ClassParams;
 pub use spec::{BudgetSpec, Scenario, SpecError};
 
 /// Which scheduler drives a run.
@@ -123,16 +128,18 @@ impl serde::Serialize for Sched {
     }
 }
 
-/// Build the scheduling class `sched` for `topo` (the single registry every
-/// front-end — scenarios, fuzzing, tournaments — constructs schedulers
-/// through). `seed` only matters to classes with internal randomness (ULE's
-/// balancer interval jitter).
+/// Build the scheduling class `sched` for `topo` with stock parameters
+/// (the single registry every front-end — scenarios, fuzzing, tournaments —
+/// constructs schedulers through). `seed` only matters to classes with
+/// internal randomness (ULE's balancer interval jitter). A scenario's
+/// `[params.<class>]` table is the one way to other parameters.
 pub fn make_class(topo: &Topology, sched: Sched, seed: u64) -> Box<dyn sched_api::Scheduler> {
-    make_class_tuned(topo, sched, seed, None)
+    build_class(topo, sched, seed, None)
 }
 
-/// The tunable dimensions of `sched`'s parameter space (`battle tune`);
-/// empty for schedulers without tunables.
+/// The tunable dimensions of `sched`'s parameter space (`battle tune`, and
+/// the dimension keys of its `[params.<class>]` table); empty for
+/// schedulers without tunables.
 pub fn param_dims(sched: Sched) -> Vec<Dim> {
     match sched {
         Sched::Cfs => CfsParams::dims(),
@@ -143,41 +150,39 @@ pub fn param_dims(sched: Sched) -> Vec<Dim> {
     }
 }
 
-/// [`make_class`] with an optional parameter-vector override: `None` (or a
-/// scheduler without tunables) builds the stock defaults, `Some(v)` decodes
-/// `v` through the scheduler's [`ParamSpace`] (clamped to the declared
-/// bounds). The single construction path for every tuned run.
-pub fn make_class_tuned(
+/// [`make_class`] with the parameters of `table`, `sched`'s
+/// `[params.<class>]` table (stock without one).
+fn build_class(
     topo: &Topology,
     sched: Sched,
     seed: u64,
-    params: Option<&ParamVector>,
+    table: Option<&ClassParams>,
 ) -> Box<dyn sched_api::Scheduler> {
     match sched {
         Sched::Cfs => Box::new(Cfs::with_params(
             topo,
-            params.map(CfsParams::from_vector).unwrap_or_default(),
+            table.map(ClassParams::decode).unwrap_or_default(),
         )),
         Sched::Ule => Box::new(Ule::with_params(
             topo,
-            params.map(UleParams::from_vector).unwrap_or_default(),
+            table.map(ClassParams::decode).unwrap_or_default(),
             seed,
         )),
         Sched::Eevdf => Box::new(Eevdf::with_params(
             topo,
-            params.map(EevdfParams::from_vector).unwrap_or_default(),
+            table.map(ClassParams::decode).unwrap_or_default(),
         )),
         Sched::SimpleRr => Box::new(SimpleRR::new(topo)),
         Sched::ScxFifo => Box::new(ScxSched::new(FifoPolicy, topo.nr_cpus())),
         Sched::ScxVtime => Box::new(ScxSched::new(
-            VtimePolicy::with_params(params.map(VtimeParams::from_vector).unwrap_or_default()),
+            VtimePolicy::with_params(table.map(ClassParams::decode).unwrap_or_default()),
             topo.nr_cpus(),
         )),
     }
 }
 
-/// Build a kernel for `topo` driven by `sched`, with an explicit check
-/// mode and fault plan.
+/// Build a kernel for `topo` driven by `sched` with stock parameters, with
+/// an explicit check mode and fault plan.
 ///
 /// The fault plan must be in the [`SimConfig`] before construction: the
 /// kernel forks its fault RNG from the seed at `Kernel::new` time.
@@ -188,33 +193,13 @@ pub fn make_kernel(
     check: CheckMode,
     faults: FaultPlan,
 ) -> Kernel {
-    make_kernel_tuned(topo, sched, seed, check, faults, None)
+    kernel_with(topo, make_class(topo, sched, seed), seed, check, faults)
 }
 
-/// [`make_kernel`] with an optional scheduler parameter-vector override
-/// (see [`make_class_tuned`]).
-pub fn make_kernel_tuned(
-    topo: &Topology,
-    sched: Sched,
-    seed: u64,
-    check: CheckMode,
-    faults: FaultPlan,
-    params: Option<&ParamVector>,
-) -> Kernel {
-    make_kernel_with_class(
-        topo,
-        make_class_tuned(topo, sched, seed, params),
-        seed,
-        check,
-        faults,
-    )
-}
-
-/// Build a kernel for `topo` around a ready scheduling class (drivers that
-/// hand-tune a class's typed parameters, like the ablations). The one
-/// place that applies a check mode: strict checking also keeps a
-/// 256-event flight-recorder tail so a crash bundle has context.
-pub fn make_kernel_with_class(
+/// A kernel for `topo` around `class`: the one place that applies a check
+/// mode. Strict checking also keeps a 256-event flight-recorder tail so a
+/// crash bundle has context.
+fn kernel_with(
     topo: &Topology,
     class: Box<dyn sched_api::Scheduler>,
     seed: u64,

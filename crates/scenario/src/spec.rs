@@ -3,9 +3,11 @@
 //! A scenario file describes, declaratively, everything an experiment
 //! needs before its analysis: which schedulers to run, the machine shape,
 //! the workload phases and when they start, optional mid-run events
-//! (unpinning), a fault plan, the run loop (horizon, sampling step, stop
-//! rules) and the assertions that make the scenario a regression test
-//! (digest pins, counter bounds, latency bounds, CFS↔ULE relations).
+//! (unpinning), a fault plan, non-stock class parameters (the
+//! `[params.<class>]` tables of [`crate::params`]), the run loop (horizon,
+//! sampling step, stop rules) and the assertions that make the scenario a
+//! regression test (digest pins, counter bounds, latency bounds, CFS↔ULE
+//! relations).
 //!
 //! Parsing is strict: unknown keys are rejected with the full field path
 //! (`phase[2].chunk_ms`), so typos fail loudly instead of silently running
@@ -17,6 +19,7 @@ use simcore::Dur;
 use topology::Topology;
 
 use crate::expr::{CountExpr, TimeExpr};
+use crate::params::ClassParams;
 use crate::Sched;
 
 /// A schema error, pinned to a field path like `phase[0].count`.
@@ -86,7 +89,7 @@ impl From<SpecError> for ParseError {
     }
 }
 
-fn join(path: &str, key: &str) -> String {
+pub(crate) fn join(path: &str, key: &str) -> String {
     if path.is_empty() {
         key.to_string()
     } else {
@@ -456,6 +459,8 @@ pub enum WorkloadSpec {
         threads: CountExpr,
         /// Total transactions across all threads.
         total_tx: CountExpr,
+        /// Master CPU time burned per worker spawned, milliseconds.
+        init_ms: f64,
     },
     /// The c-ray fork/join render (fig7).
     Cray {
@@ -564,6 +569,9 @@ fn req_time(v: &Value, path: &str, key: &str) -> Result<TimeExpr, SpecError> {
 
 const PHASE_BASE_KEYS: [&str; 4] = ["name", "kind", "at", "tenant"];
 
+/// Default of the `sysbench` kind's `init_ms`: `SysbenchCfg`'s 32 ms.
+const SYSBENCH_INIT_MS: f64 = 32.0;
+
 impl WorkloadSpec {
     /// The `kind` discriminator string.
     pub fn kind(&self) -> &'static str {
@@ -620,10 +628,18 @@ impl WorkloadSpec {
                 })
             }
             "sysbench" => {
-                check_keys(v, path, &keys(&["threads", "total_tx"]))?;
+                check_keys(v, path, &keys(&["threads", "total_tx", "init_ms"]))?;
+                let init_ms = get_f64(v, path, "init_ms")?.unwrap_or(SYSBENCH_INIT_MS);
+                if !(init_ms.is_finite() && init_ms >= 0.0) {
+                    return Err(SpecError::new(
+                        join(path, "init_ms"),
+                        "expected a non-negative number of milliseconds",
+                    ));
+                }
                 Ok(WorkloadSpec::Sysbench {
                     threads: req_count(v, path, "threads")?,
                     total_tx: req_count(v, path, "total_tx")?,
+                    init_ms,
                 })
             }
             "cray" => {
@@ -763,9 +779,16 @@ impl WorkloadSpec {
                     f.push(("pin".to_string(), pin_value(p)));
                 }
             }
-            WorkloadSpec::Sysbench { threads, total_tx } => {
+            WorkloadSpec::Sysbench {
+                threads,
+                total_tx,
+                init_ms,
+            } => {
                 f.push(("threads".to_string(), threads.to_value()));
                 f.push(("total_tx".to_string(), total_tx.to_value()));
+                if *init_ms != SYSBENCH_INIT_MS {
+                    f.push(("init_ms".to_string(), Value::Float(*init_ms)));
+                }
             }
             WorkloadSpec::Cray { threads, work } => {
                 f.push(("threads".to_string(), threads.to_value()));
@@ -1606,6 +1629,9 @@ pub struct Scenario {
     pub faults: FaultSpec,
     /// SchedGuard supervision (budget ceilings, watchdog overrides).
     pub budget: BudgetSpec,
+    /// Non-stock class parameters, the `[params.<class>]` tables (see
+    /// [`crate::params`]); a class without one runs stock.
+    pub params: Vec<ClassParams>,
     /// The run loop.
     pub run: RunSpec,
     /// End-of-run assertions.
@@ -1615,9 +1641,9 @@ pub struct Scenario {
 impl Scenario {
     /// A scenario of `phases` on `topology` for CFS and ULE, run until
     /// every app is done or `horizon` passes, sampled every 100 ms, with no
-    /// events, faults, budget or assertions: what a file that sets only
-    /// these keys parses to. Generated scenarios (fuzz cases, suite cells)
-    /// start here.
+    /// events, faults, budget, class parameters or assertions: what a file
+    /// that sets only these keys parses to. Generated scenarios (fuzz
+    /// cases, suite cells) start here.
     pub fn new(
         name: impl Into<String>,
         topology: TopoSpec,
@@ -1633,6 +1659,7 @@ impl Scenario {
             events: Vec::new(),
             faults: FaultSpec::default(),
             budget: BudgetSpec::default(),
+            params: Vec::new(),
             run: RunSpec {
                 horizon,
                 horizon_cfs: None,
@@ -1672,6 +1699,7 @@ impl Scenario {
                 "event",
                 "faults",
                 "budget",
+                "params",
                 "run",
                 "assert",
             ],
@@ -1766,9 +1794,18 @@ impl Scenario {
                 Some(b) => BudgetSpec::from_value(b, "budget")?,
                 None => BudgetSpec::default(),
             },
+            params: match v.get("params") {
+                Some(p) => crate::params::from_value(p, "params")?,
+                None => Vec::new(),
+            },
             run,
             asserts,
         })
+    }
+
+    /// The `[params.<class>]` table of `sched`, if the scenario sets one.
+    pub fn class_params(&self, sched: Sched) -> Option<&ClassParams> {
+        self.params.iter().find(|t| t.sched == sched)
     }
 
     /// Serialize back to a value tree that [`Scenario::from_value`]
@@ -1808,6 +1845,9 @@ impl Scenario {
         }
         if !self.budget.is_default() {
             f.push(("budget".to_string(), self.budget.to_value()));
+        }
+        if !self.params.is_empty() {
+            f.push(("params".to_string(), crate::params::to_value(&self.params)));
         }
         f.push(("run".to_string(), self.run.to_value()));
         if !self.asserts.is_default() {

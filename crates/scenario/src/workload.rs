@@ -80,11 +80,16 @@ pub fn build(
                     .collect(),
             ))
         }
-        WorkloadSpec::Sysbench { threads, total_tx } => Ok(sysbench(
+        WorkloadSpec::Sysbench {
+            threads,
+            total_tx,
+            init_ms,
+        } => Ok(sysbench(
             k,
             SysbenchCfg {
                 threads: threads.eval(scale, ncpu) as usize,
                 total_tx: total_tx.eval(scale, ncpu),
+                init_per_thread: dur_ms(*init_ms),
                 ..SysbenchCfg::default()
             },
         )),

@@ -5,10 +5,12 @@
 //! unknown keys are rejected instead of silently ignored, and errors name
 //! the offending field with its line or path.
 
-use scenario::{EngineOpts, Scenario, Sched};
+use kernel::{AppId, Kernel};
+use scenario::{EngineOpts, Observer, Scenario, Sched};
+use simcore::{Dur, Time};
 
 /// A scenario touching every workload kind, events, faults, tenant
-/// labels and every assertion family.
+/// labels, a class table and every assertion family.
 const KITCHEN_SINK: &str = r#"
 name = "kitchen-sink"
 description = "every feature at once"
@@ -52,6 +54,7 @@ pin = [2]
 kind = "sysbench"
 threads = 8
 total_tx = { base = 1000, min = 50 }
+init_ms = 8.0
 
 [[phase]]
 kind = "cray"
@@ -117,6 +120,10 @@ max_queue_depth = 100000
 max_live_tasks = 4096
 stall_events = 50000
 pingpong = 5000
+
+[params.ule]
+balance_min = 200000000
+periodic_balance = false
 
 [run]
 horizon = { base_s = 30.0, plus_s = 5.0 }
@@ -298,6 +305,21 @@ horizon = 1.0
 "#;
     let err = Scenario::from_toml(bad_event).expect_err("unknown event phase");
     assert!(err.to_string().contains("nope"), "{err}");
+
+    let bad_init = r#"
+name = "x"
+[topology]
+preset = "single-core"
+[[phase]]
+kind = "sysbench"
+threads = 2
+total_tx = 10
+init_ms = -1.0
+[run]
+horizon = 1.0
+"#;
+    let err = Scenario::from_toml(bad_init).expect_err("negative init_ms");
+    assert!(err.to_string().contains("phase[0].init_ms"), "{err}");
 }
 
 #[test]
@@ -505,4 +527,56 @@ horizon = { base_s = 10.0, scaled = false }
         total, r.run_delay.count,
         "apps partition the global histogram"
     );
+}
+
+/// Records every instant it is stepped at, and asks for one stop.
+struct StopAt {
+    at: Time,
+    seen: Vec<Time>,
+}
+
+impl Observer for StopAt {
+    fn step(&mut self, k: &Kernel, _apps: &[(String, AppId)]) {
+        self.seen.push(k.now());
+    }
+
+    fn stop_at(&self) -> Option<Time> {
+        Some(self.at)
+    }
+}
+
+#[test]
+fn observer_stop_off_the_grid_is_stepped_and_steers_nothing() {
+    let src = r#"
+name = "stop"
+[topology]
+preset = "flat-2"
+[[phase]]
+kind = "cpu-hogs"
+count = 3
+work = { base_s = 0.3, scaled = false }
+[run]
+horizon = { base_s = 5.0, scaled = false }
+step = { base_s = 0.1, scaled = false }
+"#;
+    let sc = Scenario::from_toml(src).unwrap();
+    let opts = EngineOpts::default();
+    let ms = |n| Time::ZERO + Dur::millis(n);
+    for sched in Sched::ALL {
+        let plain = scenario::run_sched(&sc, sched, &opts).unwrap();
+        let mut obs = StopAt {
+            at: ms(250),
+            seen: Vec::new(),
+        };
+        let out = scenario::run_observed(&sc, sched, &opts, &mut obs).unwrap();
+        // The requested instant is a step, and the grid goes on from it.
+        assert_eq!(obs.seen[..4], [ms(100), ms(200), ms(250), ms(350)]);
+        assert!(out.run.all_apps_done);
+        assert_eq!(
+            out.run.digest_hex,
+            plain.run.digest_hex,
+            "[{}] an extra stop changed a decision",
+            sched.name()
+        );
+    }
 }

@@ -11,7 +11,9 @@
 //!   search's normalised unit cube,
 //! * [`ParamSpace::to_vector`] / [`ParamSpace::from_vector`] convert
 //!   between the struct and a raw [`ParamVector`] (one `f64` per
-//!   dimension, durations carried as nanoseconds).
+//!   dimension, durations carried as nanoseconds),
+//! * [`ParamSpace::switches`] names the on/off switches beside the
+//!   dimensions, which the search never touches.
 //!
 //! Decoding always clamps to the declared bounds and rounds discrete
 //! dimensions, so *any* vector — including one proposed by a search step
@@ -275,6 +277,13 @@ pub trait ParamSpace: Sized + Default {
     /// clamped, discrete dimensions rounded, missing entries defaulted;
     /// fields not covered by any dimension keep their `Default` value.
     fn from_vector(v: &ParamVector) -> Self;
+
+    /// The on/off switches, by name, each with its field: mechanisms an
+    /// ablation turns off one at a time. The search never touches them
+    /// (`from_vector` leaves them at their defaults). None by default.
+    fn switches(&mut self) -> Vec<(&'static str, &mut bool)> {
+        Vec::new()
+    }
 }
 
 #[cfg(test)]

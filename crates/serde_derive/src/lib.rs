@@ -8,7 +8,7 @@
 //! * `#[derive(Deserialize)]`, which expands to nothing — no code in this
 //!   workspace ever deserializes.
 //!
-//! The generated impl produces a [`serde::Value`] tree; rendering to JSON
+//! The generated impl produces a `serde::Value` tree; rendering to JSON
 //! text lives in the vendored `serde_json` crate.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};

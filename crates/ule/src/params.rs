@@ -101,8 +101,8 @@ impl UleParams {
 /// and balancer cadence. The balancer's min/max interval moves as one
 /// dimension — `balance_min` — with the stock 1:3 ratio preserved, so a
 /// candidate can never invert the `[min, max]` jitter window. History
-/// clamps (`slp_run_max`, fork clamp, `pctcpu_window`) and the
-/// balancer-bug ablation switch stay fixed.
+/// clamps (`slp_run_max`, fork clamp, `pctcpu_window`) stay fixed;
+/// `periodic_balance`, the balancer-bug ablation, is the one switch.
 impl ParamSpace for UleParams {
     fn dims() -> Vec<Dim> {
         vec![
@@ -150,6 +150,10 @@ impl ParamSpace for UleParams {
             affinity_window: v.dur(5, &d),
             ..UleParams::default()
         }
+    }
+
+    fn switches(&mut self) -> Vec<(&'static str, &mut bool)> {
+        vec![("periodic_balance", &mut self.periodic_balance)]
     }
 }
 
