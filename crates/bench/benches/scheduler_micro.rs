@@ -5,7 +5,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use kernel::ticks::{RunLane, TickLane};
 use kernel::{cpu_hog, AppSpec, CheckMode, Kernel, SimConfig, ThreadSpec};
 use scenario::{make_class, Sched};
-use sched_api::{EnqueueKind, GroupId, Scheduler, Task, TaskState, TaskTable};
+use sched_api::{
+    DequeueKind, EnqueueKind, GroupId, Scheduler, SelectStats, Task, TaskState, TaskTable, WakeKind,
+};
 use simcore::{Dur, EventQueue, SimRng, Time};
 use topology::{CpuId, Topology};
 use ule::interactivity::Interactivity;
@@ -192,11 +194,11 @@ fn bench_balance_tick(c: &mut Criterion) {
 /// Layer: classes (placement and balancing). The balancer sweep at
 /// datacenter scale for every registered class: 256 cores, work piled on
 /// one LLC, the rest of the machine idle — one tick's balance pass across
-/// all 256 CPUs per iteration. CFS's and ULE's sweeps skip idle CPUs via
-/// their active masks; EEVDF, SimpleRR and the scx classes let every idle
-/// CPU try a steal, which walks the occupancy index's has-waiters mask
-/// instead of every runqueue. Nothing is ever picked to run, so the
-/// steal-on-tick classes keep moving the waiters between CPUs.
+/// all 256 CPUs per iteration. CFS's sweeps skip idle CPUs via its active
+/// mask; ULE, EEVDF, SimpleRR and the scx classes let every idle CPU try a
+/// steal, which reads the occupancy index's level masks instead of every
+/// runqueue. Nothing is ever picked to run, so the steal-on-tick classes
+/// keep moving the waiters between CPUs.
 fn bench_balance_tick_256c(c: &mut Criterion) {
     let mut g = c.benchmark_group("balance_tick_256c");
     let topo = Topology::numa_256();
@@ -228,6 +230,58 @@ fn bench_balance_tick_256c(c: &mut Criterion) {
                     moved += targets.len();
                 }
                 moved
+            })
+        });
+    }
+    g.finish();
+}
+
+/// Layer: classes (placement and balancing). The all-busy paths at
+/// datacenter scale for every registered class: 256 cores, every CPU but
+/// CPU 0 running one task with four more waiting. Each iteration places
+/// one waking task that is no longer cache-affine (no idle CPU to find, so
+/// CFS's idle-sibling search misses and ULE runs all three passes) and
+/// lets idle CPU 0 steal, then sends what it stole back to a busy CPU so
+/// the machine stays as it was.
+fn bench_placement_256c_busy(c: &mut Criterion) {
+    let mut g = c.benchmark_group("placement_256c_busy");
+    let topo = Topology::numa_256();
+    for sched in Sched::ALL {
+        g.bench_function(sched.flag_name(), |b| {
+            let mut class = make_class(&topo, sched, 0);
+            let mut tasks = TaskTable::new();
+            let mut now = Time::ZERO;
+            let spawn = |tasks: &mut TaskTable, class: &mut Box<dyn Scheduler>, cpu, now| {
+                let tid = tasks.insert_with(|t| Task::new(t, "w", GroupId(1)));
+                class.task_fork(tasks, tid, None, now);
+                let t = tasks.get_mut(tid);
+                (t.cpu, t.last_cpu, t.state, t.on_rq) = (cpu, cpu, TaskState::Runnable, true);
+                class.enqueue_task(tasks, cpu, tid, EnqueueKind::New, now);
+                tid
+            };
+            for cpu in topo.all_cpus().skip(1) {
+                for _ in 0..5 {
+                    spawn(&mut tasks, &mut class, cpu, now);
+                }
+                class.pick_next_task(&mut tasks, cpu, now);
+            }
+            let probe = spawn(&mut tasks, &mut class, CpuId(1), now);
+            class.dequeue_task(&mut tasks, CpuId(1), probe, DequeueKind::Sleep, now);
+            tasks.get_mut(probe).state = TaskState::Sleeping;
+            let mut home = 1u32;
+            b.iter(|| {
+                now += Dur::millis(1);
+                let mut stats = SelectStats::default();
+                let wake = WakeKind::Wakeup { waker: None };
+                let placed = class.select_task_rq(&tasks, probe, wake, CpuId(1), now, &mut stats);
+                let stole = class.idle_balance(&mut tasks, CpuId(0), now, &mut stats);
+                while let Some(tid) = class.pick_next_task(&mut tasks, CpuId(0), now) {
+                    class.dequeue_task(&mut tasks, CpuId(0), tid, DequeueKind::Sleep, now);
+                    home = home % 255 + 1;
+                    tasks.get_mut(tid).cpu = CpuId(home);
+                    class.enqueue_task(&mut tasks, CpuId(home), tid, EnqueueKind::Wakeup, now);
+                }
+                (placed, stole, stats.cpus_scanned)
             })
         });
     }
@@ -427,6 +481,7 @@ criterion_group!(
     bench_run_lane_512c,
     bench_balance_tick,
     bench_balance_tick_256c,
+    bench_placement_256c_busy,
     bench_ule_queue_walk_8c,
     bench_schedsan_step_32c,
     bench_pelt,

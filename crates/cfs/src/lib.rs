@@ -25,17 +25,20 @@
 
 pub mod balance;
 pub mod entity;
+#[cfg(test)]
+mod model_tests;
 pub mod params;
 pub mod pelt;
 pub mod placement;
 
 use sched_api::{
-    weights, DequeueKind, EnqueueKind, GroupId, Preempt, PreemptCause, Scheduler, SelectError,
-    SelectStats, TaskSnapshot, TaskTable, Tid, WakeKind,
+    weights, DequeueKind, EnqueueKind, GroupId, Occupancy, Preempt, PreemptCause, Scheduler,
+    SelectError, SelectStats, TaskSnapshot, TaskTable, Tid, WakeKind,
 };
 use simcore::{Dur, Time};
-use topology::{CpuId, CpuMask, Domain, Level, Topology};
+use topology::{CpuId, CpuMask, Topology};
 
+use balance::{DomState, SchedDomain};
 use entity::{CfsRq, EntKey, Entity};
 use params::CfsParams;
 use pelt::RqLoad;
@@ -83,18 +86,6 @@ pub(crate) struct CpuRq {
     pub(crate) tw_sum: u64,
     /// Decaying runqueue load average (`cfs_rq->avg.load_avg`).
     pub(crate) load: RqLoad,
-    /// `false` while the CPU is hotplugged out: placement and balancing
-    /// must not put tasks here.
-    pub(crate) online: bool,
-}
-
-/// Per-CPU, per-domain balancing state.
-pub(crate) struct DomState {
-    pub(crate) dom: Domain,
-    pub(crate) next_balance: Time,
-    pub(crate) interval: Dur,
-    pub(crate) nr_failed: u32,
-    pub(crate) imbalance_pct: u64,
 }
 
 /// The CFS scheduling class.
@@ -104,10 +95,16 @@ pub struct Cfs {
     pub(crate) tents: Vec<Option<TaskEnt>>,
     pub(crate) groups: Vec<Group>,
     pub(crate) cpus: Vec<CpuRq>,
+    /// The distinct scheduling domains, each built once and shared by the
+    /// CPUs it spans.
+    pub(crate) doms: Vec<SchedDomain>,
+    /// Per CPU, its balancing state for each of its domains, smallest
+    /// first.
     pub(crate) domains: Vec<Vec<DomState>>,
-    /// Online CPUs as a bitset; mirrors the per-CPU `online` flags so
-    /// placement fallbacks are a word-AND instead of a full-machine scan.
-    pub(crate) online: CpuMask,
+    /// Each CPU's runnable count (`h_nr`, split into waiting and the
+    /// running task) and the online mask: placement finds idle CPUs here
+    /// ([`Cfs::sync`] keeps it current).
+    pub(crate) occ: Occupancy,
     /// CPUs with runnable tasks *or* undecayed load residue. Balancing
     /// group scans iterate this instead of all CPUs: a CPU outside the
     /// mask contributes exactly (load 0, nr 0) to every group statistic,
@@ -131,32 +128,7 @@ impl Cfs {
     /// CFS with explicit parameters.
     pub fn with_params(topo: &Topology, p: CfsParams) -> Cfs {
         let ncpu = topo.nr_cpus();
-        let numa = topo.nr_nodes() > 1;
-        let domains = topo
-            .all_cpus()
-            .map(|cpu| {
-                topo.domains(cpu)
-                    .into_iter()
-                    .enumerate()
-                    .map(|(lvl, dom)| {
-                        let interval =
-                            Dur(p.balance_interval.as_nanos() * p.interval_scaling.pow(lvl as u32));
-                        let pct = if numa && dom.level == Level::Machine {
-                            p.imbalance_pct_numa
-                        } else {
-                            p.imbalance_pct_llc
-                        };
-                        DomState {
-                            dom,
-                            next_balance: Time::ZERO,
-                            interval,
-                            nr_failed: 0,
-                            imbalance_pct: pct,
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
+        let (doms, domains) = balance::build_domains(topo, &p);
         Cfs {
             topo: topo.clone(),
             p,
@@ -169,11 +141,11 @@ impl Cfs {
                     h_nr: 0,
                     tw_sum: 0,
                     load: RqLoad::default(),
-                    online: true,
                 })
                 .collect(),
+            doms,
             domains,
-            online: CpuMask::first_n(ncpu),
+            occ: Occupancy::new(ncpu),
             active: CpuMask::empty(),
             scratch_tids: Vec::new(),
             last_audit_min: vec![0; ncpu],
@@ -183,6 +155,14 @@ impl Cfs {
     /// Access to the parameters (for ablation benches).
     pub fn params(&self) -> &CfsParams {
         &self.p
+    }
+
+    /// Bring `cpu`'s occupancy row up to date with `h_nr` and `curr`. Every
+    /// site that changes either calls it.
+    pub(crate) fn sync(&mut self, cpu: CpuId) {
+        let c = &self.cpus[cpu.index()];
+        let running = c.curr.is_some();
+        self.occ.set(cpu, c.h_nr - usize::from(running), running);
     }
 
     pub(crate) fn eff_group(&self, tasks: &TaskTable, tid: Tid) -> GroupId {
@@ -510,6 +490,7 @@ impl Scheduler for Cfs {
         // O(active) balancing sweeps (cleared lazily in `refresh_load`
         // once idle *and* fully decayed).
         self.active.set(cpu);
+        self.sync(cpu);
 
         if kind == EnqueueKind::Wakeup && self.should_preempt_on_wakeup(cpu, tid) {
             Preempt::Yes(PreemptCause::Wakeup)
@@ -609,6 +590,7 @@ impl Scheduler for Cfs {
         if is_curr {
             c.curr = None;
         }
+        self.sync(cpu);
     }
 
     fn yield_task(&mut self, tasks: &mut TaskTable, cpu: CpuId, now: Time) {
@@ -635,6 +617,7 @@ impl Scheduler for Cfs {
         te.ent.exec_start = now;
         te.slice_start_exec = te.ent.sum_exec;
         self.cpus[cpu.index()].curr = Some(tid);
+        self.sync(cpu);
         debug_assert_eq!(tasks.get(tid).cpu, cpu);
         Some(tid)
     }
@@ -653,6 +636,7 @@ impl Scheduler for Cfs {
             self.cpus[cpu.index()].root.put_prev(EntKey::Group(g), gev);
         }
         self.cpus[cpu.index()].curr = None;
+        self.sync(cpu);
     }
 
     fn task_tick(&mut self, _tasks: &mut TaskTable, cpu: CpuId, curr: Tid, now: Time) -> Preempt {
@@ -774,6 +758,19 @@ impl Scheduler for Cfs {
 
     fn audit(&mut self, _tasks: &TaskTable, cpu: CpuId, _now: Time) -> Result<(), String> {
         let c = &self.cpus[cpu.index()];
+        // The index placement reads, and the O(active) sweeps' premise: a
+        // CPU they skip contributes nothing.
+        let running = c.curr.is_some();
+        self.occ
+            .audit(cpu, c.h_nr.saturating_sub(usize::from(running)), running)?;
+        if !self.active.contains(cpu) && (c.h_nr, c.tw_sum, c.load.avg()) != (0, 0, 0) {
+            return Err(format!(
+                "inactive CPU holds h_nr {}, tw_sum {}, load {}",
+                c.h_nr,
+                c.tw_sum,
+                c.load.avg()
+            ));
+        }
 
         // min_vruntime must never go backward (the fairness clock).
         let min = c.root.min_vruntime;
@@ -861,12 +858,10 @@ impl Scheduler for Cfs {
     }
 
     fn cpu_offline(&mut self, cpu: CpuId) {
-        self.cpus[cpu.index()].online = false;
-        self.online.clear(cpu);
+        self.occ.set_online(cpu, false);
     }
 
     fn cpu_online(&mut self, cpu: CpuId) {
-        self.cpus[cpu.index()].online = true;
-        self.online.set(cpu);
+        self.occ.set_online(cpu, true);
     }
 }

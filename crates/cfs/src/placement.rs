@@ -14,9 +14,9 @@
 
 use sched_api::{SelectError, SelectStats, TaskTable, Tid, WakeKind};
 use simcore::{Dur, Time};
-use topology::CpuId;
+use topology::{CpuId, CpuMask};
 
-use crate::Cfs;
+use crate::{Cfs, CpuRq};
 
 impl Cfs {
     /// Entry point used by `select_task_rq`. Errors when no online CPU
@@ -52,13 +52,14 @@ impl Cfs {
                 // wake_affine effectively counts the running waker), so a
                 // CPU that just became busy is not mistaken for idle.
                 let task = tasks.get(tid);
+                let online = self.occ.online();
                 let target = if task.allowed_on(waking_cpu)
-                    && self.cpus[waking_cpu.index()].online
+                    && online.contains(waking_cpu)
                     && (self.cpus[waking_cpu.index()].tw_sum < self.cpus[prev.index()].tw_sum
-                        || !self.cpus[prev.index()].online)
+                        || !online.contains(prev))
                 {
                     waking_cpu
-                } else if task.allowed_on(prev) && self.cpus[prev.index()].online {
+                } else if task.allowed_on(prev) && online.contains(prev) {
                     prev
                 } else {
                     self.first_allowed(tasks, tid)?
@@ -74,19 +75,9 @@ impl Cfs {
         self.cpus[cpu.index()].load.avg()
     }
 
-    /// Bring a CPU's load average up to `now`. Also maintains the active
-    /// mask lazily: once a CPU is idle *and* its load average has decayed
-    /// to exactly zero, further refreshes are no-ops, so it drops out of
-    /// the O(active) balancing sweeps until its next enqueue.
+    /// Bring a CPU's load average up to `now` ([`refresh_rq`]).
     pub(crate) fn refresh_load(&mut self, cpu: CpuId, now: Time) {
-        let c = &mut self.cpus[cpu.index()];
-        let tw = c.tw_sum;
-        c.load.update(now, tw);
-        if c.h_nr == 0 && tw == 0 && c.load.avg() == 0 {
-            self.active.clear(cpu);
-        } else {
-            self.active.set(cpu);
-        }
+        refresh_rq(&mut self.cpus[cpu.index()], &mut self.active, cpu, now);
     }
 
     /// Lowest-id online CPU in the task's affinity mask — the deterministic
@@ -96,7 +87,7 @@ impl Cfs {
     fn first_allowed(&self, tasks: &TaskTable, tid: Tid) -> Result<CpuId, SelectError> {
         tasks
             .get(tid)
-            .allowed_online(&self.online)
+            .allowed_online(self.occ.online())
             .first_set()
             .ok_or(SelectError { tid })
     }
@@ -131,7 +122,9 @@ impl Cfs {
     }
 
     /// Linux's `select_idle_sibling`: prefer `target` if idle, otherwise an
-    /// idle CPU sharing `target`'s LLC, otherwise `target` itself.
+    /// idle CPU sharing `target`'s LLC, otherwise `target` itself. Charges
+    /// the modelled scan: `target`, then the LLC's CPUs in id order up to
+    /// the idle one found (all of them on a miss).
     pub(crate) fn select_idle_sibling(
         &self,
         tasks: &TaskTable,
@@ -141,26 +134,30 @@ impl Cfs {
     ) -> Result<CpuId, SelectError> {
         let task = tasks.get(tid);
         stats.cpus_scanned += 1;
-        let ok = |c: CpuId| task.allowed_on(c) && self.cpus[c.index()].online;
-        if ok(target) && self.cpus[target.index()].h_nr == 0 {
+        let ok = task.allowed_on(target) && self.occ.online().contains(target);
+        if ok && self.occ.is_idle(target) {
             return Ok(target);
         }
-        for &c in self.topo.llc_cpus(target) {
-            stats.cpus_scanned += 1;
-            if c != target && ok(c) && self.cpus[c.index()].h_nr == 0 {
-                return Ok(c);
+        let llc = self.topo.llc_mask(target);
+        match self.occ.first_idle(llc, task.affinity.as_ref()) {
+            Some(c) => {
+                stats.cpus_scanned += llc.and(&CpuMask::first_n(c.index() + 1)).count() as u32;
+                Ok(c)
             }
-        }
-        if ok(target) {
-            Ok(target)
-        } else {
-            self.first_allowed(tasks, tid)
+            None => {
+                stats.cpus_scanned += self.topo.llc_cpus(target).len() as u32;
+                if ok {
+                    Ok(target)
+                } else {
+                    self.first_allowed(tasks, tid)
+                }
+            }
         }
     }
 
     /// Lowest-load CPU among the allowed ones (fork placement and wide
     /// wakeups; `find_idlest_group`/`find_idlest_cpu` collapsed onto the
-    /// flat CPU set).
+    /// flat CPU set). Charges every allowed online CPU.
     pub(crate) fn find_idlest(
         &mut self,
         tasks: &TaskTable,
@@ -168,25 +165,37 @@ impl Cfs {
         now: Time,
         stats: &mut SelectStats,
     ) -> Result<CpuId, SelectError> {
-        let task = tasks.get(tid);
+        let cand = tasks.get(tid).allowed_online(self.occ.online());
+        stats.cpus_scanned += cand.count() as u32;
         // Linux's find_idlest_cpu compares load averages only; the blocked
         // residue of sleeping tasks blurs the comparison, which is exactly
         // how CFS ends up doubling threads onto one core (§6.3).
-        let mut best: Option<(u64, CpuId)> = None;
-        let all: Vec<CpuId> = self.topo.all_cpus().collect();
-        for c in all {
-            if !task.allowed_on(c) || !self.cpus[c.index()].online {
-                continue;
-            }
+        //
+        // A CPU outside the active mask has load 0, and refreshing it
+        // changes nothing, so the first one stands in for all of them and
+        // only the active candidates are refreshed and compared.
+        let mut best = cand.and_not(&self.active).first_set().map(|c| (0, c));
+        for c in cand.and(&self.active).iter() {
             self.refresh_load(c, now);
-            stats.cpus_scanned += 1;
             let key = (self.cpu_load(c), c);
-            match best {
-                None => best = Some(key),
-                Some(b) if (key.0, key.1 .0) < (b.0, b.1 .0) => best = Some(key),
-                _ => {}
+            if best.is_none_or(|b| key < b) {
+                best = Some(key);
             }
         }
         best.map(|(_, c)| c).ok_or(SelectError { tid })
+    }
+}
+
+/// Bring `rq`'s load average up to `now` and keep `cpu`'s bit in the
+/// active mask: once the CPU is idle *and* its average has decayed to
+/// exactly zero, further refreshes are no-ops, so it drops out of the
+/// O(active) sweeps until its next enqueue.
+pub(crate) fn refresh_rq(rq: &mut CpuRq, active: &mut CpuMask, cpu: CpuId, now: Time) {
+    let tw = rq.tw_sum;
+    rq.load.update(now, tw);
+    if rq.h_nr == 0 && tw == 0 && rq.load.avg() == 0 {
+        active.clear(cpu);
+    } else {
+        active.set(cpu);
     }
 }

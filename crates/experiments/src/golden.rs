@@ -100,6 +100,14 @@ pub fn manifest() -> Vec<Entry> {
             job: Job::Scenario("scenarios/herd-4096.toml"),
             scale: 0.05,
         },
+        // The same herd at simbench's scale, about 4.8 waiters per CPU:
+        // every CPU is busy, so placement and stealing take their
+        // all-busy paths, which the 0.05 entry (2 per CPU) barely reaches.
+        Entry {
+            name: "sc-herd-4096-busy",
+            job: Job::Scenario("scenarios/herd-4096.toml"),
+            scale: 0.3,
+        },
         Entry {
             name: "sc-numa-512",
             job: Job::Scenario("scenarios/numa-512.toml"),

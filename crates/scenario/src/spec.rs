@@ -1712,10 +1712,13 @@ impl Scenario {
                 let mut out = Vec::with_capacity(items.len());
                 for (i, s) in items.iter().enumerate() {
                     let p = format!("scheds[{i}]");
-                    let name = s
-                        .as_str()
-                        .ok_or_else(|| SpecError::new(&p, "expected `cfs` or `ule`"))?;
-                    out.push(parse_sched(name, &p)?);
+                    // A non-string is an unknown name too; the message
+                    // lists every class.
+                    let name = match s.as_str() {
+                        Some(name) => name.to_string(),
+                        None => serde_json::to_string(s).unwrap_or_default(),
+                    };
+                    out.push(parse_sched(&name, &p)?);
                 }
                 out
             }

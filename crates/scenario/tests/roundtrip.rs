@@ -238,6 +238,53 @@ horizon = 1.0
 }
 
 #[test]
+fn json_rejects_a_repeated_key_as_toml_does() {
+    // A `run` table that sets `horizon` twice: the parser once kept the
+    // first and ran a 1 s scenario that says 5 s.
+    let src = r#"{
+  "name": "twice",
+  "topology": {"preset": "single-core"},
+  "phase": [{"kind": "fibo", "work": 1.0}],
+  "run": {
+    "horizon": {"base_s": 1.0, "scaled": false},
+    "horizon": 5.0,
+    "until_apps_done": false
+  }
+}"#;
+    let err = Scenario::from_json(src).expect_err("a repeated key must fail");
+    let at = src.rfind("\"horizon\"").unwrap();
+    assert!(
+        err.to_string()
+            .contains(&format!("duplicate key `horizon` at byte {at}")),
+        "{err}"
+    );
+    let once = src.replacen("\"horizon\": 5.0,", "", 1);
+    Scenario::from_json(&once).expect("the same file with one horizon parses");
+}
+
+#[test]
+fn a_non_string_scheduler_lists_every_class() {
+    let src = r#"
+name = "x"
+scheds = [1]
+[topology]
+preset = "single-core"
+[[phase]]
+kind = "fibo"
+work = 1.0
+[run]
+horizon = 1.0
+"#;
+    let msg = Scenario::from_toml(src)
+        .expect_err("scheds[0] = 1")
+        .to_string();
+    assert!(msg.contains("scheds[0]") && msg.contains("`1`"), "{msg}");
+    for sched in Sched::ALL {
+        assert!(msg.contains(sched.flag_name()), "{msg} omits {sched:?}");
+    }
+}
+
+#[test]
 fn toml_errors_carry_line_numbers() {
     let src = "name = \"x\"\nbad line without equals\n";
     let err = Scenario::from_toml(src).expect_err("syntax error must fail");

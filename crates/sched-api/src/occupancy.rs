@@ -1,32 +1,68 @@
-//! The per-CPU occupancy index behind least-loaded placement and idle
-//! stealing.
+//! The per-CPU occupancy index behind placement and stealing.
 //!
-//! EEVDF, SimpleRR and the scx adapter share one balancing design: a waking
-//! task goes to the least-loaded CPU it may run on, and an idle CPU steals
-//! one waiter from the CPU with the most waiters. Scanning every CPU for
-//! either answer costs O(cores) per wakeup and per idle tick, which on a
-//! mostly idle 256-core machine is almost all of the work. [`Occupancy`]
-//! keeps the answer's inputs indexed instead, the way Linux's sched_ext
-//! keeps an idle cpumask for its policies (`scx_bpf_pick_idle_cpu`):
+//! Every class places a waking task by comparing CPUs' loads and steals
+//! from the CPU with the most work. Scanning every CPU for either answer
+//! costs O(cores) per wakeup and per idle tick, which on a 256-core machine
+//! is almost all of the work. [`Occupancy`] keeps the answer's inputs
+//! indexed instead, the way Linux's sched_ext keeps an idle cpumask for its
+//! policies (`scx_bpf_pick_idle_cpu`):
 //!
 //! * per CPU, the number of waiting tasks (queued, not running) and whether
 //!   a task is running;
-//! * across CPUs, three [`CpuMask`]s — `online`, `idle` (nothing waiting,
-//!   nothing running) and `has_waiters` — whose bits flip only when a CPU
-//!   goes empty ↔ non-empty or idle ↔ busy, so the classes' per-hook
-//!   updates stay a compare and, rarely, one bit write.
+//! * across CPUs, an `online` [`CpuMask`] and two families of level masks:
+//!   load level `k` holds the CPUs whose load (waiting + running) is `k`,
+//!   and waiting level `k` those with `k` waiting tasks, for `k` below the
+//!   last level; the last level holds every larger count. The idle CPUs
+//!   are load level 0, the CPUs with waiters the complement of waiting
+//!   level 0. The masks cover only the words the machine uses, so a small
+//!   machine's index stays small.
 //!
-//! The owning class calls [`Occupancy::set`] after every queue mutation and
-//! [`Occupancy::set_online`] from its hotplug hooks, and checks the row in
-//! its SchedSan audit ([`Occupancy::audit`]). Placement reads
-//! `allowed ∩ online ∩ idle`; idle steal walks `has_waiters ∩ online`.
-//! Both return exactly what the exhaustive scans they replace returned, and
-//! charge the same modelled scan counts.
+//! A row update moves a CPU to another level only when its level changes,
+//! a bit clear and a bit set per family, so the classes' per-hook updates
+//! stay a couple of compares. The queries answer from the levels with a
+//! few word operations per level, and compare rows only inside the last
+//! level:
+//!
+//! * [`Occupancy::least_loaded`] and [`Occupancy::least_loaded_in`]: the
+//!   first candidate of the lowest level that has one, which is the lowest
+//!   id at the lowest load;
+//! * [`Occupancy::busiest`] and [`Occupancy::most_loaded`]: the row
+//!   maximum of the last level, else the first candidate of the highest
+//!   level down, after a one-pass exit when no candidate has any work;
+//! * [`Occupancy::first_idle`]: the first idle candidate.
+//!
+//! All six classes keep their placement state here. The owning class calls
+//! [`Occupancy::set`] after every queue or running-task change and
+//! [`Occupancy::set_online`] from its hotplug hooks, and checks the row and
+//! its level bits in its SchedSan audit ([`Occupancy::audit`]). Each query
+//! returns exactly what the exhaustive scan it replaces returned; the
+//! callers charge the modelled scan counts.
 
-use topology::{CpuId, CpuMask};
+use topology::{CpuId, CpuMask, WordBits};
 
 use crate::sched::SelectStats;
 use crate::task::Task;
+
+/// Levels per mask family: counts `0 ..= LEVELS - 2` have a level each,
+/// and the last level holds every larger count.
+const LEVELS: usize = 8;
+/// The last level, whose CPUs the queries tell apart by their rows.
+const OVERFLOW: usize = LEVELS - 1;
+
+/// The two families of level masks.
+#[derive(Debug, Clone, Copy)]
+enum Family {
+    /// Levels by waiting + running.
+    Load = 0,
+    /// Levels by waiting alone.
+    Wait = 1,
+}
+
+/// The level of a count.
+#[inline]
+fn level(n: usize) -> usize {
+    n.min(OVERFLOW)
+}
 
 /// One CPU's occupancy.
 #[derive(Debug, Clone, Copy, Default)]
@@ -37,8 +73,15 @@ struct Row {
     running: bool,
 }
 
-/// Per-CPU waiting counts and running flags, plus the online, idle and
-/// has-waiters masks over them; see the module docs.
+impl Row {
+    #[inline]
+    fn load(&self) -> usize {
+        self.waiting + usize::from(self.running)
+    }
+}
+
+/// Per-CPU waiting counts and running flags, plus the online mask and the
+/// load and waiting levels over them; see the module docs.
 #[derive(Debug, Clone)]
 pub struct Occupancy {
     rows: Vec<Row>,
@@ -46,8 +89,9 @@ pub struct Occupancy {
     /// there, so a small machine pays for one word, not the full mask.
     words: usize,
     online: CpuMask,
-    idle: CpuMask,
-    has_waiters: CpuMask,
+    /// The level masks, `words` words each: word `w` of level `k` of a
+    /// family is `levels[(family * LEVELS + k) * words + w]`.
+    levels: Box<[u64]>,
 }
 
 impl Occupancy {
@@ -55,13 +99,35 @@ impl Occupancy {
     /// `nr_cpus` exceeds [`topology::MAX_CPUS`].
     pub fn new(nr_cpus: usize) -> Occupancy {
         let all = CpuMask::first_n(nr_cpus);
-        Occupancy {
+        let words = nr_cpus.div_ceil(64);
+        // Allocated before the rows: in the other order simbench's herd-256
+        // measured about 0.3 MiB more peak RSS (heap fragmentation).
+        let levels = vec![0; 2 * LEVELS * words].into_boxed_slice();
+        let mut o = Occupancy {
             rows: vec![Row::default(); nr_cpus],
-            words: nr_cpus.div_ceil(64),
+            words,
             online: all,
-            idle: all,
-            has_waiters: CpuMask::empty(),
+            levels,
+        };
+        for w in 0..words {
+            for family in [Family::Load, Family::Wait] {
+                let slot = o.slot(family, 0, w);
+                o.levels[slot] = all.word(w);
+            }
         }
+        o
+    }
+
+    /// Where word `w` of level `k` of `family` lives in `levels`.
+    #[inline]
+    fn slot(&self, family: Family, k: usize, w: usize) -> usize {
+        (family as usize * LEVELS + k) * self.words + w
+    }
+
+    /// Word `w` of level `k` of `family`.
+    #[inline]
+    fn level_word(&self, family: Family, k: usize, w: usize) -> u64 {
+        self.levels[self.slot(family, k, w)]
     }
 
     /// Number of CPUs indexed.
@@ -71,29 +137,47 @@ impl Occupancy {
     }
 
     /// Record that `cpu` now has `waiting` queued tasks and, if `running`,
-    /// a task executing. The masks are written only when the CPU crosses
-    /// the empty ↔ non-empty or idle ↔ busy line.
+    /// a task executing. A level mask is written only when the CPU's level
+    /// in that family changes.
     #[inline]
     pub fn set(&mut self, cpu: CpuId, waiting: usize, running: bool) {
         let row = &mut self.rows[cpu.index()];
-        let had_waiters = row.waiting > 0;
-        let was_idle = !had_waiters && !row.running;
+        let old = *row;
         *row = Row { waiting, running };
-        let has_waiters = waiting > 0;
-        if has_waiters != had_waiters {
-            assign(&mut self.has_waiters, cpu, has_waiters);
+        // A CPU that stays in the last waiting level stays in the last
+        // load level too.
+        if old.waiting.min(waiting) < OVERFLOW {
+            self.relevel(cpu, old);
         }
-        let idle = !has_waiters && !running;
-        if idle != was_idle {
-            assign(&mut self.idle, cpu, idle);
+    }
+
+    /// Move `cpu` from the levels of its `old` row to those of its
+    /// current one, where they differ.
+    #[inline]
+    fn relevel(&mut self, cpu: CpuId, old: Row) {
+        let new = self.rows[cpu.index()];
+        let (w, bit) = (cpu.index() / 64, 1u64 << (cpu.index() % 64));
+        for (family, from, to) in [
+            (Family::Load, level(old.load()), level(new.load())),
+            (Family::Wait, level(old.waiting), level(new.waiting)),
+        ] {
+            if from != to {
+                let (from, to) = (self.slot(family, from, w), self.slot(family, to, w));
+                self.levels[from] &= !bit;
+                self.levels[to] |= bit;
+            }
         }
     }
 
     /// Mark `cpu` online or hotplugged out. Offline CPUs are never
-    /// returned by [`Occupancy::least_loaded`] or [`Occupancy::busiest`].
+    /// returned by the queries.
     #[inline]
     pub fn set_online(&mut self, cpu: CpuId, online: bool) {
-        assign(&mut self.online, cpu, online);
+        if online {
+            self.online.set(cpu);
+        } else {
+            self.online.clear(cpu);
+        }
     }
 
     /// Tasks waiting on `cpu` (excluding the running one).
@@ -111,8 +195,7 @@ impl Occupancy {
     /// Waiting plus running: the load figure placement compares.
     #[inline]
     pub fn load(&self, cpu: CpuId) -> usize {
-        let row = &self.rows[cpu.index()];
-        row.waiting + usize::from(row.running)
+        self.rows[cpu.index()].load()
     }
 
     /// CPUs currently online.
@@ -121,93 +204,198 @@ impl Occupancy {
         &self.online
     }
 
-    /// CPUs with nothing waiting and nothing running (online or not).
+    /// Whether `cpu` has nothing waiting and nothing running (online or
+    /// not); `false` past the machine.
     #[inline]
-    pub fn idle(&self) -> &CpuMask {
-        &self.idle
+    pub fn is_idle(&self, cpu: CpuId) -> bool {
+        cpu.index() < self.rows.len()
+            && self.level_word(Family::Load, 0, cpu.index() / 64) >> (cpu.index() % 64) & 1 == 1
     }
 
-    /// CPUs with at least one waiting task (online or not).
-    #[inline]
-    pub fn has_waiters(&self) -> &CpuMask {
-        &self.has_waiters
+    /// The CPUs at load level `k` (waiting + running equal to `k`; the last
+    /// level, 7, holds every load of 7 or more).
+    pub fn load_level(&self, k: usize) -> CpuMask {
+        self.level_mask(Family::Load, level(k))
+    }
+
+    /// The CPUs at waiting level `k`, as [`Occupancy::load_level`].
+    pub fn wait_level(&self, k: usize) -> CpuMask {
+        self.level_mask(Family::Wait, level(k))
+    }
+
+    fn level_mask(&self, family: Family, k: usize) -> CpuMask {
+        (0..self.words)
+            .flat_map(|w| WordBits::new(w, self.level_word(family, k, w)))
+            .collect()
     }
 
     /// The least-loaded online CPU in `task`'s affinity mask, lowest id
-    /// among ties; `None` when no online CPU is allowed. The first idle
-    /// candidate wins outright (no CPU can carry less than zero load), so
-    /// the argmin walk only runs when every candidate is busy.
+    /// among ties; `None` when no online CPU is allowed.
     ///
-    /// `stats.cpus_scanned` is charged |allowed ∩ online| whichever path
-    /// answers: the kernel models the scan a real class performs, not the
-    /// index lookup.
+    /// `stats.cpus_scanned` is charged |allowed ∩ online|: the kernel
+    /// models the scan a real class performs, not the index lookup.
     pub fn least_loaded(&self, task: &Task, stats: &mut SelectStats) -> Option<CpuId> {
-        let candidates =
-            |w: usize| self.online.word(w) & task.affinity.as_ref().map_or(u64::MAX, |m| m.word(w));
-        let mut scanned = 0;
-        let mut first_idle = None;
-        for w in 0..self.words {
-            let cand = candidates(w);
-            scanned += cand.count_ones();
-            let idle = cand & self.idle.word(w);
-            if first_idle.is_none() && idle != 0 {
-                first_idle = Some(lowest(w, idle));
+        let cand = self.within(&self.online, task.affinity.as_ref());
+        stats.cpus_scanned += (0..self.words).map(|w| cand(w).count_ones()).sum::<u32>();
+        self.lowest_load(cand, |_| true)
+    }
+
+    /// The online CPU of `span ∩ allowed` (`None` allows every CPU) with
+    /// the lowest load among those `ok` accepts, lowest id among ties;
+    /// `None` when `ok` accepts none. Charges nothing. `ok` sees the
+    /// candidates level by level, lowest id first within a level, and the
+    /// search stops at the first level with an accepted CPU.
+    pub fn least_loaded_in(
+        &self,
+        span: &CpuMask,
+        allowed: Option<&CpuMask>,
+        ok: impl FnMut(CpuId) -> bool,
+    ) -> Option<CpuId> {
+        self.lowest_load(self.within(span, allowed), ok)
+    }
+
+    /// The lowest-id online CPU of `span ∩ allowed` (`None` allows every
+    /// CPU) with nothing waiting and nothing running. Charges nothing.
+    pub fn first_idle(&self, span: &CpuMask, allowed: Option<&CpuMask>) -> Option<CpuId> {
+        self.first_at(self.within(span, allowed), |w| {
+            self.level_word(Family::Load, 0, w)
+        })
+    }
+
+    /// The online CPU of `span` other than `thief` with the highest load
+    /// of at least `min`, lowest id among ties (ULE's `tdq_idled` victim
+    /// rule); `None` when no such CPU exists. Charges nothing.
+    ///
+    /// A load of 1 or more means the CPU is not idle, and a load of 2 or
+    /// more means it has a waiter, so the candidates are first narrowed to
+    /// the busy or the waiting CPUs; when that leaves nothing the answer is
+    /// `None` after one pass over the words.
+    pub fn most_loaded(&self, span: &CpuMask, thief: CpuId, min: usize) -> Option<CpuId> {
+        let none = |w: usize| match min {
+            0 => 0,
+            1 => self.level_word(Family::Load, 0, w),
+            _ => self.level_word(Family::Wait, 0, w),
+        };
+        let cand = self.victims(span, none, thief)?;
+        self.highest(Family::Load, Row::load, cand, min)
+    }
+
+    /// The online CPU other than `thief` with the most waiting tasks, lowest
+    /// id among ties; `None` when no other online CPU has a waiter, after
+    /// one pass over the machine's words, so an idle machine's steals stay
+    /// cheap.
+    ///
+    /// Charges `stats.cpus_scanned` the modelled full scan of every CPU.
+    pub fn busiest(&self, thief: CpuId, stats: &mut SelectStats) -> Option<CpuId> {
+        stats.cpus_scanned += self.rows.len() as u32;
+        let none = |w: usize| self.level_word(Family::Wait, 0, w);
+        let cand = self.victims(&self.online, none, thief)?;
+        self.highest(Family::Wait, |r| r.waiting, cand, 1)
+    }
+
+    /// Word `w` of `span ∩ allowed ∩ online` (`allowed` None: every CPU).
+    #[inline]
+    fn within<'a>(
+        &'a self,
+        span: &'a CpuMask,
+        allowed: Option<&'a CpuMask>,
+    ) -> impl Fn(usize) -> u64 + Copy + 'a {
+        move |w| span.word(w) & self.online.word(w) & allowed.map_or(u64::MAX, |m| m.word(w))
+    }
+
+    /// Word `w` of `span ∩ online ∖ none ∖ {thief}`, or `None` when that
+    /// set is empty.
+    #[inline]
+    fn victims<'a>(
+        &'a self,
+        span: &'a CpuMask,
+        none: impl Fn(usize) -> u64 + Copy + 'a,
+        thief: CpuId,
+    ) -> Option<impl Fn(usize) -> u64 + Copy + 'a> {
+        let (tw, tbit) = (thief.index() / 64, 1u64 << (thief.index() % 64));
+        let cand = move |w: usize| {
+            let bits = span.word(w) & self.online.word(w) & !none(w);
+            if w == tw {
+                bits & !tbit
+            } else {
+                bits
             }
-        }
-        stats.cpus_scanned += scanned;
-        if first_idle.is_some() {
-            return first_idle;
+        };
+        (0..self.words).any(|w| cand(w) != 0).then_some(cand)
+    }
+
+    /// The lowest-id CPU of `cand ∩ level`, both given word by word.
+    #[inline]
+    fn first_at(&self, cand: impl Fn(usize) -> u64, level: impl Fn(usize) -> u64) -> Option<CpuId> {
+        (0..self.words).find_map(|w| WordBits::new(w, cand(w) & level(w)).next())
+    }
+
+    /// The lowest (load, id) among the CPUs of `cand` that `ok` accepts.
+    fn lowest_load(
+        &self,
+        cand: impl Fn(usize) -> u64,
+        mut ok: impl FnMut(CpuId) -> bool,
+    ) -> Option<CpuId> {
+        let last = |w: usize| self.level_word(Family::Load, OVERFLOW, w);
+        // When every candidate sits in the last level (a small machine
+        // under load), go straight to comparing rows.
+        if (0..self.words).any(|w| cand(w) & !last(w) != 0) {
+            for k in 0..OVERFLOW {
+                for w in 0..self.words {
+                    for cpu in WordBits::new(w, cand(w) & self.level_word(Family::Load, k, w)) {
+                        if ok(cpu) {
+                            return Some(cpu);
+                        }
+                    }
+                }
+            }
         }
         let mut best: Option<(CpuId, usize)> = None;
         for w in 0..self.words {
-            let mut cand = candidates(w);
-            while cand != 0 {
-                let cpu = lowest(w, cand);
-                cand &= cand - 1;
+            for cpu in WordBits::new(w, cand(w) & last(w)) {
                 let load = self.load(cpu);
-                match best {
-                    None => best = Some((cpu, load)),
-                    Some((_, b)) if load < b => best = Some((cpu, load)),
-                    _ => {}
+                if best.is_none_or(|(_, b)| load < b) && ok(cpu) {
+                    best = Some((cpu, load));
                 }
             }
         }
         best.map(|(c, _)| c)
     }
 
-    /// The online CPU other than `thief` with the most waiting tasks, lowest
-    /// id among ties; `None` when no other online CPU has a waiter. Walks
-    /// only `has_waiters ∩ online`, but charges `stats.cpus_scanned` the
-    /// modelled full scan of every CPU.
-    pub fn busiest(&self, thief: CpuId, stats: &mut SelectStats) -> Option<CpuId> {
-        stats.cpus_scanned += self.rows.len() as u32;
+    /// The CPU of `cand` with the highest `count` of at least `min`, lowest
+    /// id among ties, where `family` levels CPUs by `count`.
+    fn highest(
+        &self,
+        family: Family,
+        count: impl Fn(&Row) -> usize,
+        cand: impl Fn(usize) -> u64 + Copy,
+        min: usize,
+    ) -> Option<CpuId> {
         let mut best: Option<(CpuId, usize)> = None;
         for w in 0..self.words {
-            let mut victims = self.has_waiters.word(w) & self.online.word(w);
-            while victims != 0 {
-                let cpu = lowest(w, victims);
-                victims &= victims - 1;
-                if cpu == thief {
-                    continue;
-                }
-                let waiting = self.rows[cpu.index()].waiting;
-                match best {
-                    None => best = Some((cpu, waiting)),
-                    Some((_, b)) if waiting > b => best = Some((cpu, waiting)),
-                    _ => {}
+            for cpu in WordBits::new(w, cand(w) & self.level_word(family, OVERFLOW, w)) {
+                let n = count(&self.rows[cpu.index()]);
+                if n >= min && best.is_none_or(|(_, b)| n > b) {
+                    best = Some((cpu, n));
                 }
             }
         }
-        best.map(|(c, _)| c)
+        if best.is_some() {
+            return best.map(|(c, _)| c);
+        }
+        (min..OVERFLOW)
+            .rev()
+            .find_map(|k| self.first_at(cand, |w| self.level_word(family, k, w)))
     }
 
     /// SchedSan check of `cpu`'s row against the owning class's queue,
     /// which holds `waiting` tasks and, if `running`, a running one. Also
-    /// checks that the idle and has-waiters bits agree with the row and
-    /// that an offline CPU holds no work (the kernel drains a CPU as it
-    /// goes offline and never runs one while it is down). A desynced row
-    /// would silently steer placement and stealing, so the classes run
-    /// this from their [`crate::Scheduler::audit`].
+    /// checks the CPU's bit in its load level and in its waiting level
+    /// (every update moves both with the row), and that an offline CPU
+    /// holds no work (the kernel drains a
+    /// CPU as it goes offline and never runs one while it is down). A
+    /// desynced row would silently steer placement and stealing, so the
+    /// classes run this from their [`crate::Scheduler::audit`].
     pub fn audit(&self, cpu: CpuId, waiting: usize, running: bool) -> Result<(), String> {
         let Some(row) = self.rows.get(cpu.index()) else {
             return Err(format!(
@@ -227,42 +415,26 @@ impl Occupancy {
                 row.running
             ));
         }
-        if self.has_waiters.contains(cpu) != (waiting > 0) {
-            return Err(format!(
-                "occupancy has-waiters bit {} with {waiting} waiting",
-                self.has_waiters.contains(cpu)
-            ));
+        let load = row.load();
+        let (w, b) = (cpu.index() / 64, cpu.index() % 64);
+        for (family, name, n) in [
+            (Family::Load, "load", load),
+            (Family::Wait, "waiting", waiting),
+        ] {
+            if self.level_word(family, level(n), w) >> b & 1 == 0 {
+                return Err(format!(
+                    "occupancy {name} level {} misses a {name} count of {n}",
+                    level(n)
+                ));
+            }
         }
-        let idle = waiting == 0 && !running;
-        if self.idle.contains(cpu) != idle {
-            return Err(format!(
-                "occupancy idle bit {} with {waiting} waiting and running={running}",
-                self.idle.contains(cpu)
-            ));
-        }
-        if !self.online.contains(cpu) && !idle {
+        if !self.online.contains(cpu) && load > 0 {
             return Err(format!(
                 "occupancy marks the CPU offline, but it holds {waiting} waiting \
                  and running={running}"
             ));
         }
         Ok(())
-    }
-}
-
-/// The CPU of the lowest set bit of mask word `w` (`bits` is non-zero).
-#[inline]
-fn lowest(w: usize, bits: u64) -> CpuId {
-    CpuId((w * 64) as u32 + bits.trailing_zeros())
-}
-
-/// Set or clear `cpu`'s bit in `mask`.
-#[inline]
-fn assign(mask: &mut CpuMask, cpu: CpuId, on: bool) {
-    if on {
-        mask.set(cpu);
-    } else {
-        mask.clear(cpu);
     }
 }
 
@@ -273,29 +445,52 @@ mod tests {
     #[test]
     fn masks_follow_transitions() {
         let mut o = Occupancy::new(130);
-        assert_eq!(o.idle().count(), 130);
+        assert_eq!(o.load_level(0).count(), 130);
         o.set(CpuId(129), 2, true);
-        assert!(o.has_waiters().contains(CpuId(129)));
-        assert!(!o.idle().contains(CpuId(129)));
+        assert!(!o.wait_level(0).contains(CpuId(129)));
+        assert!(!o.is_idle(CpuId(129)));
+        assert!(o.load_level(3).contains(CpuId(129)));
+        assert!(o.wait_level(2).contains(CpuId(129)));
         o.set(CpuId(129), 0, true);
-        assert!(!o.has_waiters().contains(CpuId(129)));
-        assert!(!o.idle().contains(CpuId(129)), "running is busy");
+        assert!(o.wait_level(0).contains(CpuId(129)));
+        assert!(!o.is_idle(CpuId(129)), "running is busy");
         o.set(CpuId(129), 0, false);
-        assert!(o.idle().contains(CpuId(129)));
+        assert!(o.is_idle(CpuId(129)));
+        assert!(!o.is_idle(CpuId(130)), "past the machine");
         assert_eq!(o.load(CpuId(129)), 0);
         o.audit(CpuId(129), 0, false).unwrap();
     }
 
     #[test]
-    fn audit_catches_a_flipped_mask_bit() {
+    fn counts_past_the_last_level_share_it() {
+        let mut o = Occupancy::new(4);
+        o.set(CpuId(1), 9, true);
+        o.set(CpuId(2), 7, false);
+        assert!(o.load_level(OVERFLOW).contains(CpuId(1)));
+        assert!(o.load_level(OVERFLOW).contains(CpuId(2)));
+        assert!(o.wait_level(100).contains(CpuId(1)));
+        o.set(CpuId(1), 12, true);
+        o.audit(CpuId(1), 12, true).unwrap();
+        let mut stats = SelectStats::default();
+        assert_eq!(o.busiest(CpuId(0), &mut stats), Some(CpuId(1)));
+        assert_eq!(o.busiest(CpuId(1), &mut stats), Some(CpuId(2)));
+    }
+
+    #[test]
+    fn audit_catches_a_missing_level_bit() {
         let mut o = Occupancy::new(4);
         o.set(CpuId(1), 1, false);
         o.audit(CpuId(1), 1, false).unwrap();
-        o.has_waiters.clear(CpuId(1));
-        assert!(o.audit(CpuId(1), 1, false).is_err());
-        o.has_waiters.set(CpuId(1));
-        o.idle.set(CpuId(1));
-        assert!(o.audit(CpuId(1), 1, false).is_err());
+        for family in [Family::Wait, Family::Load] {
+            let slot = o.slot(family, 1, 0);
+            o.levels[slot] ^= 1 << 1;
+            assert!(o.audit(CpuId(1), 1, false).is_err());
+            o.levels[slot] ^= 1 << 1;
+            o.audit(CpuId(1), 1, false).unwrap();
+        }
+        // A row that moved without its bits.
+        o.rows[1].waiting = 2;
+        assert!(o.audit(CpuId(1), 2, false).is_err());
     }
 
     #[test]

@@ -499,7 +499,7 @@ impl ScxPolicy for FifoPolicy {
         if prev_cpu.index() < ctx.cpus.nr_cpus() {
             stats.cpus_scanned += 1;
             if ctx.cpus.online().contains(prev_cpu)
-                && ctx.cpus.idle().contains(prev_cpu)
+                && ctx.cpus.is_idle(prev_cpu)
                 && task.allowed_on(prev_cpu)
             {
                 return prev_cpu;

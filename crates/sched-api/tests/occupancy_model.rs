@@ -1,9 +1,11 @@
 //! Model-based property test of [`Occupancy`]: random occupancy updates,
 //! range fills and hotplug on machines of 1 to 512 CPUs, checked after
-//! every step against a plain per-CPU model. Least-loaded placement must
-//! return the CPU and the `cpus_scanned` charge of the exhaustive scan it
-//! replaced, and the busiest-CPU query the victim of the old steal scan;
-//! both scans are kept below as the reference.
+//! every step against a plain per-CPU model. Every load and waiting level
+//! mask must hold exactly the CPUs at that level. Least-loaded placement
+//! must return the CPU and the `cpus_scanned` charge of the exhaustive scan
+//! it replaced, and the busiest-CPU query the victim of the old steal scan;
+//! the span-limited queries ULE and CFS use must answer as their old walks
+//! did. The scans are kept below as the reference.
 
 use proptest::prelude::*;
 use sched_api::{GroupId, Occupancy, SelectStats, Task, Tid};
@@ -86,14 +88,20 @@ fn ncpu_strategy() -> impl Strategy<Value = usize> {
     ]
 }
 
-/// Waiting counts drawn small so equal loads (ties) are the norm.
+/// Waiting counts drawn small so equal loads (ties) are the norm, with
+/// a share around the last level (7 and up) so its row compares run.
 fn waiting_strategy() -> impl Strategy<Value = usize> {
     prop_oneof![
         4 => Just(0usize),
         4 => 1usize..3,
+        2 => 5usize..10,
         1 => 3usize..40,
     ]
 }
+
+/// Levels per mask family in the index: the last one holds every count
+/// from `LEVELS - 1` up.
+const LEVELS: usize = 8;
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
@@ -142,6 +150,39 @@ impl Model {
             }
         }
         (best.map(|(c, _)| c), scanned)
+    }
+
+    /// The exhaustive scan for the lowest (load, id) among the online
+    /// CPUs of `cand` that `ok` accepts.
+    fn least_loaded_in(&self, cand: &CpuMask, ok: impl Fn(CpuId) -> bool) -> Option<CpuId> {
+        let mut best: Option<(usize, CpuId)> = None;
+        for (i, &(waiting, running)) in self.rows.iter().enumerate() {
+            let cpu = CpuId(i as u32);
+            if !self.online[i] || !cand.contains(cpu) || !ok(cpu) {
+                continue;
+            }
+            let key = (waiting + usize::from(running), cpu);
+            if best.is_none_or(|b| key < b) {
+                best = Some(key);
+            }
+        }
+        best.map(|(_, c)| c)
+    }
+
+    /// ULE's old `tdq_idled` victim walk over one span.
+    fn most_loaded(&self, span: &CpuMask, thief: CpuId, min: usize) -> Option<CpuId> {
+        let mut best: Option<(usize, CpuId)> = None;
+        for (i, &(waiting, running)) in self.rows.iter().enumerate() {
+            let cpu = CpuId(i as u32);
+            if cpu == thief || !self.online[i] || !span.contains(cpu) {
+                continue;
+            }
+            let load = waiting + usize::from(running);
+            if load >= min && best.is_none_or(|(b, _)| load > b) {
+                best = Some((load, cpu));
+            }
+        }
+        best.map(|(_, c)| c)
     }
 
     /// The exhaustive idle-steal scan the classes ran before the index.
@@ -207,10 +248,22 @@ proptest! {
             }
             prop_assert_eq!(*occ.online(), model.mask(|i| model.online[i]));
             prop_assert_eq!(
-                *occ.idle(),
+                occ.load_level(0),
                 model.mask(|i| model.rows[i] == (0, false))
             );
-            prop_assert_eq!(*occ.has_waiters(), model.mask(|i| model.rows[i].0 > 0));
+            for k in 0..LEVELS + 2 {
+                let at = |n: usize| n.min(LEVELS - 1) == k.min(LEVELS - 1);
+                prop_assert_eq!(
+                    occ.load_level(k),
+                    model.mask(|i| at(model.rows[i].0 + usize::from(model.rows[i].1))),
+                    "load level {}", k
+                );
+                prop_assert_eq!(
+                    occ.wait_level(k),
+                    model.mask(|i| at(model.rows[i].0)),
+                    "waiting level {}", k
+                );
+            }
             for (i, &(waiting, running)) in model.rows.iter().enumerate() {
                 let cpu = CpuId(i as u32);
                 prop_assert_eq!(occ.waiting(cpu), waiting);
@@ -236,6 +289,30 @@ proptest! {
             let (want, scanned) = model.busiest(thief);
             prop_assert_eq!(got, want, "busiest victim for thief {:?}", thief);
             prop_assert_eq!(stats.cpus_scanned, scanned);
+
+            // The span-limited queries, with the next affinity as the span.
+            let span = affs[(step + 1) % affs.len()]
+                .mask()
+                .unwrap_or(CpuMask::first_n(ncpu));
+            let min = step % 4;
+            prop_assert_eq!(
+                occ.most_loaded(&span, thief, min),
+                model.most_loaded(&span, thief, min),
+                "most loaded in {:?} reaching {} for thief {:?}", span, min, thief
+            );
+            let allowed = aff.mask();
+            let cand = allowed.map_or(span, |m| span.and(&m));
+            let salt = thieves[(step + 1) % thieves.len()];
+            let ok = |c: CpuId| c.index() % 3 != salt % 3;
+            prop_assert_eq!(
+                occ.least_loaded_in(&span, allowed.as_ref(), ok),
+                model.least_loaded_in(&cand, ok),
+                "least loaded accepted in {:?} ∩ {:?}", span, aff
+            );
+            let first_idle = cand.iter().find(|c| {
+                c.index() < ncpu && model.online[c.index()] && model.rows[c.index()] == (0, false)
+            });
+            prop_assert_eq!(occ.first_idle(&span, allowed.as_ref()), first_idle);
         }
     }
 }

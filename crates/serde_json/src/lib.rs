@@ -47,8 +47,8 @@ pub fn to_string_pretty<T: ?Sized + serde::Serialize>(value: &T) -> Result<Strin
 /// Supports the full JSON grammar (objects, arrays, strings with escapes
 /// including `\uXXXX` surrogate pairs, numbers, booleans, null). Numbers
 /// without a fraction/exponent parse as `UInt`/`Int`; everything else as
-/// `Float`. Used by the trace round-trip tests to re-read exported
-/// Chrome-trace files.
+/// `Float`. An object that repeats a key is an error naming the key and
+/// its byte offset, as the scenario TOML parser rejects one.
 pub fn from_str(s: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: s.as_bytes(),
@@ -124,7 +124,11 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
+            let at = self.pos;
             let key = self.string()?;
+            if fields.iter().any(|(k, _)| *k == key) {
+                return Err(Error(format!("duplicate key `{key}` at byte {at}")));
+            }
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
@@ -365,6 +369,14 @@ mod tests {
         );
         let pretty = to_string_pretty(&v).unwrap();
         assert!(pretty.starts_with("{\n  \"name\": \"fibo\",\n  \"xs\": [\n    1,"));
+    }
+
+    #[test]
+    fn a_repeated_key_is_rejected_with_its_offset() {
+        let err = from_str(r#"{"a": 1, "b": {"a": 2, "a": 3}}"#).unwrap_err();
+        assert_eq!(err.to_string(), "json error: duplicate key `a` at byte 23");
+        // The same key in sibling or nested objects is fine.
+        from_str(r#"{"a": {"a": 1}, "b": [{"a": 1}, {"a": 2}]}"#).unwrap();
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 mod mask;
 
-pub use mask::{CpuMask, CpuMaskIter, MAX_CPUS};
+pub use mask::{CpuMask, CpuMaskIter, WordBits, MAX_CPUS};
 
 use serde::{Deserialize, Serialize};
 
@@ -331,48 +331,65 @@ impl Topology {
     /// This mirrors how Linux constructs `sched_domain`s from the hardware
     /// topology; CFS's load balancer walks exactly this list.
     pub fn domains(&self, cpu: CpuId) -> Vec<Domain> {
-        let mut out: Vec<Domain> = Vec::new();
+        self.domain_levels(cpu)
+            .into_iter()
+            .map(|level| self.domain(cpu, level))
+            .collect()
+    }
+
+    /// The levels of [`Topology::domains`], smallest first, without
+    /// building their groups. Every CPU of a domain's span has the same
+    /// domain at that level, so a balancer can build each distinct domain
+    /// once ([`Topology::domain`]) and share it.
+    pub fn domain_levels(&self, cpu: CpuId) -> Vec<Level> {
+        let mut out: Vec<Level> = Vec::new();
+        let mut prev = 1;
         for level in Level::ALL {
-            let span = *self.span_mask(cpu, level);
-            if span.count() <= 1 {
+            let size = self.span_mask(cpu, level).count();
+            // A single-CPU span, or a degenerate level (its span equals
+            // the level below).
+            if size <= 1 || size == prev {
                 continue;
             }
-            if let Some(prev) = out.last() {
-                if prev.span.count() == span.count() {
-                    continue; // degenerate level
-                }
-            }
-            // Groups of this domain: the child-level spans partitioning it.
-            let child_level = match level {
-                Level::Smt => None,
-                Level::Llc => Some(Level::Smt),
-                Level::Node => Some(Level::Llc),
-                Level::Machine => Some(Level::Node),
-            };
-            let groups = match child_level {
-                None => span.iter().map(CpuMask::single).collect::<Vec<_>>(),
-                Some(cl) => {
-                    let mut groups: Vec<CpuMask> = Vec::new();
-                    for c in span.iter() {
-                        let g = *self.span_mask(c, cl);
-                        if !groups.contains(&g) {
-                            groups.push(g);
-                        }
-                    }
-                    // Collapse degenerate grouping (one group == whole span).
-                    if groups.len() == 1 {
-                        groups = span.iter().map(CpuMask::single).collect();
-                    }
-                    groups
-                }
-            };
-            out.push(Domain {
-                level,
-                span,
-                groups,
-            });
+            prev = size;
+            out.push(level);
         }
         out
+    }
+
+    /// `cpu`'s scheduling domain at `level`: the level's span, partitioned
+    /// into the child level's spans.
+    pub fn domain(&self, cpu: CpuId, level: Level) -> Domain {
+        let span = *self.span_mask(cpu, level);
+        // Groups of this domain: the child-level spans partitioning it.
+        let child_level = match level {
+            Level::Smt => None,
+            Level::Llc => Some(Level::Smt),
+            Level::Node => Some(Level::Llc),
+            Level::Machine => Some(Level::Node),
+        };
+        let groups = match child_level {
+            None => span.iter().map(CpuMask::single).collect::<Vec<_>>(),
+            Some(cl) => {
+                let mut groups: Vec<CpuMask> = Vec::new();
+                for c in span.iter() {
+                    let g = *self.span_mask(c, cl);
+                    if !groups.contains(&g) {
+                        groups.push(g);
+                    }
+                }
+                // Collapse degenerate grouping (one group == whole span).
+                if groups.len() == 1 {
+                    groups = span.iter().map(CpuMask::single).collect();
+                }
+                groups
+            }
+        };
+        Domain {
+            level,
+            span,
+            groups,
+        }
     }
 }
 

@@ -224,6 +224,37 @@ impl Iterator for CpuMaskIter<'_> {
     }
 }
 
+/// The CPUs of one mask word's set bits, ascending: bit `i` of word `w`
+/// is CPU `64 * w + i`. Queries that combine several masks a word at a
+/// time (see [`CpuMask::word`]) walk the result with it.
+#[derive(Debug, Clone, Copy)]
+pub struct WordBits {
+    word: usize,
+    bits: u64,
+}
+
+impl WordBits {
+    /// The set bits of `bits`, taken as mask word `word`.
+    #[inline]
+    pub fn new(word: usize, bits: u64) -> WordBits {
+        WordBits { word, bits }
+    }
+}
+
+impl Iterator for WordBits {
+    type Item = CpuId;
+
+    #[inline]
+    fn next(&mut self) -> Option<CpuId> {
+        if self.bits == 0 {
+            return None;
+        }
+        let bit = self.bits.trailing_zeros();
+        self.bits &= self.bits - 1;
+        Some(CpuId((self.word * 64) as u32 + bit))
+    }
+}
+
 /// Compact `{0-7,16,24-31}` range notation — readable at 256+ CPUs in crash
 /// bundles, where the old `Vec` debug print was a wall of ids.
 impl std::fmt::Debug for CpuMask {
@@ -323,6 +354,15 @@ mod tests {
         assert_eq!(m.word(1), 1);
         assert_eq!(m.word(7), 1 << 63);
         assert_eq!(m.word(8), 0, "past the capacity");
+    }
+
+    #[test]
+    fn word_bits_ascend_within_their_word() {
+        let got: Vec<u32> = WordBits::new(2, 1 | 1 << 5 | 1 << 63)
+            .map(|c| c.0)
+            .collect();
+        assert_eq!(got, vec![128, 133, 191]);
+        assert_eq!(WordBits::new(7, 0).next(), None);
     }
 
     #[test]

@@ -29,12 +29,14 @@
 #![warn(missing_docs)]
 
 pub mod interactivity;
+#[cfg(test)]
+mod model_tests;
 pub mod params;
 pub mod runq;
 
 use sched_api::{
-    DequeueKind, EnqueueKind, Preempt, PreemptCause, Scheduler, SelectError, SelectStats,
-    TaskSnapshot, TaskTable, Tid, WakeKind,
+    DequeueKind, EnqueueKind, Occupancy, Preempt, PreemptCause, Scheduler, SelectError,
+    SelectStats, TaskSnapshot, TaskTable, Tid, WakeKind,
 };
 use simcore::{Dur, SimRng, Time};
 use topology::{CpuId, CpuMask, Topology};
@@ -164,21 +166,19 @@ impl PrioSet {
     }
 }
 
-/// Per-CPU queues (`struct tdq`).
+/// Per-CPU queues (`struct tdq`). The CPU's load ("the load of a core is
+/// simply defined as the number of threads currently runnable on it",
+/// the running one included) is counted from them ([`Tdq::load`]) and
+/// mirrored in [`Ule::occ`], which also holds the CPU's online flag.
 struct Tdq {
     interactive: PrioRunq,
     batch: BatchRunq,
     curr: Option<Tid>,
-    /// Runnable threads including the running one ("the load of a core is
-    /// simply defined as the number of threads currently runnable on it").
-    load: usize,
     /// Multiset of priorities of queued + running threads (for
     /// `tdq_lowpri`).
     prios: PrioSet,
     /// Next calendar-clock advance (stathz cadence).
     next_stat: Time,
-    /// `false` while the CPU is hotplugged out.
-    online: bool,
 }
 
 impl Tdq {
@@ -187,11 +187,19 @@ impl Tdq {
             interactive: PrioRunq::new(),
             batch: BatchRunq::new(),
             curr: None,
-            load: 0,
             prios: PrioSet::new(),
             next_stat: Time::ZERO,
-            online: true,
         }
+    }
+
+    /// Threads queued, excluding the running one.
+    fn waiting(&self) -> usize {
+        self.interactive.len() + self.batch.len()
+    }
+
+    /// The CPU's load, counted from the queues: queued plus running.
+    fn load(&self) -> usize {
+        self.waiting() + usize::from(self.curr.is_some())
     }
 
     fn add_prio(&mut self, p: i32) {
@@ -217,11 +225,13 @@ pub struct Ule {
     rng: SimRng,
     /// Core 0's next periodic balance.
     next_balance: Time,
-    /// CPUs with `load > 0`, as a bitset. Idle-steal walks iterate this
-    /// intersected with the span instead of every CPU: a CPU outside it
-    /// has load 0 and can never clear `steal_thresh` (≥ 1), so skipping
-    /// it cannot change which victim is picked.
-    active: CpuMask,
+    /// Each CPU's queued and running counts, its load levels and the
+    /// online mask, synced after every queue change ([`Ule::sync`]).
+    /// Placement and idle stealing answer from it.
+    occ: Occupancy,
+    /// Each CPU's `tdq_lowpri`, mirrored densely so that placement
+    /// compares priorities without touching the queues.
+    lowpri: Vec<i32>,
 }
 
 impl Ule {
@@ -240,8 +250,27 @@ impl Ule {
             tdqs: (0..topo.nr_cpus()).map(|_| Tdq::new()).collect(),
             rng: SimRng::new(seed ^ 0xB41A_4CE0),
             next_balance: Time::ZERO,
-            active: CpuMask::empty(),
+            occ: Occupancy::new(topo.nr_cpus()),
+            lowpri: vec![IDLE_PRIO; topo.nr_cpus()],
         }
+    }
+
+    /// Bring `cpu`'s occupancy row and `lowpri` mirror up to date with its
+    /// queues. Every site that changes a queue, the running thread or a
+    /// tracked priority calls it.
+    fn sync(&mut self, cpu: CpuId) {
+        let tdq = &self.tdqs[cpu.index()];
+        self.occ.set(cpu, tdq.waiting(), tdq.curr.is_some());
+        self.lowpri[cpu.index()] = tdq.lowpri();
+    }
+
+    /// The least-loaded CPU of `span ∩ allowed` whose most urgent priority
+    /// is less urgent than `prio`, lowest id among ties: one pass of
+    /// `sched_pickcpu`'s search. An idle CPU wins outright (load 0, and
+    /// `IDLE_PRIO` is above every thread priority).
+    fn pick_lowpri(&self, span: &CpuMask, allowed: Option<&CpuMask>, prio: i32) -> Option<CpuId> {
+        self.occ
+            .least_loaded_in(span, allowed, |c| self.lowpri[c.index()] > prio)
     }
 
     /// Access to the parameters (for ablation benches).
@@ -359,10 +388,7 @@ impl Ule {
             return false;
         };
         self.runq_remove(victim, tid);
-        self.tdqs[victim.index()].load -= 1;
-        if self.tdqs[victim.index()].load == 0 {
-            self.active.clear(victim);
-        }
+        self.sync(victim);
         tasks.get_mut(tid).cpu = thief;
         self.enqueue_task(tasks, thief, tid, EnqueueKind::Migrate, now);
         true
@@ -398,64 +424,46 @@ impl Scheduler for Ule {
         let affine = self.affine(tasks, tid, now);
         if task.allowed_on(last)
             && affine
-            && self.tdqs[last.index()].online
-            && self.tdqs[last.index()].load == 0
+            && self.occ.online().contains(last)
+            && self.occ.load(last) == 0
         {
             return Ok(last);
         }
 
         // Pass 1: within the affine level (the LLC of the last CPU if still
-        // affine, otherwise the whole machine).
-        let affine_span: Vec<CpuId> = if affine {
-            self.topo.llc_cpus(last).to_vec()
+        // affine, otherwise the whole machine). Each pass charges the scan
+        // of its whole span.
+        let allowed = task.affinity.as_ref();
+        let n = self.topo.nr_cpus() as u32;
+        let (span, size) = if affine {
+            (
+                self.topo.llc_mask(last),
+                self.topo.llc_cpus(last).len() as u32,
+            )
         } else {
-            self.topo.all_cpus().collect()
+            (self.topo.machine_mask(), n)
         };
-        let pick_lowpri = |ule: &Ule, span: &[CpuId], stats: &mut SelectStats| -> Option<CpuId> {
-            let mut best: Option<(usize, CpuId)> = None;
-            for &c in span {
-                stats.cpus_scanned += 1;
-                if !task.allowed_on(c) || !ule.tdqs[c.index()].online {
-                    continue;
-                }
-                if ule.tdqs[c.index()].lowpri() > prio {
-                    let load = ule.tdqs[c.index()].load;
-                    match best {
-                        None => best = Some((load, c)),
-                        Some((bl, bc)) if (load, c.0) < (bl, bc.0) => best = Some((load, c)),
-                        _ => {}
-                    }
-                }
-            }
-            best.map(|(_, c)| c)
-        };
-        if let Some(c) = pick_lowpri(self, &affine_span, stats) {
+        stats.cpus_scanned += size;
+        if let Some(c) = self.pick_lowpri(span, allowed, prio) {
             return Ok(c);
         }
-        // Pass 2: the whole machine.
-        let all: Vec<CpuId> = self.topo.all_cpus().collect();
-        if let Some(c) = pick_lowpri(self, &all, stats) {
-            return Ok(c);
+        // Pass 2: the whole machine, which pass 1 already searched when the
+        // thread is not affine.
+        stats.cpus_scanned += n;
+        if affine {
+            if let Some(c) = self.pick_lowpri(self.topo.machine_mask(), allowed, prio) {
+                return Ok(c);
+            }
         }
         // Pass 3: "ULE simply picks the core with the lowest number of
         // running threads on the machine".
-        let mut best: Option<(usize, CpuId)> = None;
-        for &c in &all {
-            stats.cpus_scanned += 1;
-            if !task.allowed_on(c) || !self.tdqs[c.index()].online {
-                continue;
-            }
-            let load = self.tdqs[c.index()].load;
-            match best {
-                None => best = Some((load, c)),
-                Some((bl, bc)) if (load, c.0) < (bl, bc.0) => best = Some((load, c)),
-                _ => {}
-            }
-        }
+        stats.cpus_scanned += n;
         // No online CPU satisfies the affinity mask (hotplug raced a
         // pinned task): a structured error, never a panic — the kernel
         // turns it into a crash bundle with a replay line.
-        best.map(|(_, c)| c).ok_or(SelectError { tid })
+        self.occ
+            .least_loaded_in(self.topo.machine_mask(), allowed, |_| true)
+            .ok_or(SelectError { tid })
     }
 
     fn enqueue_task(
@@ -476,8 +484,7 @@ impl Scheduler for Ule {
         let prio = self.compute_prio(tasks, tid, now);
         self.ts_mut(tid).prio = prio;
         self.runq_add(cpu, tid, prio);
-        self.tdqs[cpu.index()].load += 1;
-        self.active.set(cpu);
+        self.sync(cpu);
         // "In ULE, full preemption is disabled, meaning that only kernel
         // threads can preempt others" (§2.2/§5.3).
         if tasks.get(tid).kernel_thread {
@@ -505,10 +512,7 @@ impl Scheduler for Ule {
         } else {
             self.runq_remove(cpu, tid);
         }
-        self.tdqs[cpu.index()].load -= 1;
-        if self.tdqs[cpu.index()].load == 0 {
-            self.active.clear(cpu);
-        }
+        self.sync(cpu);
     }
 
     fn yield_task(&mut self, tasks: &mut TaskTable, cpu: CpuId, now: Time) {
@@ -525,6 +529,7 @@ impl Scheduler for Ule {
         let tdq = &mut self.tdqs[cpu.index()];
         let tid = tdq.interactive.pop().or_else(|| tdq.batch.pop())?;
         tdq.curr = Some(tid);
+        self.sync(cpu);
         let ts = self.ts_mut(tid);
         ts.queued_prio = None;
         ts.slice_start = now;
@@ -545,6 +550,7 @@ impl Scheduler for Ule {
         tdq.remove_prio(old_prio);
         // Re-added at the tail of its FIFO, preserving the FIFO property.
         self.runq_add(cpu, tid, new_prio);
+        self.sync(cpu);
     }
 
     fn task_tick(&mut self, tasks: &mut TaskTable, cpu: CpuId, curr: Tid, now: Time) -> Preempt {
@@ -569,12 +575,13 @@ impl Scheduler for Ule {
             let tdq = &mut self.tdqs[cpu.index()];
             tdq.remove_prio(old_prio);
             tdq.add_prio(new_prio);
+            self.sync(cpu);
         }
         // Timeslice check: the slice shrinks with the load. The counter
         // resets on expiry even when the thread is alone (`td_slice = 0`),
         // so a lone runner does not "owe" a huge overrun the moment a
         // second thread appears.
-        let load = self.tdqs[cpu.index()].load;
+        let load = self.tdqs[cpu.index()].load();
         let slice = self.p.slice(load);
         let ts = self.ts_mut(curr);
         if now.saturating_since(ts.slice_start) >= slice {
@@ -648,7 +655,7 @@ impl Scheduler for Ule {
         // An idle CPU's idle thread keeps retrying `tdq_idled` when the
         // timer interrupt wakes it, so work that becomes stealable later
         // (e.g. unpinned threads) is still picked up.
-        if self.tdqs[cpu.index()].load == 0 {
+        if self.occ.load(cpu) == 0 {
             let mut stats = SelectStats::default();
             if self.idle_balance(tasks, cpu, now, &mut stats) {
                 targets.push(cpu);
@@ -676,10 +683,10 @@ impl Scheduler for Ule {
             let mut donor: Option<(usize, CpuId)> = None;
             let mut receiver: Option<(usize, CpuId)> = None;
             for c in self.topo.all_cpus() {
-                if used[c.index()] || !self.tdqs[c.index()].online {
+                if used[c.index()] || !self.occ.online().contains(c) {
                     continue;
                 }
-                let load = self.tdqs[c.index()].load;
+                let load = self.occ.load(c);
                 match donor {
                     None => donor = Some((load, c)),
                     Some((dl, dc)) if load > dl || (load == dl && c.0 < dc.0) => {
@@ -718,35 +725,18 @@ impl Scheduler for Ule {
         now: Time,
         stats: &mut SelectStats,
     ) -> bool {
-        let spans: [CpuMask; 2] = [*self.topo.llc_mask(cpu), *self.topo.machine_mask()];
-        for span in &spans {
-            // Charge the *modeled* cost of scanning the whole span (a real
-            // kernel inspects every tdq); the host-side walk below is
-            // O(active), not O(cores).
-            stats.cpus_scanned += span.count() as u32;
-            // A CPU outside the active mask has load 0 and can never clear
-            // steal_thresh ≥ 1. A zero threshold (tunable) would make idle
-            // CPUs eligible victims, so it falls back to the full span.
-            let walk = if self.p.steal_thresh >= 1 {
-                span.and(&self.active)
-            } else {
-                *span
-            };
-            let mut best: Option<(usize, CpuId)> = None;
-            for c in walk.iter() {
-                if c == cpu || !self.tdqs[c.index()].online {
-                    continue;
-                }
-                let load = self.tdqs[c.index()].load;
-                if load >= self.p.steal_thresh {
-                    match best {
-                        None => best = Some((load, c)),
-                        Some((bl, _)) if load > bl => best = Some((load, c)),
-                        _ => {}
-                    }
-                }
-            }
-            if let Some((_, victim)) = best {
+        // Charge the *modeled* cost of scanning the whole span (a real
+        // kernel inspects every tdq); the index answers from its levels.
+        let llc = self.topo.llc_cpus(cpu).len() as u32;
+        let spans = [
+            (*self.topo.llc_mask(cpu), llc),
+            (*self.topo.machine_mask(), self.topo.nr_cpus() as u32),
+        ];
+        for (span, size) in &spans {
+            stats.cpus_scanned += size;
+            // The most loaded CPU reaching steal_thresh, first among ties.
+            let victim = self.occ.most_loaded(span, cpu, self.p.steal_thresh);
+            if let Some(victim) = victim {
                 if self.steal_one(tasks, victim, cpu, now) {
                     return true;
                 }
@@ -756,7 +746,7 @@ impl Scheduler for Ule {
     }
 
     fn nr_queued(&self, cpu: CpuId) -> usize {
-        self.tdqs[cpu.index()].load
+        self.tdqs[cpu.index()].load()
     }
 
     fn queued_tids_into(&self, cpu: CpuId, out: &mut Vec<Tid>) {
@@ -769,7 +759,7 @@ impl Scheduler for Ule {
             return TaskSnapshot::default();
         };
         let nice = tasks.get(tid).nice;
-        let load = self.tdqs[tasks.get(tid).cpu.index()].load;
+        let load = self.tdqs[tasks.get(tid).cpu.index()].load();
         TaskSnapshot {
             ule_penalty: Some(ts.interact.penalty() as u32),
             ule_score: Some(ts.interact.score(nice) as i32),
@@ -783,14 +773,15 @@ impl Scheduler for Ule {
     fn audit(&mut self, _tasks: &TaskTable, cpu: CpuId, _now: Time) -> Result<(), String> {
         let tdq = &self.tdqs[cpu.index()];
         // The port convention (§3): the running thread counts in the load
-        // and stays tracked in the priority multiset.
-        let expect = tdq.interactive.len() + tdq.batch.len() + usize::from(tdq.curr.is_some());
-        if tdq.load != expect {
+        // and stays tracked in the priority multiset. The occupancy row
+        // (the load placement and stealing read) must match the queues.
+        self.occ.audit(cpu, tdq.waiting(), tdq.curr.is_some())?;
+        let expect = tdq.load();
+        if self.lowpri[cpu.index()] != tdq.lowpri() {
             return Err(format!(
-                "load {} != queued {} + running {}",
-                tdq.load,
-                expect - usize::from(tdq.curr.is_some()),
-                usize::from(tdq.curr.is_some())
+                "lowpri mirror says {}, the queues' most urgent priority is {}",
+                self.lowpri[cpu.index()],
+                tdq.lowpri()
             ));
         }
         let tracked = tdq.prios.total();
@@ -832,11 +823,11 @@ impl Scheduler for Ule {
     }
 
     fn cpu_offline(&mut self, cpu: CpuId) {
-        self.tdqs[cpu.index()].online = false;
+        self.occ.set_online(cpu, false);
     }
 
     fn cpu_online(&mut self, cpu: CpuId) {
-        self.tdqs[cpu.index()].online = true;
+        self.occ.set_online(cpu, true);
     }
 }
 
