@@ -90,10 +90,8 @@ pub(crate) struct SchedSan {
     pub(crate) tids: Vec<Tid>,
     /// Scratch: per-tid conservation marks, all `SEEN_NONE` between checks.
     seen: Vec<u8>,
-    /// CPUs whose class state the current event may have changed, in the
-    /// order first marked; `marked` holds the same CPUs as a set.
-    dirty: Vec<CpuId>,
-    marked: CpuMask,
+    /// CPUs whose class state the current event may have changed.
+    cpus: CpuMask,
     /// Runnable and running tasks per CPU, by `Task::cpu`.
     home: Vec<u32>,
     /// No runnable task has been waiting since before this instant.
@@ -112,8 +110,7 @@ impl SchedSan {
         SchedSan {
             tids: Vec::new(),
             seen: Vec::new(),
-            dirty: Vec::new(),
-            marked: CpuMask::empty(),
+            cpus: CpuMask::empty(),
             home: vec![0; ncpu],
             wait_floor: Time::ZERO,
             full: false,
@@ -125,23 +122,20 @@ impl SchedSan {
     /// The current event called a class hook on `cpu`.
     #[inline]
     pub(crate) fn touch(&mut self, cpu: CpuId) {
-        if !self.marked.contains(cpu) {
-            self.marked.set(cpu);
-            self.dirty.push(cpu);
-        }
+        self.cpus.set(cpu);
     }
 
     /// A task homed on `cpu` became runnable (it was new or sleeping).
     #[inline]
     pub(crate) fn arrive(&mut self, cpu: CpuId) {
-        self.touch(cpu);
+        self.cpus.set(cpu);
         self.home[cpu.index()] += 1;
     }
 
     /// A runnable or running task homed on `cpu` went to sleep or exited.
     #[inline]
     pub(crate) fn depart(&mut self, cpu: CpuId) {
-        self.touch(cpu);
+        self.cpus.set(cpu);
         // A drifted count only makes the next incremental pass defer to
         // the full sweep, which rebuilds it.
         self.home[cpu.index()] = self.home[cpu.index()].saturating_sub(1);
@@ -151,13 +145,6 @@ impl SchedSan {
     #[inline]
     pub(crate) fn sweep_all(&mut self) {
         self.full = true;
-    }
-
-    /// Empty the dirty set, clearing exactly the bits it marked.
-    fn clear_dirty(&mut self) {
-        for cpu in self.dirty.drain(..) {
-            self.marked.clear(cpu);
-        }
     }
 }
 
@@ -210,7 +197,7 @@ impl Kernel {
         seen.fill(SEEN_NONE);
         self.san.tids = tids;
         self.san.seen = seen;
-        self.san.clear_dirty();
+        self.san.cpus = CpuMask::empty();
         self.san.full = false;
         self.san.last_full = self.counters.events;
         res
@@ -281,13 +268,11 @@ impl Kernel {
     /// means something is off and the full sweep must arbitrate. Clears
     /// the dirty set.
     fn check_touched(&mut self) -> bool {
-        // Ascending CPU order, as the full sweep checks them.
-        let mut cpus = std::mem::take(&mut self.san.dirty);
-        cpus.sort_unstable();
+        let cpus = std::mem::replace(&mut self.san.cpus, CpuMask::empty());
         let mut tids = std::mem::take(&mut self.san.tids);
         let mut seen = std::mem::take(&mut self.san.seen);
         seen.resize(self.tasks.slab_len(), SEEN_NONE);
-        let ok = cpus.iter().all(|&cpu| {
+        let ok = cpus.iter().all(|cpu| {
             let held = self.check_cpu(cpu, &mut tids, &mut seen);
             held.is_ok_and(|n| n == self.san.home[cpu.index()] as usize)
         });
@@ -298,15 +283,13 @@ impl Kernel {
                 *s = SEEN_NONE;
             }
         }
-        for &cpu in &cpus {
+        for cpu in cpus.iter() {
             if let Some(tid) = self.cpus[cpu.index()].current {
                 seen[tid.index()] = SEEN_NONE;
             }
         }
         self.san.tids = tids;
         self.san.seen = seen;
-        self.san.dirty = cpus;
-        self.san.clear_dirty();
         ok
     }
 

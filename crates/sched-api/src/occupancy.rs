@@ -89,8 +89,9 @@ pub struct Occupancy {
     /// there, so a small machine pays for one word, not the full mask.
     words: usize,
     online: CpuMask,
-    /// The level masks, `words` words each: word `w` of level `k` of a
-    /// family is `levels[(family * LEVELS + k) * words + w]`.
+    /// The level masks, `words` words each, grouped by word: word `w` of
+    /// level `k` of a family is `levels[(w * 2 + family) * LEVELS + k]`,
+    /// so the 16 words that hold one CPU's bits are adjacent.
     levels: Box<[u64]>,
 }
 
@@ -121,7 +122,7 @@ impl Occupancy {
     /// Where word `w` of level `k` of `family` lives in `levels`.
     #[inline]
     fn slot(&self, family: Family, k: usize, w: usize) -> usize {
-        (family as usize * LEVELS + k) * self.words + w
+        (w * 2 + family as usize) * LEVELS + k
     }
 
     /// Word `w` of level `k` of `family`.
@@ -390,9 +391,10 @@ impl Occupancy {
 
     /// SchedSan check of `cpu`'s row against the owning class's queue,
     /// which holds `waiting` tasks and, if `running`, a running one. Also
-    /// checks the CPU's bit in its load level and in its waiting level
-    /// (every update moves both with the row), and that an offline CPU
-    /// holds no work (the kernel drains a
+    /// checks that the CPU sits in exactly one load level and one waiting
+    /// level, the ones its row gives (every update moves both with the
+    /// row; a stray bit elsewhere would show a busy CPU as idle), and that
+    /// an offline CPU holds no work (the kernel drains a
     /// CPU as it goes offline and never runs one while it is down). A
     /// desynced row would silently steer placement and stealing, so the
     /// classes run this from their [`crate::Scheduler::audit`].
@@ -416,14 +418,23 @@ impl Occupancy {
             ));
         }
         let load = row.load();
+        // Bit `family * LEVELS + k` of `held`: level `k` of `family` holds
+        // the CPU. Gathered without branches, as this runs on every
+        // strict event.
         let (w, b) = (cpu.index() / 64, cpu.index() % 64);
+        let column = &self.levels[w * 2 * LEVELS..][..2 * LEVELS];
+        let held = (column.iter().enumerate())
+            .fold(0u32, |acc, (i, word)| acc | ((word >> b & 1) as u32) << i);
         for (family, name, n) in [
             (Family::Load, "load", load),
             (Family::Wait, "waiting", waiting),
         ] {
-            if self.level_word(family, level(n), w) >> b & 1 == 0 {
+            let at = held >> (family as usize * LEVELS) & ((1 << LEVELS) - 1);
+            if at != 1 << level(n) {
+                let at: Vec<usize> = (0..LEVELS).filter(|k| at >> k & 1 == 1).collect();
                 return Err(format!(
-                    "occupancy {name} level {} misses a {name} count of {n}",
+                    "occupancy puts the CPU in {name} levels {at:?}, but a {name} count \
+                     of {n} belongs in level {} alone",
                     level(n)
                 ));
             }
@@ -477,17 +488,34 @@ mod tests {
     }
 
     #[test]
-    fn audit_catches_a_missing_level_bit() {
+    fn audit_catches_a_flipped_mask_bit() {
         let mut o = Occupancy::new(4);
         o.set(CpuId(1), 1, false);
         o.audit(CpuId(1), 1, false).unwrap();
+        // CPU 1 sits in load level 1 and waiting level 1: flip its bit in
+        // each level of each family, a missing bit at level 1 and a stray
+        // one elsewhere (at level 0 a busy CPU would read as idle).
         for family in [Family::Wait, Family::Load] {
-            let slot = o.slot(family, 1, 0);
-            o.levels[slot] ^= 1 << 1;
-            assert!(o.audit(CpuId(1), 1, false).is_err());
-            o.levels[slot] ^= 1 << 1;
-            o.audit(CpuId(1), 1, false).unwrap();
+            for k in 0..LEVELS {
+                let slot = o.slot(family, k, 0);
+                o.levels[slot] ^= 1 << 1;
+                assert!(o.audit(CpuId(1), 1, false).is_err(), "{family:?} {k}");
+                o.levels[slot] ^= 1 << 1;
+                o.audit(CpuId(1), 1, false).unwrap();
+            }
         }
+        // Stray bits in both level 0s: the busy CPU now reads as idle.
+        for family in [Family::Wait, Family::Load] {
+            let slot = o.slot(family, 0, 0);
+            o.levels[slot] |= 1 << 1;
+        }
+        assert!(o.is_idle(CpuId(1)));
+        assert!(o.audit(CpuId(1), 1, false).is_err());
+        for family in [Family::Wait, Family::Load] {
+            let slot = o.slot(family, 0, 0);
+            o.levels[slot] &= !(1 << 1);
+        }
+        o.audit(CpuId(1), 1, false).unwrap();
         // A row that moved without its bits.
         o.rows[1].waiting = 2;
         assert!(o.audit(CpuId(1), 2, false).is_err());

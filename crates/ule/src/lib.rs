@@ -168,8 +168,9 @@ impl PrioSet {
 
 /// Per-CPU queues (`struct tdq`). The CPU's load ("the load of a core is
 /// simply defined as the number of threads currently runnable on it",
-/// the running one included) is counted from them ([`Tdq::load`]) and
-/// mirrored in [`Ule::occ`], which also holds the CPU's online flag.
+/// the running one included) is counted from them ([`Tdq::load`]); every
+/// load read goes through it. [`Ule::occ`] indexes the loads of all CPUs
+/// for placement and stealing, and holds the CPU's online flag.
 struct Tdq {
     interactive: PrioRunq,
     batch: BatchRunq,
@@ -229,9 +230,6 @@ pub struct Ule {
     /// online mask, synced after every queue change ([`Ule::sync`]).
     /// Placement and idle stealing answer from it.
     occ: Occupancy,
-    /// Each CPU's `tdq_lowpri`, mirrored densely so that placement
-    /// compares priorities without touching the queues.
-    lowpri: Vec<i32>,
 }
 
 impl Ule {
@@ -251,17 +249,14 @@ impl Ule {
             rng: SimRng::new(seed ^ 0xB41A_4CE0),
             next_balance: Time::ZERO,
             occ: Occupancy::new(topo.nr_cpus()),
-            lowpri: vec![IDLE_PRIO; topo.nr_cpus()],
         }
     }
 
-    /// Bring `cpu`'s occupancy row and `lowpri` mirror up to date with its
-    /// queues. Every site that changes a queue, the running thread or a
-    /// tracked priority calls it.
+    /// Bring `cpu`'s occupancy row up to date with its queues. Every site
+    /// that changes a queue or the running thread calls it.
     fn sync(&mut self, cpu: CpuId) {
         let tdq = &self.tdqs[cpu.index()];
         self.occ.set(cpu, tdq.waiting(), tdq.curr.is_some());
-        self.lowpri[cpu.index()] = tdq.lowpri();
     }
 
     /// The least-loaded CPU of `span ∩ allowed` whose most urgent priority
@@ -270,7 +265,7 @@ impl Ule {
     /// `IDLE_PRIO` is above every thread priority).
     fn pick_lowpri(&self, span: &CpuMask, allowed: Option<&CpuMask>, prio: i32) -> Option<CpuId> {
         self.occ
-            .least_loaded_in(span, allowed, |c| self.lowpri[c.index()] > prio)
+            .least_loaded_in(span, allowed, |c| self.tdqs[c.index()].lowpri() > prio)
     }
 
     /// Access to the parameters (for ablation benches).
@@ -425,7 +420,7 @@ impl Scheduler for Ule {
         if task.allowed_on(last)
             && affine
             && self.occ.online().contains(last)
-            && self.occ.load(last) == 0
+            && self.tdqs[last.index()].load() == 0
         {
             return Ok(last);
         }
@@ -575,7 +570,6 @@ impl Scheduler for Ule {
             let tdq = &mut self.tdqs[cpu.index()];
             tdq.remove_prio(old_prio);
             tdq.add_prio(new_prio);
-            self.sync(cpu);
         }
         // Timeslice check: the slice shrinks with the load. The counter
         // resets on expiry even when the thread is alone (`td_slice = 0`),
@@ -655,7 +649,7 @@ impl Scheduler for Ule {
         // An idle CPU's idle thread keeps retrying `tdq_idled` when the
         // timer interrupt wakes it, so work that becomes stealable later
         // (e.g. unpinned threads) is still picked up.
-        if self.occ.load(cpu) == 0 {
+        if self.tdqs[cpu.index()].load() == 0 {
             let mut stats = SelectStats::default();
             if self.idle_balance(tasks, cpu, now, &mut stats) {
                 targets.push(cpu);
@@ -686,7 +680,7 @@ impl Scheduler for Ule {
                 if used[c.index()] || !self.occ.online().contains(c) {
                     continue;
                 }
-                let load = self.occ.load(c);
+                let load = self.tdqs[c.index()].load();
                 match donor {
                     None => donor = Some((load, c)),
                     Some((dl, dc)) if load > dl || (load == dl && c.0 < dc.0) => {
@@ -777,13 +771,6 @@ impl Scheduler for Ule {
         // (the load placement and stealing read) must match the queues.
         self.occ.audit(cpu, tdq.waiting(), tdq.curr.is_some())?;
         let expect = tdq.load();
-        if self.lowpri[cpu.index()] != tdq.lowpri() {
-            return Err(format!(
-                "lowpri mirror says {}, the queues' most urgent priority is {}",
-                self.lowpri[cpu.index()],
-                tdq.lowpri()
-            ));
-        }
         let tracked = tdq.prios.total();
         if tracked != expect as u64 {
             return Err(format!(

@@ -1,7 +1,7 @@
 //! Reference-model tests of ULE's placement and idle stealing.
 //!
-//! `sched_pickcpu` and `tdq_idled` answer from the occupancy index and the
-//! `lowpri` mirror. The loops they replaced walked every CPU of each span
+//! `sched_pickcpu` and `tdq_idled` answer from the occupancy index. The
+//! loops they replaced walked every CPU of each span
 //! and read the queues themselves; they are kept below as the reference,
 //! reading the queues (the ground truth), not the index. Random machine
 //! states — 1 to 512 CPUs, offline CPUs, loads around the index's last
