@@ -780,55 +780,57 @@ impl Scheduler for Cfs {
         }
         self.last_audit_min[cpu.index()] = min;
 
+        // Every queued task sits in its tree at its entity's own vruntime.
+        let key_drift = |t: Tid, v: u64| -> Result<(), String> {
+            match self.tents.get(t.index()).and_then(Option::as_ref) {
+                Some(te) if te.ent.vruntime == v => Ok(()),
+                Some(te) => Err(format!(
+                    "{t} queued at vruntime {v} but its entity holds {}",
+                    te.ent.vruntime
+                )),
+                None => Err(format!("queued {t} has no entity")),
+            }
+        };
+        // A group's queued tasks, key-checked as they are counted.
+        let group_rq = |g: GroupId| -> Result<usize, String> {
+            let rq = &self.groups[g.index()].per_cpu[cpu.index()].rq;
+            for &(v, key) in rq.iter() {
+                if let EntKey::Task(t) = key {
+                    key_drift(t, v)?;
+                }
+            }
+            Ok(rq.nr)
+        };
         // The hierarchy's task count must agree with h_nr, and the running
         // task must be represented as the rq's curr entity at each level.
-        let ent_tasks = |key: EntKey| -> usize {
-            match key {
-                EntKey::Task(_) => 1,
-                EntKey::Group(g) => self.groups[g.index()].per_cpu[cpu.index()].rq.nr,
-            }
-        };
-        // Every queued task sits in its tree at its entity's own vruntime.
-        let key_drift = |rq: &CfsRq| -> Result<(), String> {
-            for &(v, key) in rq.iter() {
-                let EntKey::Task(t) = key else { continue };
-                match self.tents.get(t.index()).and_then(Option::as_ref) {
-                    Some(te) if te.ent.vruntime == v => {}
-                    Some(te) => {
-                        return Err(format!(
-                            "{t} queued at vruntime {v} but its entity holds {}",
-                            te.ent.vruntime
-                        ))
-                    }
-                    None => return Err(format!("queued {t} has no entity")),
-                }
-            }
-            Ok(())
-        };
-        key_drift(&c.root)?;
+        // One walk of the root checks the keys and counts the tasks.
         let mut n = 0usize;
         for &(v, key) in c.root.iter() {
-            if let EntKey::Group(g) = key {
-                let gc = &self.groups[g.index()].per_cpu[cpu.index()];
-                if gc.rq.curr.is_some() {
-                    return Err(format!("queued group entity {g:?} has a running child"));
+            n += match key {
+                EntKey::Task(t) => {
+                    key_drift(t, v)?;
+                    1
                 }
-                if gc.ge.vruntime != v {
-                    return Err(format!(
-                        "group entity {g:?} queued at vruntime {v} but holds {}",
-                        gc.ge.vruntime
-                    ));
+                EntKey::Group(g) => {
+                    let gc = &self.groups[g.index()].per_cpu[cpu.index()];
+                    if gc.rq.curr.is_some() {
+                        return Err(format!("queued group entity {g:?} has a running child"));
+                    }
+                    if gc.ge.vruntime != v {
+                        return Err(format!(
+                            "group entity {g:?} queued at vruntime {v} but holds {}",
+                            gc.ge.vruntime
+                        ));
+                    }
+                    group_rq(g)?
                 }
-                key_drift(&gc.rq)?;
-            }
-            n += ent_tasks(key);
+            };
         }
-        if let Some(key) = c.root.curr {
-            if let EntKey::Group(g) = key {
-                key_drift(&self.groups[g.index()].per_cpu[cpu.index()].rq)?;
-            }
-            n += ent_tasks(key);
-        }
+        n += match c.root.curr {
+            None => 0,
+            Some(EntKey::Task(_)) => 1,
+            Some(EntKey::Group(g)) => group_rq(g)?,
+        };
         if n != c.h_nr {
             return Err(format!(
                 "h_nr accounting drifted: h_nr={} but hierarchy holds {n} task(s)",

@@ -34,6 +34,13 @@
 //! cell/slot lock, and the locks are taken through a poison-tolerant
 //! helper regardless.
 //!
+//! A job's panic is reported once, on standard error, by the pool: one
+//! line per panicked job, in input order, after the whole batch has run,
+//! naming the job and where it panicked. The process's panic hook stays
+//! quiet for a panic inside a job, since what it prints (the worker's
+//! thread name and OS id, and a backtrace under `RUST_BACKTRACE`) differs
+//! between runs and between pool sizes; the report does not.
+//!
 //! The pool is a std-only work-stealing-free design: a shared atomic job
 //! index hands each worker the next unclaimed job (scoped threads, no
 //! channels needed because each job writes to its own result slot). This
@@ -41,9 +48,10 @@
 //! workspace builds offline.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, Once};
 
 /// The pool size used when the caller does not choose one: the host's
 /// available parallelism (1 if it cannot be queried).
@@ -85,16 +93,48 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
+thread_local! {
+    /// Whether this thread is running a pool job, whose panic the pool
+    /// reports.
+    static IN_JOB: Cell<bool> = const { Cell::new(false) };
+    /// Where this thread's last job panic happened, as `file:line:col`.
+    static PANIC_AT: Cell<Option<String>> = const { Cell::new(None) };
+}
+
+/// Install, once per process, a panic hook that records where a panic
+/// inside a pool job happened and prints nothing, and hands every other
+/// panic to the hook it replaced.
+fn quiet_job_panics() {
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if IN_JOB.get() {
+                let at = info
+                    .location()
+                    .map(|l| format!("{}:{}:{}", l.file(), l.line(), l.column()));
+                PANIC_AT.set(at);
+            } else {
+                prev(info);
+            }
+        }));
+    });
+}
+
 /// Lock a mutex, tolerating poisoning (a poisoned lock only means some
 /// other job panicked; the data — an `Option` slot — is still valid).
 fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
+/// How a job ended, and where it panicked if it did.
+type Slot<T> = (JobOutcome<T>, Option<String>);
+
 /// The pool: apply `f` to every item on up to `threads` workers, each call
 /// under `catch_unwind`, and return how each ended **in input order**
 /// regardless of execution interleaving. A panicking item becomes
-/// [`JobOutcome::Panicked`] while the rest of the sweep completes.
+/// [`JobOutcome::Panicked`] while the rest of the sweep completes, and is
+/// reported on standard error (see the module docs).
 ///
 /// With one worker (or one item) everything runs inline on the caller's
 /// thread — no spawning, identical code path to the sequential version.
@@ -104,21 +144,55 @@ where
     T: Send,
     F: Fn(I) -> T + Sync,
 {
-    let run = |item: I| match catch_unwind(AssertUnwindSafe(|| f(item))) {
-        Ok(v) => JobOutcome::Done(v),
-        Err(p) => JobOutcome::Panicked(panic_message(p.as_ref())),
+    quiet_job_panics();
+    let run = |item: I| -> Slot<T> {
+        let outer = IN_JOB.replace(true);
+        PANIC_AT.take();
+        let out = catch_unwind(AssertUnwindSafe(|| f(item)));
+        IN_JOB.set(outer);
+        match out {
+            Ok(v) => (JobOutcome::Done(v), None),
+            Err(p) => (
+                JobOutcome::Panicked(panic_message(p.as_ref())),
+                PANIC_AT.take(),
+            ),
+        }
     };
     let n = items.len();
     let workers = threads.min(n);
-    if workers <= 1 {
-        return items.into_iter().map(run).collect();
+    let outcomes: Vec<_> = if workers <= 1 {
+        items.into_iter().map(run).collect()
+    } else {
+        run_pool(workers, items, run)
+    };
+    for (i, (outcome, at)) in outcomes.iter().enumerate() {
+        if let JobOutcome::Panicked(msg) = outcome {
+            match at {
+                Some(at) => eprintln!("job {i} of {n} panicked at {at}: {msg}"),
+                // `resume_unwind` (a nested `par_map`'s re-raise, which
+                // its own pool reported) skips the hook.
+                None => eprintln!("job {i} of {n} panicked: {msg}"),
+            }
+        }
     }
+    outcomes.into_iter().map(|(o, _)| o).collect()
+}
+
+/// The threaded half of [`par_map_supervised`]: `run` every item on
+/// `workers` scoped threads, results in input order.
+fn run_pool<I, T, F>(workers: usize, items: Vec<I>, run: F) -> Vec<Slot<T>>
+where
+    I: Send,
+    T: Send,
+    F: Fn(I) -> Slot<T> + Sync,
+{
+    let n = items.len();
 
     // Each item sits in its own cell; workers claim cells through a shared
     // atomic cursor and write each result into the slot with the same
     // index, so collection order never depends on scheduling.
     let cells: Vec<Mutex<Option<I>>> = items.into_iter().map(|it| Mutex::new(Some(it))).collect();
-    let slots: Vec<Mutex<Option<JobOutcome<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<Slot<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
 
     std::thread::scope(|s| {
@@ -145,7 +219,10 @@ where
                 // A claimed job always writes its slot (the write is after
                 // catch_unwind); an empty slot would mean a worker died
                 // outside the catch, which we surface instead of hiding.
-                .unwrap_or_else(|| JobOutcome::Panicked("job result slot empty".to_string()))
+                .unwrap_or_else(|| {
+                    let lost = "job result slot empty".to_string();
+                    (JobOutcome::Panicked(lost), None)
+                })
         })
         .collect()
 }
@@ -154,7 +231,8 @@ where
 /// input order. A panicking item does not abort its siblings: every other
 /// item still runs to completion, after which the first panic in input
 /// order is re-raised here with [`std::panic::resume_unwind`] (which does
-/// not run the panic hook, so the message is printed once, by the worker).
+/// not run the panic hook, so the message is printed once, by the pool's
+/// report).
 pub fn par_map<I, T, F>(threads: usize, items: Vec<I>, f: F) -> Vec<T>
 where
     I: Send,

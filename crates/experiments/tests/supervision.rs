@@ -79,6 +79,77 @@ fn runner_survives_panicking_job() {
     );
 }
 
+/// Set in the environment of the child process that
+/// `caught_panics_print_the_same_report_at_any_pool_size` starts: the
+/// pool size it runs its panicking jobs on.
+const PANIC_CHILD: &str = "SUPERVISION_PANIC_CHILD_THREADS";
+
+/// A panic the pool catches is reported once on standard error, in input
+/// order, with no thread name, id or backtrace, so the report is the same
+/// at any pool size; a panic that `par_map` re-raises is printed once. The
+/// test runs itself as a child process per pool size, with backtraces on,
+/// and compares the children's standard error.
+#[test]
+fn caught_panics_print_the_same_report_at_any_pool_size() {
+    if let Ok(threads) = std::env::var(PANIC_CHILD) {
+        let threads: usize = threads.parse().expect("a pool size");
+        let outcomes = runner::par_map_supervised(threads, (0..6).collect(), |i: u32| {
+            if i % 2 == 1 {
+                panic!("job {i} fails");
+            }
+            i
+        });
+        assert_eq!(
+            outcomes
+                .iter()
+                .filter(|o| o.panic_message().is_some())
+                .count(),
+            3
+        );
+        let reraised = std::panic::catch_unwind(|| {
+            runner::par_map(threads, vec![0u32, 1], |i| {
+                assert!(i == 0, "re-raised from job {i}");
+                i
+            })
+        });
+        assert!(reraised.is_err());
+        return;
+    }
+    let stderr = |threads: usize| -> String {
+        let exe = std::env::current_exe().expect("the test binary");
+        let out = std::process::Command::new(exe)
+            .args([
+                "caught_panics_print_the_same_report_at_any_pool_size",
+                "--exact",
+                "--nocapture",
+                "--test-threads=1",
+            ])
+            .env(PANIC_CHILD, threads.to_string())
+            .env("RUST_BACKTRACE", "1")
+            .output()
+            .expect("the child runs");
+        assert!(out.status.success(), "child at {threads} threads: {out:?}");
+        String::from_utf8(out.stderr).expect("utf-8 stderr")
+    };
+    let one = stderr(1);
+    assert_eq!(one, stderr(4), "the report depends on the pool size");
+    let file = file!();
+    let lines: Vec<&str> = one.lines().collect();
+    assert_eq!(lines.len(), 4, "one line per caught panic:\n{one}");
+    for (line, (job, of, msg)) in lines.iter().zip([
+        (1, 6, "job 1 fails"),
+        (3, 6, "job 3 fails"),
+        (5, 6, "job 5 fails"),
+        (1, 2, "re-raised from job 1"),
+    ]) {
+        let head = format!("job {job} of {of} panicked at {file}:");
+        assert!(
+            line.starts_with(&head) && line.ends_with(&format!(": {msg}")),
+            "{line}"
+        );
+    }
+}
+
 /// A budget-killed scenario run salvages a partial result whose digest
 /// and event count are identical whatever `--threads` says: the abort
 /// point is simulated-deterministic, and the pool size only changes which

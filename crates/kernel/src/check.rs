@@ -35,7 +35,10 @@
 //! state: `task_tick` and `balance_tick`, both CPUs of a placement,
 //! put-prev, block, exit, pick, yield, and a preempted spinner going to
 //! sleep. The **incremental pass** then runs the per-CPU check on those
-//! CPUs only. Two small structures stand in for the task sweep:
+//! CPUs only, in one walk of the dirty set's words (one per 64 CPUs of the
+//! machine). It answers only pass or fail: it formats no message and
+//! builds no [`SimError`], and on a failure the full sweep below builds the
+//! error. Two small structures stand in for the task sweep:
 //!
 //! * the **home count** — runnable and running tasks per CPU by
 //!   [`sched_api::Task::cpu`], kept by the kernel — must equal what the
@@ -61,13 +64,14 @@
 //! [`crate::SimConfig::tick`]) or at the next full sweep, whichever comes
 //! first, rather than at the event that caused it.
 //!
-//! The checker allocates nothing in steady state. When checking is off
+//! The checker allocates nothing in steady state (`seen` grows only when
+//! the task slab does). When checking is off
 //! ([`crate::CheckMode::Off`], the default) each touch site costs one
 //! predicted-not-taken branch.
 
 use sched_api::{TaskState, Tid};
 use simcore::Time;
-use topology::{CpuId, CpuMask};
+use topology::{CpuId, WordBits, MAX_CPUS};
 
 use crate::error::SimError;
 use crate::kernel::Kernel;
@@ -85,13 +89,17 @@ const FULL_SWEEP_EVERY: u64 = 1024;
 /// SchedSan's state: the current event's dirty CPUs, the home counts and
 /// the starvation floor, and reusable scratch buffers.
 pub(crate) struct SchedSan {
-    /// Scratch: tids enumerated from the runqueues being checked (also the
-    /// hotplug drain's orphan buffer).
+    /// Scratch: the tids a pass marked in `seen` (the checked CPUs' current
+    /// and queued tasks; also the hotplug drain's orphan buffer).
     pub(crate) tids: Vec<Tid>,
     /// Scratch: per-tid conservation marks, all `SEEN_NONE` between checks.
     seen: Vec<u8>,
-    /// CPUs whose class state the current event may have changed.
-    cpus: CpuMask,
+    /// CPUs whose class state the current event may have changed: bit
+    /// `i % 64` of word `i / 64` is CPU `i`.
+    dirty: [u64; MAX_CPUS / 64],
+    /// The words of `dirty` the machine has (one per 64 CPUs): the
+    /// incremental pass walks only these.
+    words: usize,
     /// Runnable and running tasks per CPU, by `Task::cpu`.
     home: Vec<u32>,
     /// No runnable task has been waiting since before this instant.
@@ -110,7 +118,8 @@ impl SchedSan {
         SchedSan {
             tids: Vec::new(),
             seen: Vec::new(),
-            cpus: CpuMask::empty(),
+            dirty: [0; MAX_CPUS / 64],
+            words: ncpu.div_ceil(64),
             home: vec![0; ncpu],
             wait_floor: Time::ZERO,
             full: false,
@@ -122,20 +131,21 @@ impl SchedSan {
     /// The current event called a class hook on `cpu`.
     #[inline]
     pub(crate) fn touch(&mut self, cpu: CpuId) {
-        self.cpus.set(cpu);
+        let i = cpu.index();
+        self.dirty[i / 64] |= 1 << (i % 64);
     }
 
     /// A task homed on `cpu` became runnable (it was new or sleeping).
     #[inline]
     pub(crate) fn arrive(&mut self, cpu: CpuId) {
-        self.cpus.set(cpu);
+        self.touch(cpu);
         self.home[cpu.index()] += 1;
     }
 
     /// A runnable or running task homed on `cpu` went to sleep or exited.
     #[inline]
     pub(crate) fn depart(&mut self, cpu: CpuId) {
-        self.cpus.set(cpu);
+        self.touch(cpu);
         // A drifted count only makes the next incremental pass defer to
         // the full sweep, which rebuilds it.
         self.home[cpu.index()] = self.home[cpu.index()].saturating_sub(1);
@@ -146,6 +156,34 @@ impl SchedSan {
     pub(crate) fn sweep_all(&mut self) {
         self.full = true;
     }
+}
+
+/// What [`Kernel::check_cpu`] returns when an invariant is broken.
+trait Outcome {
+    type Fail;
+    /// The failure, given the error the full sweep reports for it.
+    fn fail(err: impl FnOnce() -> SimError) -> Self::Fail;
+}
+
+/// The full sweep's outcome: the exact error, message included.
+struct Explain;
+
+impl Outcome for Explain {
+    type Fail = SimError;
+    #[inline]
+    fn fail(err: impl FnOnce() -> SimError) -> SimError {
+        err()
+    }
+}
+
+/// The incremental pass's outcome: only that a check failed. The full
+/// sweep it then defers to builds the error.
+struct PassFail;
+
+impl Outcome for PassFail {
+    type Fail = ();
+    #[inline]
+    fn fail(_: impl FnOnce() -> SimError) {}
 }
 
 impl Kernel {
@@ -197,7 +235,7 @@ impl Kernel {
         seen.fill(SEEN_NONE);
         self.san.tids = tids;
         self.san.seen = seen;
-        self.san.cpus = CpuMask::empty();
+        self.san.dirty = [0; MAX_CPUS / 64];
         self.san.full = false;
         self.san.last_full = self.counters.events;
         res
@@ -206,7 +244,7 @@ impl Kernel {
     fn sweep(&mut self, tids: &mut Vec<Tid>, seen: &mut Vec<u8>) -> Result<(), SimError> {
         seen.resize(self.tasks.slab_len(), SEEN_NONE);
         for i in 0..self.cpus.len() {
-            self.check_cpu(CpuId(i as u32), tids, seen)?;
+            self.check_cpu::<Explain>(CpuId(i as u32), tids, seen)?;
         }
 
         // Conservation sweep: every task's lifecycle state must agree with
@@ -264,30 +302,39 @@ impl Kernel {
         Ok(())
     }
 
-    /// The incremental pass over the current event's dirty CPUs. `false`
-    /// means something is off and the full sweep must arbitrate. Clears
-    /// the dirty set.
+    /// The incremental pass over the current event's dirty CPUs, in one
+    /// walk of the dirty words. `false` means something is off and the
+    /// full sweep must arbitrate (and clear what the walk left dirty).
+    /// Builds no error: the full sweep reports it.
     fn check_touched(&mut self) -> bool {
-        let cpus = std::mem::replace(&mut self.san.cpus, CpuMask::empty());
+        let words = self.san.words;
+        if self.san.dirty[..words].iter().all(|&w| w == 0) {
+            return true;
+        }
         let mut tids = std::mem::take(&mut self.san.tids);
         let mut seen = std::mem::take(&mut self.san.seen);
-        seen.resize(self.tasks.slab_len(), SEEN_NONE);
-        let ok = cpus.iter().all(|cpu| {
-            let held = self.check_cpu(cpu, &mut tids, &mut seen);
-            held.is_ok_and(|n| n == self.san.home[cpu.index()] as usize)
-        });
-        // Unmark exactly what this pass marked: the queued tids and the
-        // current tasks of the checked CPUs.
-        for tid in tids.drain(..) {
+        let slab = self.tasks.slab_len();
+        if seen.len() < slab {
+            seen.resize(slab, SEEN_NONE);
+        }
+        let mut ok = true;
+        'walk: for w in 0..words {
+            let bits = std::mem::take(&mut self.san.dirty[w]);
+            for cpu in WordBits::new(w, bits) {
+                let held = self.check_cpu::<PassFail>(cpu, &mut tids, &mut seen);
+                if held != Ok(self.san.home[cpu.index()] as usize) {
+                    ok = false;
+                    break 'walk;
+                }
+            }
+        }
+        // Unmark exactly what this pass marked.
+        for &tid in &tids {
             if let Some(s) = seen.get_mut(tid.index()) {
                 *s = SEEN_NONE;
             }
         }
-        for cpu in cpus.iter() {
-            if let Some(tid) = self.cpus[cpu.index()].current {
-                seen[tid.index()] = SEEN_NONE;
-            }
-        }
+        tids.clear();
         self.san.tids = tids;
         self.san.seen = seen;
         ok
@@ -295,109 +342,133 @@ impl Kernel {
 
     /// The per-CPU half of the catalog: current-task sanity, queued-task
     /// sanity, nr_queued agreement, and the scheduler self-audit. Appends
-    /// `cpu`'s queued tids to `tids` and returns how many tasks `cpu`
-    /// holds, queued plus running.
-    fn check_cpu(
+    /// the tids it marks in `seen` (`cpu`'s current task, then its queued
+    /// ones) to `tids` and returns how many tasks `cpu` holds, queued plus
+    /// running. `seen` covers the task slab. One body serves both passes:
+    /// the full sweep ([`Explain`]) gets the exact error, the incremental
+    /// pass ([`PassFail`]) only that one occurred.
+    #[inline]
+    fn check_cpu<O: Outcome>(
         &mut self,
         cpu: CpuId,
         tids: &mut Vec<Tid>,
         seen: &mut [u8],
-    ) -> Result<usize, SimError> {
+    ) -> Result<usize, O::Fail> {
         let i = cpu.index();
         let online = self.cpus[i].online;
         let current = self.cpus[i].current;
 
         if let Some(tid) = current {
             if !online {
-                return Err(self.invariant(format!("offline {cpu} is running {tid}")));
+                return Err(O::fail(|| {
+                    self.invariant(format!("offline {cpu} is running {tid}"))
+                }));
             }
             let t = self.tasks.get(tid);
             if t.state != TaskState::Running {
-                return Err(
+                return Err(O::fail(|| {
                     self.invariant(format!("{cpu} current {tid} is {:?}, not Running", t.state))
-                );
+                }));
             }
             if t.cpu != cpu {
-                return Err(
+                return Err(O::fail(|| {
                     self.invariant(format!("{cpu} current {tid} thinks it is on {}", t.cpu))
-                );
+                }));
             }
             if !t.allowed_on(cpu) {
-                return Err(SimError::AffinityViolated {
+                return Err(O::fail(|| SimError::AffinityViolated {
                     tid,
                     cpu,
                     at: self.now,
-                });
+                }));
             }
             if seen[tid.index()] != SEEN_NONE {
-                return Err(self.invariant(format!("{tid} is running on two CPUs")));
+                return Err(O::fail(|| {
+                    self.invariant(format!("{tid} is running on two CPUs"))
+                }));
             }
             seen[tid.index()] = SEEN_RUNNING;
+            tids.push(tid);
         }
 
         let start = tids.len();
         self.sched.queued_tids_into(cpu, tids);
         let queued = &tids[start..];
         if !online && !queued.is_empty() {
-            return Err(self.invariant(format!(
-                "offline {cpu} still queues {} task(s)",
-                queued.len()
-            )));
+            return Err(O::fail(|| {
+                self.invariant(format!(
+                    "offline {cpu} still queues {} task(s)",
+                    queued.len()
+                ))
+            }));
         }
         for &tid in queued {
             // The class enumerates, the kernel owns the task table: a tid
             // it never created is the class's bug, not a reason to panic.
-            if !self.tasks.contains(tid) || tid.index() >= seen.len() {
-                return Err(self.invariant(format!("{cpu} queues {tid}, which names no task")));
-            }
-            let t = self.tasks.get(tid);
+            let Some(t) = self.tasks.try_get(tid) else {
+                return Err(O::fail(|| {
+                    self.invariant(format!("{cpu} queues {tid}, which names no task"))
+                }));
+            };
             if t.state != TaskState::Runnable {
-                return Err(self.invariant(format!(
-                    "{cpu} queues {tid} in state {:?}, not Runnable",
-                    t.state
-                )));
+                return Err(O::fail(|| {
+                    self.invariant(format!(
+                        "{cpu} queues {tid} in state {:?}, not Runnable",
+                        t.state
+                    ))
+                }));
             }
             if !t.on_rq {
-                return Err(
+                return Err(O::fail(|| {
                     self.invariant(format!("{cpu} queues {tid} but its on_rq flag is clear"))
-                );
+                }));
             }
             if t.cpu != cpu {
-                return Err(self.invariant(format!(
-                    "{cpu} queues {tid} but the task thinks it is on {}",
-                    t.cpu
-                )));
+                return Err(O::fail(|| {
+                    self.invariant(format!(
+                        "{cpu} queues {tid} but the task thinks it is on {}",
+                        t.cpu
+                    ))
+                }));
             }
             if !t.allowed_on(cpu) {
-                return Err(SimError::AffinityViolated {
+                return Err(O::fail(|| SimError::AffinityViolated {
                     tid,
                     cpu,
                     at: self.now,
-                });
+                }));
             }
             match seen[tid.index()] {
                 SEEN_NONE => seen[tid.index()] = SEEN_QUEUED,
                 SEEN_QUEUED => {
-                    return Err(self.invariant(format!("{tid} is queued on two runqueues")))
+                    return Err(O::fail(|| {
+                        self.invariant(format!("{tid} is queued on two runqueues"))
+                    }))
                 }
-                _ => return Err(self.invariant(format!("{tid} is both running and queued"))),
+                _ => {
+                    return Err(O::fail(|| {
+                        self.invariant(format!("{tid} is both running and queued"))
+                    }))
+                }
             }
         }
 
         let held = queued.len() + usize::from(current.is_some());
         let reported = self.sched.nr_queued(cpu);
         if reported != held {
-            return Err(self.invariant(format!(
-                "{cpu} nr_queued reports {reported} but {held} task(s) are accounted \
+            return Err(O::fail(|| {
+                self.invariant(format!(
+                    "{cpu} nr_queued reports {reported} but {held} task(s) are accounted \
                      ({} queued + {} running)",
-                queued.len(),
-                usize::from(current.is_some())
-            )));
+                    queued.len(),
+                    usize::from(current.is_some())
+                ))
+            }));
         }
 
-        self.sched
-            .audit(&self.tasks, cpu, self.now)
-            .map_err(|detail| self.invariant(format!("{cpu} audit: {detail}")))?;
+        if let Err(detail) = self.sched.audit(&self.tasks, cpu, self.now) {
+            return Err(O::fail(|| self.invariant(format!("{cpu} audit: {detail}"))));
+        }
         Ok(held)
     }
 

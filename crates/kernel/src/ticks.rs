@@ -56,8 +56,13 @@ impl TickLane {
     /// Arm `cpu`'s next tick at `at` with an order key of `seq`. The caller
     /// keeps at most one tick armed per CPU.
     pub fn arm(&mut self, cpu: CpuId, at: Time, seq: u64) {
-        let mut i = self.armed.len();
-        while i > 0 && (at, seq) < (self.armed[i - 1].0, self.armed[i - 1].1) {
+        let before = |e: &(Time, u64, CpuId)| (at, seq) < (e.0, e.1);
+        if !self.armed.back().is_some_and(before) {
+            self.armed.push_back((at, seq, cpu));
+            return;
+        }
+        let mut i = self.armed.len() - 1;
+        while i > 0 && before(&self.armed[i - 1]) {
             i -= 1;
         }
         self.armed.insert(i, (at, seq, cpu));
@@ -215,17 +220,41 @@ mod tests {
         assert_eq!(lane.peek(), None);
     }
 
+    /// Arm in the lane and in a sorted model; the lane must hold the
+    /// model's order.
+    fn arm(lane: &mut TickLane, model: &mut Vec<(Time, u64, CpuId)>, e: (Time, u64, CpuId)) {
+        lane.arm(e.2, e.0, e.1);
+        model.push(e);
+        model.sort_by_key(|&(at, seq, _)| (at, seq));
+        assert!(lane.armed.iter().eq(model.iter()), "{:?}", lane.armed);
+    }
+
     #[test]
     fn rearm_cycles_stay_sorted() {
-        let mut lane = TickLane::new(2);
-        lane.arm(CpuId(0), Time(10), 0);
-        lane.arm(CpuId(1), Time(11), 1);
-        for round in 0..100u64 {
-            let (t, _, cpu) = lane.pop().expect("armed");
-            // Re-arm one tick later, like the kernel's on_tick does.
-            lane.arm(cpu, t + simcore::Dur(10), 2 + round);
-            let (t2, _, _) = lane.peek().expect("armed");
-            assert!(t2 >= t, "lane went backwards");
+        let mut lane = TickLane::new(4);
+        let mut model = Vec::new();
+        for c in 0..4u64 {
+            arm(&mut lane, &mut model, (Time(10 + c), c, CpuId(c as u32)));
+        }
+        for round in 0..400u64 {
+            let fired = lane.pop().expect("armed");
+            assert_eq!(fired, model.remove(0), "round {round}");
+            let (t, _, cpu) = fired;
+            let seq = 4 + round;
+            let next = match round % 4 {
+                // Re-arm one tick later, like the kernel's on_tick does:
+                // the append.
+                0 => (t + simcore::Dur(10), seq),
+                // Fault jitter of up to ±4 around the period, which can
+                // land before ticks still armed.
+                1 => (t + simcore::Dur(6 + round * 7 % 9), seq),
+                // A late re-arm, before every other armed tick.
+                2 => (t + simcore::Dur(1), seq),
+                // Out of order: the deadline just fired with the lowest
+                // seq, so the new key sorts before the front.
+                _ => (t, 0),
+            };
+            arm(&mut lane, &mut model, (next.0, next.1, cpu));
         }
     }
 }

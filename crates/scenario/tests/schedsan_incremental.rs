@@ -8,7 +8,9 @@
 //! corrupts a CPU the event did not touch must surface no later than that
 //! CPU's next tick, since every online CPU ticks every `SimConfig::tick`.
 //! Starvation, which no dirty set can localise, must also surface at the
-//! same event as under the full sweep.
+//! same event as under the full sweep. On a machine wider than two mask
+//! words, a fault on a CPU in the last word must be reported at the same
+//! event too: the incremental pass walks every dirty word.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -67,6 +69,9 @@ struct Corrupt {
     after: u32,
     calls: u32,
     ncpu: usize,
+    /// The lowest CPU whose hooks count toward `after` and may fire the
+    /// fault.
+    from_cpu: usize,
     offline: CpuMask,
     /// CPU whose `nr_queued` / `queued_tids_into` lie once fired.
     lying: Option<CpuId>,
@@ -99,6 +104,7 @@ impl Corrupt {
     fn tick_fault(&mut self, tasks: &mut TaskTable, cpu: CpuId, curr: Tid, now: Time) {
         let fault = self.fault;
         if matches!(fault, Fault::OfflineLeftover | Fault::Repeat(Hook::Enqueue))
+            || cpu.index() < self.from_cpu
             || !self.due(fault)
         {
             return;
@@ -273,24 +279,60 @@ fn workload() -> AppSpec {
     AppSpec::new("mix", threads)
 }
 
+/// `workload` plus hogs pinned to the last two CPUs of `WIDE`, so the
+/// CPUs of its last mask word keep queued tasks to corrupt.
+fn wide_workload() -> AppSpec {
+    let mut app = workload();
+    app.threads.extend((0..6).map(|i| {
+        ThreadSpec::new(format!("top{i}"), cpu_hog(Dur::millis(400), Dur::millis(2)))
+            .pinned(vec![CpuId(128), CpuId(129)])
+    }));
+    app
+}
+
 const NCPU: usize = 4;
 
-/// Run `sched` wrapped in `Corrupt` until the checker reports. Returns the
-/// kernel (for its counters), the result and when/where the fault fired.
+/// The machine a case runs on.
+struct Machine {
+    ncpu: usize,
+    /// Faults fire on this CPU or above.
+    from_cpu: usize,
+    app: fn() -> AppSpec,
+}
+
+/// Four CPUs, one mask word.
+const SMALL: Machine = Machine {
+    ncpu: NCPU,
+    from_cpu: 0,
+    app: workload,
+};
+
+/// 130 CPUs, three mask words, with every fault on CPU 128 or 129.
+const WIDE: Machine = Machine {
+    ncpu: 130,
+    from_cpu: 128,
+    app: wide_workload,
+};
+
+/// Run `sched` wrapped in `Corrupt` on `machine` until the checker
+/// reports. Returns the kernel (for its counters), the result and
+/// when/where the fault fired.
 fn run(
+    machine: &Machine,
     sched: Sched,
     fault: Fault,
     after: u32,
     reference: bool,
 ) -> (Kernel, Result<(), SimError>, Option<(Time, CpuId)>) {
-    let topo = Topology::flat(NCPU as u32);
+    let topo = Topology::flat(machine.ncpu as u32);
     let fired = Rc::new(Cell::new(None));
     let class = Corrupt {
         inner: scenario::make_class(&topo, sched, 7),
         fault,
         after,
         calls: 0,
-        ncpu: NCPU,
+        ncpu: machine.ncpu,
+        from_cpu: machine.from_cpu,
         offline: CpuMask::empty(),
         lying: None,
         fired: Rc::clone(&fired),
@@ -306,7 +348,7 @@ fn run(
     }
     let mut k = Kernel::new(topo, cfg, Box::new(class));
     k.set_full_sweep_reference(reference);
-    k.queue_app(Time::ZERO, workload());
+    k.queue_app(Time::ZERO, (machine.app)());
     let res = k.try_run_until(Time::ZERO + Dur::millis(300));
     (k, res, fired.get())
 }
@@ -348,8 +390,8 @@ fn incremental_checker_reports_exactly_what_the_full_sweep_reports() {
         ] {
             let label = format!("{} {fault:?}", sched.flag_name());
             let n = trigger(sched, fault);
-            let (rk, reference, rfired) = run(sched, fault, n, true);
-            let (ik, incremental, ifired) = run(sched, fault, n, false);
+            let (rk, reference, rfired) = run(&SMALL, sched, fault, n, true);
+            let (ik, incremental, ifired) = run(&SMALL, sched, fault, n, false);
             assert!(rfired.is_some(), "[{label}] the fault never fired");
             assert_eq!(rfired, ifired, "[{label}] both runs fire at the same point");
             let err = reference.expect_err(&format!("[{label}] the full sweep catches it"));
@@ -364,6 +406,34 @@ fn incremental_checker_reports_exactly_what_the_full_sweep_reports() {
                     "[{label}] {err}"
                 );
             }
+        }
+    }
+}
+
+/// The same comparison on `WIDE`, with each fault fired on CPU 128 or 129,
+/// in the third mask word: an incremental pass that stopped walking the
+/// dirty set before that word would report the fault later than the full
+/// sweep does, at a full sweep of its own.
+#[test]
+fn incremental_checker_walks_every_dirty_word_of_a_wide_machine() {
+    for sched in Sched::ALL {
+        for fault in [
+            Fault::DropQueued,
+            Fault::DoubleEnqueue,
+            Fault::StaleCpu,
+            Fault::NrOffByOne,
+            Fault::Affinity,
+            Fault::Phantom,
+        ] {
+            let label = format!("{} {fault:?}", sched.flag_name());
+            let (rk, reference, rfired) = run(&WIDE, sched, fault, 5, true);
+            let (ik, incremental, ifired) = run(&WIDE, sched, fault, 5, false);
+            let (_, cpu) = rfired.unwrap_or_else(|| panic!("[{label}] the fault never fired"));
+            assert!(cpu.index() >= 128, "[{label}] fired on {cpu}");
+            assert_eq!(rfired, ifired, "[{label}] both runs fire at the same point");
+            let err = reference.expect_err(&format!("[{label}] the full sweep catches it"));
+            assert_eq!(incremental, Err(err), "[{label}]");
+            assert_eq!(ik.counters().events, rk.counters().events, "[{label}]");
         }
     }
 }
@@ -417,7 +487,7 @@ fn corruption_elsewhere_is_caught_by_the_next_tick_of_its_cpu() {
     let tick = SimConfig::default().tick;
     for sched in Sched::ALL {
         let label = sched.flag_name();
-        let (_, res, fired) = run(sched, Fault::DropElsewhere, 20, false);
+        let (_, res, fired) = run(&SMALL, sched, Fault::DropElsewhere, 20, false);
         let (at, cpu) = fired.unwrap_or_else(|| panic!("[{label}] the fault never fired"));
         let err = res.expect_err(&format!("[{label}] the lost task is reported"));
         let SimError::Invariant { at: caught, detail } = &err else {

@@ -398,54 +398,78 @@ impl Occupancy {
     /// CPU as it goes offline and never runs one while it is down). A
     /// desynced row would silently steer placement and stealing, so the
     /// classes run this from their [`crate::Scheduler::audit`].
+    ///
+    /// This runs for every CPU a strict event touches, so the passing path
+    /// only compares: the CPU's bits over its 16 level words must sum to 2,
+    /// with the bits at the row's two levels set. The message is built
+    /// in a cold function, only when a check fails.
+    #[inline]
     pub fn audit(&self, cpu: CpuId, waiting: usize, running: bool) -> Result<(), String> {
         let Some(row) = self.rows.get(cpu.index()) else {
-            return Err(format!(
-                "occupancy has no row for {cpu:?} ({} CPUs)",
-                self.rows.len()
-            ));
+            return Err(self.audit_failure(cpu, waiting, running));
         };
-        if row.waiting != waiting {
-            return Err(format!(
-                "occupancy says {} waiting, the queue holds {waiting}",
-                row.waiting
-            ));
-        }
-        if row.running != running {
-            return Err(format!(
-                "occupancy running flag {} disagrees with the class ({running})",
-                row.running
-            ));
-        }
         let load = row.load();
-        // Bit `family * LEVELS + k` of `held`: level `k` of `family` holds
-        // the CPU. Gathered without branches, as this runs on every
-        // strict event.
         let (w, b) = (cpu.index() / 64, cpu.index() % 64);
         let column = &self.levels[w * 2 * LEVELS..][..2 * LEVELS];
-        let held = (column.iter().enumerate())
-            .fold(0u32, |acc, (i, word)| acc | ((word >> b & 1) as u32) << i);
+        let held: u64 = column.iter().map(|word| word >> b & 1).sum();
+        let at = |family: Family, n: usize| column[family as usize * LEVELS + level(n)] >> b & 1;
+        let ok = row.waiting == waiting
+            && row.running == running
+            && held == 2
+            && at(Family::Load, load) == 1
+            && at(Family::Wait, waiting) == 1
+            && (load == 0 || self.online.contains(cpu));
+        if ok {
+            Ok(())
+        } else {
+            Err(self.audit_failure(cpu, waiting, running))
+        }
+    }
+
+    /// The message of a failed [`Occupancy::audit`]: the first check, in
+    /// the order the docs list them, that `cpu` fails.
+    #[cold]
+    #[inline(never)]
+    fn audit_failure(&self, cpu: CpuId, waiting: usize, running: bool) -> String {
+        let Some(row) = self.rows.get(cpu.index()) else {
+            return format!(
+                "occupancy has no row for {cpu:?} ({} CPUs)",
+                self.rows.len()
+            );
+        };
+        if row.waiting != waiting {
+            return format!(
+                "occupancy says {} waiting, the queue holds {waiting}",
+                row.waiting
+            );
+        }
+        if row.running != running {
+            return format!(
+                "occupancy running flag {} disagrees with the class ({running})",
+                row.running
+            );
+        }
+        let load = row.load();
+        let (w, b) = (cpu.index() / 64, cpu.index() % 64);
         for (family, name, n) in [
             (Family::Load, "load", load),
             (Family::Wait, "waiting", waiting),
         ] {
-            let at = held >> (family as usize * LEVELS) & ((1 << LEVELS) - 1);
-            if at != 1 << level(n) {
-                let at: Vec<usize> = (0..LEVELS).filter(|k| at >> k & 1 == 1).collect();
-                return Err(format!(
+            let at: Vec<usize> = (0..LEVELS)
+                .filter(|&k| self.level_word(family, k, w) >> b & 1 == 1)
+                .collect();
+            if at != [level(n)] {
+                return format!(
                     "occupancy puts the CPU in {name} levels {at:?}, but a {name} count \
                      of {n} belongs in level {} alone",
                     level(n)
-                ));
+                );
             }
         }
-        if !self.online.contains(cpu) && load > 0 {
-            return Err(format!(
-                "occupancy marks the CPU offline, but it holds {waiting} waiting \
-                 and running={running}"
-            ));
-        }
-        Ok(())
+        format!(
+            "occupancy marks the CPU offline, but it holds {waiting} waiting \
+             and running={running}"
+        )
     }
 }
 
@@ -489,36 +513,51 @@ mod tests {
 
     #[test]
     fn audit_catches_a_flipped_mask_bit() {
-        let mut o = Occupancy::new(4);
-        o.set(CpuId(1), 1, false);
-        o.audit(CpuId(1), 1, false).unwrap();
-        // CPU 1 sits in load level 1 and waiting level 1: flip its bit in
-        // each level of each family, a missing bit at level 1 and a stray
-        // one elsewhere (at level 0 a busy CPU would read as idle).
-        for family in [Family::Wait, Family::Load] {
-            for k in 0..LEVELS {
-                let slot = o.slot(family, k, 0);
-                o.levels[slot] ^= 1 << 1;
-                assert!(o.audit(CpuId(1), 1, false).is_err(), "{family:?} {k}");
-                o.levels[slot] ^= 1 << 1;
-                o.audit(CpuId(1), 1, false).unwrap();
+        // CPU 1 of 4 in load and waiting level 1 (word 0), and CPU 129 of
+        // 130 in the last level of both families (word 2), idle and busy.
+        for (nr, cpu, waiting, running) in [
+            (4, CpuId(1), 1, false),
+            (130, CpuId(129), 7, false),
+            (130, CpuId(129), 9, true),
+        ] {
+            let label = format!("{cpu} of {nr}, {waiting} waiting, running={running}");
+            let mut o = Occupancy::new(nr);
+            o.set(cpu, waiting, running);
+            o.audit(cpu, waiting, running).unwrap();
+            let (w, bit) = (cpu.index() / 64, 1u64 << (cpu.index() % 64));
+            // Flip the CPU's bit in each level of each family: a missing
+            // bit at its own two levels, a stray one elsewhere (at level
+            // 0 a busy CPU would read as idle).
+            for family in [Family::Wait, Family::Load] {
+                for k in 0..LEVELS {
+                    let slot = o.slot(family, k, w);
+                    o.levels[slot] ^= bit;
+                    assert!(
+                        o.audit(cpu, waiting, running).is_err(),
+                        "{label}: {family:?} {k}"
+                    );
+                    o.levels[slot] ^= bit;
+                    o.audit(cpu, waiting, running).unwrap();
+                }
             }
+            // Stray bits in both level 0s: the busy CPU now reads as idle.
+            for family in [Family::Wait, Family::Load] {
+                let slot = o.slot(family, 0, w);
+                o.levels[slot] |= bit;
+            }
+            assert!(o.is_idle(cpu), "{label}");
+            let err = o.audit(cpu, waiting, running).expect_err(&label);
+            let held = format!("load levels [0, {}]", level(waiting + usize::from(running)));
+            assert!(err.contains(&held), "{label}: {err}");
+            for family in [Family::Wait, Family::Load] {
+                let slot = o.slot(family, 0, w);
+                o.levels[slot] &= !bit;
+            }
+            o.audit(cpu, waiting, running).unwrap();
+            // A row that moved to another level without its bits.
+            o.rows[cpu.index()].waiting = 0;
+            assert!(o.audit(cpu, 0, running).is_err(), "{label}");
         }
-        // Stray bits in both level 0s: the busy CPU now reads as idle.
-        for family in [Family::Wait, Family::Load] {
-            let slot = o.slot(family, 0, 0);
-            o.levels[slot] |= 1 << 1;
-        }
-        assert!(o.is_idle(CpuId(1)));
-        assert!(o.audit(CpuId(1), 1, false).is_err());
-        for family in [Family::Wait, Family::Load] {
-            let slot = o.slot(family, 0, 0);
-            o.levels[slot] &= !(1 << 1);
-        }
-        o.audit(CpuId(1), 1, false).unwrap();
-        // A row that moved without its bits.
-        o.rows[1].waiting = 2;
-        assert!(o.audit(CpuId(1), 2, false).is_err());
     }
 
     #[test]

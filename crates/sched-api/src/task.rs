@@ -177,12 +177,16 @@ impl TaskTable {
             .unwrap_or_else(|| panic!("no such task: {tid}"))
     }
 
+    /// The live task `tid` names, or `None` if it names none.
+    #[inline]
+    pub fn try_get(&self, tid: Tid) -> Option<&Task> {
+        self.slots.get(tid.index())?.as_ref()
+    }
+
     /// `true` if `tid` names a live task.
+    #[inline]
     pub fn contains(&self, tid: Tid) -> bool {
-        self.slots
-            .get(tid.index())
-            .map(|s| s.is_some())
-            .unwrap_or(false)
+        self.try_get(tid).is_some()
     }
 
     /// Number of live tasks.

@@ -745,7 +745,8 @@ impl Scheduler for Ule {
 
     fn queued_tids_into(&self, cpu: CpuId, out: &mut Vec<Tid>) {
         let tdq = &self.tdqs[cpu.index()];
-        out.extend(tdq.interactive.iter().chain(tdq.batch.iter()));
+        out.extend(tdq.interactive.iter());
+        out.extend(tdq.batch.iter());
     }
 
     fn snapshot(&self, tasks: &TaskTable, tid: Tid) -> TaskSnapshot {
