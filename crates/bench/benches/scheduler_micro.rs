@@ -288,6 +288,64 @@ fn bench_placement_256c_busy(c: &mut Criterion) {
     g.finish();
 }
 
+/// Layer: classes (runqueue). One wakeup-enqueue, pick and put-prev cycle
+/// on a single CPU that holds `depth` waiting tasks behind a running one,
+/// for every registered class at the depths of strict-8c's queues (2), of
+/// fig1's one-core interactive run (80) and of fig6's spinners piled on one
+/// CPU (512). Per iteration a sleeper wakes, the running task is put back
+/// and the next one picked; that one runs 100 µs, goes to sleep and becomes
+/// the next sleeper, and the CPU picks again, so the depth never changes.
+/// Only the public `Scheduler` hooks are called.
+fn bench_runqueue_depth(c: &mut Criterion) {
+    let mut g = c.benchmark_group("runqueue_depth");
+    let topo = Topology::single_core();
+    let cpu = CpuId(0);
+    let step = Dur::micros(100);
+    for sched in Sched::ALL {
+        for depth in [2usize, 80, 512] {
+            g.bench_function(format!("{}/{depth}", sched.flag_name()), |b| {
+                let mut class = make_class(&topo, sched, 0);
+                let mut tasks = TaskTable::new();
+                let mut now = Time::ZERO;
+                for i in 0..depth + 2 {
+                    let tid = tasks.insert_with(|t| Task::new(t, format!("t{i}"), GroupId::ROOT));
+                    class.task_fork(&tasks, tid, None, now);
+                    let t = tasks.get_mut(tid);
+                    (t.cpu, t.last_cpu, t.state, t.on_rq) = (cpu, cpu, TaskState::Runnable, true);
+                    class.enqueue_task(&mut tasks, cpu, tid, EnqueueKind::New, now);
+                }
+                let pick = |class: &mut Box<dyn Scheduler>, tasks: &mut TaskTable, now| {
+                    class
+                        .pick_next_task(tasks, cpu, now)
+                        .expect("the CPU always has waiting tasks")
+                };
+                let sleep = |class: &mut Box<dyn Scheduler>, tasks: &mut TaskTable, tid, now| {
+                    class.dequeue_task(tasks, cpu, tid, DequeueKind::Sleep, now);
+                    let t = tasks.get_mut(tid);
+                    (t.state, t.on_rq, t.sleep_start) = (TaskState::Sleeping, false, now);
+                };
+                let mut sleeper = pick(&mut class, &mut tasks, now);
+                sleep(&mut class, &mut tasks, sleeper, now);
+                let mut curr = pick(&mut class, &mut tasks, now);
+                b.iter(|| {
+                    now += step;
+                    let t = tasks.get_mut(sleeper);
+                    (t.state, t.on_rq) = (TaskState::Runnable, true);
+                    class.enqueue_task(&mut tasks, cpu, sleeper, EnqueueKind::Wakeup, now);
+                    class.put_prev_task(&mut tasks, cpu, curr, now);
+                    let next = pick(&mut class, &mut tasks, now);
+                    now += step;
+                    sleep(&mut class, &mut tasks, next, now);
+                    sleeper = next;
+                    curr = pick(&mut class, &mut tasks, now);
+                    curr
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
 /// Layer: the ULE runqueue under SchedSan. Strict mode enumerates every
 /// CPU's queue (`queued_tids_into`) and runs ULE's `audit` after every
 /// event; this is one such sweep over an 8-CPU ULE with 2 CPU hogs per
@@ -482,6 +540,7 @@ criterion_group!(
     bench_balance_tick,
     bench_balance_tick_256c,
     bench_placement_256c_busy,
+    bench_runqueue_depth,
     bench_ule_queue_walk_8c,
     bench_schedsan_step_32c,
     bench_pelt,

@@ -1,18 +1,18 @@
 //! Scheduling entities and the time-ordered runqueue.
 //!
 //! CFS queues *entities* — tasks or cgroup nodes — ordered by virtual
-//! runtime. Linux uses a red-black tree; we use a `BTreeSet` keyed by
-//! `(vruntime, entity)` which provides the same O(log n) leftmost-first
-//! semantics and deterministic tie-breaking.
+//! runtime. Linux uses a red-black tree with a cached leftmost node
+//! (`rb_root_cached`); we use a [`Timeline`] keyed by `(vruntime, entity)`,
+//! a sorted deque whose two ends are O(1) reads, so the pick, the
+//! `min_vruntime` update and the fork placement's maximum vruntime never
+//! search, and the entity breaks vruntime ties deterministically.
 
-use std::collections::BTreeSet;
-
-use sched_api::{GroupId, Tid};
+use sched_api::{GroupId, Tid, Timeline};
 use simcore::{Dur, Time};
 
 use crate::pelt::Pelt;
 
-/// Key identifying an entity in a runqueue tree.
+/// Key identifying an entity in a runqueue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EntKey {
     /// A task entity.
@@ -62,14 +62,15 @@ impl Entity {
     }
 }
 
-/// One CFS runqueue: a vruntime-ordered tree plus `min_vruntime` tracking.
+/// One CFS runqueue: a vruntime-ordered timeline plus `min_vruntime`
+/// tracking.
 #[derive(Debug, Default)]
 pub struct CfsRq {
-    tree: BTreeSet<(u64, EntKey)>,
+    queue: Timeline<(u64, EntKey)>,
     /// Monotonic lower bound on the vruntime of entities in this rq.
     pub min_vruntime: u64,
     /// The entity currently executing out of this rq (removed from the
-    /// tree while it runs, as in Linux's `set_next_entity`).
+    /// queue while it runs, as in Linux's `set_next_entity`).
     pub curr: Option<EntKey>,
     /// Sum of queued weights, including the running entity.
     pub weight_sum: u64,
@@ -78,9 +79,9 @@ pub struct CfsRq {
 }
 
 impl CfsRq {
-    /// Insert an entity (by key/vruntime/weight) into the tree.
+    /// Insert an entity (by key/vruntime/weight) into the queue.
     pub fn insert(&mut self, key: EntKey, vruntime: u64, weight: u64) {
-        let fresh = self.tree.insert((vruntime, key));
+        let fresh = self.queue.insert((vruntime, key));
         debug_assert!(fresh, "{key:?} already queued");
         self.weight_sum += weight;
         self.nr += 1;
@@ -88,7 +89,7 @@ impl CfsRq {
 
     /// Remove a queued (non-running) entity.
     pub fn remove(&mut self, key: EntKey, vruntime: u64, weight: u64) {
-        let had = self.tree.remove(&(vruntime, key));
+        let had = self.queue.remove(&(vruntime, key));
         debug_assert!(had, "{key:?} not queued at {vruntime}");
         self.weight_sum -= weight;
         self.nr -= 1;
@@ -96,20 +97,20 @@ impl CfsRq {
 
     /// The entity with the smallest vruntime, if any.
     pub fn leftmost(&self) -> Option<(u64, EntKey)> {
-        self.tree.first().copied()
+        self.queue.first().copied()
     }
 
     /// The largest queued vruntime (the paper's fork placement rule reads
     /// "the maximum vruntime of the threads waiting in the runqueue").
     pub fn max_vruntime(&self) -> Option<u64> {
-        self.tree.last().map(|&(v, _)| v)
+        self.queue.last().map(|&(v, _)| v)
     }
 
-    /// Take the leftmost entity out of the tree and make it `curr`.
+    /// Take the leftmost entity out of the queue and make it `curr`.
     /// The caller accounts weight: the running entity stays counted.
     pub fn pick(&mut self) -> Option<(u64, EntKey)> {
         debug_assert!(self.curr.is_none(), "pick with running entity");
-        let e = self.tree.pop_first()?;
+        let e = self.queue.pop_first()?;
         self.curr = Some(e.1);
         Some(e)
     }
@@ -118,7 +119,7 @@ impl CfsRq {
     pub fn put_prev(&mut self, key: EntKey, vruntime: u64) {
         debug_assert_eq!(self.curr, Some(key));
         self.curr = None;
-        let fresh = self.tree.insert((vruntime, key));
+        let fresh = self.queue.insert((vruntime, key));
         debug_assert!(fresh);
     }
 
@@ -151,7 +152,16 @@ impl CfsRq {
 
     /// Iterate over queued entities in vruntime order.
     pub fn iter(&self) -> impl Iterator<Item = &(u64, EntKey)> {
-        self.tree.iter()
+        self.queue.iter()
+    }
+
+    /// Hand every queued entity to `f` in vruntime order, failing as well
+    /// if the order is broken ([`Timeline::audit_each`]).
+    pub fn audit_each(
+        &self,
+        f: impl FnMut(&(u64, EntKey)) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.queue.audit_each(f)
     }
 }
 

@@ -422,7 +422,7 @@ impl Scheduler for Cfs {
                 // *below* min_vruntime, making the offset negative. Rebase
                 // in signed arithmetic and clamp at this rq's sleeper
                 // floor; a plain unsigned wrap would sort the entity to
-                // the far right of the tree and drag min_vruntime with it.
+                // the far right of the queue and drag min_vruntime with it.
                 let abs = (stored as i64 as i128) + rq_min as i128;
                 let floor = rq_min.saturating_sub(self.p.sleeper_bonus.as_nanos());
                 if abs <= floor as i128 {
@@ -732,7 +732,7 @@ impl Scheduler for Cfs {
                 }
             }
         }
-        // The running task's group entity is out of the root tree, but its
+        // The running task's group entity is out of the root queue, but its
         // queued siblings are reachable only through that group's rq.
         if let Some(EntKey::Group(g)) = self.cpus[cpu.index()].root.curr {
             for &(_, tk) in self.groups[g.index()].per_cpu[cpu.index()].rq.iter() {
@@ -780,7 +780,8 @@ impl Scheduler for Cfs {
         }
         self.last_audit_min[cpu.index()] = min;
 
-        // Every queued task sits in its tree at its entity's own vruntime.
+        // Every queued task sits in its queue at its entity's own vruntime,
+        // and every queue is in order.
         let key_drift = |t: Tid, v: u64| -> Result<(), String> {
             match self.tents.get(t.index()).and_then(Option::as_ref) {
                 Some(te) if te.ent.vruntime == v => Ok(()),
@@ -794,18 +795,17 @@ impl Scheduler for Cfs {
         // A group's queued tasks, key-checked as they are counted.
         let group_rq = |g: GroupId| -> Result<usize, String> {
             let rq = &self.groups[g.index()].per_cpu[cpu.index()].rq;
-            for &(v, key) in rq.iter() {
-                if let EntKey::Task(t) = key {
-                    key_drift(t, v)?;
-                }
-            }
+            rq.audit_each(|&(v, key)| match key {
+                EntKey::Task(t) => key_drift(t, v),
+                EntKey::Group(_) => Ok(()),
+            })?;
             Ok(rq.nr)
         };
         // The hierarchy's task count must agree with h_nr, and the running
         // task must be represented as the rq's curr entity at each level.
         // One walk of the root checks the keys and counts the tasks.
         let mut n = 0usize;
-        for &(v, key) in c.root.iter() {
+        c.root.audit_each(|&(v, key)| {
             n += match key {
                 EntKey::Task(t) => {
                     key_drift(t, v)?;
@@ -825,7 +825,8 @@ impl Scheduler for Cfs {
                     group_rq(g)?
                 }
             };
-        }
+            Ok(())
+        })?;
         n += match c.root.curr {
             None => 0,
             Some(EntKey::Task(_)) => 1,

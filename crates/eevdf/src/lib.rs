@@ -38,12 +38,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::BTreeSet;
-
 use sched_api::weights::{calc_delta_fair, nice_to_prio, nice_to_weight};
 use sched_api::{
     DequeueKind, EnqueueKind, Occupancy, Preempt, PreemptCause, Scheduler, SelectError,
-    SelectStats, TaskSnapshot, TaskTable, Tid, WakeKind,
+    SelectStats, TaskSnapshot, TaskTable, Tid, Timeline, WakeKind,
 };
 use simcore::{Dur, Time};
 use topology::{CpuId, Topology};
@@ -124,10 +122,12 @@ impl Ent {
 /// One per-CPU EEVDF runqueue.
 #[derive(Debug, Default)]
 struct Rq {
-    /// Queued entities ordered by (deadline, vruntime, tid). The running
-    /// entity is *not* in the tree but stays in the sums (rq-resident
+    /// Queued entities ordered by (deadline, vruntime, tid), earliest
+    /// deadline first, so the pick and the idle steal each take the first
+    /// entry they accept in one walk ([`Timeline::take_first_where`]). The
+    /// running entity is *not* queued but stays in the sums (rq-resident
     /// convention, §3 of the paper).
-    tree: BTreeSet<(i64, i64, Tid)>,
+    queue: Timeline<(i64, i64, Tid)>,
     /// Currently running entity.
     curr: Option<Tid>,
     /// When `curr` last had its vruntime brought up to date.
@@ -154,14 +154,6 @@ impl Rq {
         }
     }
 
-    /// `true` if `v` is eligible (`v ≤ V`), tested without division.
-    fn eligible(&self, v: i64) -> bool {
-        if self.weight_sum == 0 {
-            return true;
-        }
-        v as i128 * self.weight_sum as i128 <= self.vw_sum
-    }
-
     fn account_add(&mut self, v: i64, w: u64) {
         self.vw_sum += v as i128 * w as i128;
         self.weight_sum += w;
@@ -175,6 +167,12 @@ impl Rq {
         self.weight_sum -= w;
         self.nr -= 1;
     }
+}
+
+/// `true` if `v` is eligible on a rq with these sums (`v ≤ V = Σ v·w /
+/// Σ w`), tested without division; any `v` is eligible on an empty rq.
+fn eligible(v: i64, weight_sum: u64, vw_sum: i128) -> bool {
+    weight_sum == 0 || v as i128 * weight_sum as i128 <= vw_sum
 }
 
 /// The EEVDF scheduling class; see the module docs for the model.
@@ -220,7 +218,7 @@ impl Eevdf {
     /// Mirror `cpu`'s queue length and running flag into the index.
     fn sync(&mut self, cpu: CpuId) {
         let rq = &self.rqs[cpu.index()];
-        self.occ.set(cpu, rq.tree.len(), rq.curr.is_some());
+        self.occ.set(cpu, rq.queue.len(), rq.curr.is_some());
     }
 
     /// Virtual slice for `weight`: the wall-clock slice weighted like
@@ -265,24 +263,32 @@ impl Eevdf {
     }
 
     /// Remove a queued-or-running entity from `cpu`'s rq, preserving its
-    /// clamped lag for the next placement. The running entity's vruntime
-    /// is brought up to date first so the recorded lag reflects the
-    /// service actually delivered up to `now`.
+    /// clamped lag for the next placement.
     fn remove_from_rq(&mut self, cpu: CpuId, tid: Tid, now: Time) {
+        if self.rqs[cpu.index()].curr != Some(tid) {
+            let ent = self.ent(tid);
+            let key = (ent.deadline, ent.vruntime, tid);
+            let had = self.rqs[cpu.index()].queue.remove(&key);
+            debug_assert!(had, "{tid} not queued on {cpu:?}");
+        }
+        self.depart(cpu, tid, now);
+    }
+
+    /// Account `tid`, the running entity or one already taken off the
+    /// queue, out of `cpu`'s rq and record its lag. The running entity's
+    /// vruntime is brought up to date first so the recorded lag reflects
+    /// the service actually delivered up to `now`.
+    fn depart(&mut self, cpu: CpuId, tid: Tid, now: Time) {
         self.update_curr(cpu, now);
-        let is_curr = self.rqs[cpu.index()].curr == Some(tid);
         let vtime = self.rqs[cpu.index()].vtime();
-        let (v, d, w) = {
+        let (v, w) = {
             let ent = self.ent_mut(tid);
             ent.vlag = vtime - ent.vruntime;
-            (ent.vruntime, ent.deadline, ent.weight)
+            (ent.vruntime, ent.weight)
         };
         let rq = &mut self.rqs[cpu.index()];
-        if is_curr {
+        if rq.curr == Some(tid) {
             rq.curr = None;
-        } else {
-            let had = rq.tree.remove(&(d, v, tid));
-            debug_assert!(had, "{tid} not queued on {cpu:?}");
         }
         rq.account_remove(v, w);
         self.sync(cpu);
@@ -335,7 +341,7 @@ impl Scheduler for Eevdf {
             (ent.vruntime, ent.deadline)
         };
         let rq = &mut self.rqs[cpu.index()];
-        let fresh = rq.tree.insert((d, v, tid));
+        let fresh = rq.queue.insert((d, v, tid));
         debug_assert!(fresh, "{tid} already queued on {cpu:?}");
         rq.account_add(v, weight);
         self.sync(cpu);
@@ -350,7 +356,7 @@ impl Scheduler for Eevdf {
         };
         self.update_curr(cpu, now);
         let rq = &self.rqs[cpu.index()];
-        if rq.eligible(v) && d < self.ent(curr).deadline {
+        if eligible(v, rq.weight_sum, rq.vw_sum) && d < self.ent(curr).deadline {
             if kernel_thread {
                 return Preempt::Yes(PreemptCause::KernelThread);
             }
@@ -385,25 +391,26 @@ impl Scheduler for Eevdf {
         };
         let rq = &mut self.rqs[cpu.index()];
         rq.curr = None;
-        let fresh = rq.tree.insert((d, v, curr));
+        let fresh = rq.queue.insert((d, v, curr));
         debug_assert!(fresh);
         self.sync(cpu);
     }
 
     fn pick_next_task(&mut self, _tasks: &mut TaskTable, cpu: CpuId, now: Time) -> Option<Tid> {
         debug_assert!(self.rqs[cpu.index()].curr.is_none(), "pick with curr");
-        // Earliest eligible virtual deadline first. The tree is deadline-
+        // Earliest eligible virtual deadline first. The queue is deadline-
         // ordered, so the first entity passing the eligibility test wins;
         // the minimum-vruntime entity is always eligible, so a non-empty
-        // tree always yields a pick.
-        let rq = &self.rqs[cpu.index()];
-        let picked = rq.tree.iter().find(|&&(_, v, _)| rq.eligible(v)).copied()?;
+        // queue always yields a pick.
         let rq = &mut self.rqs[cpu.index()];
-        rq.tree.remove(&picked);
-        rq.curr = Some(picked.2);
+        let (weight_sum, vw_sum) = (rq.weight_sum, rq.vw_sum);
+        let (_, _, tid) = rq
+            .queue
+            .take_first_where(|&(_, v, _)| eligible(v, weight_sum, vw_sum))?;
+        rq.curr = Some(tid);
         rq.exec_start = now;
         self.sync(cpu);
-        Some(picked.2)
+        Some(tid)
     }
 
     fn put_prev_task(&mut self, _tasks: &mut TaskTable, cpu: CpuId, tid: Tid, now: Time) {
@@ -420,7 +427,7 @@ impl Scheduler for Eevdf {
         };
         let rq = &mut self.rqs[cpu.index()];
         rq.curr = None;
-        let fresh = rq.tree.insert((d, v, tid));
+        let fresh = rq.queue.insert((d, v, tid));
         debug_assert!(fresh);
         self.sync(cpu);
     }
@@ -430,7 +437,7 @@ impl Scheduler for Eevdf {
         self.update_curr(cpu, now);
         let ent = self.ent(curr);
         if ent.vruntime >= ent.deadline {
-            if !self.rqs[cpu.index()].tree.is_empty() {
+            if !self.rqs[cpu.index()].queue.is_empty() {
                 return Preempt::Yes(PreemptCause::SliceExpired);
             }
             // Alone on the CPU: renew in place so the deadline keeps
@@ -487,12 +494,12 @@ impl Scheduler for Eevdf {
         // First queued (earliest-deadline) task allowed on the thief; the
         // running task is never migrated.
         let stolen = self.rqs[victim.index()]
-            .tree
-            .iter()
-            .find(|&&(_, _, t)| tasks.get(t).allowed_on(cpu))
-            .map(|&(_, _, t)| t);
-        let Some(tid) = stolen else { return false };
-        self.remove_from_rq(victim, tid, now);
+            .queue
+            .take_first_where(|&(_, _, t)| tasks.get(t).allowed_on(cpu));
+        let Some((_, _, tid)) = stolen else {
+            return false;
+        };
+        self.depart(victim, tid, now);
         tasks.get_mut(tid).cpu = cpu;
         self.place(cpu, tid, true);
         let (v, d, w) = {
@@ -500,7 +507,7 @@ impl Scheduler for Eevdf {
             (ent.vruntime, ent.deadline, ent.weight)
         };
         let rq = &mut self.rqs[cpu.index()];
-        let fresh = rq.tree.insert((d, v, tid));
+        let fresh = rq.queue.insert((d, v, tid));
         debug_assert!(fresh);
         rq.account_add(v, w);
         self.sync(cpu);
@@ -512,7 +519,11 @@ impl Scheduler for Eevdf {
     }
 
     fn queued_tids_into(&self, cpu: CpuId, out: &mut Vec<Tid>) {
-        out.extend(self.rqs[cpu.index()].tree.iter().map(|&(_, _, t)| t));
+        // A push loop: `extend` from the deque's iterator reserves first,
+        // which costs more than the one or two pushes of a typical call.
+        for &(_, _, t) in self.rqs[cpu.index()].queue.iter() {
+            out.push(t);
+        }
     }
 
     fn snapshot(&self, tasks: &TaskTable, tid: Tid) -> TaskSnapshot {
@@ -530,21 +541,22 @@ impl Scheduler for Eevdf {
     /// EEVDF's SchedSan self-audit:
     ///
     /// 1. **Accounting consistency** — the incremental `Σ w` / `Σ v·w` /
-    ///    `nr` exactly match a recomputation from the tree + curr.
-    /// 2. **Deadline ordering** — every queued entity's deadline lies at
-    ///    or beyond its vruntime, and its tree key mirrors its entity
-    ///    state (a divergence would silently corrupt pick order).
+    ///    `nr` exactly match a recomputation from the queue + curr.
+    /// 2. **Deadline ordering** — the queue is in key order, every queued
+    ///    entity's deadline lies at or beyond its vruntime, and its queue
+    ///    key mirrors its entity state (a divergence would silently
+    ///    corrupt pick order).
     /// 3. **Lag conservation** — `Σ lag = V·W − Σ v·w` stays within one
     ///    rounding unit of zero (`|Σ lag| < W`), the invariant that makes
     ///    "eligible iff v ≤ V" a fair admission test.
     /// 4. **Occupancy** — the index row that steers placement and stealing
-    ///    matches the tree and `curr` ([`Occupancy::audit`]).
+    ///    matches the queue and `curr` ([`Occupancy::audit`]).
     fn audit(&mut self, tasks: &TaskTable, cpu: CpuId, _now: Time) -> Result<(), String> {
         let rq = &self.rqs[cpu.index()];
         let mut nr = 0usize;
         let mut wsum = 0u64;
         let mut vwsum = 0i128;
-        for &(d, v, tid) in rq.tree.iter() {
+        rq.queue.audit_each(|&(d, v, tid)| {
             if !tasks.contains(tid) {
                 return Err(format!("queued {tid} does not exist"));
             }
@@ -556,7 +568,7 @@ impl Scheduler for Eevdf {
             };
             if ent.vruntime != v || ent.deadline != d {
                 return Err(format!(
-                    "{tid} tree key ({d},{v}) diverged from entity (d={}, v={})",
+                    "{tid} queue key ({d},{v}) diverged from entity (d={}, v={})",
                     ent.deadline, ent.vruntime
                 ));
             }
@@ -568,7 +580,8 @@ impl Scheduler for Eevdf {
             nr += 1;
             wsum += ent.weight;
             vwsum += v as i128 * ent.weight as i128;
-        }
+            Ok(())
+        })?;
         if let Some(curr) = rq.curr {
             let Some(Some(ent)) = self.ents.get(curr.index()) else {
                 return Err(format!("running {curr} has no entity state"));
@@ -601,7 +614,7 @@ impl Scheduler for Eevdf {
                 ));
             }
         }
-        self.occ.audit(cpu, rq.tree.len(), rq.curr.is_some())
+        self.occ.audit(cpu, rq.queue.len(), rq.curr.is_some())
     }
 
     fn cpu_offline(&mut self, cpu: CpuId) {

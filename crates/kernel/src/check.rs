@@ -20,10 +20,12 @@
 //!    [`crate::SimConfig::starvation_limit`] for a CPU.
 //! 6. **Scheduler self-audit** — class-specific invariants via
 //!    [`sched_api::Scheduler::audit`] (CFS vruntime monotonicity and
-//!    tree keys that match their entities, ULE
+//!    queue keys that match their entities, ULE
 //!    priority-range validity, EEVDF lag conservation (Σ lag ≈ 0) and
 //!    deadline ordering, scx policy/queue slot agreement, internal
-//!    accounting).
+//!    accounting). CFS, EEVDF and scx walk their
+//!    [`sched_api::Timeline`]s through `audit_each`, which also fails on
+//!    keys out of order.
 //!
 //! # Incremental checking
 //!

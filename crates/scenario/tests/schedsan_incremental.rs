@@ -365,7 +365,7 @@ fn trigger(sched: Sched, fault: Fault) -> u32 {
 
 /// The hook each class gets repeated. CFS and ULE keep per-task state
 /// from `task_fork`, and forking a queued task again corrupts it (CFS's
-/// entity no longer matches its tree key, ULE forgets the task's queued
+/// entity no longer matches its queue key, ULE forgets the task's queued
 /// priority). The other classes have no fork state; a repeated wakeup
 /// enqueue corrupts their queues instead.
 fn repeat_hook(sched: Sched) -> Hook {

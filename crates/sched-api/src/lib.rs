@@ -8,8 +8,9 @@
 //! ([`task::Task`], [`task::TaskTable`]), Linux's nice→weight table
 //! ([`weights`]), the introspection types the experiments use to sample
 //! scheduler-internal state (vruntime, interactivity penalty, ...), and the
-//! per-CPU [`occupancy`] index that EEVDF, SimpleRR and the scx adapter
-//! ([`scx`]) place and steal from.
+//! per-CPU [`occupancy`] index all six classes place and steal from, and the
+//! ordered runqueue ([`timeline`]) behind CFS, EEVDF and the scx adapter
+//! ([`scx`]).
 //!
 //! The simulated kernel (`kernel` crate) is generic over `dyn Scheduler`,
 //! exactly like Linux's core scheduler is generic over its classes — that is
@@ -25,6 +26,7 @@ pub mod params;
 pub mod sched;
 pub mod scx;
 pub mod task;
+pub mod timeline;
 pub mod weights;
 
 pub use ids::{GroupId, Tid};
@@ -35,4 +37,5 @@ pub use sched::{
     TaskSnapshot, WakeKind,
 };
 pub use task::{Task, TaskState, TaskTable};
+pub use timeline::Timeline;
 pub use topology::{CpuMask, MAX_CPUS};

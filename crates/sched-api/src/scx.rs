@@ -13,8 +13,9 @@
 //!   with what priority key should it wait (`enqueue`), and where should an
 //!   idle CPU pull work from (`dispatch`).
 //! * [`ScxSched`] wraps any `ScxPolicy` into a full [`Scheduler`]: it owns
-//!   the per-CPU dispatch queues (ordered by the policy's key with FIFO
-//!   tie-breaking), enforces the policy's timeslice, handles hotplug and
+//!   the per-CPU dispatch queues ([`Timeline`]s ordered by the policy's key
+//!   with FIFO tie-breaking, so a constant-key policy's arrivals append
+//!   without a search), enforces the policy's timeslice, handles hotplug and
 //!   affinity sanitisation, and passes the SchedSan structural audit — so a
 //!   policy author writes ~50 lines and inherits the whole harness
 //!   (scenarios, fuzzing, golden digests, tournaments).
@@ -22,8 +23,6 @@
 //! Two example policies ship with the adapter: [`FifoPolicy`] (global
 //! arrival order, the `scx_simple` FIFO mode) and [`VtimePolicy`]
 //! (weight-scaled virtual time, the `scx_simple` vtime mode).
-
-use std::collections::BTreeSet;
 
 use simcore::{Dur, Time};
 use topology::CpuId;
@@ -35,6 +34,7 @@ use crate::sched::{
     TaskSnapshot, WakeKind,
 };
 use crate::task::TaskTable;
+use crate::timeline::Timeline;
 use crate::weights::{calc_delta_fair, nice_to_weight};
 
 /// The flat kernel context handed to every policy callback: global task
@@ -107,7 +107,7 @@ pub trait ScxPolicy {
 }
 
 /// Where a queued (non-running) task currently sits, so dequeues and
-/// migrations find its tree entry without scanning.
+/// migrations find its queue entry without scanning.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     cpu: CpuId,
@@ -120,7 +120,7 @@ struct Slot {
 pub struct ScxSched<P> {
     policy: P,
     /// Per-CPU dispatch queue ordered by (policy key, arrival seq, tid).
-    qs: Vec<BTreeSet<(u64, u64, Tid)>>,
+    qs: Vec<Timeline<(u64, u64, Tid)>>,
     curr: Vec<Option<Tid>>,
     /// When the running task was picked (slice + stopping accounting).
     run_start: Vec<Time>,
@@ -160,7 +160,7 @@ impl<P: ScxPolicy> ScxSched<P> {
     pub fn new(policy: P, nr_cpus: usize) -> ScxSched<P> {
         ScxSched {
             policy,
-            qs: (0..nr_cpus).map(|_| BTreeSet::new()).collect(),
+            qs: (0..nr_cpus).map(|_| Timeline::new()).collect(),
             curr: vec![None; nr_cpus],
             run_start: vec![Time::ZERO; nr_cpus],
             occ: Occupancy::new(nr_cpus),
@@ -384,14 +384,11 @@ impl<P: ScxPolicy> Scheduler for ScxSched<P> {
             return false;
         }
         // Pull the head-most task allowed on `cpu`, keeping its key.
-        let entry = self.qs[victim.index()]
-            .iter()
-            .find(|&&(_, _, t)| tasks.get(t).allowed_on(cpu))
-            .copied();
+        let entry =
+            self.qs[victim.index()].take_first_where(|&(_, _, t)| tasks.get(t).allowed_on(cpu));
         let Some((key, seq, tid)) = entry else {
             return false;
         };
-        self.qs[victim.index()].remove(&(key, seq, tid));
         self.qs[cpu.index()].insert((key, seq, tid));
         *self.slot_mut(tid) = Some(Slot { cpu, key, seq });
         self.sync(victim);
@@ -405,7 +402,11 @@ impl<P: ScxPolicy> Scheduler for ScxSched<P> {
     }
 
     fn queued_tids_into(&self, cpu: CpuId, out: &mut Vec<Tid>) {
-        out.extend(self.qs[cpu.index()].iter().map(|&(_, _, t)| t));
+        // A push loop: `extend` from the deque's iterator reserves first,
+        // which costs more than the one or two pushes of a typical call.
+        for &(_, _, t) in self.qs[cpu.index()].iter() {
+            out.push(t);
+        }
     }
 
     fn snapshot(&self, _tasks: &TaskTable, tid: Tid) -> TaskSnapshot {
@@ -429,7 +430,7 @@ impl<P: ScxPolicy> Scheduler for ScxSched<P> {
             ));
         }
         let rq = &self.qs[cpu.index()];
-        for &(key, seq, tid) in rq.iter() {
+        rq.audit_each(|&(key, seq, tid)| {
             if self.curr[cpu.index()] == Some(tid) {
                 return Err(format!("{tid} is both current and queued"));
             }
@@ -452,7 +453,8 @@ impl<P: ScxPolicy> Scheduler for ScxSched<P> {
                     self.seq
                 ));
             }
-        }
+            Ok(())
+        })?;
         if let Some(curr) = self.curr[cpu.index()] {
             if !tasks.contains(curr) {
                 return Err(format!("current {curr} does not exist"));
