@@ -3,8 +3,10 @@
 use cfs::Cfs;
 use criterion::{criterion_group, criterion_main, Criterion};
 use kernel::ticks::{RunLane, TickLane};
-use kernel::{cpu_hog, AppSpec, CheckMode, Kernel, SimConfig, ThreadSpec};
-use scenario::{make_class, Sched};
+use kernel::{cpu_hog, AppSpec, CheckMode, FaultPlan, Kernel, SimConfig, ThreadSpec};
+use scenario::expr::CountExpr;
+use scenario::spec::WorkloadSpec;
+use scenario::{make_class, make_kernel, Sched};
 use sched_api::{
     DequeueKind, EnqueueKind, GroupId, Scheduler, SelectStats, Task, TaskState, TaskTable, WakeKind,
 };
@@ -411,6 +413,64 @@ fn bench_schedsan_step_32c(c: &mut Criterion) {
     });
 }
 
+/// Layer: kernel dispatch (the behaviour interpreter and `kernel::sync`'s
+/// hand-offs). Each bench runs one 10 ms `try_run_until` window of a
+/// steady workload per iteration, after start-up, under scx-fifo (a class
+/// with cheap hooks, so the kernel's own loop dominates):
+/// - `sysbench_1c`: fig1's 80 sysbench workers on one CPU, transacting
+///   over 8 mutexes (a pool that never drains in the bench's time);
+/// - `sem_herd_8c`: one poster waking 256 semaphore waiters per round on
+///   8 CPUs, a round every millisecond.
+fn bench_action_path(c: &mut Criterion) {
+    let mut g = c.benchmark_group("action_path");
+    let window = Dur::millis(10);
+    let benches = [
+        (
+            "sysbench_1c",
+            Topology::single_core(),
+            WorkloadSpec::Sysbench {
+                threads: CountExpr::fixed(80),
+                total_tx: CountExpr::fixed(u64::MAX),
+                init_ms: 32.0,
+            },
+            // The master spawns the 80 workers over 80 × 32 ms.
+            Dur::secs(3),
+        ),
+        (
+            "sem_herd_8c",
+            Topology::flat(8),
+            WorkloadSpec::Herd {
+                waiters: CountExpr::fixed(256),
+                rounds: CountExpr::fixed(u64::MAX),
+                work_us: 20.0,
+                pause_ms: 1.0,
+            },
+            Dur::millis(100),
+        ),
+    ];
+    for (name, topo, spec, start_up) in benches {
+        let mut k = make_kernel(
+            &topo,
+            Sched::ScxFifo,
+            1,
+            CheckMode::Off,
+            FaultPlan::default(),
+        );
+        let app = scenario::workload::build(&mut k, &spec, name, 1.0, topo.nr_cpus())
+            .expect("a built-in workload spec");
+        k.queue_app(Time::ZERO, app.daemon());
+        k.run_until(Time::ZERO + start_up);
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let until = k.now() + window;
+                k.try_run_until(until).expect("the workload runs clean");
+                k.counters().events
+            })
+        });
+    }
+    g.finish();
+}
+
 /// PELT decay math.
 fn bench_pelt(c: &mut Criterion) {
     c.bench_function("pelt_update_1k", |b| {
@@ -543,6 +603,7 @@ criterion_group!(
     bench_runqueue_depth,
     bench_ule_queue_walk_8c,
     bench_schedsan_step_32c,
+    bench_action_path,
     bench_pelt,
     bench_interactivity,
     bench_busy_second,

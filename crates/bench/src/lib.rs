@@ -2,8 +2,9 @@
 //!
 //! One suite, `scheduler_micro`: micro-benchmarks of the scheduler hot
 //! paths (enqueue/pick/put, placement scans, balancing passes) and of the
-//! simulation substrate (event queue, tick and run lanes, PELT math,
-//! interactivity scoring, SchedSan sweeps). Run it with
+//! simulation substrate (event queue, tick and run lanes, kernel dispatch
+//! of behaviour actions and sync hand-offs, PELT math, interactivity
+//! scoring, SchedSan sweeps). Run it with
 //! `cargo bench -p bench --bench scheduler_micro`, or pass a name filter
 //! (`... -- runqueue_depth`) to run only the benches whose name contains
 //! it. Each bench prints the median and IQR of ten timed windows.

@@ -174,6 +174,7 @@ fn run_plan(sc: &Scenario, sched: Sched, opts: &EngineOpts, name: &str, plan: &s
             case.detail = c.error.clone();
             let bundle = Crash {
                 label: format!("chaos-{name}"),
+                kind: c.kind,
                 error: c.error,
                 report: c.report,
                 replay: format!("battle chaos (plan {plan})"),

@@ -1,5 +1,6 @@
-//! Crash bundles: diagnostics written when SchedSan detects an invariant
-//! violation.
+//! Crash bundles: diagnostics written when a run fails, headed by the
+//! failure's kind (an invariant violation SchedSan detected, a supervision
+//! abort, a panic).
 //!
 //! A violation surfaces as a [`kernel::SimError`] from `try_run_*`. Instead
 //! of a bare panic message, the `battle` CLI degrades gracefully: it writes
@@ -22,7 +23,11 @@ use crate::RunCfg;
 pub struct Crash {
     /// Short identifier, e.g. `"fibo-CFS"` or `"fuzz-0007-ULE"`.
     pub label: String,
-    /// The violated invariant, rendered.
+    /// What kind of failure it is: [`SimError::kind`] for a simulator
+    /// error or a supervision abort, `"panic"` for a panicked job, and
+    /// for a fuzz case also `"spec error"` or `"assertion failed"`.
+    pub kind: &'static str,
+    /// The error, rendered.
     pub error: String,
     /// The full diagnostic report (see [`Kernel::crash_report`]).
     pub report: String,
@@ -35,8 +40,9 @@ impl Crash {
     pub fn capture(k: &Kernel, err: &SimError, label: &str, replay: &str) -> Crash {
         Crash {
             label: label.to_string(),
+            kind: err.kind(),
             error: err.to_string(),
-            report: k.crash_report(err),
+            report: k.crash_report(err.kind(), err),
             replay: replay.to_string(),
         }
     }
@@ -47,6 +53,7 @@ impl Crash {
     pub fn from_panic(label: &str, message: &str, replay: &str) -> Crash {
         Crash {
             label: label.to_string(),
+            kind: "panic",
             error: format!("panic: {message}"),
             report: format!(
                 "panicked job (no kernel post-mortem available)\nlabel: {label}\npanic: {message}\n"
@@ -69,13 +76,16 @@ impl Crash {
         Ok(path)
     }
 
+    /// The first line [`Crash::bail`] prints: the kind, the label and
+    /// the error.
+    fn headline(&self) -> String {
+        format!("{} in {}: {}", self.kind, self.label, self.error)
+    }
+
     /// Terminal failure path of the CLI: persist the bundle, print a
     /// summary, exit nonzero.
     pub fn bail(&self) -> ! {
-        eprintln!(
-            "scheduler invariant violated in {}: {}",
-            self.label, self.error
-        );
+        eprintln!("{}", self.headline());
         match self.write_bundle() {
             Ok(p) => eprintln!("crash bundle written to {}", p.display()),
             Err(e) => {
@@ -176,5 +186,35 @@ mod tests {
             .render()
             .contains("replay: battle fuzz --seed 7 --cases 1"));
         assert!(c.render().contains("seed"));
+        assert!(c
+            .render()
+            .starts_with("crash report: invariant violation\n"));
+        assert!(c
+            .headline()
+            .starts_with("invariant violation in unit-test: "));
+    }
+
+    #[test]
+    fn a_livelock_is_not_headed_as_an_invariant_violation() {
+        let topo = Topology::single_core();
+        let k = Kernel::new(
+            topo.clone(),
+            SimConfig::with_seed(7),
+            Box::new(SimpleRR::new(&topo)),
+        );
+        let err = SimError::Livelock {
+            at: Time::ZERO,
+            detail: "no progress".into(),
+            window: Vec::new(),
+        };
+        let c = Crash::capture(&k, &err, "stalled", "battle run stalled.json");
+        assert_eq!(c.kind, "livelock");
+        assert!(c.render().starts_with("crash report: livelock\n"));
+        assert_eq!(c.headline(), format!("livelock in stalled: {err}"));
+        for text in [c.render(), c.headline()] {
+            assert!(!text.contains("invariant"), "{text}");
+        }
+        let panicked = Crash::from_panic("job", "boom", "battle run job.json");
+        assert!(panicked.headline().starts_with("panic in job: "));
     }
 }

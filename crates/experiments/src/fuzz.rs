@@ -235,10 +235,18 @@ pub fn gen_case(case_seed: u64, faults: bool, case_timeout_s: f64) -> Scenario {
 enum CaseFail {
     /// What `battle run` fails: a crash, a supervision abort or a
     /// violated assertion. Reproducible, shrinkable.
-    Error { error: String, report: String },
+    Error(CaseError),
     /// The wall-clock deadline expired mid-run. Not shrinkable (the abort
     /// point depends on host speed, not the workload).
     Cancelled,
+}
+
+/// A failure `battle run` reproduces, as its crash bundle records it.
+struct CaseError {
+    /// The failure's kind (see [`crash::Crash::kind`]).
+    kind: &'static str,
+    error: String,
+    report: String,
 }
 
 /// Run `sc` under `sched` as `battle run <file> --seed <seed> --check
@@ -258,11 +266,15 @@ fn run_case(
     let run = match scenario::run_sched(sc, sched, &opts) {
         Ok(out) => out.run,
         Err(e) => {
-            let (error, report) = match e {
-                EngineError::Crash(c) => (c.error, c.report),
-                spec => (spec.to_string(), spec.to_string()),
+            let (kind, error, report) = match e {
+                EngineError::Crash(c) => (c.kind, c.error, c.report),
+                spec => ("spec error", spec.to_string(), spec.to_string()),
             };
-            return Err(CaseFail::Error { error, report });
+            return Err(CaseFail::Error(CaseError {
+                kind,
+                error,
+                report,
+            }));
         }
     };
     if run.abort_kind == Some(AbortKind::Cancelled) {
@@ -277,10 +289,11 @@ fn run_case(
     if lines.is_empty() {
         Ok(run.counters)
     } else {
-        Err(CaseFail::Error {
+        Err(CaseFail::Error(CaseError {
+            kind: run.abort_kind.map_or("assertion failed", AbortKind::name),
             error: lines.join("; "),
             report: lines.join("\n") + "\n",
-        })
+        }))
     }
 }
 
@@ -306,25 +319,30 @@ fn shrink(mut sc: Scenario, mut fails: impl FnMut(&Scenario) -> bool) -> Scenari
     }
 }
 
-/// Shrink case `cs` that `sched` failed with `error`, write the minimal
+/// Shrink case `cs` that `sched` failed with `fail`, write the minimal
 /// scenario beside its crash bundle, and describe it.
-fn failure(sc: &Scenario, sched: Sched, cs: u64, error: String, report: String) -> Failure {
+fn failure(sc: &Scenario, sched: Sched, cs: u64, fail: CaseError) -> Failure {
     // `last` tracks the most recent failing candidate, which is what the
     // shrinker returns. Shrink runs are never wall-clock cancelled (a
     // cancelled replay says nothing about the workload).
-    let mut last = (error, report);
+    let mut last = fail;
     let minimal = shrink(sc.clone(), |c| match run_case(c, sched, cs, None) {
-        Err(CaseFail::Error { error, report }) => {
-            last = (error, report);
+        Err(CaseFail::Error(fail)) => {
+            last = fail;
             true
         }
         _ => false,
     });
-    let (error, report) = last;
+    let CaseError {
+        kind,
+        error,
+        report,
+    } = last;
     let file = crash::write_case(&minimal, sched);
     let repro = format!("battle run {} --seed {cs} --check strict", file.display());
     let bundle = crash::Crash {
         label: crash::case_label(&minimal, sched),
+        kind,
         error: error.clone(),
         report,
         replay: repro.clone(),
@@ -362,9 +380,7 @@ pub fn run(cfg: &FuzzCfg, threads: usize) -> FuzzReport {
                     );
                     Err(None)
                 }
-                Err(CaseFail::Error { error, report }) => {
-                    Err(Some(failure(&sc, sched, cs, error, report)))
-                }
+                Err(CaseFail::Error(fail)) => Err(Some(failure(&sc, sched, cs, fail))),
             })
             .collect::<Vec<_>>()
     });
@@ -530,11 +546,12 @@ mod tests {
         // Too short a run for the hogs to finish: `all_apps_done` fails.
         sc.run.horizon = TimeExpr::fixed(0.002);
         sc.run.step = TimeExpr::fixed(0.002);
-        let Err(CaseFail::Error { error, report }) = run_case(&sc, Sched::Cfs, cs, None) else {
+        let Err(CaseFail::Error(fail)) = run_case(&sc, Sched::Cfs, cs, None) else {
             panic!("the cut-short case must fail");
         };
-        assert!(error.contains("all_apps_done"), "{error}");
-        let f = failure(&sc, Sched::Cfs, cs, error, report);
+        assert_eq!(fail.kind, "assertion failed");
+        assert!(fail.error.contains("all_apps_done"), "{}", fail.error);
+        let f = failure(&sc, Sched::Cfs, cs, fail);
         let file = crash::path(&format!("{}-CFS", sc.name), "json");
         assert_eq!(
             f.repro,
@@ -546,7 +563,7 @@ mod tests {
         assert!(!written.phases.is_empty() && written.phases.len() <= sc.phases.len());
         assert!(matches!(
             run_case(&written, Sched::Cfs, cs, None),
-            Err(CaseFail::Error { .. })
+            Err(CaseFail::Error(_))
         ));
     }
 }

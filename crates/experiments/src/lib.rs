@@ -137,18 +137,23 @@ fn try_run_case(
     cfg: &RunCfg,
     obs: &mut impl Observer,
 ) -> Result<RunOutput, crash::Crash> {
-    let (error, report) = match scenario::run_observed(sc, sched, &cfg.engine_opts(), obs) {
-        Ok(out) => match &out.run.abort {
-            None => return Ok(out),
-            Some(abort) => (abort.clone(), out.kernel.crash_report(abort)),
+    let (kind, error, report) = match scenario::run_observed(sc, sched, &cfg.engine_opts(), obs) {
+        Ok(out) => match (&out.run.abort, out.run.abort_kind) {
+            (Some(abort), Some(kind)) => (
+                kind.name(),
+                abort.clone(),
+                out.kernel.crash_report(kind.name(), abort),
+            ),
+            _ => return Ok(out),
         },
-        Err(EngineError::Crash(c)) => (c.error, c.report),
+        Err(EngineError::Crash(c)) => (c.kind, c.error, c.report),
         Err(EngineError::Spec(e)) => panic!("scenario {}: {e}", sc.name),
     };
     let label = crash::case_label(sc, sched);
     Err(crash::Crash {
         replay: crash::replay(&crash::path(&label, "json"), cfg),
         label,
+        kind,
         error,
         report,
     })
@@ -321,6 +326,10 @@ mod tests {
         assert_eq!(c.label, "Apache-CFS");
         assert!(c.error.contains("stalled"), "{}", c.error);
         assert!(c.report.contains(&c.error), "{}", c.report);
+        // A livelock is named as one, not as an invariant violation.
+        assert_eq!(c.kind, "livelock");
+        assert!(c.report.starts_with("crash report: livelock\n"));
+        assert!(!c.report.contains("invariant"), "{}", c.report);
         let file = crash::path("Apache-CFS", "json");
         assert_eq!(
             c.replay,

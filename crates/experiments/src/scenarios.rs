@@ -142,6 +142,7 @@ fn partial_failures(runs: &[ScenarioRun]) -> Vec<String> {
 fn crash_failure(path: &Path, sc: &Scenario, cfg: &RunCfg, c: &scenario::EngineCrash) -> String {
     let bundle = crash::Crash {
         label: crash::case_label(sc, c.sched),
+        kind: c.kind,
         error: c.error.clone(),
         report: c.report.clone(),
         replay: crash::replay(path, cfg),

@@ -32,6 +32,10 @@ pub struct QueueId(pub u32);
 pub struct PoolId(pub u32);
 
 /// What a thread wants to do next.
+///
+/// Every behaviour call returns one, so the enum is kept register-sized
+/// (at most 16 bytes, pinned by a `const` assertion): the one large
+/// payload, [`Action::Spawn`]'s [`ThreadSpec`], is boxed.
 pub enum Action {
     /// Execute on the CPU for the given amount of work. The scheduler may
     /// slice this across many dispatches; the kernel tracks the remainder.
@@ -64,7 +68,7 @@ pub enum Action {
     /// workers (e.g. sysbench's transaction budget).
     PoolTake(PoolId),
     /// Create a new thread in the same application.
-    Spawn(ThreadSpec),
+    Spawn(Box<ThreadSpec>),
     /// Give up the CPU voluntarily without sleeping (`sched_yield`).
     Yield,
     /// Count `n` completed application-level operations (transactions,
@@ -76,6 +80,8 @@ pub enum Action {
     /// Terminate the thread.
     Exit,
 }
+
+const _: () = assert!(std::mem::size_of::<Action>() <= 16);
 
 impl std::fmt::Debug for Action {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -479,12 +479,14 @@ impl Kernel {
     /// the live task table, and the tail of the flight-recorder trace.
     /// Drivers write this next to a replay command when a
     /// [`SimError`] escapes the event loop, or when a supervision abort
-    /// (its rendered error) ends a run that had to finish.
-    pub fn crash_report(&self, err: &dyn std::fmt::Display) -> String {
+    /// (its rendered error) ends a run that had to finish. The heading
+    /// names the failure's `kind`: [`SimError::kind`] for an error.
+    pub fn crash_report(&self, kind: &str, err: &dyn std::fmt::Display) -> String {
         use std::fmt::Write as _;
         let mut r = String::new();
-        let _ = writeln!(r, "SchedSan crash report");
-        let _ = writeln!(r, "=====================");
+        let heading = format!("crash report: {kind}");
+        let _ = writeln!(r, "{heading}");
+        let _ = writeln!(r, "{}", "=".repeat(heading.len()));
         let _ = writeln!(r, "error:     {err}");
         let _ = writeln!(r, "scheduler: {}", self.sched.name());
         let _ = writeln!(r, "seed:      {}", self.cfg.seed);

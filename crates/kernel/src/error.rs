@@ -148,6 +148,20 @@ pub enum SimError {
 }
 
 impl SimError {
+    /// The kind of failure, as crash reports and messages name it: a
+    /// supervision abort by its mechanism, a behaviour's runaway loop, and
+    /// every other error (a kernel consistency check or a SchedSan check
+    /// failing) as an invariant violation.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            SimError::BudgetExceeded { .. } => "budget exceeded",
+            SimError::Livelock { .. } => "livelock",
+            SimError::Cancelled { .. } => "cancelled",
+            SimError::RunawayBehavior { .. } => "runaway behaviour",
+            _ => "invariant violation",
+        }
+    }
+
     /// `true` for supervision aborts (budget, watchdog, cancellation):
     /// the kernel state is *consistent* — the run was stopped by policy,
     /// not corrupted — so callers should salvage partial results rather
@@ -273,5 +287,12 @@ mod tests {
         assert!(!SimError::EventQueueCorrupt { at: Time::ZERO }.is_supervision());
         assert!(budget.to_string().contains("used 11 > limit 10"));
         assert!(livelock.to_string().contains("last 1 events"));
+        assert_eq!(budget.kind(), "budget exceeded");
+        assert_eq!(livelock.kind(), "livelock");
+        assert_eq!(cancelled.kind(), "cancelled");
+        assert_eq!(
+            SimError::EventQueueCorrupt { at: Time::ZERO }.kind(),
+            "invariant violation"
+        );
     }
 }

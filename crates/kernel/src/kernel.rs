@@ -1619,21 +1619,25 @@ impl Kernel {
             };
             let action = {
                 let now = self.now;
-                let rt = self.rt_mut(tid)?;
-                let Some(mut behavior) = rt.behavior.take() else {
+                // Call the behaviour where it lives: the split borrow hands
+                // it the task's RNG and pending value beside it.
+                let TaskRt {
+                    behavior,
+                    rng,
+                    pending_value,
+                    ..
+                } = self.rt_mut(tid)?;
+                let Some(behavior) = behavior.as_mut() else {
                     return Err(SimError::TaskStateLost { tid, at: now });
                 };
-                let value = rt.pending_value.take();
                 let mut ctx = Ctx {
                     now,
                     tid,
                     cpu,
-                    value,
-                    rng: &mut rt.rng,
+                    value: pending_value.take(),
+                    rng,
                 };
-                let action = behavior.next(&mut ctx);
-                self.rt_mut(tid)?.behavior = Some(behavior);
-                action
+                behavior.next(&mut ctx)
             };
             match action {
                 Action::Run(d) => {
@@ -1727,7 +1731,7 @@ impl Kernel {
                 }
                 Action::Spawn(spec) => {
                     let app = self.rt_mut(tid)?.app;
-                    self.spawn_thread(app, spec, Some(tid))?;
+                    self.spawn_thread(app, *spec, Some(tid))?;
                 }
                 Action::Yield => {
                     self.account_segment(cpu);
@@ -1761,7 +1765,9 @@ impl Kernel {
         }
     }
 
-    /// Apply a synchronisation outcome for the current task `tid` on `cpu`.
+    /// Apply a synchronisation outcome for the current task `tid` on `cpu`,
+    /// first draining the tasks the operation woke and the spinners it
+    /// released from the [`SyncTable`]'s buffers, in that order.
     /// `op` records what the task would be blocked on if `out.block` is set,
     /// so the fault harness can later wake it spuriously and have it retry.
     /// Returns `true` if the task blocked (caller must stop interpreting).
@@ -1775,16 +1781,29 @@ impl Kernel {
         if let Some(v) = out.value {
             self.rt_mut(tid)?.pending_value = Some(v);
         }
-        for (w, val) in out.wake {
-            let rt = self.rt_mut(w)?;
-            if let Some(v) = val {
-                rt.pending_value = Some(v);
+        // Each buffer is taken out while the kernel acts on it and put back
+        // empty, keeping its capacity. On an error it is dropped instead,
+        // so no stale entry outlives the failed operation.
+        if !self.sync.woken.is_empty() {
+            let mut woken = std::mem::take(&mut self.sync.woken);
+            for &(w, val) in &woken {
+                let rt = self.rt_mut(w)?;
+                if let Some(v) = val {
+                    rt.pending_value = Some(v);
+                }
+                rt.cont = Cont::NeedAction;
+                self.wake_task(w, Some(tid))?;
             }
-            rt.cont = Cont::NeedAction;
-            self.wake_task(w, Some(tid))?;
+            woken.clear();
+            self.sync.woken = woken;
         }
-        for s in out.release_spinners {
-            self.release_spinner(s)?;
+        if !self.sync.released.is_empty() {
+            let mut released = std::mem::take(&mut self.sync.released);
+            for &s in &released {
+                self.release_spinner(s)?;
+            }
+            released.clear();
+            self.sync.released = released;
         }
         if out.block {
             let rt = self.rt_mut(tid)?;

@@ -35,6 +35,9 @@ pub struct SimpleRR {
     /// Waiting counts, running flags and online/idle/has-waiters masks,
     /// mirrored from `rqs` after every mutation.
     occ: Occupancy,
+    /// The audit's duplicate marks, indexed by tid. Every audit clears the
+    /// marks it set, so the buffer is all `false` between calls.
+    audit_marks: Vec<bool>,
 }
 
 impl SimpleRR {
@@ -43,6 +46,7 @@ impl SimpleRR {
         SimpleRR {
             rqs: (0..topo.nr_cpus()).map(|_| Rq::default()).collect(),
             occ: Occupancy::new(topo.nr_cpus()),
+            audit_marks: Vec::new(),
         }
     }
 
@@ -204,17 +208,31 @@ impl Scheduler for SimpleRR {
 
     fn audit(&mut self, tasks: &TaskTable, cpu: CpuId, _now: Time) -> Result<(), String> {
         let rq = &self.rqs[cpu.index()];
-        for (i, &t) in rq.queue.iter().enumerate() {
+        let marks = &mut self.audit_marks;
+        // One walk marks each queued tid, so a second occurrence is found
+        // in O(n); the marks are cleared before returning either way. Only
+        // tids of the task table are marked, which bounds the buffer.
+        let walk = rq.queue.iter().try_for_each(|&t| {
             if rq.curr == Some(t) {
                 return Err(format!("{t} is both current and queued"));
-            }
-            if rq.queue.iter().skip(i + 1).any(|&u| u == t) {
-                return Err(format!("{t} queued twice"));
             }
             if !tasks.contains(t) {
                 return Err(format!("queued {t} does not exist"));
             }
+            if marks.len() <= t.index() {
+                marks.resize(t.index() + 1, false);
+            }
+            if std::mem::replace(&mut marks[t.index()], true) {
+                return Err(format!("{t} queued twice"));
+            }
+            Ok(())
+        });
+        for &t in &rq.queue {
+            if let Some(m) = marks.get_mut(t.index()) {
+                *m = false;
+            }
         }
+        walk?;
         self.occ.audit(cpu, rq.queue.len(), rq.curr.is_some())
     }
 
@@ -257,6 +275,30 @@ mod tests {
         s.occ.set_online(cpu, false);
         let err = s.audit(&t, cpu, Time::ZERO).unwrap_err();
         assert!(err.contains("offline"), "{err}");
+    }
+
+    #[test]
+    fn audit_fails_on_a_tid_queued_twice() {
+        let topo = Topology::flat(1);
+        let cpu = CpuId(0);
+        let mut t = TaskTable::new();
+        let tids: Vec<Tid> = (0..3)
+            .map(|i| t.insert_with(|tid| Task::new(tid, format!("t{i}"), GroupId::ROOT)))
+            .collect();
+        // Queued twice side by side, then with another task between.
+        for order in [[0, 0, 1], [0, 1, 0]] {
+            let mut s = SimpleRR::new(&topo);
+            for i in order {
+                s.enqueue_task(&mut t, cpu, tids[i], EnqueueKind::New, Time::ZERO);
+            }
+            let err = s.audit(&t, cpu, Time::ZERO).unwrap_err();
+            assert_eq!(err, format!("{} queued twice", tids[0]));
+            // The failed audit left no marks behind: once the copy is
+            // gone, the same tids audit clean.
+            s.dequeue_task(&mut t, cpu, tids[0], DequeueKind::Sleep, Time::ZERO);
+            s.enqueue_task(&mut t, cpu, tids[2], EnqueueKind::New, Time::ZERO);
+            s.audit(&t, cpu, Time::ZERO).unwrap();
+        }
     }
 
     #[test]

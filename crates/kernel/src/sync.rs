@@ -7,7 +7,11 @@
 //!
 //! The objects are pure data structures: they never touch the scheduler.
 //! Each operation returns an [`OpOutcome`] telling the kernel whether the
-//! caller blocks/spins and which other tasks must be woken.
+//! caller blocks or spins, and pushes the tasks it wakes and the spinners
+//! it releases into two buffers owned by the [`SyncTable`]. The kernel
+//! drains both after every operation, woken tasks first. The buffers (and
+//! a barrier's member lists) keep their capacity, so a steady-state
+//! hand-off allocates nothing.
 
 use std::collections::VecDeque;
 
@@ -56,7 +60,9 @@ pub enum BlockedOn {
     QueueGet(QueueId),
 }
 
-/// Result of a synchronisation operation, interpreted by the kernel.
+/// What a synchronisation operation means for its caller, interpreted by
+/// the kernel. The tasks it wakes or releases are in the [`SyncTable`]'s
+/// buffers, not here.
 #[derive(Debug, Default)]
 pub struct OpOutcome {
     /// The calling task must block (voluntary sleep).
@@ -65,11 +71,6 @@ pub struct OpOutcome {
     pub spin: bool,
     /// Value delivered to the caller (queue get that succeeded).
     pub value: Option<u64>,
-    /// Sleeping tasks to wake, with an optionally delivered value each.
-    pub wake: Vec<(Tid, Option<u64>)>,
-    /// Spinning tasks released by a barrier: they are *running or runnable*,
-    /// not sleeping; the kernel lets them continue to their next action.
-    pub release_spinners: Vec<Tid>,
 }
 
 impl OpOutcome {
@@ -79,6 +80,12 @@ impl OpOutcome {
     fn blocked() -> OpOutcome {
         OpOutcome {
             block: true,
+            ..Default::default()
+        }
+    }
+    fn spinning() -> OpOutcome {
+        OpOutcome {
+            spin: true,
             ..Default::default()
         }
     }
@@ -124,6 +131,13 @@ pub struct SyncTable {
     barriers: Vec<Barrier>,
     queues: Vec<Queue>,
     pools: Vec<u64>,
+    /// Sleeping tasks woken by the last operation, in wake order, each with
+    /// the value handed to it (a put that met a waiting getter).
+    pub(crate) woken: Vec<(Tid, Option<u64>)>,
+    /// Spinning tasks released by the last barrier release. They are
+    /// *running or runnable*, not sleeping; the kernel lets them continue
+    /// to their next action.
+    pub(crate) released: Vec<Tid>,
 }
 
 impl SyncTable {
@@ -211,19 +225,11 @@ impl SyncTable {
             Some(tid),
             "unlock of mutex {m:?} not held by {tid}"
         );
-        match mx.waiters.pop_front() {
-            None => {
-                mx.owner = None;
-                OpOutcome::done()
-            }
-            Some(next) => {
-                mx.owner = Some(next);
-                OpOutcome {
-                    wake: vec![(next, None)],
-                    ..Default::default()
-                }
-            }
+        mx.owner = mx.waiters.pop_front();
+        if let Some(next) = mx.owner {
+            self.woken.push((next, None));
         }
+        OpOutcome::done()
     }
 
     /// Semaphore wait: decrement or block.
@@ -242,37 +248,27 @@ impl SyncTable {
     pub fn sem_post(&mut self, s: SemId) -> OpOutcome {
         let sem = &mut self.sems[s.0 as usize];
         match sem.waiters.pop_front() {
-            Some(next) => OpOutcome {
-                wake: vec![(next, None)],
-                ..Default::default()
-            },
-            None => {
-                sem.count += 1;
-                OpOutcome::done()
-            }
+            Some(next) => self.woken.push((next, None)),
+            None => sem.count += 1,
         }
+        OpOutcome::done()
     }
 
-    /// Arrive at a barrier. If this is the last party, everyone is released;
+    /// Arrive at a barrier. If this is the last party, everyone is released
+    /// (sleepers woken, spinners released, both in arrival order; the
+    /// barrier's lists keep their capacity for the next generation);
     /// otherwise the caller blocks (`spin == false`) or starts spinning.
     pub fn barrier_arrive(&mut self, b: BarrierId, tid: Tid, spin: bool) -> OpOutcome {
         let bar = &mut self.barriers[b.0 as usize];
         let arrived = bar.blocked.len() + bar.spinning.len() + 1;
         if arrived == bar.parties {
             bar.generation += 1;
-            let wake = bar.blocked.drain(..).map(|t| (t, None)).collect();
-            let release_spinners = std::mem::take(&mut bar.spinning);
-            OpOutcome {
-                wake,
-                release_spinners,
-                ..Default::default()
-            }
+            self.woken.extend(bar.blocked.drain(..).map(|t| (t, None)));
+            self.released.append(&mut bar.spinning);
+            OpOutcome::done()
         } else if spin {
             bar.spinning.push(tid);
-            OpOutcome {
-                spin: true,
-                ..Default::default()
-            }
+            OpOutcome::spinning()
         } else {
             bar.blocked.push(tid);
             OpOutcome::blocked()
@@ -308,10 +304,8 @@ impl SyncTable {
         let qu = &mut self.queues[q.0 as usize];
         if let Some(getter) = qu.getters.pop_front() {
             debug_assert!(qu.items.is_empty());
-            return OpOutcome {
-                wake: vec![(getter, Some(v))],
-                ..Default::default()
-            };
+            self.woken.push((getter, Some(v)));
+            return OpOutcome::done();
         }
         if qu.items.len() < qu.capacity {
             qu.items.push_back(v);
@@ -328,15 +322,14 @@ impl SyncTable {
         let qu = &mut self.queues[q.0 as usize];
         match qu.items.pop_front() {
             Some(v) => {
-                let mut out = OpOutcome {
-                    value: Some(v),
-                    ..Default::default()
-                };
                 if let Some((putter, pv)) = qu.putters.pop_front() {
                     qu.items.push_back(pv);
-                    out.wake.push((putter, None));
+                    self.woken.push((putter, None));
                 }
-                out
+                OpOutcome {
+                    value: Some(v),
+                    ..Default::default()
+                }
             }
             None => {
                 qu.getters.push_back(tid);
@@ -427,6 +420,16 @@ impl SyncTable {
 mod tests {
     use super::*;
 
+    /// Drain the wake buffer, as the kernel does after every operation.
+    fn woken(s: &mut SyncTable) -> Vec<(Tid, Option<u64>)> {
+        std::mem::take(&mut s.woken)
+    }
+
+    /// Drain the released-spinner buffer.
+    fn released(s: &mut SyncTable) -> Vec<Tid> {
+        std::mem::take(&mut s.released)
+    }
+
     #[test]
     fn mutex_uncontended_and_handoff() {
         let mut s = SyncTable::new();
@@ -436,12 +439,13 @@ mod tests {
         assert!(!s.mutex_lock(m, a).block);
         let r = s.mutex_lock(m, b);
         assert!(r.block);
-        let r = s.mutex_unlock(m, a);
-        assert_eq!(r.wake, vec![(b, None)]); // ownership handed to b
-        let r = s.mutex_unlock(m, b);
-        assert!(r.wake.is_empty());
+        assert!(!s.mutex_unlock(m, a).block);
+        assert_eq!(woken(&mut s), vec![(b, None)]); // ownership handed to b
+        s.mutex_unlock(m, b);
+        assert!(woken(&mut s).is_empty());
         // now free again
         assert!(!s.mutex_lock(m, a).block);
+        assert!(woken(&mut s).is_empty() && released(&mut s).is_empty());
     }
 
     #[test]
@@ -460,9 +464,12 @@ mod tests {
         assert!(!s.sem_wait(sem, Tid(1)).block);
         assert!(s.sem_wait(sem, Tid(2)).block);
         assert!(s.sem_wait(sem, Tid(3)).block);
-        assert_eq!(s.sem_post(sem).wake, vec![(Tid(2), None)]);
-        assert_eq!(s.sem_post(sem).wake, vec![(Tid(3), None)]);
-        assert!(s.sem_post(sem).wake.is_empty()); // count back to 1
+        s.sem_post(sem);
+        assert_eq!(woken(&mut s), vec![(Tid(2), None)]);
+        s.sem_post(sem);
+        assert_eq!(woken(&mut s), vec![(Tid(3), None)]);
+        s.sem_post(sem);
+        assert!(woken(&mut s).is_empty()); // count back to 1
         assert!(!s.sem_wait(sem, Tid(4)).block);
     }
 
@@ -473,9 +480,11 @@ mod tests {
         assert!(s.barrier_arrive(b, Tid(1), false).block);
         let r = s.barrier_arrive(b, Tid(2), true);
         assert!(r.spin && !r.block);
+        assert!(woken(&mut s).is_empty() && released(&mut s).is_empty());
         let r = s.barrier_arrive(b, Tid(3), false);
-        assert_eq!(r.wake, vec![(Tid(1), None)]);
-        assert_eq!(r.release_spinners, vec![Tid(2)]);
+        assert!(!r.block && !r.spin);
+        assert_eq!(woken(&mut s), vec![(Tid(1), None)]);
+        assert_eq!(released(&mut s), vec![Tid(2)]);
         assert_eq!(s.barrier_generation(b), 1);
     }
 
@@ -484,11 +493,16 @@ mod tests {
         let mut s = SyncTable::new();
         let b = s.new_barrier(2);
         assert!(s.barrier_arrive(b, Tid(1), false).block);
-        assert_eq!(s.barrier_arrive(b, Tid(2), false).wake.len(), 1);
-        // second round works identically
+        s.barrier_arrive(b, Tid(2), false);
+        assert_eq!(woken(&mut s).len(), 1);
+        // second round works identically, in the first round's storage
+        let kept = s.barriers[b.0 as usize].blocked.capacity();
+        assert!(kept > 0);
         assert!(s.barrier_arrive(b, Tid(1), false).block);
-        assert_eq!(s.barrier_arrive(b, Tid(2), false).wake.len(), 1);
+        s.barrier_arrive(b, Tid(2), false);
+        assert_eq!(woken(&mut s).len(), 1);
         assert_eq!(s.barrier_generation(b), 2);
+        assert_eq!(s.barriers[b.0 as usize].blocked.capacity(), kept);
     }
 
     #[test]
@@ -499,9 +513,9 @@ mod tests {
         assert!(s.barrier_arrive(b, Tid(1), true).spin);
         assert!(s.barrier_spin_timeout(b, Tid(1), gen));
         // Now Tid(1) is a blocked waiter; last arrival wakes it.
-        let r = s.barrier_arrive(b, Tid(2), false);
-        assert_eq!(r.wake, vec![(Tid(1), None)]);
-        assert!(r.release_spinners.is_empty());
+        s.barrier_arrive(b, Tid(2), false);
+        assert_eq!(woken(&mut s), vec![(Tid(1), None)]);
+        assert!(released(&mut s).is_empty());
     }
 
     #[test]
@@ -510,8 +524,9 @@ mod tests {
         let b = s.new_barrier(2);
         let gen = s.barrier_generation(b);
         assert!(s.barrier_arrive(b, Tid(1), true).spin);
-        let r = s.barrier_arrive(b, Tid(2), false);
-        assert_eq!(r.release_spinners, vec![Tid(1)]);
+        s.barrier_arrive(b, Tid(2), false);
+        assert!(woken(&mut s).is_empty());
+        assert_eq!(released(&mut s), vec![Tid(1)]);
         // Timeout that raced with the release must be a no-op.
         assert!(!s.barrier_spin_timeout(b, Tid(1), gen));
     }
@@ -526,7 +541,8 @@ mod tests {
         assert!(s.remove_waiter(BlockedOn::Mutex(m), Tid(2)));
         assert!(!s.remove_waiter(BlockedOn::Mutex(m), Tid(2)));
         // Unlock now finds no waiter; the retry path must re-acquire.
-        assert!(s.mutex_unlock(m, Tid(1)).wake.is_empty());
+        s.mutex_unlock(m, Tid(1));
+        assert!(woken(&mut s).is_empty());
         assert!(!s.mutex_lock(m, Tid(2)).block);
 
         let b = s.new_barrier(2);
@@ -541,7 +557,8 @@ mod tests {
         ));
         // Stale generation (barrier already released) is rejected.
         s.barrier_arrive(b, Tid(3), false);
-        assert_eq!(s.barrier_arrive(b, Tid(4), false).wake.len(), 1);
+        s.barrier_arrive(b, Tid(4), false);
+        assert_eq!(woken(&mut s).len(), 1);
         assert!(!s.remove_waiter(
             BlockedOn::Barrier {
                 barrier: b,
@@ -556,6 +573,7 @@ mod tests {
         assert!(s.remove_waiter(BlockedOn::QueuePut { queue: q, value: 8 }, Tid(6)));
         // The removed putter's value left with it: only item 7 remains.
         assert_eq!(s.queue_get(q, Tid(5)).value, Some(7));
+        assert!(woken(&mut s).is_empty());
         assert!(s.queue_get(q, Tid(5)).block);
         assert!(s.remove_waiter(BlockedOn::QueueGet(q), Tid(5)));
 
@@ -570,7 +588,8 @@ mod tests {
         // getter first: blocks, then receives directly from put
         assert!(s.queue_get(q, Tid(1)).block);
         let r = s.queue_put(q, Tid(2), 99);
-        assert_eq!(r.wake, vec![(Tid(1), Some(99))]);
+        assert!(!r.block && r.value.is_none());
+        assert_eq!(woken(&mut s), vec![(Tid(1), Some(99))]);
         assert_eq!(s.queue_len(q), 0);
     }
 
@@ -581,14 +600,16 @@ mod tests {
         assert!(!s.queue_put(q, Tid(1), 1).block);
         assert!(!s.queue_put(q, Tid(1), 2).block);
         assert!(s.queue_put(q, Tid(1), 3).block); // full
+        assert!(woken(&mut s).is_empty());
         let r = s.queue_get(q, Tid(2));
         assert_eq!(r.value, Some(1));
         // blocked putter's item entered the queue; putter woken
-        assert_eq!(r.wake, vec![(Tid(1), None)]);
+        assert_eq!(woken(&mut s), vec![(Tid(1), None)]);
         assert_eq!(s.queue_len(q), 2);
         assert_eq!(s.queue_get(q, Tid(2)).value, Some(2));
         assert_eq!(s.queue_get(q, Tid(2)).value, Some(3));
         assert!(s.queue_get(q, Tid(2)).block);
+        assert!(woken(&mut s).is_empty());
         assert_eq!(s.queue_waiting_getters(q), 1);
     }
 }

@@ -337,10 +337,10 @@ fn spawned_children_join_the_app() {
         move |_ctx| {
             if spawned < 3 {
                 spawned += 1;
-                Action::Spawn(ThreadSpec::new(
+                Action::Spawn(Box::new(ThreadSpec::new(
                     format!("child{spawned}"),
                     cpu_hog(Dur::millis(5), Dur::millis(5)),
-                ))
+                )))
             } else {
                 Action::Exit
             }

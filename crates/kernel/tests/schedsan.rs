@@ -184,8 +184,8 @@ fn lost_task_is_caught_with_crash_report() {
         "unexpected error: {msg}"
     );
 
-    let report = k.crash_report(&err);
-    assert!(report.contains("SchedSan crash report"));
+    let report = k.crash_report(err.kind(), &err);
+    assert!(report.starts_with("crash report: invariant violation\n"));
     assert!(report.contains(&msg), "report repeats the error");
     assert!(report.contains("scheduler: lossy"));
     assert!(report.contains("seed:      99"), "seed is the replay key");

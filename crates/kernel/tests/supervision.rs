@@ -156,7 +156,9 @@ fn budget_max_live_tasks_stops_a_fork_storm() {
     let mut k = mk_kernel(Topology::flat(2), cfg);
     // A forker that spawns a long-lived child at every step.
     let forker = from_fn(|_| {
-        Action::Spawn(ThreadSpec::new("child", cpu_hog(Dur::secs(10), Dur::millis(1))).detached())
+        Action::Spawn(Box::new(
+            ThreadSpec::new("child", cpu_hog(Dur::secs(10), Dur::millis(1))).detached(),
+        ))
     });
     k.queue_app(
         Time::ZERO,
@@ -267,7 +269,7 @@ fn queue_depth_budget_trips_at_a_pinned_event() {
             Action::Exit
         } else {
             spawned += 1;
-            Action::Spawn(periodic_sleeper())
+            Action::Spawn(Box::new(periodic_sleeper()))
         }
     });
     k.queue_app(

@@ -54,6 +54,8 @@ impl Default for EngineOpts {
 pub struct EngineCrash {
     /// Scheduler that was driving.
     pub sched: Sched,
+    /// The error's kind ([`SimError::kind`]).
+    pub kind: &'static str,
     /// The simulator error.
     pub error: String,
     /// Full SchedSan crash report (state dump + trace tail).
@@ -92,6 +94,18 @@ pub enum AbortKind {
     Livelock,
     /// A [`CancelToken`] fired (wall-clock; nondeterministic abort point).
     Cancelled,
+}
+
+impl AbortKind {
+    /// The kind as crash reports name it: the words [`SimError::kind`]
+    /// uses for the error behind the abort.
+    pub fn name(self) -> &'static str {
+        match self {
+            AbortKind::Budget => "budget exceeded",
+            AbortKind::Livelock => "livelock",
+            AbortKind::Cancelled => "cancelled",
+        }
+    }
 }
 
 /// Per-app outcome in a [`ScenarioRun`].
@@ -298,8 +312,9 @@ pub fn run_observed(
     let crash = |k: &Kernel, e: SimError| {
         EngineError::Crash(EngineCrash {
             sched,
+            kind: e.kind(),
             error: e.to_string(),
-            report: k.crash_report(&e),
+            report: k.crash_report(e.kind(), &e),
         })
     };
     let mut abort: Option<(AbortKind, String)> = None;
@@ -317,6 +332,7 @@ pub fn run_observed(
                 SimError::Cancelled { .. } => AbortKind::Cancelled,
                 _ => return Err(crash(&k, e)),
             };
+            debug_assert_eq!(kind.name(), e.kind());
             abort = Some((kind, e.to_string()));
             break;
         }

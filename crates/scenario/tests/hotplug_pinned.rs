@@ -124,8 +124,8 @@ fn task_pinned_to_offline_cpu_yields_structured_error_and_crash_bundle() {
             "[{}] error names the failure: {msg}",
             sched.name()
         );
-        let report = k.crash_report(&err);
-        assert!(report.contains("SchedSan crash report"));
+        let report = k.crash_report(err.kind(), &err);
+        assert!(report.starts_with("crash report: invariant violation\n"));
         assert!(report.contains(&msg), "report repeats the error");
         assert!(
             report.contains("OFFLINE"),

@@ -315,17 +315,17 @@ fn fork_inherits_interactivity() {
                         match step {
                             // Immediately spawn one child (interactive
                             // inheritance from the bash-like history)...
-                            1 => Action::Spawn(ThreadSpec::new(
+                            1 => Action::Spawn(Box::new(ThreadSpec::new(
                                 "early",
                                 cpu_hog(Dur::millis(100), Dur::millis(10)),
-                            )),
+                            ))),
                             // ...then burn 3s of CPU without sleeping...
                             2 => Action::Run(Dur::secs(3)),
                             // ...then spawn another child.
-                            3 => Action::Spawn(ThreadSpec::new(
+                            3 => Action::Spawn(Box::new(ThreadSpec::new(
                                 "late",
                                 cpu_hog(Dur::millis(100), Dur::millis(10)),
-                            )),
+                            ))),
                             _ => Action::Exit,
                         }
                     }
@@ -374,10 +374,10 @@ fn exit_refunds_runtime_to_parent() {
                     move |_ctx| {
                         step += 1;
                         match step {
-                            1 => Action::Spawn(ThreadSpec::new(
+                            1 => Action::Spawn(Box::new(ThreadSpec::new(
                                 "worker",
                                 cpu_hog(Dur::secs(2), Dur::millis(20)),
-                            )),
+                            ))),
                             2 => Action::Sleep(Dur::millis(3500)),
                             3 => Action::Run(Dur::millis(1)),
                             _ => Action::Exit,

@@ -230,7 +230,7 @@ pub fn cray(k: &mut Kernel, cfg: CrayCfg) -> AppSpec {
                     }
                 }
             });
-            Action::Spawn(ThreadSpec::new(format!("cray-{i}"), renderer))
+            Action::Spawn(Box::new(ThreadSpec::new(format!("cray-{i}"), renderer)))
         }
     });
     AppSpec::new(

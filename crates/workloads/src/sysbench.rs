@@ -168,7 +168,7 @@ pub fn sysbench(k: &mut Kernel, cfg: SysbenchCfg) -> AppSpec {
                 tx_start: Time::ZERO,
                 lock: 0,
             });
-            Action::Spawn(ThreadSpec::new(format!("sb-worker-{spawned}"), w))
+            Action::Spawn(Box::new(ThreadSpec::new(format!("sb-worker-{spawned}"), w)))
         }
     });
     AppSpec::new(

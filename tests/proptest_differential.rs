@@ -72,7 +72,7 @@ fn run_under(
     let app = k.queue_app(Time::ZERO, random_app(spec));
     let done = k
         .try_run_until_apps_done(Time::ZERO + Dur::secs(120))
-        .map_err(|e| format!("invariant violated: {e}\n{}", k.crash_report(&e)))?;
+        .map_err(|e| format!("invariant violated: {e}\n{}", k.crash_report(e.kind(), &e)))?;
     if !done {
         return Err(format!("workload hung under {}", k.sched_name()));
     }
