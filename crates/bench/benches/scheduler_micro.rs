@@ -290,6 +290,77 @@ fn bench_placement_256c_busy(c: &mut Criterion) {
     g.finish();
 }
 
+/// Layer: classes (`select_task_rq`). ULE's `sched_pickcpu` on a 256-core
+/// machine where every CPU runs one thread and has four waiting, so no
+/// idle CPU ends the search early. Each iteration puts one CPU's running
+/// thread back and picks the next (a queue change, so placement has that
+/// CPU's `tdq_lowpri` to read again), then places a waking thread that
+/// last ran on CPU 1 and is still cache-affine there:
+/// * `no_lower`: the waking thread is as urgent as every CPU's most urgent
+///   thread, so passes 1 and 2 find nothing and pass 3 answers (herd-256's
+///   case);
+/// * `last_lower`: only CPU 255's threads are less urgent (forked with a
+///   batch history), so pass 2 answers with the machine's last CPU.
+fn bench_pickcpu_256c(c: &mut Criterion) {
+    let mut g = c.benchmark_group("pickcpu_256c");
+    let topo = Topology::numa_256();
+    let now = Time::ZERO + Dur::secs(1);
+    for (name, lower) in [("no_lower", None), ("last_lower", Some(CpuId(255)))] {
+        g.bench_function(name, |b| {
+            let mut ule = Ule::new(&topo);
+            let mut tasks = TaskTable::new();
+            let spawn = |tasks: &mut TaskTable, ule: &mut Ule, cpu: CpuId| {
+                let tid = tasks.insert_with(|t| {
+                    let mut task = Task::new(t, "w", GroupId(1));
+                    if Some(cpu) == lower {
+                        task.inherit_history = Some((Dur::secs(4), Dur::ZERO));
+                    }
+                    task
+                });
+                ule.task_fork(tasks, tid, None, now);
+                let t = tasks.get_mut(tid);
+                (t.cpu, t.last_cpu, t.last_ran) = (cpu, cpu, now);
+                (t.state, t.on_rq) = (TaskState::Runnable, true);
+                ule.enqueue_task(tasks, cpu, tid, EnqueueKind::New, now);
+                tid
+            };
+            let mut running = Vec::new();
+            for cpu in topo.all_cpus() {
+                for _ in 0..5 {
+                    spawn(&mut tasks, &mut ule, cpu);
+                }
+                running.push(ule.pick_next_task(&mut tasks, cpu, now).expect("queued"));
+            }
+            let probe = spawn(&mut tasks, &mut ule, CpuId(1));
+            ule.dequeue_task(&mut tasks, CpuId(1), probe, DequeueKind::Sleep, now);
+            tasks.get_mut(probe).state = TaskState::Sleeping;
+            let wake = WakeKind::Wakeup { waker: None };
+            let place = |ule: &mut Ule, tasks: &TaskTable| {
+                let mut stats = SelectStats::default();
+                let cpu = ule.select_task_rq(tasks, probe, wake, CpuId(1), now, &mut stats);
+                (cpu.ok(), stats.cpus_scanned)
+            };
+            // Pass 3 takes the lowest id at the common load; pass 2 finds
+            // CPU 255. Either way every pass's span is charged up to there.
+            let llc = topo.llc_cpus(CpuId(1)).len() as u32;
+            let want = match lower {
+                None => (Some(CpuId(0)), 1 + llc + 2 * 256),
+                Some(c) => (Some(c), 1 + llc + 256),
+            };
+            assert_eq!(place(&mut ule, &tasks), want, "{name} takes its pass");
+            let mut next = 0;
+            b.iter(|| {
+                let cpu = CpuId(next);
+                next = (next + 1) % 256;
+                ule.put_prev_task(&mut tasks, cpu, running[cpu.index()], now);
+                running[cpu.index()] = ule.pick_next_task(&mut tasks, cpu, now).expect("queued");
+                place(&mut ule, &tasks)
+            })
+        });
+    }
+    g.finish();
+}
+
 /// Layer: classes (runqueue). One wakeup-enqueue, pick and put-prev cycle
 /// on a single CPU that holds `depth` waiting tasks behind a running one,
 /// for every registered class at the depths of strict-8c's queues (2), of
@@ -600,6 +671,7 @@ criterion_group!(
     bench_balance_tick,
     bench_balance_tick_256c,
     bench_placement_256c_busy,
+    bench_pickcpu_256c,
     bench_runqueue_depth,
     bench_ule_queue_walk_8c,
     bench_schedsan_step_32c,

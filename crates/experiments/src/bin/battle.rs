@@ -47,6 +47,7 @@
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use experiments::scenarios::TraceTo;
 use experiments::{
@@ -112,19 +113,11 @@ fn parse_args() -> Result<Args, String> {
         match a.as_str() {
             "--timeout" => {
                 let v = args.next().ok_or("missing value for --timeout")?;
-                let s: f64 = v.parse().map_err(|e| format!("bad --timeout: {e}"))?;
-                if s.is_nan() || s <= 0.0 {
-                    return Err("--timeout must be positive".to_string());
-                }
-                timeout = Some(s);
+                timeout = Some(parse_timeout("--timeout", &v)?);
             }
             "--case-timeout" => {
                 let v = args.next().ok_or("missing value for --case-timeout")?;
-                let s: f64 = v.parse().map_err(|e| format!("bad --case-timeout: {e}"))?;
-                if s.is_nan() || s <= 0.0 {
-                    return Err("--case-timeout must be positive".to_string());
-                }
-                fz.case_timeout_s = s;
+                fz.case_timeout_s = parse_timeout("--case-timeout", &v)?;
             }
             "--plans" => {
                 let v = args.next().ok_or("missing value for --plans")?;
@@ -181,7 +174,13 @@ fn parse_args() -> Result<Args, String> {
             }
             "--scale" => {
                 let v = args.next().ok_or("missing value for --scale")?;
-                cfg.scale = v.parse().map_err(|e| format!("bad --scale: {e}"))?;
+                let s: f64 = v.parse().map_err(|e| format!("bad --scale: {e}"))?;
+                if !(s.is_finite() && s > 0.0) {
+                    return Err(format!(
+                        "bad --scale: {v} (must be a finite number above 0)"
+                    ));
+                }
+                cfg.scale = s;
             }
             "--seed" => {
                 let v = args.next().ok_or("missing value for --seed")?;
@@ -227,6 +226,23 @@ fn parse_args() -> Result<Args, String> {
         budget,
         sched_given,
     })
+}
+
+/// A wall-clock timeout in seconds for `flag`: above 0, and small enough
+/// that the deadline it sets (now plus the timeout) is a valid `Instant`,
+/// which rules out NaN, infinity and values past `Duration`'s range.
+fn parse_timeout(flag: &str, v: &str) -> Result<f64, String> {
+    let s: f64 = v.parse().map_err(|e| format!("bad {flag}: {e}"))?;
+    let deadline = Duration::try_from_secs_f64(s)
+        .ok()
+        .and_then(|d| Instant::now().checked_add(d));
+    if s > 0.0 && deadline.is_some() {
+        Ok(s)
+    } else {
+        Err(format!(
+            "bad {flag}: {v} (must be a finite number of seconds above 0 that a deadline can hold)"
+        ))
+    }
 }
 
 fn usage() -> String {

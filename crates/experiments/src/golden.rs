@@ -235,6 +235,11 @@ fn parse_file(src: &str) -> Vec<(String, u64)> {
 /// Write every manifest digest, run under `check` on `threads` workers, to
 /// `results/golden/`. Returns `false` on I/O failure or if any entry
 /// errored.
+///
+/// Every file is written, and every failure reported on standard error,
+/// before the first "wrote" line is printed: a closed standard output
+/// ends the process at that line, and must not leave some files
+/// rewritten and the rest stale.
 pub fn write_all(check: CheckMode, threads: usize) -> bool {
     let entries = manifest();
     let digests = compute_all(check, threads);
@@ -243,6 +248,7 @@ pub fn write_all(check: CheckMode, threads: usize) -> bool {
         eprintln!("cannot create results/golden: {e}");
         return false;
     }
+    let mut wrote = Vec::new();
     for (entry, d) in entries.iter().zip(&digests) {
         if let Some(err) = &d.error {
             eprintln!("[{}] ERROR: {err}", d.name);
@@ -264,7 +270,7 @@ pub fn write_all(check: CheckMode, threads: usize) -> bool {
         }
         let path = golden_path(entry.name);
         match std::fs::write(&path, render_file(entry, d)) {
-            Ok(()) => println!(
+            Ok(()) => wrote.push(format!(
                 "wrote {} ({})",
                 path.display(),
                 d.digests
@@ -272,12 +278,15 @@ pub fn write_all(check: CheckMode, threads: usize) -> bool {
                     .map(|(s, v)| format!("{s}={v:016x}"))
                     .collect::<Vec<_>>()
                     .join(" ")
-            ),
+            )),
             Err(e) => {
                 eprintln!("cannot write {}: {e}", path.display());
                 ok = false;
             }
         }
+    }
+    for line in wrote {
+        println!("{line}");
     }
     ok
 }

@@ -238,21 +238,15 @@ impl Occupancy {
     pub fn least_loaded(&self, task: &Task, stats: &mut SelectStats) -> Option<CpuId> {
         let cand = self.within(&self.online, task.affinity.as_ref());
         stats.cpus_scanned += (0..self.words).map(|w| cand(w).count_ones()).sum::<u32>();
-        self.lowest_load(cand, |_| true)
+        self.lowest_load(cand)
     }
 
     /// The online CPU of `span ∩ allowed` (`None` allows every CPU) with
-    /// the lowest load among those `ok` accepts, lowest id among ties;
-    /// `None` when `ok` accepts none. Charges nothing. `ok` sees the
-    /// candidates level by level, lowest id first within a level, and the
-    /// search stops at the first level with an accepted CPU.
-    pub fn least_loaded_in(
-        &self,
-        span: &CpuMask,
-        allowed: Option<&CpuMask>,
-        ok: impl FnMut(CpuId) -> bool,
-    ) -> Option<CpuId> {
-        self.lowest_load(self.within(span, allowed), ok)
+    /// the lowest load, lowest id among ties; `None` when that set is
+    /// empty. Charges nothing. A caller that filters the candidates (ULE's
+    /// priority search) narrows `span` first.
+    pub fn least_loaded_in(&self, span: &CpuMask, allowed: Option<&CpuMask>) -> Option<CpuId> {
+        self.lowest_load(self.within(span, allowed))
     }
 
     /// The lowest-id online CPU of `span ∩ allowed` (`None` allows every
@@ -331,31 +325,21 @@ impl Occupancy {
         (0..self.words).find_map(|w| WordBits::new(w, cand(w) & level(w)).next())
     }
 
-    /// The lowest (load, id) among the CPUs of `cand` that `ok` accepts.
-    fn lowest_load(
-        &self,
-        cand: impl Fn(usize) -> u64,
-        mut ok: impl FnMut(CpuId) -> bool,
-    ) -> Option<CpuId> {
+    /// The lowest (load, id) among the CPUs of `cand`.
+    fn lowest_load(&self, cand: impl Fn(usize) -> u64 + Copy) -> Option<CpuId> {
         let last = |w: usize| self.level_word(Family::Load, OVERFLOW, w);
-        // When every candidate sits in the last level (a small machine
-        // under load), go straight to comparing rows.
+        // A candidate below the last level: the first of the lowest level
+        // that holds one. Otherwise (a small machine under load) every
+        // candidate sits in the last level, and the rows decide.
         if (0..self.words).any(|w| cand(w) & !last(w) != 0) {
-            for k in 0..OVERFLOW {
-                for w in 0..self.words {
-                    for cpu in WordBits::new(w, cand(w) & self.level_word(Family::Load, k, w)) {
-                        if ok(cpu) {
-                            return Some(cpu);
-                        }
-                    }
-                }
-            }
+            return (0..OVERFLOW)
+                .find_map(|k| self.first_at(cand, |w| self.level_word(Family::Load, k, w)));
         }
         let mut best: Option<(CpuId, usize)> = None;
         for w in 0..self.words {
             for cpu in WordBits::new(w, cand(w) & last(w)) {
                 let load = self.load(cpu);
-                if best.is_none_or(|(_, b)| load < b) && ok(cpu) {
+                if best.is_none_or(|(_, b)| load < b) {
                     best = Some((cpu, load));
                 }
             }

@@ -158,6 +158,14 @@ impl CpuMask {
         self.words.get(i).copied().unwrap_or(0)
     }
 
+    /// Union `bits` into word `i`, the counterpart of [`CpuMask::word`]
+    /// for masks built a word at a time. Panics if `i` is past the
+    /// capacity.
+    #[inline]
+    pub fn or_word(&mut self, i: usize, bits: u64) {
+        self.words[i] |= bits;
+    }
+
     /// Whether the two masks share any set bit (cheaper than
     /// `!self.and(other).is_empty()` — no temporary, early exit).
     #[inline]

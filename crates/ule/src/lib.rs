@@ -13,7 +13,10 @@
 //!   thread's (first within the affine topology level, then machine-wide),
 //!   finally the least-loaded CPU. The paper measures these scans costing
 //!   up to 13 % of CPU cycles on sysbench (§6.3) — the simulated kernel
-//!   charges per-CPU-scanned costs accordingly.
+//!   charges per-CPU-scanned costs accordingly. The host does not repeat
+//!   the scan: the searches answer from an index of CPUs by `tdq_lowpri`
+//!   (`lowpri.rs`) and the occupancy index's load levels, while the
+//!   modelled scan of every CPU of each span is still charged.
 //! * **Balancing** — the load of a CPU is simply its number of runnable
 //!   threads. Core 0 runs the periodic balancer every 0.5–1.5 s (random),
 //!   each invocation migrating at most one thread from each donor to each
@@ -29,6 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod interactivity;
+mod lowpri;
 #[cfg(test)]
 mod model_tests;
 pub mod params;
@@ -42,6 +46,7 @@ use simcore::{Dur, SimRng, Time};
 use topology::{CpuId, CpuMask, Topology};
 
 use interactivity::{Interactivity, PctCpu};
+use lowpri::LowpriIndex;
 use params::{
     UleParams, BATCH_PRIO_LEVELS, BATCH_PRIO_MAX, BATCH_PRIO_MIN, IDLE_PRIO, INT_PRIO_LEVELS,
     RQ_NQS,
@@ -230,6 +235,11 @@ pub struct Ule {
     /// online mask, synced after every queue change ([`Ule::sync`]).
     /// Placement and idle stealing answer from it.
     occ: Occupancy,
+    /// The CPUs by `tdq_lowpri`, for placement's passes 1 and 2. A change
+    /// to a CPU's priority multiset marks the CPU stale ([`Ule::sync`],
+    /// and the priority swap in `task_tick`); placement re-indexes the
+    /// stale CPUs before it reads the levels.
+    lowpri: LowpriIndex,
 }
 
 impl Ule {
@@ -249,23 +259,27 @@ impl Ule {
             rng: SimRng::new(seed ^ 0xB41A_4CE0),
             next_balance: Time::ZERO,
             occ: Occupancy::new(topo.nr_cpus()),
+            lowpri: LowpriIndex::new(topo.nr_cpus()),
         }
     }
 
-    /// Bring `cpu`'s occupancy row up to date with its queues. Every site
-    /// that changes a queue or the running thread calls it.
+    /// Bring `cpu`'s occupancy row up to date with its queues and mark
+    /// its `tdq_lowpri` stale. Every site that changes a queue or the
+    /// running thread calls it.
     fn sync(&mut self, cpu: CpuId) {
         let tdq = &self.tdqs[cpu.index()];
         self.occ.set(cpu, tdq.waiting(), tdq.curr.is_some());
+        self.lowpri.mark(cpu);
     }
 
-    /// The least-loaded CPU of `span ∩ allowed` whose most urgent priority
-    /// is less urgent than `prio`, lowest id among ties: one pass of
-    /// `sched_pickcpu`'s search. An idle CPU wins outright (load 0, and
-    /// `IDLE_PRIO` is above every thread priority).
-    fn pick_lowpri(&self, span: &CpuMask, allowed: Option<&CpuMask>, prio: i32) -> Option<CpuId> {
-        self.occ
-            .least_loaded_in(span, allowed, |c| self.tdqs[c.index()].lowpri() > prio)
+    /// The CPUs whose most urgent priority (`tdq_lowpri`) is less urgent
+    /// than `prio`, idle CPUs included: the candidates of
+    /// `sched_pickcpu`'s passes 1 and 2, built once for both. Re-indexes
+    /// the stale CPUs first.
+    fn lowpri_above(&mut self, prio: i32) -> CpuMask {
+        let tdqs = &self.tdqs;
+        self.lowpri.refresh(|c| tdqs[c.index()].lowpri());
+        self.lowpri.above(prio)
     }
 
     /// Access to the parameters (for ablation benches).
@@ -425,11 +439,15 @@ impl Scheduler for Ule {
             return Ok(last);
         }
 
-        // Pass 1: within the affine level (the LLC of the last CPU if still
-        // affine, otherwise the whole machine). Each pass charges the scan
-        // of its whole span.
+        // Passes 1 and 2 take the least-loaded CPU, lowest id among ties,
+        // of their span whose most urgent priority is less urgent than the
+        // thread's (an idle CPU wins outright: load 0, and `IDLE_PRIO` is
+        // above every thread priority). Pass 1 searches the affine level
+        // (the LLC of the last CPU if still affine, otherwise the whole
+        // machine). Each pass charges the scan of its whole span.
         let allowed = task.affinity.as_ref();
         let n = self.topo.nr_cpus() as u32;
+        let cand = self.lowpri_above(prio);
         let (span, size) = if affine {
             (
                 self.topo.llc_mask(last),
@@ -439,14 +457,14 @@ impl Scheduler for Ule {
             (self.topo.machine_mask(), n)
         };
         stats.cpus_scanned += size;
-        if let Some(c) = self.pick_lowpri(span, allowed, prio) {
+        if let Some(c) = self.occ.least_loaded_in(&span.and(&cand), allowed) {
             return Ok(c);
         }
         // Pass 2: the whole machine, which pass 1 already searched when the
         // thread is not affine.
         stats.cpus_scanned += n;
         if affine {
-            if let Some(c) = self.pick_lowpri(self.topo.machine_mask(), allowed, prio) {
+            if let Some(c) = self.occ.least_loaded_in(&cand, allowed) {
                 return Ok(c);
             }
         }
@@ -457,7 +475,7 @@ impl Scheduler for Ule {
         // pinned task): a structured error, never a panic — the kernel
         // turns it into a crash bundle with a replay line.
         self.occ
-            .least_loaded_in(self.topo.machine_mask(), allowed, |_| true)
+            .least_loaded_in(self.topo.machine_mask(), allowed)
             .ok_or(SelectError { tid })
     }
 
@@ -570,6 +588,7 @@ impl Scheduler for Ule {
             let tdq = &mut self.tdqs[cpu.index()];
             tdq.remove_prio(old_prio);
             tdq.add_prio(new_prio);
+            self.lowpri.mark(cpu);
         }
         // Timeslice check: the slice shrinks with the load. The counter
         // resets on expiry even when the thread is alone (`td_slice = 0`),
@@ -778,6 +797,11 @@ impl Scheduler for Ule {
                 "prio multiset tracks {tracked} threads, load is {expect}"
             ));
         }
+        // A clean CPU's `tdq_lowpri` level must be its queues'. A stale
+        // one is re-indexed before placement reads it.
+        if !self.lowpri.is_stale(cpu) {
+            self.lowpri.audit(cpu, tdq.lowpri())?;
+        }
         for p in tdq.prios.present() {
             if !(0..=BATCH_PRIO_MAX).contains(&p) {
                 return Err(format!("tracked priority {p} out of range"));
@@ -822,6 +846,49 @@ impl Scheduler for Ule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sched_api::{GroupId, Task, TaskState};
+
+    /// A clean CPU whose priority multiset changes without the stale mark
+    /// fails the audit, which names the CPU and both priorities; with the
+    /// mark the audit skips the CPU until placement re-indexes it.
+    #[test]
+    fn audit_catches_a_lowpri_change_without_the_stale_mark() {
+        let topo = Topology::flat(4);
+        let (cpu, now) = (CpuId(2), Time::ZERO);
+        let mut ule = Ule::new(&topo);
+        let mut tasks = TaskTable::new();
+        let tid = tasks.insert_with(|t| Task::new(t, "t", GroupId::ROOT));
+        ule.task_fork(&tasks, tid, None, now);
+        let t = tasks.get_mut(tid);
+        (t.cpu, t.state, t.on_rq) = (cpu, TaskState::Runnable, true);
+        ule.enqueue_task(&mut tasks, cpu, tid, EnqueueKind::New, now);
+        ule.pick_next_task(&mut tasks, cpu, now);
+        assert!(ule.lowpri.is_stale(cpu));
+        ule.audit(&tasks, cpu, now).unwrap();
+        // A placement re-indexes every stale CPU.
+        ule.lowpri_above(0);
+        ule.audit(&tasks, cpu, now).unwrap();
+        // The running thread's priority swap, as `task_tick` makes it,
+        // without the mark.
+        let old = ule.ts(tid).prio;
+        let new = if old == 10 { 20 } else { 10 };
+        ule.ts_mut(tid).prio = new;
+        let tdq = &mut ule.tdqs[cpu.index()];
+        tdq.remove_prio(old);
+        tdq.add_prio(new);
+        let err = ule.audit(&tasks, cpu, now).unwrap_err();
+        for part in [
+            "cpu2".to_string(),
+            format!("priority {old}"),
+            format!("tdq_lowpri {new}"),
+        ] {
+            assert!(err.contains(&part), "{part} missing from: {err}");
+        }
+        ule.lowpri.mark(cpu);
+        ule.audit(&tasks, cpu, now).unwrap();
+        ule.lowpri_above(0);
+        ule.audit(&tasks, cpu, now).unwrap();
+    }
 
     /// Satellite bugfix pin: every batch priority maps into a valid
     /// bucket, the mapping is monotone, and the extremes land on the

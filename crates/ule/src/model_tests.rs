@@ -1,13 +1,17 @@
 //! Reference-model tests of ULE's placement and idle stealing.
 //!
-//! `sched_pickcpu` and `tdq_idled` answer from the occupancy index. The
-//! loops they replaced walked every CPU of each span
-//! and read the queues themselves; they are kept below as the reference,
-//! reading the queues (the ground truth), not the index. Random machine
-//! states — 1 to 512 CPUs, offline CPUs, loads around the index's last
-//! level with ties, pinned and unpinned threads of every priority — must
-//! get the same CPU and the same `cpus_scanned` charge from both, and every
-//! CPU must pass the class audit after every step.
+//! `sched_pickcpu` and `tdq_idled` answer from the occupancy index and the
+//! `tdq_lowpri` index. The loops they replaced walked every CPU of each
+//! span and read the queues themselves; they are kept below as the
+//! reference, reading the queues (the ground truth), not the indexes.
+//! Random machine states — 1 to 512 CPUs, offline CPUs, loads around the
+//! occupancy index's last level with ties, pinned and unpinned threads of
+//! every priority — must get the same CPU and the same `cpus_scanned`
+//! charge from both, and every CPU must pass the class audit after every
+//! step. Placements interleave with the churn, and one follows a tick that
+//! moved a CPU's `tdq_lowpri` and nothing else, so a queue change that
+//! misses its stale mark (in `sync` or in `task_tick`) gives a stale
+//! answer here.
 
 use proptest::prelude::*;
 use sched_api::{
@@ -191,6 +195,54 @@ impl Rig {
         }
     }
 
+    /// Tick a running thread until one tick moves its CPU's `tdq_lowpri`,
+    /// trying up to eight CPUs. Returns the CPU and its `tdq_lowpri`
+    /// before and after that tick.
+    fn tick_moving_lowpri(&mut self) -> Option<(CpuId, i32, i32)> {
+        for _ in 0..8 {
+            let cpu = CpuId(self.rng.gen_below(self.topo.nr_cpus() as u64) as u32);
+            let Some(curr) = self.ule.tdqs[cpu.index()].curr else {
+                continue;
+            };
+            self.now += Dur::micros(self.rng.gen_range(1, 100_000));
+            let before = self.ule.tdqs[cpu.index()].lowpri();
+            self.ule.task_tick(&mut self.tasks, cpu, curr, self.now);
+            let after = self.ule.tdqs[cpu.index()].lowpri();
+            if after != before {
+                return Some((cpu, before, after));
+            }
+        }
+        None
+    }
+
+    /// A sleeping thread that last ran on `last` `ago` before now, with
+    /// affinity `aff`.
+    fn probe(&mut self, last: CpuId, ago: Dur, aff: Option<CpuMask>) -> Tid {
+        let probe = self.fork();
+        let t = self.tasks.get_mut(probe);
+        t.last_cpu = last;
+        t.last_ran = self.now - ago;
+        t.state = TaskState::Sleeping;
+        t.affinity = aff;
+        probe
+    }
+
+    /// Place `probe` through the class and through the reference:
+    /// `(got, got charge, want, want charge)`.
+    fn place(&mut self, probe: Tid) -> (Option<CpuId>, u32, Option<CpuId>, u32) {
+        let (want, want_scanned) = self.reference_pickcpu(probe);
+        let mut stats = SelectStats::default();
+        let got = self.ule.select_task_rq(
+            &self.tasks,
+            probe,
+            WakeKind::Wakeup { waker: None },
+            CpuId(0),
+            self.now,
+            &mut stats,
+        );
+        (got.ok(), stats.cpus_scanned, want, want_scanned)
+    }
+
     /// Runnable threads on `cpu`, the running one included, from the
     /// queues themselves.
     fn load(&self, cpu: CpuId) -> usize {
@@ -298,35 +350,35 @@ proptest! {
         let mut rig = Rig::new(ncpu, seed);
         prop_assert_eq!(rig.audit_all(), Ok(()));
         for round in 0..12 {
-            for _ in 0..1 + ncpu / 8 {
-                rig.churn();
+            // Three bursts of churn, each followed by a sleeping thread's
+            // wakeup: affine or not, any affinity.
+            for burst in 0..3 {
+                for _ in 0..1 + ncpu / 16 {
+                    rig.churn();
+                }
+                prop_assert_eq!(rig.audit_all(), Ok(()));
+                let last = CpuId(rig.rng.gen_below(ncpu as u64) as u32);
+                let ago = Dur::millis(rig.rng.gen_below(4) * 2);
+                let aff = affinity(&mut rig.rng, ncpu);
+                let probe = rig.probe(last, ago, aff);
+                let (got, got_scanned, want, want_scanned) = rig.place(probe);
+                prop_assert_eq!(got, want, "round {} burst {} pick for {:?}", round, burst, aff);
+                prop_assert_eq!(got_scanned, want_scanned, "round {} burst {} pick charge", round, burst);
             }
-            prop_assert_eq!(rig.audit_all(), Ok(()));
 
-            // A sleeping thread wakes: affine or not, any affinity.
-            let probe = rig.fork();
-            let last = CpuId(rig.rng.gen_below(ncpu as u64) as u32);
-            let ago = Dur::millis(rig.rng.gen_below(4) * 2);
-            let aff = affinity(&mut rig.rng, ncpu);
-            {
-                let t = rig.tasks.get_mut(probe);
-                t.last_cpu = last;
-                t.last_ran = rig.now - ago;
-                t.state = TaskState::Sleeping;
-                t.affinity = aff;
+            // A tick moves one CPU's `tdq_lowpri`, and the next wakeup
+            // tells the two values apart: its priority is the lower one,
+            // so the CPU is a candidate under exactly one of them. Pinned
+            // there, only the charge tells the passes apart.
+            if let Some((cpu, before, after)) = rig.tick_moving_lowpri() {
+                prop_assert_eq!(rig.audit_all(), Ok(()));
+                let aff = rig.rng.gen_bool(0.5).then(|| CpuMask::single(cpu));
+                let probe = rig.probe(cpu, Dur::millis(50), aff);
+                rig.ule.ts_mut(probe).prio = before.min(after);
+                let (got, got_scanned, want, want_scanned) = rig.place(probe);
+                prop_assert_eq!(got, want, "round {} pick after {}'s tick {} -> {}", round, cpu, before, after);
+                prop_assert_eq!(got_scanned, want_scanned, "round {} charge after {}'s tick", round, cpu);
             }
-            let (want, want_scanned) = rig.reference_pickcpu(probe);
-            let mut stats = SelectStats::default();
-            let got = rig.ule.select_task_rq(
-                &rig.tasks,
-                probe,
-                WakeKind::Wakeup { waker: None },
-                CpuId(0),
-                rig.now,
-                &mut stats,
-            );
-            prop_assert_eq!(got.ok(), want, "round {} pick for {:?}", round, rig.tasks.get(probe).affinity);
-            prop_assert_eq!(stats.cpus_scanned, want_scanned, "round {} pick charge", round);
 
             // An idle (or any) CPU steals.
             let thief = CpuId(rig.rng.gen_below(ncpu as u64) as u32);
