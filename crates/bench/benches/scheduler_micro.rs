@@ -79,6 +79,43 @@ fn bench_event_queue_tick_mix(c: &mut Criterion) {
     });
 }
 
+/// Layer: the event queue. A wakeup burst, as a herd release makes: 1,024
+/// events due at one instant pushed onto a queue holding 128 pending
+/// timers, then drained. `heap` pushes the burst through `push`, sifting
+/// each event through the heap; `fifo` through `push_now`, as the kernel
+/// queues its reschedules.
+fn bench_event_burst(c: &mut Criterion) {
+    let mut g = c.benchmark_group("event_burst");
+    for (name, now) in [("heap", false), ("fifo", true)] {
+        let mut q = EventQueue::new();
+        let mut rng = SimRng::new(11);
+        for i in 0..128u64 {
+            q.push(Time(1_000_000 + rng.gen_below(1_000_000)), i);
+        }
+        let at = Time(1_000);
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                for i in 0..1024u64 {
+                    if now {
+                        q.push_now(at, i);
+                    } else {
+                        q.push(at, i);
+                    }
+                }
+                let mut acc = 0u64;
+                for _ in 0..1024 {
+                    let Some((_, v)) = q.pop() else {
+                        unreachable!("the burst precedes every timer")
+                    };
+                    acc = acc.wrapping_add(v);
+                }
+                acc
+            })
+        });
+    }
+    g.finish();
+}
+
 /// Layer: run lane. 512 CPUs, each with a run completion armed. Every
 /// fired completion re-arms its CPU one run segment later; in between,
 /// overhead charged to a random CPU re-arms its completion later, and
@@ -666,6 +703,7 @@ criterion_group!(
     micro,
     bench_event_queue,
     bench_event_queue_tick_mix,
+    bench_event_burst,
     bench_tick_lane_512c,
     bench_run_lane_512c,
     bench_balance_tick,

@@ -1,7 +1,9 @@
 //! `battle`'s command line, run as a child process.
 //!
 //! Bad numeric flags are rejected before anything runs: each case exits 2
-//! with one line on standard error that names the flag. `golden --write`
+//! with one line on standard error that names the flag. A scenario file
+//! nested far too deep fails to parse with exit 1 and a diagnostic, not a
+//! stack overflow. `golden --write`
 //! writes every file before it prints, so a closed standard output cannot
 //! leave some golden files rewritten and the rest stale. Every child runs
 //! under a wall-clock guard, so a value that makes the program hang
@@ -121,6 +123,38 @@ fn a_small_scale_still_runs() {
         "{:?}",
         run.stdout
     );
+}
+
+/// Scenario files 50,000 levels deep, in TOML and in JSON, exit 1 with the
+/// parser's nesting diagnostic. Without the parsers' nesting limit they
+/// recurse until the stack overflows (exit 134, no diagnostic).
+#[test]
+fn deeply_nested_scenarios_fail_with_a_diagnostic() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("deep-nesting");
+    fs::create_dir_all(&dir).expect("create the test directory");
+    let depth = 50_000;
+    let (open, close) = ("[".repeat(depth), "]".repeat(depth));
+    let files = [
+        (
+            "deep.toml",
+            format!("name = \"deep\"\na = {open}1{close}\n"),
+            "line 2: arrays and inline tables nest deeper than 128 levels",
+        ),
+        (
+            "deep.json",
+            format!("{{\"name\": {open}{close}}}"),
+            // The object is the first level, so the 128th `[` is too deep.
+            "arrays and objects nest deeper than 128 levels at byte 136",
+        ),
+    ];
+    for (name, text, want) in files {
+        let path = dir.join(name);
+        fs::write(&path, text).expect("write the scenario");
+        let run = battle(&["run", path.to_str().expect("a UTF-8 path")]);
+        assert_eq!(run.code, Some(1), "{name}: stderr {:?}", run.stderr);
+        assert!(run.stderr.contains(want), "{name}: {:?}", run.stderr);
+        assert!(run.stdout.is_empty(), "{name}: ran: {:?}", run.stdout);
+    }
 }
 
 /// Copy the directory tree `from` to `to`.

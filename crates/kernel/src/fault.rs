@@ -187,7 +187,7 @@ impl Kernel {
             self.sched
                 .enqueue_task(&mut self.tasks, target, tid, EnqueueKind::Migrate, self.now);
             self.counters.migrations += 1;
-            self.events.push(self.now, Event::Resched(target));
+            self.events.push_now(self.now, Event::Resched(target));
         }
         orphans.clear();
         self.san.tids = orphans;
@@ -223,7 +223,7 @@ impl Kernel {
         if !self.cpus[cpu.index()].tick_armed {
             self.arm_tick(cpu, self.now + self.cfg.tick);
         }
-        self.events.push(self.now, Event::Resched(cpu));
+        self.events.push_now(self.now, Event::Resched(cpu));
         Ok(())
     }
 

@@ -614,7 +614,11 @@ impl Kernel {
     /// The next thing to process across the merged event sources (queue
     /// events, ticks and run completions), ordered by the shared `(time,
     /// seq)` key. Seqs are unique across all three, so there are no ties.
-    #[inline]
+    /// Forced inline: it runs once per event in both run loops, and the
+    /// queue's FIFO merge makes it too large for the compiler to inline on
+    /// its own; called out of line it cost interactive-1c 3.5 % of
+    /// `wall_s`.
+    #[inline(always)]
     fn peek_next(&self) -> Option<(Time, Pending)> {
         let mut next = self
             .events
@@ -845,7 +849,7 @@ impl Kernel {
         }
         self.counters.migrations += targets.len() as u64;
         for &t in &targets {
-            self.events.push(self.now, Event::Resched(t));
+            self.events.push_now(self.now, Event::Resched(t));
         }
         self.balance_buf = targets;
         let mut next = self.now + self.cfg.tick;
@@ -1178,10 +1182,10 @@ impl Kernel {
                         });
                     }
                 }
-                self.events.push(self.now, Event::Resched(target));
+                self.events.push_now(self.now, Event::Resched(target));
             }
             _ if idle => {
-                self.events.push(self.now, Event::Resched(target));
+                self.events.push_now(self.now, Event::Resched(target));
             }
             _ => {}
         }
@@ -1295,7 +1299,7 @@ impl Kernel {
                 cause,
             });
         }
-        self.events.push(self.now, Event::Resched(cpu));
+        self.events.push_now(self.now, Event::Resched(cpu));
     }
 
     /// Take the current task off the CPU, saving its remaining work, and
@@ -1825,7 +1829,7 @@ impl Kernel {
         if self.cpus[cpu.index()].current == Some(tid) {
             // Currently burning CPU in the spin loop; continue via an event
             // to avoid re-entrant interpretation.
-            self.events.push(self.now, Event::Continue(tid));
+            self.events.push_now(self.now, Event::Continue(tid));
         }
         // If it was preempted mid-spin it sits in a runqueue and will
         // continue at its next dispatch.

@@ -124,6 +124,20 @@ pub fn get_f64(v: &Value, path: &str, key: &str) -> Result<Option<f64>, SpecErro
     }
 }
 
+/// Optional duration field (a phase's `*_ms` or `*_us`): a number that
+/// must be finite and not negative. An endless or negative work segment
+/// would otherwise finish at once, and a negative one trips
+/// `Dur::secs_f64`'s debug assertion.
+fn get_duration(v: &Value, path: &str, key: &str) -> Result<Option<f64>, SpecError> {
+    match get_f64(v, path, key)? {
+        Some(d) if !(d.is_finite() && d >= 0.0) => Err(SpecError::new(
+            join(path, key),
+            "expected a finite, non-negative number",
+        )),
+        d => Ok(d),
+    }
+}
+
 /// Optional non-negative integer field; wrong type is an error.
 pub fn get_u64(v: &Value, path: &str, key: &str) -> Result<Option<u64>, SpecError> {
     match v.get(key) {
@@ -389,9 +403,9 @@ impl MutexThreadSpec {
             nice: get_i64(v, path, "nice")?.unwrap_or(0),
             iters: CountExpr::from_value(iters, &join(path, "iters"))?,
             lock: get_bool(v, path, "lock")?.unwrap_or(true),
-            hold_ms: get_f64(v, path, "hold_ms")?.unwrap_or(0.0),
-            work_ms: get_f64(v, path, "work_ms")?.unwrap_or(0.0),
-            sleep_ms: get_f64(v, path, "sleep_ms")?,
+            hold_ms: get_duration(v, path, "hold_ms")?.unwrap_or(0.0),
+            work_ms: get_duration(v, path, "work_ms")?.unwrap_or(0.0),
+            sleep_ms: get_duration(v, path, "sleep_ms")?,
         })
     }
 
@@ -603,7 +617,7 @@ impl WorkloadSpec {
                 Ok(WorkloadSpec::Spinners {
                     count: req_count(v, path, "count")?,
                     pin: pin_list(v, path, "pin")?.unwrap_or_else(|| vec![0]),
-                    chunk_ms: get_f64(v, path, "chunk_ms")?.unwrap_or(4.0),
+                    chunk_ms: get_duration(v, path, "chunk_ms")?.unwrap_or(4.0),
                     daemon: get_bool(v, path, "daemon")?.unwrap_or(true),
                 })
             }
@@ -622,24 +636,17 @@ impl WorkloadSpec {
                 Ok(WorkloadSpec::CpuHogs {
                     count: req_count(v, path, "count")?,
                     work: req_time(v, path, "work")?,
-                    chunk_ms: get_f64(v, path, "chunk_ms")?.unwrap_or(5.0),
+                    chunk_ms: get_duration(v, path, "chunk_ms")?.unwrap_or(5.0),
                     nice: get_i64(v, path, "nice")?.unwrap_or(0),
                     pin: pin_list(v, path, "pin")?,
                 })
             }
             "sysbench" => {
                 check_keys(v, path, &keys(&["threads", "total_tx", "init_ms"]))?;
-                let init_ms = get_f64(v, path, "init_ms")?.unwrap_or(SYSBENCH_INIT_MS);
-                if !(init_ms.is_finite() && init_ms >= 0.0) {
-                    return Err(SpecError::new(
-                        join(path, "init_ms"),
-                        "expected a non-negative number of milliseconds",
-                    ));
-                }
                 Ok(WorkloadSpec::Sysbench {
                     threads: req_count(v, path, "threads")?,
                     total_tx: req_count(v, path, "total_tx")?,
-                    init_ms,
+                    init_ms: get_duration(v, path, "init_ms")?.unwrap_or(SYSBENCH_INIT_MS),
                 })
             }
             "cray" => {
@@ -670,7 +677,7 @@ impl WorkloadSpec {
                 Ok(WorkloadSpec::ForkJoin {
                     workers: req_count(v, path, "workers")?,
                     rounds: req_count(v, path, "rounds")?,
-                    work_ms: get_f64(v, path, "work_ms")?.unwrap_or(1.0),
+                    work_ms: get_duration(v, path, "work_ms")?.unwrap_or(1.0),
                 })
             }
             "client-server" => {
@@ -691,8 +698,8 @@ impl WorkloadSpec {
                     servers: req_count(v, path, "servers")?,
                     rounds: req_count(v, path, "rounds")?,
                     burst: get_u64(v, path, "burst")?.unwrap_or(1).max(1),
-                    service_us: get_f64(v, path, "service_us")?.unwrap_or(100.0),
-                    think_ms: get_f64(v, path, "think_ms")?.unwrap_or(0.0),
+                    service_us: get_duration(v, path, "service_us")?.unwrap_or(100.0),
+                    think_ms: get_duration(v, path, "think_ms")?.unwrap_or(0.0),
                 })
             }
             "herd" => {
@@ -704,8 +711,8 @@ impl WorkloadSpec {
                 Ok(WorkloadSpec::Herd {
                     waiters: req_count(v, path, "waiters")?,
                     rounds: req_count(v, path, "rounds")?,
-                    work_us: get_f64(v, path, "work_us")?.unwrap_or(500.0),
-                    pause_ms: get_f64(v, path, "pause_ms")?.unwrap_or(10.0),
+                    work_us: get_duration(v, path, "work_us")?.unwrap_or(500.0),
+                    pause_ms: get_duration(v, path, "pause_ms")?.unwrap_or(10.0),
                 })
             }
             "mutex-mix" => {

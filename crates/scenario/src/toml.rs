@@ -28,6 +28,14 @@ impl std::fmt::Display for TomlError {
 
 impl std::error::Error for TomlError {}
 
+/// How deep arrays and inline tables may nest in one value, and how many
+/// parts a dotted key or header may have: the default recursion limit of
+/// the upstream `serde_json` crate. The value parser recurses once per
+/// level, so without a limit a file of a few hundred kilobytes of `[`
+/// overflows the stack instead of failing to parse; a dotted key of a
+/// million parts builds a table tree whose drop overflows it.
+pub const MAX_DEPTH: usize = 128;
+
 fn err<T>(line: usize, msg: impl Into<String>) -> Result<T, TomlError> {
     Err(TomlError {
         line,
@@ -94,7 +102,7 @@ pub fn parse(src: &str) -> Result<Value, TomlError> {
             let mut full = cur.clone();
             full.extend(parents.iter().cloned());
             let table = navigate(&mut root, &full, lineno)?;
-            let (value, rest) = parse_value(val_part.trim(), lineno)?;
+            let (value, rest) = parse_value(val_part.trim(), lineno, 0)?;
             if !rest.trim().is_empty() {
                 return err(
                     lineno,
@@ -170,6 +178,9 @@ fn brackets_balanced(s: &str) -> bool {
 fn parse_key_path(s: &str, line: usize) -> Result<Vec<String>, TomlError> {
     let mut out = Vec::new();
     for seg in s.split('.') {
+        if out.len() == MAX_DEPTH {
+            return err(line, format!("key path has more than {MAX_DEPTH} parts"));
+        }
         let seg = seg.trim();
         if seg.is_empty() {
             return err(line, format!("empty key segment in `{s}`"));
@@ -261,8 +272,9 @@ fn insert(table: &mut Value, key: String, v: Value, line: usize) -> Result<(), T
     Ok(())
 }
 
-/// Parse one TOML value from the front of `s`; returns the rest.
-fn parse_value(s: &str, line: usize) -> Result<(Value, &str), TomlError> {
+/// Parse one TOML value from the front of `s`; returns the rest. `depth`
+/// counts the arrays and inline tables around it.
+fn parse_value(s: &str, line: usize, depth: usize) -> Result<(Value, &str), TomlError> {
     let s = s.trim_start();
     let Some(first) = s.chars().next() else {
         return err(line, "missing value");
@@ -270,8 +282,12 @@ fn parse_value(s: &str, line: usize) -> Result<(Value, &str), TomlError> {
     match first {
         '"' => parse_basic_string(s, line),
         '\'' => parse_literal_string(s, line),
-        '[' => parse_array(s, line),
-        '{' => parse_inline_table(s, line),
+        '[' | '{' if depth == MAX_DEPTH => err(
+            line,
+            format!("arrays and inline tables nest deeper than {MAX_DEPTH} levels"),
+        ),
+        '[' => parse_array(s, line, depth + 1),
+        '{' => parse_inline_table(s, line, depth + 1),
         't' | 'f' => {
             if let Some(rest) = s.strip_prefix("true") {
                 Ok((Value::Bool(true), rest))
@@ -364,7 +380,7 @@ fn parse_number(s: &str, line: usize) -> Result<(Value, &str), TomlError> {
     }
 }
 
-fn parse_array(s: &str, line: usize) -> Result<(Value, &str), TomlError> {
+fn parse_array(s: &str, line: usize, depth: usize) -> Result<(Value, &str), TomlError> {
     let mut rest = &s[1..];
     let mut items = Vec::new();
     loop {
@@ -372,7 +388,7 @@ fn parse_array(s: &str, line: usize) -> Result<(Value, &str), TomlError> {
         if let Some(r) = rest.strip_prefix(']') {
             return Ok((Value::Array(items), r));
         }
-        let (v, r) = parse_value(rest, line)?;
+        let (v, r) = parse_value(rest, line, depth)?;
         items.push(v);
         rest = r.trim_start();
         if let Some(r) = rest.strip_prefix(',') {
@@ -383,7 +399,7 @@ fn parse_array(s: &str, line: usize) -> Result<(Value, &str), TomlError> {
     }
 }
 
-fn parse_inline_table(s: &str, line: usize) -> Result<(Value, &str), TomlError> {
+fn parse_inline_table(s: &str, line: usize, depth: usize) -> Result<(Value, &str), TomlError> {
     let mut rest = &s[1..];
     let mut table = Value::Object(Vec::new());
     loop {
@@ -398,7 +414,7 @@ fn parse_inline_table(s: &str, line: usize) -> Result<(Value, &str), TomlError> 
         if keys.len() != 1 {
             return err(line, "dotted keys are not supported in inline tables");
         }
-        let (v, r) = parse_value(rest[eq + 1..].trim_start(), line)?;
+        let (v, r) = parse_value(rest[eq + 1..].trim_start(), line, depth)?;
         insert(&mut table, keys[0].clone(), v, line)?;
         rest = r.trim_start();
         if let Some(r) = rest.strip_prefix(',') {
@@ -495,6 +511,46 @@ mod tests {
         let e = parse("x = @nope\n").unwrap_err();
         assert_eq!(e.line, 1);
         assert!(e.msg.contains("bad value"), "{e}");
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        let nested = |depth: usize| format!("a = {}1{}\n", "[".repeat(depth), "]".repeat(depth));
+        parse(&nested(MAX_DEPTH)).unwrap();
+        let e = parse(&format!("x = 1\n{}", nested(MAX_DEPTH + 1))).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert_eq!(
+            e.msg,
+            "arrays and inline tables nest deeper than 128 levels"
+        );
+        // Inline tables count as levels too, mixed with arrays.
+        let mixed = |depth: usize| {
+            let open: String = (0..depth)
+                .map(|i| if i % 2 == 0 { "{b = " } else { "[" })
+                .collect();
+            let close: String = (0..depth)
+                .rev()
+                .map(|i| if i % 2 == 0 { "}" } else { "]" })
+                .collect();
+            format!("a = {open}1{close}\n")
+        };
+        parse(&mixed(MAX_DEPTH)).unwrap();
+        let e = parse(&mixed(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.msg.contains("nest deeper than 128 levels"), "{e}");
+        // Dotted keys and headers nest tables.
+        let path = |parts: usize| vec!["k"; parts].join(".");
+        parse(&format!("[{}]\n{} = 1\n", path(MAX_DEPTH), path(MAX_DEPTH))).unwrap();
+        for doc in [
+            format!("{} = 1\n", path(MAX_DEPTH + 1)),
+            format!("[{}]\n", path(MAX_DEPTH + 1)),
+            format!("[[{}]]\n", path(MAX_DEPTH + 1)),
+        ] {
+            let e = parse(&doc).unwrap_err();
+            assert_eq!(
+                (e.line, e.msg.as_str()),
+                (1, "key path has more than 128 parts")
+            );
+        }
     }
 
     #[test]

@@ -369,6 +369,72 @@ horizon = 1.0
     assert!(err.to_string().contains("phase[0].init_ms"), "{err}");
 }
 
+/// Every duration field of a phase must be a finite, non-negative number:
+/// a negative or endless work segment would otherwise finish at once.
+/// Each bad value is rejected with the field's path; the value 1.0 parses.
+#[test]
+fn duration_fields_must_be_finite_and_non_negative() {
+    let threads = "kind = \"mutex-mix\"\n[[phase.threads]]\nname = \"t\"\niters = 2";
+    let fields: &[(&str, &str, &str)] = &[
+        ("kind = \"spinners\"\ncount = 2", "chunk_ms", "phase[0]"),
+        (
+            "kind = \"cpu-hogs\"\ncount = 2\nwork = 1.0",
+            "chunk_ms",
+            "phase[0]",
+        ),
+        (
+            "kind = \"sysbench\"\nthreads = 2\ntotal_tx = 10",
+            "init_ms",
+            "phase[0]",
+        ),
+        (
+            "kind = \"fork-join\"\nworkers = 2\nrounds = 2",
+            "work_ms",
+            "phase[0]",
+        ),
+        (
+            "kind = \"client-server\"\nclients = 2\nservers = 1\nrounds = 2",
+            "service_us",
+            "phase[0]",
+        ),
+        (
+            "kind = \"client-server\"\nclients = 2\nservers = 1\nrounds = 2",
+            "think_ms",
+            "phase[0]",
+        ),
+        (
+            "kind = \"herd\"\nwaiters = 4\nrounds = 2",
+            "work_us",
+            "phase[0]",
+        ),
+        (
+            "kind = \"herd\"\nwaiters = 4\nrounds = 2",
+            "pause_ms",
+            "phase[0]",
+        ),
+        (threads, "hold_ms", "phase[0].threads[0]"),
+        (threads, "work_ms", "phase[0].threads[0]"),
+        (threads, "sleep_ms", "phase[0].threads[0]"),
+    ];
+    for (phase, key, at) in fields {
+        let doc = |value: &str| {
+            format!(
+                "name = \"x\"\n[topology]\npreset = \"single-core\"\n[run]\nhorizon = 1.0\n\
+                 [[phase]]\n{phase}\n{key} = {value}\n"
+            )
+        };
+        Scenario::from_toml(&doc("1.0")).unwrap_or_else(|e| panic!("{key} = 1.0: {e}"));
+        for bad in ["-1", "-5.0", "1e999"] {
+            let err = Scenario::from_toml(&doc(bad)).expect_err("a bad duration");
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("{at}.{key}")) && msg.contains("finite, non-negative"),
+                "{key} = {bad}: {msg}"
+            );
+        }
+    }
+}
+
 #[test]
 fn budget_killed_run_salvages_a_deterministic_partial_result() {
     let src = r#"

@@ -42,20 +42,26 @@ pub fn to_string_pretty<T: ?Sized + serde::Serialize>(value: &T) -> Result<Strin
     Ok(out)
 }
 
+/// How deep arrays and objects may nest: the upstream crate's default
+/// recursion limit. The parser recurses once per level, so without a limit
+/// a few hundred kilobytes of `[` overflow the stack instead of failing.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse JSON text into a [`Value`] tree.
 ///
 /// Supports the full JSON grammar (objects, arrays, strings with escapes
 /// including `\uXXXX` surrogate pairs, numbers, booleans, null). Numbers
 /// without a fraction/exponent parse as `UInt`/`Int`; everything else as
 /// `Float`. An object that repeats a key is an error naming the key and
-/// its byte offset, as the scenario TOML parser rejects one.
+/// its byte offset, as the scenario TOML parser rejects one, and so is an
+/// array or object nested deeper than [`MAX_DEPTH`] levels.
 pub fn from_str(s: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
     };
     p.skip_ws();
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(p.err("trailing characters"));
@@ -101,10 +107,14 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Value> {
+    /// Parse one value; `depth` counts the arrays and objects around it.
+    fn value(&mut self, depth: usize) -> Result<Value> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => Err(self.err(&format!(
+                "arrays and objects nest deeper than {MAX_DEPTH} levels"
+            ))),
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => self.string().map(Value::Str),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -114,7 +124,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Value> {
+    fn object(&mut self, depth: usize) -> Result<Value> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -132,7 +142,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            fields.push((key, self.value()?));
+            fields.push((key, self.value(depth)?));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -145,7 +155,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Value> {
+    fn array(&mut self, depth: usize) -> Result<Value> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -155,7 +165,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -417,6 +427,27 @@ mod tests {
             from_str("\"\\u0041\\ud83d\\ude00\"").unwrap().as_str(),
             Some("A😀")
         );
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        from_str(&nested(MAX_DEPTH)).unwrap();
+        let err = from_str(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "json error: arrays and objects nest deeper than 128 levels at byte 128"
+        );
+        // Objects count as levels too.
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(from_str(&objects)
+            .unwrap_err()
+            .to_string()
+            .contains("nest deeper than 128 levels"));
     }
 
     #[test]

@@ -4,15 +4,29 @@
 //! insertion-order) order, so that events scheduled for the same instant
 //! fire in FIFO order — a property the kernel relies on for determinism.
 //!
-//! The queue is a binary min-heap of compact `(time, seq, slot)` keys;
-//! payloads live in a recycled slab beside it, so a sift moves 24-byte keys
-//! and never the payloads. [`EventQueue::len`] is exact and
-//! [`EventQueue::peek_key`] is an O(1) read of the root.
+//! The queue has two sides that share one sequence counter:
+//!
+//! - a binary min-heap of compact `(time, seq, slot)` keys, for events due
+//!   later ([`EventQueue::push`]); payloads live in a recycled slab beside
+//!   it, so a sift moves 24-byte keys and never the payloads;
+//! - a FIFO for events due at the caller's current instant
+//!   ([`EventQueue::push_now`]). The kernel's reschedules and spinner
+//!   continuations are such zero-delay events, and a wakeup burst queues
+//!   hundreds of them at one instant. They arrive in `(time, seq)` order
+//!   already, so appending them costs O(1) where the heap would sift each
+//!   through every level.
+//!
+//! [`EventQueue::peek_key`] and [`EventQueue::pop`] take the earlier of the
+//! heap's root and the FIFO's front, so the merged order is exactly what
+//! pushing every event through the heap would give. [`EventQueue::len`]
+//! counts both sides.
 //!
 //! Events cannot be cancelled. The kernel's one event that is re-armed and
 //! disarmed, a CPU's run completion, lives in its per-CPU run lane
 //! (`kernel::ticks::RunLane`), merged with this queue by the same `(time,
 //! seq)` key via [`EventQueue::alloc_seq`].
+
+use std::collections::VecDeque;
 
 use crate::time::Time;
 
@@ -37,6 +51,9 @@ impl Key {
 pub struct EventQueue<E> {
     /// Binary min-heap of keys ordered by `(at, seq)`.
     heap: Vec<Key>,
+    /// Events pushed through [`EventQueue::push_now`], in `(at, seq)`
+    /// order: their times never decrease and their seqs always grow.
+    fifo: VecDeque<(Time, u64, E)>,
     /// Payload slab, `None` in free slots.
     slab: Vec<Option<E>>,
     /// Free slab slots, reused before the slab grows.
@@ -60,6 +77,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: Vec::new(),
+            fifo: VecDeque::new(),
             slab: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
@@ -80,7 +98,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedule `payload` to fire at `at`. Events at equal times fire in
-    /// insertion order.
+    /// insertion order, whichever of `push` and [`EventQueue::push_now`]
+    /// queued them.
     pub fn push(&mut self, at: Time, payload: E) {
         let seq = self.alloc_seq();
         let slot = match self.free.pop() {
@@ -97,8 +116,44 @@ impl<E> EventQueue<E> {
         self.sift_up(self.heap.len() - 1);
     }
 
+    /// Schedule `payload` to fire at `at`, the caller's current instant,
+    /// without a trip through the heap. It pops exactly where
+    /// [`EventQueue::push`] would put it: it takes its seq from the same
+    /// counter, and the FIFO and the heap are merged by `(time, seq)`.
+    ///
+    /// `at` must be no earlier than the latest pop or any event pushed
+    /// through `push_now` before, so the FIFO stays in `(time, seq)`
+    /// order; a debug build asserts both. An event due later belongs on
+    /// the heap: once it is queued here, `push_now` can queue nothing
+    /// earlier than it.
+    pub fn push_now(&mut self, at: Time, payload: E) {
+        debug_assert!(
+            at >= self.last_pop && self.fifo.back().is_none_or(|&(last, _, _)| last <= at),
+            "push_now went back in time"
+        );
+        let seq = self.alloc_seq();
+        self.fifo.push_back((at, seq, payload));
+    }
+
+    /// `true` if the earliest event sits at the FIFO's front rather than
+    /// at the heap's root. Seqs are unique, so there are no ties.
+    #[inline]
+    fn fifo_first(&self) -> bool {
+        match (self.fifo.front(), self.heap.first()) {
+            (None, _) => false,
+            (Some(_), None) => true,
+            (Some(&(at, seq, _)), Some(k)) => (at, seq) < (k.at, k.seq),
+        }
+    }
+
     /// Remove and return the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(Time, E)> {
+        if self.fifo_first() {
+            let (at, _, payload) = self.fifo.pop_front()?;
+            debug_assert!(at >= self.last_pop, "event queue went back in time");
+            self.last_pop = at;
+            return Some((at, payload));
+        }
         let key = *self.heap.first()?;
         debug_assert!(key.at >= self.last_pop, "event queue went back in time");
         self.last_pop = key.at;
@@ -122,7 +177,7 @@ impl<E> EventQueue<E> {
 
     /// The firing time of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<Time> {
-        self.heap.first().map(|k| k.at)
+        self.peek_key().map(|(at, _)| at)
     }
 
     /// The (time, seq) key of the earliest event without removing it. The
@@ -131,17 +186,21 @@ impl<E> EventQueue<E> {
     /// deterministically.
     #[inline]
     pub fn peek_key(&self) -> Option<(Time, u64)> {
-        self.heap.first().map(|k| (k.at, k.seq))
+        if self.fifo_first() {
+            self.fifo.front().map(|&(at, seq, _)| (at, seq))
+        } else {
+            self.heap.first().map(|k| (k.at, k.seq))
+        }
     }
 
-    /// Number of pending (pushed, not yet popped) events.
+    /// Number of pending (pushed, not yet popped) events, on both sides.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.fifo.len()
     }
 
     /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.fifo.is_empty()
     }
 
     /// Move the key at `pos` toward the root until its parent precedes it.
@@ -266,6 +325,40 @@ mod tests {
         assert_eq!(q.peek_time(), Some(Time(1_000)));
         assert_eq!(q.pop(), Some((Time(1_000), "early2")));
         assert_eq!(q.pop(), Some((Time(5_000_000), "late")));
+    }
+
+    #[test]
+    fn push_and_push_now_at_one_instant_pop_in_seq_order() {
+        let mut q = EventQueue::new();
+        q.push(Time(3), 100u64);
+        for i in 0..8u64 {
+            if i % 2 == 0 {
+                q.push(Time(5), i);
+            } else {
+                q.push_now(Time(5), i);
+            }
+        }
+        assert_eq!(q.len(), 9);
+        assert_eq!(q.heap.len(), 5);
+        assert_eq!(q.fifo.len(), 4);
+        assert_eq!(q.pop(), Some((Time(3), 100)));
+        for i in 0..8 {
+            assert_eq!(q.peek_key().map(|(at, _)| at), Some(Time(5)));
+            assert_eq!(q.pop(), Some((Time(5), i)));
+        }
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn a_heap_event_before_the_fifo_front_pops_first() {
+        let mut q = EventQueue::new();
+        q.push_now(Time(10), "now");
+        // Pushed later with a larger seq, but due earlier.
+        q.push(Time(4), "timer");
+        assert_eq!(q.peek_time(), Some(Time(4)));
+        assert_eq!(q.pop(), Some((Time(4), "timer")));
+        assert_eq!(q.pop(), Some((Time(10), "now")));
     }
 
     #[test]

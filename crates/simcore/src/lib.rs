@@ -2,7 +2,8 @@
 //!
 //! This crate provides the building blocks shared by every other crate in the
 //! workspace: a simulated nanosecond clock ([`Time`], [`Dur`]), an event queue
-//! on a binary min-heap with O(log n) push and pop ([`EventQueue`]), a fully
+//! on a binary min-heap with O(log n) push and pop, beside an O(1) FIFO for
+//! events due now ([`EventQueue`]), a fully
 //! deterministic pseudo-random number generator
 //! ([`SimRng`]), and small tracing/hashing helpers used by the determinism
 //! tests.

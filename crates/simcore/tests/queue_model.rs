@@ -1,7 +1,8 @@
 //! Model-based property test of [`EventQueue`]: under any interleaving of
-//! near and far-future pushes, pops, peeks and sequence burns, the queue
-//! behaves exactly like a `BTreeMap` keyed by `(time, seq)`, and `len()` is
-//! exact after every operation.
+//! near and far-future pushes, zero-delay pushes through `push_now`, clock
+//! advances, pops, peeks and sequence burns, the queue behaves exactly like
+//! a `BTreeMap` keyed by `(time, seq)`, and `len()` is exact after every
+//! operation.
 
 use std::collections::BTreeMap;
 
@@ -14,6 +15,12 @@ enum Op {
     /// Push at `now + delta`: same-instant ties, near-term deltas and
     /// far-future ones.
     Push(u64),
+    /// Push at `now` through `push_now`, as the kernel queues a
+    /// reschedule or a spinner's continuation.
+    PushNow,
+    /// Move `now` forward without a pop, as a tick or a run completion
+    /// (merged from outside the queue) moves the kernel's clock.
+    Advance(u64),
     /// Pop one event; advances `now` to the popped time.
     Pop,
     /// Burn a sequence number, as the kernel's tick and run lanes do.
@@ -27,6 +34,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => (0u64..4).prop_map(Op::Push),
         5 => (0u64..200_000).prop_map(Op::Push),
         1 => (0u64..(1 << 44)).prop_map(Op::Push),
+        4 => Just(Op::PushNow),
+        1 => (0u64..4).prop_map(Op::Advance),
+        1 => (0u64..200_000).prop_map(Op::Advance),
         4 => Just(Op::Pop),
         1 => Just(Op::AllocSeq),
         2 => Just(Op::Peek),
@@ -50,6 +60,19 @@ proptest! {
                     q.push(key.0, payload);
                     model.insert(key, payload);
                     payload += 1;
+                }
+                Op::PushNow => {
+                    let key = (Time(now), next_seq);
+                    next_seq += 1;
+                    q.push_now(key.0, payload);
+                    model.insert(key, payload);
+                    payload += 1;
+                }
+                Op::Advance(delta) => {
+                    // The clock never passes a pending event: the kernel
+                    // steps to the earliest of its sources.
+                    let next = model.keys().next().map_or(u64::MAX, |&(at, _)| at.0);
+                    now = now.saturating_add(delta).min(next);
                 }
                 Op::Pop => {
                     let want = model.pop_first().map(|((at, _), p)| (at, p));
