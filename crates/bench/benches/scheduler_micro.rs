@@ -398,6 +398,74 @@ fn bench_pickcpu_256c(c: &mut Criterion) {
     g.finish();
 }
 
+/// Layer: classes (balancing). CFS on a 256-core machine where every CPU
+/// runs one task, so its balancer finds nothing to move:
+/// * `balance_quiet`: one periodic pass over all 256 CPUs at an instant
+///   16 ms after the last, so every domain's interval has expired, and
+///   nothing changed since the last pass. Each shared group is swept once
+///   and read from its entry by every later balancer of the pass;
+/// * `fork_burst`: 1,024 unpinned forks at one instant, each placed by
+///   `find_idlest` (herd-256's burst at t = 0) and enqueued where it was
+///   placed; then all of them exit, so the next burst finds the machine as
+///   this one did.
+fn bench_cfs_sweep_256c(c: &mut Criterion) {
+    let mut g = c.benchmark_group("cfs_sweep_256c");
+    let topo = Topology::numa_256();
+    let fork = |cfs: &mut Cfs, tasks: &mut TaskTable, now| {
+        let tid = tasks.insert_with(|t| Task::new(t, "f", GroupId(1)));
+        cfs.task_fork(tasks, tid, None, now);
+        let mut stats = SelectStats::default();
+        let cpu = cfs
+            .select_task_rq(tasks, tid, WakeKind::New, CpuId(0), now, &mut stats)
+            .expect("an online CPU");
+        let t = tasks.get_mut(tid);
+        (t.cpu, t.last_cpu, t.state, t.on_rq) = (cpu, cpu, TaskState::Runnable, true);
+        cfs.enqueue_task(tasks, cpu, tid, EnqueueKind::New, now);
+        (tid, cpu)
+    };
+    g.bench_function("balance_quiet", |b| {
+        let mut cfs = Cfs::new(&topo);
+        let mut tasks = TaskTable::new();
+        let mut now = Time::ZERO + Dur::secs(1);
+        for cpu in topo.all_cpus() {
+            let tid = tasks.insert_with(|t| Task::new(t, "w", GroupId(1)));
+            cfs.task_fork(&tasks, tid, None, now);
+            let t = tasks.get_mut(tid);
+            (t.cpu, t.last_cpu, t.state, t.on_rq) = (cpu, cpu, TaskState::Runnable, true);
+            cfs.enqueue_task(&mut tasks, cpu, tid, EnqueueKind::New, now);
+            cfs.pick_next_task(&mut tasks, cpu, now);
+        }
+        let mut targets = Vec::new();
+        b.iter(|| {
+            now += Dur::millis(16);
+            for cpu in topo.all_cpus() {
+                cfs.balance_tick(&mut tasks, cpu, now, &mut targets);
+            }
+            assert!(targets.is_empty(), "a quiet machine moves nothing");
+        })
+    });
+    g.bench_function("fork_burst", |b| {
+        let mut cfs = Cfs::new(&topo);
+        let mut tasks = TaskTable::new();
+        let mut now = Time::ZERO;
+        let mut forked = Vec::with_capacity(1024);
+        b.iter(|| {
+            now += Dur::secs(1);
+            for _ in 0..1024 {
+                forked.push(fork(&mut cfs, &mut tasks, now));
+            }
+            let last = forked.last().map(|&(_, cpu)| cpu);
+            for (tid, cpu) in forked.drain(..) {
+                cfs.dequeue_task(&mut tasks, cpu, tid, DequeueKind::Dead, now);
+                cfs.task_dead(&tasks, tid, now);
+                tasks.remove(tid);
+            }
+            last
+        })
+    });
+    g.finish();
+}
+
 /// Layer: classes (runqueue). One wakeup-enqueue, pick and put-prev cycle
 /// on a single CPU that holds `depth` waiting tasks behind a running one,
 /// for every registered class at the depths of strict-8c's queues (2), of
@@ -710,6 +778,7 @@ criterion_group!(
     bench_balance_tick_256c,
     bench_placement_256c_busy,
     bench_pickcpu_256c,
+    bench_cfs_sweep_256c,
     bench_runqueue_depth,
     bench_ule_queue_walk_8c,
     bench_schedsan_step_32c,

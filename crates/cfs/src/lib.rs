@@ -25,6 +25,7 @@
 
 pub mod balance;
 pub mod entity;
+mod idlest;
 #[cfg(test)]
 mod model_tests;
 pub mod params;
@@ -38,8 +39,9 @@ use sched_api::{
 use simcore::{Dur, Time};
 use topology::{CpuId, CpuMask, Topology};
 
-use balance::{DomState, SchedDomain};
+use balance::{DomState, GroupLoad, SchedDomain};
 use entity::{CfsRq, EntKey, Entity};
+use idlest::IdlestOrder;
 use params::CfsParams;
 use pelt::RqLoad;
 
@@ -86,7 +88,14 @@ pub(crate) struct CpuRq {
     pub(crate) tw_sum: u64,
     /// Decaying runqueue load average (`cfs_rq->avg.load_avg`).
     pub(crate) load: RqLoad,
+    /// What the last balance sweep counted of the CPU into its group
+    /// entries (load average, `h_nr`, next PELT rollover), until the
+    /// change hook drops it; the class audit checks it.
+    pub(crate) counted: Option<Counted>,
 }
+
+/// A CPU as a balance sweep counted it.
+pub(crate) type Counted = (u64, usize, Time);
 
 /// The CFS scheduling class.
 pub struct Cfs {
@@ -101,6 +110,12 @@ pub struct Cfs {
     /// Per CPU, its balancing state for each of its domains, smallest
     /// first.
     pub(crate) domains: Vec<Vec<DomState>>,
+    /// Per shared sched group, its load statistics as the last sweep of
+    /// it left them ([`balance`]); [`Cfs::load_changed`] marks them dirty.
+    pub(crate) group_loads: Vec<GroupLoad>,
+    /// The online CPUs by load for `find_idlest` within one instant
+    /// ([`idlest`]); [`Cfs::load_changed`] marks its stale CPUs.
+    pub(crate) idlest: IdlestOrder,
     /// Each CPU's runnable count (`h_nr`, split into waiting and the
     /// running task) and the online mask: placement finds idle CPUs here
     /// ([`Cfs::sync`] keeps it current).
@@ -128,7 +143,7 @@ impl Cfs {
     /// CFS with explicit parameters.
     pub fn with_params(topo: &Topology, p: CfsParams) -> Cfs {
         let ncpu = topo.nr_cpus();
-        let (doms, domains) = balance::build_domains(topo, &p);
+        let (doms, domains, ngroups) = balance::build_domains(topo, &p);
         Cfs {
             topo: topo.clone(),
             p,
@@ -141,10 +156,13 @@ impl Cfs {
                     h_nr: 0,
                     tw_sum: 0,
                     load: RqLoad::default(),
+                    counted: None,
                 })
                 .collect(),
             doms,
             domains,
+            group_loads: vec![GroupLoad::DIRTY; ngroups],
+            idlest: IdlestOrder::new(ncpu),
             occ: Occupancy::new(ncpu),
             active: CpuMask::empty(),
             scratch_tids: Vec::new(),
@@ -163,6 +181,28 @@ impl Cfs {
         let c = &self.cpus[cpu.index()];
         let running = c.curr.is_some();
         self.occ.set(cpu, c.h_nr - usize::from(running), running);
+    }
+
+    /// The change hook: `cpu`'s `h_nr` or `tw_sum` changed, its load
+    /// average changed other than at a PELT period rollover (an attach or
+    /// a detach), or an enqueue set its active bit. Every site that makes
+    /// such a change calls it, so the two readers that keep what they read
+    /// between calls see it: each shared sched group holding the CPU is
+    /// marked dirty (the balancer re-sweeps it), and the CPU is marked
+    /// stale in the idlest order (`find_idlest` re-keys it); what the last
+    /// balance sweep counted of the CPU is dropped. A rollover needs no
+    /// call: it falls at or after the deadline of every group entry holding
+    /// the CPU, so the next pass sweeps those groups anyway, and within
+    /// one instant the idlest order holds only CPUs already brought up to
+    /// it (see [`Cfs::refresh_load`] for the lazily cleared active bit). A
+    /// one-CPU machine has no domains, so there the call is two stores.
+    #[inline]
+    pub(crate) fn load_changed(&mut self, cpu: CpuId) {
+        self.cpus[cpu.index()].counted = None;
+        self.idlest.mark(cpu);
+        for ds in &self.domains[cpu.index()] {
+            self.group_loads[ds.gid].mark_dirty();
+        }
     }
 
     pub(crate) fn eff_group(&self, tasks: &TaskTable, tid: Tid) -> GroupId {
@@ -477,6 +517,7 @@ impl Scheduler for Cfs {
             EnqueueKind::Wakeup if last == cpu => {}
             EnqueueKind::Wakeup => {
                 self.cpus[last.index()].load.detach(contrib);
+                self.load_changed(last);
                 self.cpus[cpu.index()].load.attach(contrib);
             }
             _ => self.cpus[cpu.index()].load.attach(contrib),
@@ -490,6 +531,7 @@ impl Scheduler for Cfs {
         // O(active) balancing sweeps (cleared lazily in `refresh_load`
         // once idle *and* fully decayed).
         self.active.set(cpu);
+        self.load_changed(cpu);
         self.sync(cpu);
 
         if kind == EnqueueKind::Wakeup && self.should_preempt_on_wakeup(cpu, tid) {
@@ -590,6 +632,7 @@ impl Scheduler for Cfs {
         if is_curr {
             c.curr = None;
         }
+        self.load_changed(cpu);
         self.sync(cpu);
     }
 
@@ -756,7 +799,7 @@ impl Scheduler for Cfs {
         }
     }
 
-    fn audit(&mut self, _tasks: &TaskTable, cpu: CpuId, _now: Time) -> Result<(), String> {
+    fn audit(&mut self, _tasks: &TaskTable, cpu: CpuId, now: Time) -> Result<(), String> {
         let c = &self.cpus[cpu.index()];
         // The index placement reads, and the O(active) sweeps' premise: a
         // CPU they skip contributes nothing.
@@ -857,14 +900,27 @@ impl Scheduler for Cfs {
                 }
             }
         }
-        Ok(())
+        // What the balancer and `find_idlest` keep between calls must
+        // still hold, refreshing nothing: the CPU as the last balance sweep
+        // counted it, until its next rollover, and its key in an idlest
+        // order built at this instant.
+        if let Some(k) = c.counted {
+            let now_k = (c.load.avg(), c.h_nr, c.load.next_period());
+            if now < k.2 && (now_k != k || !self.active.contains(cpu)) {
+                return Err(self.counted_drift(cpu, k, now_k));
+            }
+        }
+        let load = self.occ.online().contains(cpu).then(|| c.load.avg());
+        self.idlest.audit(cpu, load, now)
     }
 
     fn cpu_offline(&mut self, cpu: CpuId) {
         self.occ.set_online(cpu, false);
+        self.idlest.mark(cpu);
     }
 
     fn cpu_online(&mut self, cpu: CpuId) {
         self.occ.set_online(cpu, true);
+        self.idlest.mark(cpu);
     }
 }

@@ -7,9 +7,7 @@
 //! 1024 µs periods, each period's contribution decays by `y` with
 //! `y^32 = 0.5`, so `LOAD_AVG_MAX = Σ y^i · 1024 ≈ 47742`.
 
-#[cfg(test)]
-use simcore::Dur;
-use simcore::Time;
+use simcore::{Dur, Time};
 
 /// PELT period length (1024 µs ≈ 1 ms, as in Linux).
 pub const PERIOD_NS: u64 = 1_048_576;
@@ -127,6 +125,13 @@ impl RqLoad {
     /// Advance the series toward `target` (the current Σ of runnable
     /// weights) over the time since the last update, using the PELT decay
     /// constant (half-life of 32 periods ≈ 32 ms).
+    ///
+    /// Only an update at or after [`RqLoad::next_period`] crosses a period
+    /// boundary and can move the average. One before it changes nothing
+    /// but `last` and `frac`, and skipping it leaves every later update's
+    /// result unchanged: `frac + (now − last)` adds up the same whether or
+    /// not it is split across several updates. That is what lets the
+    /// balancer keep group sums between passes ([`crate::balance`]).
     pub fn update(&mut self, now: Time, target: u64) {
         let delta = now.saturating_since(self.last).as_nanos();
         self.last = now;
@@ -149,6 +154,12 @@ impl RqLoad {
     /// The current average.
     pub fn avg(&self) -> u64 {
         self.avg
+    }
+
+    /// The first instant at which an update crosses a period boundary:
+    /// `last + PERIOD − frac`.
+    pub fn next_period(&self) -> Time {
+        self.last + Dur(PERIOD_NS - self.frac)
     }
 
     /// Immediately add an attaching entity's weight (Linux adds the new
@@ -231,6 +242,31 @@ mod tests {
         let l1024 = p.load(1024);
         let l512 = p.load(512);
         assert!(l1024 >= 2 * l512 - 2 && l1024 <= 2 * l512 + 2);
+    }
+
+    #[test]
+    fn an_update_within_a_period_changes_nothing_later_updates_see() {
+        let start = Time::ZERO + Dur::micros(300);
+        let mut whole = RqLoad::default();
+        whole.update(start, 1024);
+        let mut split = whole.clone();
+        let due = split.next_period();
+        // Updates short of the rollover keep it and the average.
+        for us in [100, 400, 600] {
+            split.update(start + Dur::micros(us), 1024);
+            assert_eq!((split.next_period(), split.avg()), (due, whole.avg()));
+        }
+        let mut at_due = split.clone();
+        at_due.update(due, 1024);
+        assert!(at_due.avg() > whole.avg());
+        // Skipping them gives the same series.
+        for load in [&mut whole, &mut split] {
+            load.update(due + Dur::micros(2500), 2048);
+        }
+        assert_eq!(
+            (whole.avg(), whole.next_period()),
+            (split.avg(), split.next_period())
+        );
     }
 
     #[test]

@@ -10,13 +10,15 @@
 //!
 //! This module implements Linux's `wake_wide` flip heuristic, the
 //! `wake_affine` waker-vs-prev choice, `select_idle_sibling` within the LLC,
-//! and idlest-CPU search for forks and wide wakeups.
+//! and idlest-CPU search for forks and wide wakeups. Within one instant,
+//! the idlest-CPU search for a task without an affinity mask reads the
+//! order kept in the crate's `idlest` module.
 
 use sched_api::{SelectError, SelectStats, TaskTable, Tid, WakeKind};
 use simcore::{Dur, Time};
 use topology::{CpuId, CpuMask};
 
-use crate::{Cfs, CpuRq};
+use crate::Cfs;
 
 impl Cfs {
     /// Entry point used by `select_task_rq`. Errors when no online CPU
@@ -75,9 +77,24 @@ impl Cfs {
         self.cpus[cpu.index()].load.avg()
     }
 
-    /// Bring a CPU's load average up to `now` ([`refresh_rq`]).
+    /// Bring a CPU's load average up to `now` and keep its bit in the
+    /// active mask: once the CPU is idle *and* its average has decayed to
+    /// exactly zero, further refreshes are no-ops, so it drops out of the
+    /// O(active) sweeps until its next enqueue.
+    ///
+    /// Neither the rollover nor the cleared bit calls the change hook: the
+    /// CPU reached its idle zero average through a dequeue or a detach,
+    /// which called it, or through a rollover, which falls at or after the
+    /// deadline of every group entry holding the CPU and of what the
+    /// audit checks, and a dropped CPU adds nothing to any entry.
     pub(crate) fn refresh_load(&mut self, cpu: CpuId, now: Time) {
-        refresh_rq(&mut self.cpus[cpu.index()], &mut self.active, cpu, now);
+        let rq = &mut self.cpus[cpu.index()];
+        rq.load.update(now, rq.tw_sum);
+        if rq.h_nr == 0 && rq.tw_sum == 0 && rq.load.avg() == 0 {
+            self.active.clear(cpu);
+        } else {
+            self.active.set(cpu);
+        }
     }
 
     /// Lowest-id online CPU in the task's affinity mask — the deterministic
@@ -165,8 +182,15 @@ impl Cfs {
         now: Time,
         stats: &mut SelectStats,
     ) -> Result<CpuId, SelectError> {
-        let cand = tasks.get(tid).allowed_online(self.occ.online());
+        let task = tasks.get(tid);
+        let cand = task.allowed_online(self.occ.online());
         stats.cpus_scanned += cand.count() as u32;
+        // A task free to run anywhere, placed at the instant of an earlier
+        // scan for such a task, reads the idlest order.
+        let unpinned = task.affinity.is_none();
+        if unpinned && self.idlest.covers(now) {
+            return self.idlest_in_order(now).ok_or(SelectError { tid });
+        }
         // Linux's find_idlest_cpu compares load averages only; the blocked
         // residue of sleeping tasks blurs the comparison, which is exactly
         // how CFS ends up doubling threads onto one core (§6.3).
@@ -182,20 +206,37 @@ impl Cfs {
                 best = Some(key);
             }
         }
+        if unpinned {
+            self.idlest.scanned(now);
+        }
         best.map(|(_, c)| c).ok_or(SelectError { tid })
     }
-}
 
-/// Bring `rq`'s load average up to `now` and keep `cpu`'s bit in the
-/// active mask: once the CPU is idle *and* its average has decayed to
-/// exactly zero, further refreshes are no-ops, so it drops out of the
-/// O(active) sweeps until its next enqueue.
-pub(crate) fn refresh_rq(rq: &mut CpuRq, active: &mut CpuMask, cpu: CpuId, now: Time) {
-    let tw = rq.tw_sum;
-    rq.load.update(now, tw);
-    if rq.h_nr == 0 && tw == 0 && rq.load.avg() == 0 {
-        active.clear(cpu);
-    } else {
-        active.set(cpu);
+    /// The idlest online CPU at `now` from the order, after the full scan
+    /// of an earlier placement at `now`. The CPUs that scan refreshed are
+    /// at `now` already, and every CPU that changed since is marked stale:
+    /// the stale active online CPUs are refreshed (the scan would refresh
+    /// them) and re-keyed, or the order is built on its first use.
+    fn idlest_in_order(&mut self, now: Time) -> Option<CpuId> {
+        let stale = self.idlest.stale();
+        for c in stale.and(&self.active).and(self.occ.online()).iter() {
+            self.refresh_load(c, now);
+        }
+        let Cfs {
+            cpus, occ, idlest, ..
+        } = self;
+        let load = |c: usize| -> Option<u64> {
+            let online = c < cpus.len() && occ.online().contains(CpuId(c as u32));
+            online.then(|| cpus[c].load.avg())
+        };
+        if idlest.built_at(now) {
+            for c in stale.iter() {
+                idlest.set(c, load(c.index()));
+            }
+            idlest.clear_stale();
+        } else {
+            idlest.build(now, load);
+        }
+        idlest.idlest()
     }
 }

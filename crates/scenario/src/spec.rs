@@ -124,16 +124,35 @@ pub fn get_f64(v: &Value, path: &str, key: &str) -> Result<Option<f64>, SpecErro
     }
 }
 
-/// Optional duration field (a phase's `*_ms` or `*_us`): a number that
-/// must be finite and not negative. An endless or negative work segment
-/// would otherwise finish at once, and a negative one trips
+/// The longest duration a field may give: 2^62 ns, about 146 years. A
+/// simulation never runs that long, and any sum of two such durations still
+/// fits a `Time`.
+pub const MAX_DURATION_NS: u64 = 1 << 62;
+
+/// Nanoseconds per unit of a `*_ms` field.
+const MS: f64 = 1e6;
+/// Nanoseconds per unit of a `*_us` field.
+const US: f64 = 1e3;
+
+/// Optional duration field (a phase's `*_ms` or `*_us`, given its
+/// nanoseconds per unit): a number that must be finite, not negative and
+/// at most [`MAX_DURATION_NS`]. An endless, negative or huge work segment
+/// would otherwise finish at once: `Dur::secs_f64` saturates a huge one,
+/// `Time + Dur` then wraps in a release build, and a negative one trips
 /// `Dur::secs_f64`'s debug assertion.
-fn get_duration(v: &Value, path: &str, key: &str) -> Result<Option<f64>, SpecError> {
+fn get_duration(
+    v: &Value,
+    path: &str,
+    key: &str,
+    ns_per_unit: f64,
+) -> Result<Option<f64>, SpecError> {
     match get_f64(v, path, key)? {
-        Some(d) if !(d.is_finite() && d >= 0.0) => Err(SpecError::new(
-            join(path, key),
-            "expected a finite, non-negative number",
-        )),
+        Some(d) if !(d.is_finite() && d >= 0.0 && d * ns_per_unit <= MAX_DURATION_NS as f64) => {
+            Err(SpecError::new(
+                join(path, key),
+                "expected a finite, non-negative number of at most 2^62 ns (about 146 years)",
+            ))
+        }
         d => Ok(d),
     }
 }
@@ -403,9 +422,9 @@ impl MutexThreadSpec {
             nice: get_i64(v, path, "nice")?.unwrap_or(0),
             iters: CountExpr::from_value(iters, &join(path, "iters"))?,
             lock: get_bool(v, path, "lock")?.unwrap_or(true),
-            hold_ms: get_duration(v, path, "hold_ms")?.unwrap_or(0.0),
-            work_ms: get_duration(v, path, "work_ms")?.unwrap_or(0.0),
-            sleep_ms: get_duration(v, path, "sleep_ms")?,
+            hold_ms: get_duration(v, path, "hold_ms", MS)?.unwrap_or(0.0),
+            work_ms: get_duration(v, path, "work_ms", MS)?.unwrap_or(0.0),
+            sleep_ms: get_duration(v, path, "sleep_ms", MS)?,
         })
     }
 
@@ -617,7 +636,7 @@ impl WorkloadSpec {
                 Ok(WorkloadSpec::Spinners {
                     count: req_count(v, path, "count")?,
                     pin: pin_list(v, path, "pin")?.unwrap_or_else(|| vec![0]),
-                    chunk_ms: get_duration(v, path, "chunk_ms")?.unwrap_or(4.0),
+                    chunk_ms: get_duration(v, path, "chunk_ms", MS)?.unwrap_or(4.0),
                     daemon: get_bool(v, path, "daemon")?.unwrap_or(true),
                 })
             }
@@ -636,7 +655,7 @@ impl WorkloadSpec {
                 Ok(WorkloadSpec::CpuHogs {
                     count: req_count(v, path, "count")?,
                     work: req_time(v, path, "work")?,
-                    chunk_ms: get_duration(v, path, "chunk_ms")?.unwrap_or(5.0),
+                    chunk_ms: get_duration(v, path, "chunk_ms", MS)?.unwrap_or(5.0),
                     nice: get_i64(v, path, "nice")?.unwrap_or(0),
                     pin: pin_list(v, path, "pin")?,
                 })
@@ -646,7 +665,7 @@ impl WorkloadSpec {
                 Ok(WorkloadSpec::Sysbench {
                     threads: req_count(v, path, "threads")?,
                     total_tx: req_count(v, path, "total_tx")?,
-                    init_ms: get_duration(v, path, "init_ms")?.unwrap_or(SYSBENCH_INIT_MS),
+                    init_ms: get_duration(v, path, "init_ms", MS)?.unwrap_or(SYSBENCH_INIT_MS),
                 })
             }
             "cray" => {
@@ -677,7 +696,7 @@ impl WorkloadSpec {
                 Ok(WorkloadSpec::ForkJoin {
                     workers: req_count(v, path, "workers")?,
                     rounds: req_count(v, path, "rounds")?,
-                    work_ms: get_duration(v, path, "work_ms")?.unwrap_or(1.0),
+                    work_ms: get_duration(v, path, "work_ms", MS)?.unwrap_or(1.0),
                 })
             }
             "client-server" => {
@@ -698,8 +717,8 @@ impl WorkloadSpec {
                     servers: req_count(v, path, "servers")?,
                     rounds: req_count(v, path, "rounds")?,
                     burst: get_u64(v, path, "burst")?.unwrap_or(1).max(1),
-                    service_us: get_duration(v, path, "service_us")?.unwrap_or(100.0),
-                    think_ms: get_duration(v, path, "think_ms")?.unwrap_or(0.0),
+                    service_us: get_duration(v, path, "service_us", US)?.unwrap_or(100.0),
+                    think_ms: get_duration(v, path, "think_ms", MS)?.unwrap_or(0.0),
                 })
             }
             "herd" => {
@@ -711,8 +730,8 @@ impl WorkloadSpec {
                 Ok(WorkloadSpec::Herd {
                     waiters: req_count(v, path, "waiters")?,
                     rounds: req_count(v, path, "rounds")?,
-                    work_us: get_duration(v, path, "work_us")?.unwrap_or(500.0),
-                    pause_ms: get_duration(v, path, "pause_ms")?.unwrap_or(10.0),
+                    work_us: get_duration(v, path, "work_us", US)?.unwrap_or(500.0),
+                    pause_ms: get_duration(v, path, "pause_ms", MS)?.unwrap_or(10.0),
                 })
             }
             "mutex-mix" => {

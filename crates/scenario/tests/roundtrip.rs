@@ -423,8 +423,16 @@ fn duration_fields_must_be_finite_and_non_negative() {
                  [[phase]]\n{phase}\n{key} = {value}\n"
             )
         };
-        Scenario::from_toml(&doc("1.0")).unwrap_or_else(|e| panic!("{key} = 1.0: {e}"));
-        for bad in ["-1", "-5.0", "1e999"] {
+        // The ceiling is 2^62 ns ≈ 4.61e18 ns: 4.61e12 ms or 4.61e15 µs.
+        let (under, over) = if key.ends_with("_us") {
+            ("4.6e15", "4.7e15")
+        } else {
+            ("4.6e12", "4.7e12")
+        };
+        for good in ["1.0", under] {
+            Scenario::from_toml(&doc(good)).unwrap_or_else(|e| panic!("{key} = {good}: {e}"));
+        }
+        for bad in ["-1", "-5.0", "1e999", "1e300", over] {
             let err = Scenario::from_toml(&doc(bad)).expect_err("a bad duration");
             let msg = err.to_string();
             assert!(
