@@ -18,7 +18,7 @@
 use scenario::Scenario;
 use topology::CpuId;
 
-use crate::{fibo_window, figure_scenario, run_case, RunCfg, Sched};
+use crate::{fibo_window, figure_scenario, try_run_case, Crash, RunCfg, Sched};
 
 /// Results of the four ablations.
 #[derive(Debug, serde::Serialize)]
@@ -83,23 +83,28 @@ fn scenarios() -> [[Scenario; 2]; 4] {
 }
 
 /// Run all four ablations.
-pub fn run(cfg: &RunCfg) -> Ablations {
+pub fn run(cfg: &RunCfg) -> Result<Ablations, Crash> {
     let [fibo, ule, cfs, apache] = scenarios();
 
     // fibo's share of the 6 s window that ends at the 10 s horizon.
-    let fibo_share = |sc| fibo_window(sc, Sched::Cfs, cfg).as_secs_f64() / 6.0;
+    let fibo_share = |sc| Ok(fibo_window(sc, Sched::Cfs, cfg)?.as_secs_f64() / 6.0);
     let core0 = |sc| {
-        run_case(sc, Sched::Ule, cfg, &mut ())
+        Ok(try_run_case(sc, Sched::Ule, cfg, &mut ())?
             .kernel
-            .nr_queued(CpuId(0)) as f64
+            .nr_queued(CpuId(0)) as f64)
     };
-    let spread = |sc| f64::from(run_case(sc, Sched::Cfs, cfg, &mut ()).run.final_spread);
-    let rps = |sc| run_case(sc, Sched::Cfs, cfg, &mut ()).run.apps[0].ops_per_sec;
+    let spread = |sc| {
+        Ok(f64::from(
+            try_run_case(sc, Sched::Cfs, cfg, &mut ())?.run.final_spread,
+        ))
+    };
+    let rps = |sc| Ok(try_run_case(sc, Sched::Cfs, cfg, &mut ())?.run.apps[0].ops_per_sec);
 
     // All eight runs are independent simulations; hand them to the runner
-    // pool. Counts are carried as `f64` (small integers, exactly
-    // representable).
-    let jobs: Vec<Box<dyn FnOnce() -> f64 + Send + '_>> = vec![
+    // pool, and report the first failure in input order. Counts are
+    // carried as `f64` (small integers, exactly representable).
+    type Job<'a> = Box<dyn FnOnce() -> Result<f64, Crash> + Send + 'a>;
+    let jobs: Vec<Job> = vec![
         Box::new(|| fibo_share(&fibo[0])),
         Box::new(|| fibo_share(&fibo[1])),
         Box::new(|| core0(&ule[0])),
@@ -109,8 +114,10 @@ pub fn run(cfg: &RunCfg) -> Ablations {
         Box::new(|| rps(&apache[0])),
         Box::new(|| rps(&apache[1])),
     ];
-    let r = crate::runner::par_map(cfg.threads, jobs, |job| job());
-    Ablations {
+    let r = crate::runner::par_map(cfg.threads, jobs, |job| job())
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(Ablations {
         cfs_fibo_share_cgroups_on: r[0],
         cfs_fibo_share_cgroups_off: r[1],
         ule_core0_with_balancer: r[2] as u32,
@@ -119,7 +126,7 @@ pub fn run(cfg: &RunCfg) -> Ablations {
         cfs_spread_pct100: r[5] as u32,
         cfs_apache_rps_preempt: r[6],
         cfs_apache_rps_no_preempt: r[7],
-    }
+    })
 }
 
 /// Render the ablation table.
@@ -187,10 +194,10 @@ pub fn validate(a: &Ablations) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{crash, try_run_case};
+    use crate::crash;
 
-    /// A failing ablated variant leaves a file that carries its table, and
-    /// `battle run` on that file fails the same way.
+    /// A failing ablated variant's crash carries a case file with its
+    /// table, and `battle run` on that file fails the same way.
     #[test]
     fn failing_variant_writes_a_file_that_replays_its_table() {
         let cfg = RunCfg::at_scale(0.02);
@@ -202,11 +209,14 @@ mod tests {
             panic!("a tripped watchdog must fail the run");
         };
         assert_eq!(c.label, "ablation-apache-no-wakeup-preemption-CFS");
-        let file = crash::write_case(&sc, Sched::Cfs);
-        assert_eq!(file, crash::path(&c.label, "json"));
-        let json = std::fs::read_to_string(&file).unwrap();
+        let [(file, json), (bundle, _)] = &c.files()[..] else {
+            panic!("a failed variant leaves its case file and its bundle");
+        };
+        assert_eq!(file, &crash::path(&c.label, "json"));
+        assert_eq!(bundle, &crash::path(&c.label, "txt"));
+        let json = json.as_ref().unwrap();
         assert!(json.contains("\"wakeup_preemption\": false"), "{json}");
-        let replayed = Scenario::from_json(&json).unwrap();
+        let replayed = Scenario::from_json(json).unwrap();
         assert_eq!(
             replayed.class_params(Sched::Cfs),
             sc.class_params(Sched::Cfs)

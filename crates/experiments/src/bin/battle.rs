@@ -44,6 +44,20 @@
 //! battle trace <fig1|fig5|fig6|fig7> [--out PATH] [--sched NAME|both|all]
 //!              [--scale S] [--seed N] [--json PATH]
 //! ```
+//!
+//! Only this file prints, writes files and exits. Every subcommand returns
+//! its report, failures included (a failed run is an
+//! `experiments::Crash`); `main` writes every file the run produced (JSON
+//! dumps, crash bundles and case files, golden and tuned files) before it
+//! prints anything, then prints through one standard-output writer and
+//! exits in one place:
+//!
+//! | Exit | Meaning |
+//! |------|---------|
+//! | 0    | the run passed (shape checks are informational: their `FAILED` lines still exit 0) |
+//! | 1    | the run failed: a crash, a failed scenario or assertion, a golden mismatch, a file that could not be written |
+//! | 2    | bad arguments |
+//! | 141  | standard output was closed before the report was written (128 + SIGPIPE, what a shell reports when a pipe's reader quits early); every file was still written, and a run that failed still exits 1 |
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -52,7 +66,7 @@ use std::time::{Duration, Instant};
 use experiments::scenarios::TraceTo;
 use experiments::{
     ablations, chaos, desktop, fig1, fig2, fig34, fig5, fig6, fig7, fig8, fig9, fuzz, golden,
-    scenarios, table1, table2, RunCfg, Sched,
+    scenarios, table1, table2, Crash, RunCfg, Sched,
 };
 use kernel::CheckMode;
 use scenario::Scenario;
@@ -270,130 +284,192 @@ fn usage() -> String {
      chaos usage: battle chaos <scenario.toml|dir>... [--plans N] [--scale S] [--seed N] [--json PATH]\n\
                   SchedGuard supervision campaign: control vs guarded vs budget-killed runs plus\n\
                   injected panic/livelock/runaway/cancel probes; every case classified, no job loss\n\
-     golden:      battle golden [--write] [--check strict|off] — check (or record) the pinned decision digests"
+     golden:      battle golden [--write] [--check strict|off] — check (or record) the pinned decision digests\n\
+     exit codes:  0 passed (shape checks only inform), 1 failed run, 2 bad arguments,\n\
+                  141 standard output closed (every file still written; a failed run still exits 1)"
         .to_string()
 }
 
-/// Write `value` as pretty JSON to `path` (if set). Returns `false` on an
-/// I/O failure so `main` can exit nonzero instead of silently dropping the
-/// requested output.
-#[must_use]
-fn dump_json(path: &Option<String>, value: &impl serde::Serialize) -> bool {
-    let Some(p) = path else {
-        return true;
-    };
-    let s = match serde_json::to_string_pretty(value) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot serialize output for {p}: {e}");
-            return false;
-        }
-    };
-    match std::fs::write(p, s) {
-        Ok(()) => true,
-        Err(e) => {
-            eprintln!("cannot write {p}: {e}");
-            false
-        }
-    }
+/// Exit status of a run that failed.
+const FAILED: i32 = 1;
+/// Exit status for bad arguments.
+const BAD_ARGS: i32 = 2;
+/// Exit status when standard output was closed before the report was
+/// written: 128 + SIGPIPE, what a shell reports when a pipe's reader quits
+/// early.
+const CLOSED_STDOUT: i32 = 141;
+
+/// What a run leaves for [`Out::finish`] to print, and its exit status so
+/// far. Files are written as they are added, so every file is on disk
+/// before the first byte is printed.
+#[derive(Default)]
+struct Out {
+    stdout: String,
+    stderr: String,
+    code: i32,
 }
 
-fn print_validation(name: &str, problems: Vec<String>) {
-    if problems.is_empty() {
-        println!("[{name}] shape checks: OK");
-    } else {
+impl Out {
+    fn print(&mut self, text: &str) {
+        self.stdout.push_str(text);
+    }
+
+    /// A line on standard error that fails the run.
+    fn fail(&mut self, line: impl std::fmt::Display) {
+        self.stderr.push_str(&format!("{line}\n"));
+        self.failed();
+    }
+
+    fn failed(&mut self) {
+        self.code = self.code.max(FAILED);
+    }
+
+    /// Bad arguments: `message` and the usage text, exit 2.
+    fn usage_error(&mut self, message: &str) {
+        self.stderr.push_str(&format!("{message}\n{}\n", usage()));
+        self.code = BAD_ARGS;
+    }
+
+    /// Write `text` to `path`, creating its directory. A file that cannot
+    /// be written fails the run; returns whether it was written.
+    fn write(&mut self, path: &Path, text: std::io::Result<String>) -> bool {
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        let written = text.and_then(|text| {
+            if let Some(dir) = dir {
+                std::fs::create_dir_all(dir)?;
+            }
+            std::fs::write(path, text)
+        });
+        if let Err(e) = &written {
+            self.fail(format_args!("cannot write {}: {e}", path.display()));
+        }
+        written.is_ok()
+    }
+
+    /// `--json PATH`: `value` as pretty JSON.
+    fn json(&mut self, path: Option<&str>, value: &impl serde::Serialize) {
+        if let Some(p) = path {
+            let text = serde_json::to_string_pretty(value).map_err(std::io::Error::other);
+            self.write(Path::new(p), text);
+        }
+    }
+
+    /// Write crash `c`'s files (see `Crash::files`); returns whether they
+    /// were all written.
+    fn leave(&mut self, c: &Crash) -> bool {
+        let mut written = true;
+        for (path, text) in c.files() {
+            written &= self.write(&path, text);
+        }
+        written
+    }
+
+    /// A crash that ends the run: its files, then its headline, where the
+    /// bundle went and the replay line on standard error.
+    fn crash(&mut self, c: &Crash) {
+        let written = self.leave(c);
+        self.fail(c.headline());
+        if written {
+            self.fail(format_args!(
+                "crash bundle written to {}",
+                c.bundle().display()
+            ));
+        } else {
+            self.fail(format_args!("crash bundle:\n{}", c.render()));
+        }
+        self.fail(format_args!("replay: {}", c.replay));
+    }
+
+    /// A figure's report, its shape checks (informational: a `FAILED` line
+    /// does not fail the run) and its `--json` dump.
+    fn figure(
+        &mut self,
+        report: String,
+        (name, problems): (&str, Vec<String>),
+        json: Option<&str>,
+        value: &impl serde::Serialize,
+    ) {
+        self.print(&report);
+        if problems.is_empty() {
+            self.print(&format!("[{name}] shape checks: OK\n"));
+        }
         for p in &problems {
-            println!("[{name}] shape check FAILED: {p}");
+            self.print(&format!("[{name}] shape check FAILED: {p}\n"));
+        }
+        self.json(json, value);
+    }
+
+    /// Print standard output through one writer, then standard error, and
+    /// return the exit status. A closed standard output stops the printing
+    /// quietly; nothing is lost but the report, since every file is
+    /// already written.
+    fn finish(mut self) -> i32 {
+        let mut stdout = std::io::stdout().lock();
+        let printed = stdout
+            .write_all(self.stdout.as_bytes())
+            .and_then(|()| stdout.flush());
+        let closed = match printed {
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => true,
+            Err(e) => {
+                self.fail(format_args!("cannot write standard output: {e}"));
+                false
+            }
+            Ok(()) => false,
+        };
+        std::io::stderr().write_all(self.stderr.as_bytes()).ok();
+        match self.code {
+            0 if closed => CLOSED_STDOUT,
+            code => code,
         }
     }
 }
 
-/// Run one experiment; returns `false` if a requested JSON dump failed or
-/// (for `fuzz`) an invariant violation was found.
-fn run_one(name: &str, args: &Args, json: &Option<String>) -> bool {
-    let (cfg, fz) = (&args.cfg, &args.fuzz);
-    let ok = match name {
-        "table1" => {
-            print!("{}", table1::report());
-            true
-        }
-        "fig1" => {
-            let fig = fig1::run_both(cfg);
-            print!("{}", fig1::report(&fig));
-            print_validation("fig1", fig1::validate(&fig));
-            dump_json(json, &fig)
-        }
-        "fig2" => {
-            let ule = fig2::run(cfg);
-            print!("{}", fig2::report(&ule));
-            print_validation("fig2", fig2::validate(&ule));
-            dump_json(json, &ule)
-        }
+/// Run experiment `name` into `out`, dumping its JSON to `json`. A failed
+/// run comes back as its crash.
+fn experiment(out: &mut Out, name: &str, args: &Args, json: Option<&str>) -> Result<(), Crash> {
+    let cfg = &args.cfg;
+    // A figure: run it, then its report, its shape checks under `label`
+    // and its JSON.
+    macro_rules! figure {
+        ($m:ident :: $run:ident, $label:literal) => {{
+            let f = $m::$run(cfg)?;
+            out.figure($m::report(&f), ($label, $m::validate(&f)), json, &f);
+        }};
+    }
+    match name {
+        "table1" => out.print(&table1::report()),
+        "fig1" => figure!(fig1::run_both, "fig1"),
+        "fig2" => figure!(fig2::run, "fig2"),
         "table2" => {
-            let fig = table2::run(cfg);
-            print!("{}", table2::report(&fig));
-            dump_json(json, &fig)
+            let f = table2::run(cfg)?;
+            out.print(&table2::report(&f));
+            out.json(json, &f);
         }
-        "fig3" | "fig4" | "fig34" => {
-            let f = fig34::run(cfg);
-            print!("{}", fig34::report(&f));
-            print_validation("fig3/4", fig34::validate(&f));
-            dump_json(json, &f)
-        }
-        "fig5" => {
-            let cmp = fig5::run(cfg);
-            print!("{}", fig5::report(&cmp));
-            print_validation("fig5", fig5::validate(&cmp));
-            dump_json(json, &cmp)
-        }
-        "fig6" => {
-            let fig = fig6::run_both(cfg);
-            print!("{}", fig6::report(&fig));
-            print_validation("fig6", fig6::validate(&fig));
-            dump_json(json, &fig)
-        }
-        "fig7" => {
-            let fig = fig7::run_both(cfg);
-            print!("{}", fig7::report(&fig));
-            print_validation("fig7", fig7::validate(&fig));
-            dump_json(json, &fig)
-        }
-        "fig8" => {
-            let cmp = fig8::run(cfg);
-            print!("{}", fig8::report(&cmp));
-            print_validation("fig8", fig8::validate(&cmp));
-            dump_json(json, &cmp)
-        }
-        "fig9" => {
-            let fig = fig9::run(cfg);
-            print!("{}", fig9::report(&fig));
-            print_validation("fig9", fig9::validate(&fig));
-            dump_json(json, &fig)
-        }
-        "ablations" => {
-            let a = ablations::run(cfg);
-            print!("{}", ablations::report(&a));
-            print_validation("ablations", ablations::validate(&a));
-            dump_json(json, &a)
-        }
-        "desktop" => {
-            let d = desktop::run(cfg);
-            print!("{}", desktop::report(&d));
-            print_validation("desktop", desktop::validate(&d));
-            dump_json(json, &d)
-        }
+        "fig3" | "fig4" | "fig34" => figure!(fig34::run, "fig3/4"),
+        "fig5" => figure!(fig5::run, "fig5"),
+        "fig6" => figure!(fig6::run_both, "fig6"),
+        "fig7" => figure!(fig7::run_both, "fig7"),
+        "fig8" => figure!(fig8::run, "fig8"),
+        "fig9" => figure!(fig9::run, "fig9"),
+        "ablations" => figure!(ablations::run, "ablations"),
+        "desktop" => figure!(desktop::run, "desktop"),
         "fuzz" => {
-            let r = fuzz::run(fz, cfg.threads);
-            print!("{}", fuzz::report(&r));
-            dump_json(json, &r) && r.failures.is_empty()
+            let c = fuzz::run(&args.fuzz, cfg.threads);
+            for crash in &c.crashes {
+                out.leave(crash);
+            }
+            for line in &c.cancellations {
+                out.stderr.push_str(&format!("{line}\n"));
+            }
+            out.print(&fuzz::report(&c.report));
+            out.json(json, &c.report);
+            if !c.report.failures.is_empty() {
+                out.failed();
+            }
         }
-        other => {
-            eprintln!("unknown experiment {other}\n{}", usage());
-            std::process::exit(2);
-        }
-    };
-    std::io::stdout().flush().ok();
-    ok
+        other => out.usage_error(&format!("unknown experiment {other}")),
+    }
+    Ok(())
 }
 
 /// `--sched` for `battle run`/`trace`: the given schedulers replace each
@@ -402,187 +478,233 @@ fn sched_override(args: &Args) -> Option<&[Sched]> {
     args.sched_given.then_some(args.fuzz.scheds.as_slice())
 }
 
-/// `battle trace <fig>`: `battle run` on the figure's scenario with
-/// `--trace`, writing the Chrome-trace JSON to `--out`.
-fn run_trace(args: &Args) -> bool {
-    let fig = args.trace_fig.as_deref().unwrap_or("");
-    let Some(&(_, toml)) = TRACE_FIGS.iter().find(|(name, _)| *name == fig) else {
-        let known: Vec<&str> = TRACE_FIGS.iter().map(|(name, _)| *name).collect();
-        eprintln!(
-            "trace: no scenario for figure `{fig}` (have: {})\n{}",
-            known.join(" "),
-            usage()
-        );
-        std::process::exit(2);
-    };
-    let sc = match Scenario::from_toml(toml) {
-        Ok(sc) => sc,
+/// The scenarios under `paths`, or `None` once the load error is in `out`.
+fn load(out: &mut Out, paths: &[String]) -> Option<Vec<(PathBuf, Scenario)>> {
+    match scenarios::load(paths) {
+        Ok(loaded) => Some(loaded),
         Err(e) => {
-            eprintln!("trace {fig}: compiled-in scenario: {e}");
-            return false;
+            out.fail(format_args!("error: {e}"));
+            None
         }
+    }
+}
+
+/// `battle run` on `loaded`, streaming Chrome traces where `trace` says.
+fn run_scenarios(
+    out: &mut Out,
+    args: &Args,
+    loaded: &[(PathBuf, Scenario)],
+    trace: Option<TraceTo>,
+) {
+    let cfg = &args.cfg;
+    let strict = if cfg.check == CheckMode::Strict {
+        " [strict]"
+    } else {
+        ""
     };
-    // The file the scenario was compiled from, for the report and the
-    // crash replay line.
-    let path = PathBuf::from(format!("scenarios/{}.toml", sc.name));
-    scenarios::cli(
-        &[(path, sc)],
-        &args.cfg,
-        sched_override(args),
-        Some(TraceTo::File(Path::new(&args.out))),
-        &args.json,
-        args.timeout,
-    )
+    out.print(&format!(
+        "running {} scenario(s) at scale {} seed {}{strict}\n\n",
+        loaded.len(),
+        cfg.scale,
+        cfg.seed,
+    ));
+    let batch = scenarios::run_all(loaded, cfg, sched_override(args), trace, args.timeout);
+    for c in &batch.crashes {
+        out.leave(c);
+    }
+    for line in &batch.traced {
+        out.print(&format!("{line}\n"));
+    }
+    for report in &batch.reports {
+        out.print(&scenarios::render(report));
+    }
+    let failed = batch.reports.iter().filter(|r| !r.passed()).count();
+    let total = batch.reports.len();
+    out.print(&format!("\n{}/{total} scenarios passed\n", total - failed));
+    out.json(args.json.as_deref(), &batch.reports);
+    if failed > 0 {
+        out.failed();
+    }
+}
+
+/// `battle tune`: tune each of `scheds` over `corpus`, and with `--write`
+/// record the tuned files under `results/tuned/`.
+fn tune(out: &mut Out, args: &Args, corpus: &[(PathBuf, Scenario)], scheds: &[Sched]) {
+    let tc = experiments::tune::TuneCfg {
+        budget: args.budget,
+        run: args.cfg,
+    };
+    let mut reports = Vec::new();
+    for &sched in scheds {
+        let r = experiments::tune::run(corpus, sched, &tc);
+        out.print(&format!("{}\n", experiments::tune::render(&r)));
+        // The searcher's contract: the incumbent never loses to stock.
+        if !r.failures.is_empty() || r.tuned_composite < r.stock_composite {
+            out.failed();
+        }
+        reports.push(r);
+    }
+    if args.write {
+        let dir = Path::new("results/tuned");
+        let mut table_md = String::from("# `battle tune` — tuned vs stock\n");
+        for r in &reports {
+            let file = dir.join(format!("{}.toml", r.sched.flag_name()));
+            out.write(&file, Ok(experiments::tune::tuned_toml(r)));
+            table_md.push_str(&format!("\n```\n{}```\n", experiments::tune::render(r)));
+        }
+        out.write(&dir.join("table.md"), Ok(table_md));
+    }
+    let batch = experiments::tune::TuneBatch { reports };
+    out.json(args.json.as_deref(), &batch);
+}
+
+/// `battle golden`: check the manifest's digests against the committed
+/// files, or with `--write` record them under `results/golden/`.
+fn golden(out: &mut Out, args: &Args) {
+    let digests = golden::compute_all(args.cfg.check, args.cfg.threads);
+    for c in digests.iter().filter_map(|d| d.crash.as_ref()) {
+        out.leave(c);
+    }
+    if !args.write {
+        let (report, ok) = golden::check(&digests);
+        out.print(&report);
+        if !ok {
+            out.failed();
+        }
+        return;
+    }
+    for (entry, d) in golden::manifest().iter().zip(&digests) {
+        match golden::record(entry, d) {
+            Ok((path, text, wrote)) => {
+                if out.write(&path, Ok(text)) {
+                    out.print(&format!("{wrote}\n"));
+                }
+            }
+            Err(refused) => out.fail(refused),
+        }
+    }
+}
+
+/// Run the subcommand `args` name.
+fn run(args: &Args) -> Out {
+    let mut out = Out::default();
+    let json = args.json.as_deref();
+    let needs_paths = ["run", "tournament", "chaos"].contains(&args.experiment.as_str());
+    if needs_paths && args.paths.is_empty() {
+        let what = &args.experiment;
+        out.usage_error(&format!(
+            "{what} needs at least one scenario file or directory"
+        ));
+        return out;
+    }
+    match args.experiment.as_str() {
+        "run" => {
+            if let Some(loaded) = load(&mut out, &args.paths) {
+                let trace = args.trace.then_some(TraceTo::Dir(Path::new("traces")));
+                run_scenarios(&mut out, args, &loaded, trace);
+            }
+        }
+        "trace" => {
+            let fig = args.trace_fig.as_deref().unwrap_or("");
+            let Some(&(_, toml)) = TRACE_FIGS.iter().find(|(name, _)| *name == fig) else {
+                let known: Vec<&str> = TRACE_FIGS.iter().map(|(name, _)| *name).collect();
+                let known = known.join(" ");
+                out.usage_error(&format!(
+                    "trace: no scenario for figure `{fig}` (have: {known})"
+                ));
+                return out;
+            };
+            match Scenario::from_toml(toml) {
+                Ok(sc) => {
+                    // The file the scenario was compiled from, for the
+                    // report and the crash replay line.
+                    let path = PathBuf::from(format!("scenarios/{}.toml", sc.name));
+                    let trace = Some(TraceTo::File(Path::new(&args.out)));
+                    run_scenarios(&mut out, args, &[(path, sc)], trace);
+                }
+                Err(e) => out.fail(format_args!("trace {fig}: compiled-in scenario: {e}")),
+            }
+        }
+        "tournament" => {
+            if let Some(corpus) = load(&mut out, &args.paths) {
+                let r = experiments::tournament::run(&corpus, &args.cfg);
+                out.print(&experiments::tournament::render(&r));
+                out.json(json, &r);
+                if !r.failures.is_empty() || r.partial_runs > 0 {
+                    out.failed();
+                }
+            }
+        }
+        "tune" => {
+            let scheds: Vec<Sched> = Sched::TUNABLE
+                .into_iter()
+                .filter(|s| !args.sched_given || args.fuzz.scheds.contains(s))
+                .collect();
+            let default = ["scenarios".to_string()];
+            let paths = if args.paths.is_empty() {
+                &default[..]
+            } else {
+                &args.paths
+            };
+            if scheds.is_empty() {
+                out.usage_error("--sched selected no tunable scheduler");
+            } else if let Some(corpus) = load(&mut out, paths) {
+                tune(&mut out, args, &corpus, &scheds);
+            }
+        }
+        "chaos" => {
+            if let Some(corpus) = load(&mut out, &args.paths) {
+                let cfg = &args.cfg;
+                out.print(&format!(
+                    "chaos: {} scenario(s) at scale {} seed {} ({} random plan(s) per pair)\n\n",
+                    corpus.len(),
+                    cfg.scale,
+                    cfg.seed,
+                    args.plans
+                ));
+                let (r, crashes) = chaos::run(&corpus, cfg, args.plans);
+                for c in &crashes {
+                    out.leave(c);
+                }
+                out.print(&chaos::report(&r));
+                out.json(json, &r);
+                if !chaos::passed(&r) {
+                    out.failed();
+                }
+            }
+        }
+        "golden" => golden(&mut out, args),
+        "all" => {
+            let all = "table1 fig1 fig2 table2 fig34 fig5 fig6 fig7 fig8 fig9 ablations desktop";
+            for name in all.split(' ') {
+                out.print(&format!(
+                    "════════════════════════ {name} ════════════════════════\n"
+                ));
+                let json = json.map(|p| format!("{p}.{name}.json"));
+                if let Err(c) = experiment(&mut out, name, args, json.as_deref()) {
+                    out.crash(&c);
+                    break;
+                }
+                out.print("\n");
+            }
+        }
+        name => {
+            if let Err(c) = experiment(&mut out, name, args, json) {
+                out.crash(&c);
+            }
+        }
+    }
+    out
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
+    let out = match parse_args() {
+        Ok(args) => run(&args),
+        Err(e) => Out {
+            stderr: format!("{e}\n"),
+            code: BAD_ARGS,
+            ..Out::default()
+        },
     };
-    let mut ok = true;
-    if args.experiment == "trace" {
-        ok = run_trace(&args);
-        std::io::stdout().flush().ok();
-        if !ok {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args.experiment == "run" {
-        if args.paths.is_empty() {
-            eprintln!(
-                "run needs at least one scenario file or directory\n{}",
-                usage()
-            );
-            std::process::exit(2);
-        }
-        ok = match scenarios::load(&args.paths) {
-            Ok(loaded) => scenarios::cli(
-                &loaded,
-                &args.cfg,
-                sched_override(&args),
-                args.trace.then_some(TraceTo::Dir(Path::new("traces"))),
-                &args.json,
-                args.timeout,
-            ),
-            Err(e) => {
-                eprintln!("error: {e}");
-                false
-            }
-        };
-        std::io::stdout().flush().ok();
-        if !ok {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args.experiment == "tournament" {
-        if args.paths.is_empty() {
-            eprintln!(
-                "tournament needs at least one scenario file or directory\n{}",
-                usage()
-            );
-            std::process::exit(2);
-        }
-        ok = experiments::tournament::cli(&args.paths, &args.cfg, &args.json);
-        std::io::stdout().flush().ok();
-        if !ok {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args.experiment == "tune" {
-        let paths = if args.paths.is_empty() {
-            vec!["scenarios".to_string()]
-        } else {
-            args.paths.clone()
-        };
-        let scheds: Vec<Sched> = if args.sched_given {
-            args.fuzz
-                .scheds
-                .iter()
-                .copied()
-                .filter(|&s| Sched::TUNABLE.contains(&s))
-                .collect()
-        } else {
-            Sched::TUNABLE.to_vec()
-        };
-        if scheds.is_empty() {
-            eprintln!("--sched selected no tunable scheduler\n{}", usage());
-            std::process::exit(2);
-        }
-        let tc = experiments::tune::TuneCfg {
-            budget: args.budget,
-            run: args.cfg,
-            scheds,
-            write: args.write,
-            out_dir: "results/tuned".into(),
-        };
-        ok = experiments::tune::cli(&paths, &tc, &args.json);
-        std::io::stdout().flush().ok();
-        if !ok {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args.experiment == "chaos" {
-        if args.paths.is_empty() {
-            eprintln!(
-                "chaos needs at least one scenario file or directory\n{}",
-                usage()
-            );
-            std::process::exit(2);
-        }
-        ok = chaos::cli(&args.paths, &args.cfg, args.plans, &args.json);
-        std::io::stdout().flush().ok();
-        if !ok {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args.experiment == "golden" {
-        ok = if args.write {
-            golden::write_all(args.cfg.check, args.cfg.threads)
-        } else {
-            golden::check_all(args.cfg.check, args.cfg.threads)
-        };
-        std::io::stdout().flush().ok();
-        if !ok {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args.experiment == "all" {
-        for name in [
-            "table1",
-            "fig1",
-            "fig2",
-            "table2",
-            "fig34",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "ablations",
-            "desktop",
-        ] {
-            println!("════════════════════════ {name} ════════════════════════");
-            ok &= run_one(
-                name,
-                &args,
-                &args.json.as_ref().map(|p| format!("{p}.{name}.json")),
-            );
-            println!();
-        }
-    } else {
-        ok = run_one(&args.experiment, &args, &args.json);
-    }
-    if !ok {
-        std::process::exit(1);
-    }
+    std::process::exit(out.finish());
 }

@@ -24,11 +24,11 @@ use std::path::PathBuf;
 use kernel::{
     from_fn, Action, AppSpec, CancelToken, FaultPlan, Kernel, RunBudget, SimError, ThreadSpec,
 };
-use scenario::{AbortKind, EngineError, EngineOpts, Scenario, Sched};
+use scenario::{AbortKind, EngineOpts, Scenario, Sched};
 use simcore::{Dur, SimRng, Time};
 use topology::Topology;
 
-use crate::{crash::Crash, runner, scenarios, RunCfg};
+use crate::{runner, Crash, RunCfg};
 
 /// Outcome class of one chaos case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, serde::Serialize)]
@@ -141,8 +141,18 @@ pub struct ChaosReport {
     pub anomalies: Vec<String>,
 }
 
+/// A classified case, and the crash behind it if it left one (a panicked
+/// or crashed case), whose bundle `battle` writes.
+type Classified = (Case, Option<Crash>);
+
+/// `case`, whose bundle is `crash`.
+fn bundled(mut case: Case, crash: Crash) -> Classified {
+    case.bundle = Some(crash.bundle().display().to_string());
+    (case, Some(crash))
+}
+
 /// Run one scenario plan and classify it.
-fn run_plan(sc: &Scenario, sched: Sched, opts: &EngineOpts, name: &str, plan: &str) -> Case {
+fn run_plan(sc: &Scenario, sched: Sched, opts: &EngineOpts, name: &str, plan: &str) -> Classified {
     let mut case = Case {
         name: name.to_string(),
         plan: plan.to_string(),
@@ -165,24 +175,15 @@ fn run_plan(sc: &Scenario, sched: Sched, opts: &EngineOpts, name: &str, plan: &s
                 case.detail = out.run.abort.unwrap_or_else(|| "aborted".into());
             }
         }
-        Err(EngineError::Spec(e)) => {
+        Err(e) => {
+            let replay = format!("battle chaos (plan {plan})");
+            let crash = Crash::of_error(format!("chaos-{name}"), e, replay);
             case.outcome = Outcome::Crashed;
-            case.detail = format!("spec error: {e}");
-        }
-        Err(EngineError::Crash(c)) => {
-            case.outcome = Outcome::Crashed;
-            case.detail = c.error.clone();
-            let bundle = Crash {
-                label: format!("chaos-{name}"),
-                kind: c.kind,
-                error: c.error,
-                report: c.report,
-                replay: format!("battle chaos (plan {plan})"),
-            };
-            case.bundle = bundle.write_bundle().ok().map(|p| p.display().to_string());
+            case.detail = crash.error.clone();
+            return bundled(case, crash);
         }
     }
-    case
+    (case, None)
 }
 
 fn budget_events(max_events: u64) -> RunBudget {
@@ -199,10 +200,13 @@ fn probe_kernel(cfg: &RunCfg) -> Kernel {
     scenario::make_kernel(&topo, Sched::Cfs, cfg.seed, cfg.check, FaultPlan::default())
 }
 
+/// One chaos job: a plan run or a probe.
+type Job = Box<dyn FnOnce() -> Classified + Send>;
+
 /// The deterministic failure probes: one case per abnormal class, built on
 /// bare kernels so the class is guaranteed whatever the scenario corpus
 /// looks like.
-fn probes(cfg: RunCfg) -> Vec<Box<dyn FnOnce() -> Case + Send>> {
+fn probes(cfg: RunCfg) -> Vec<Job> {
     let mk = |name: &str| Case {
         name: format!("probe-{name}"),
         plan: "probe".into(),
@@ -215,7 +219,7 @@ fn probes(cfg: RunCfg) -> Vec<Box<dyn FnOnce() -> Case + Send>> {
     vec![
         // Panic isolation: the job dies, the campaign does not. The
         // supervised pool classifies this slot as Panicked.
-        Box::new(|| -> Case { panic!("injected chaos panic") }),
+        Box::new(|| -> Classified { panic!("injected chaos panic") }),
         // Livelock: a zero-length sleep loop stalls simulated time
         // forever; the stall watchdog must catch it.
         Box::new(move || {
@@ -241,7 +245,7 @@ fn probes(cfg: RunCfg) -> Vec<Box<dyn FnOnce() -> Case + Send>> {
             }
             case.events = Some(k.counters().events);
             case.digest = Some(k.decision_digest());
-            case
+            (case, None)
         }),
         // Runaway behavior: an infinite zero-length Run loop never yields
         // the CPU; this is *not* a supervision abort but a kernel error,
@@ -265,12 +269,12 @@ fn probes(cfg: RunCfg) -> Vec<Box<dyn FnOnce() -> Case + Send>> {
                 Err(e) if !e.is_supervision() => {
                     case.outcome = Outcome::Crashed;
                     case.detail = e.to_string();
-                    let bundle = Crash::capture(&k, &e, "chaos-probe-runaway", "battle chaos");
-                    case.bundle = bundle.write_bundle().ok().map(|p| p.display().to_string());
+                    let crash = Crash::capture(&k, &e, "chaos-probe-runaway", "battle chaos");
+                    return bundled(case, crash);
                 }
                 other => case.detail = format!("expected kernel error, got {other:?}"),
             }
-            case
+            (case, None)
         }),
         // Cancellation: a pre-cancelled token trips at the first
         // cancellation poll (a fixed event count), so even this class is
@@ -300,16 +304,17 @@ fn probes(cfg: RunCfg) -> Vec<Box<dyn FnOnce() -> Case + Send>> {
             }
             case.events = Some(k.counters().events);
             case.digest = Some(k.decision_digest());
-            case
+            (case, None)
         }),
     ]
 }
 
-/// Run the campaign over an in-memory corpus (the CLI loads the corpus
+/// Run the campaign over an in-memory corpus (`battle` loads the corpus
 /// from scenario paths; tests inject theirs directly). `cfg.seed` also
 /// drives the randomized budget plans, `plans` of them per (scenario,
-/// sched) pair.
-pub fn run(corpus: &[(PathBuf, Scenario)], cfg: &RunCfg, plans: u32) -> ChaosReport {
+/// sched) pair. The report comes back with the crashes its panicked and
+/// crashed cases name as bundles, in case order.
+pub fn run(corpus: &[(PathBuf, Scenario)], cfg: &RunCfg, plans: u32) -> (ChaosReport, Vec<Crash>) {
     let pairs: Vec<(usize, Sched)> = corpus
         .iter()
         .enumerate()
@@ -323,7 +328,7 @@ pub fn run(corpus: &[(PathBuf, Scenario)], cfg: &RunCfg, plans: u32) -> ChaosRep
         budget,
         ..cfg.engine_opts()
     };
-    let controls: Vec<Case> = runner::par_map(cfg.threads, pairs.clone(), |(i, sched)| {
+    let controls: Vec<Classified> = runner::par_map(cfg.threads, pairs.clone(), |(i, sched)| {
         let (_, sc) = &corpus[i];
         run_plan(
             sc,
@@ -338,10 +343,10 @@ pub fn run(corpus: &[(PathBuf, Scenario)], cfg: &RunCfg, plans: u32) -> ChaosRep
     // (digest must match control), a budget-killed run, and `plans`
     // randomized tight-budget runs — plus the failure probes. All through
     // the panic-isolating pool.
-    let mut jobs: Vec<Box<dyn FnOnce() -> Case + Send>> = Vec::new();
+    let mut jobs: Vec<Job> = Vec::new();
     for (pair_idx, &(i, sched)) in pairs.iter().enumerate() {
         let (_, sc) = &corpus[i];
-        let control_events = controls[pair_idx].events.unwrap_or(0);
+        let control_events = controls[pair_idx].0.events.unwrap_or(0);
         let name = format!("{}-{}", sc.name, sched.name());
         {
             let (name, sc) = (name.clone(), sc.clone());
@@ -397,16 +402,20 @@ pub fn run(corpus: &[(PathBuf, Scenario)], cfg: &RunCfg, plans: u32) -> ChaosRep
     let outcomes = runner::par_map_supervised(cfg.threads, jobs, |job| job());
 
     // Stage 3: classify, count, and cross-check against the controls.
-    let mut cases = controls;
+    let (mut cases, crashes): (Vec<Case>, Vec<Option<Crash>>) = controls.into_iter().unzip();
+    let mut crashes: Vec<Crash> = crashes.into_iter().flatten().collect();
     // Every queued job comes back as exactly one slot from the supervised
     // pool (Done or Panicked), so nothing can be lost; the report still
     // carries the count so CI pins the claim.
     let process_failures = 0u32;
     for outcome in outcomes {
         match outcome {
-            runner::JobOutcome::Done(case) => cases.push(case),
+            runner::JobOutcome::Done((case, crash)) => {
+                cases.push(case);
+                crashes.extend(crash);
+            }
             runner::JobOutcome::Panicked(msg) => {
-                let bundle = Crash::from_panic("chaos-panic", &msg, "battle chaos");
+                let crash = Crash::from_panic("chaos-panic", &msg, "battle chaos");
                 cases.push(Case {
                     name: "probe-panic".into(),
                     plan: "probe".into(),
@@ -414,8 +423,9 @@ pub fn run(corpus: &[(PathBuf, Scenario)], cfg: &RunCfg, plans: u32) -> ChaosRep
                     detail: msg,
                     events: None,
                     digest: None,
-                    bundle: bundle.write_bundle().ok().map(|p| p.display().to_string()),
+                    bundle: Some(crash.bundle().display().to_string()),
                 });
+                crashes.push(crash);
             }
         }
     }
@@ -470,13 +480,14 @@ pub fn run(corpus: &[(PathBuf, Scenario)], cfg: &RunCfg, plans: u32) -> ChaosRep
     for c in &cases {
         counts.bump(c.outcome);
     }
-    ChaosReport {
+    let report = ChaosReport {
         cases,
         counts,
         digest_mismatches,
         process_failures,
         anomalies,
-    }
+    };
+    (report, crashes)
 }
 
 /// Render the outcome table.
@@ -533,46 +544,6 @@ pub fn passed(r: &ChaosReport) -> bool {
     r.anomalies.is_empty() && r.digest_mismatches == 0 && r.process_failures == 0
 }
 
-/// CLI entry for `battle chaos`: load the corpus, run the campaign,
-/// print the table, optionally dump JSON. Returns `false` on anomalies.
-pub fn cli(paths: &[String], cfg: &RunCfg, plans: u32, json: &Option<String>) -> bool {
-    let corpus = match scenarios::load(paths) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return false;
-        }
-    };
-    println!(
-        "chaos: {} scenario(s) at scale {} seed {} ({} random plan(s) per pair)\n",
-        corpus.len(),
-        cfg.scale,
-        cfg.seed,
-        plans
-    );
-    let r = run(&corpus, cfg, plans);
-    print!("{}", report(&r));
-    let mut ok = passed(&r);
-    if let Some(p) = json {
-        match serde_json::to_string_pretty(&r) {
-            Ok(s) => {
-                if let Some(dir) = std::path::Path::new(p).parent() {
-                    let _ = std::fs::create_dir_all(dir);
-                }
-                if let Err(e) = std::fs::write(p, s) {
-                    eprintln!("cannot write {p}: {e}");
-                    ok = false;
-                }
-            }
-            Err(e) => {
-                eprintln!("cannot serialize chaos report: {e}");
-                ok = false;
-            }
-        }
-    }
-    ok
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -597,7 +568,7 @@ horizon = { base_s = 5.0, scaled = false }
 
     #[test]
     fn campaign_classifies_every_outcome_class() {
-        let r = run(&tiny_corpus(), &RunCfg::at_scale(0.02), 1);
+        let (r, _) = run(&tiny_corpus(), &RunCfg::at_scale(0.02), 1);
         assert!(passed(&r), "{}", report(&r));
         for class in [
             Outcome::Completed,
@@ -619,8 +590,9 @@ horizon = { base_s = 5.0, scaled = false }
     #[test]
     fn campaign_is_deterministic() {
         let corpus = tiny_corpus();
-        let a = run(&corpus, &RunCfg::at_scale(0.02), 1);
-        let b = run(&corpus, &RunCfg::at_scale(0.02), 1);
+        let (a, a_crashes) = run(&corpus, &RunCfg::at_scale(0.02), 1);
+        let (b, b_crashes) = run(&corpus, &RunCfg::at_scale(0.02), 1);
+        assert_eq!(a_crashes, b_crashes);
         let sig = |r: &ChaosReport| -> Vec<(String, String, Option<u64>, Option<u64>)> {
             r.cases
                 .iter()

@@ -1,31 +1,31 @@
-//! Crash bundles: diagnostics written when a run fails, headed by the
-//! failure's kind (an invariant violation SchedSan detected, a supervision
-//! abort, a panic).
+//! Crash bundles: what a failed run leaves, headed by the failure's kind
+//! (an invariant violation SchedSan detected, a supervision abort, a
+//! panic).
 //!
-//! A violation surfaces as a [`kernel::SimError`] from `try_run_*`. Instead
-//! of a bare panic message, the `battle` CLI degrades gracefully: it writes
-//! a *crash bundle* under `results/crash/` — the full
-//! [`kernel::Kernel::crash_report`] (error, seed, counters, per-CPU state,
-//! live tasks, trace tail) plus a one-line replay command — prints where the
-//! bundle went, and exits nonzero. A failing scenario run also leaves the
-//! scenario file that `battle run` replays beside its bundle
-//! ([`write_case`]).
+//! A failure is a [`Crash`] value that travels back to `battle`'s `main`:
+//! the full [`kernel::Kernel::crash_report`] (error, seed, counters, per-CPU
+//! state, live tasks, trace tail), a one-line replay command and, for a
+//! scenario that exists only in memory, the case `battle run` replays.
+//! Nothing here prints or writes: `main` writes each crash's
+//! [`Crash::files`] under `results/crash/`, reports the failure and picks
+//! the exit code.
 
 use std::path::{Path, PathBuf};
 
 use kernel::{Kernel, SimError};
-use scenario::{Scenario, Sched};
+use scenario::{EngineError, RunOutput, Scenario, Sched};
 
 use crate::RunCfg;
 
 /// Everything needed to diagnose and replay one failed simulation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Crash {
     /// Short identifier, e.g. `"fibo-CFS"` or `"fuzz-0007-ULE"`.
     pub label: String,
     /// What kind of failure it is: [`SimError::kind`] for a simulator
-    /// error or a supervision abort, `"panic"` for a panicked job, and
-    /// for a fuzz case also `"spec error"` or `"assertion failed"`.
+    /// error or a supervision abort, `"spec error"` for a scenario that
+    /// does not build, `"panic"` for a panicked job, and
+    /// `"assertion failed"` for a fuzz case's broken assertions.
     pub kind: &'static str,
     /// The error, rendered.
     pub error: String,
@@ -33,32 +33,109 @@ pub struct Crash {
     pub report: String,
     /// Command line that reproduces the failure.
     pub replay: String,
+    /// The scenario `replay` runs, restricted to the failing class, when
+    /// it has no file of its own (a figure cell, a fuzz case): it is
+    /// written to [`path`]`(label, "json")`.
+    pub case: Option<Box<Scenario>>,
 }
 
 impl Crash {
+    fn new(
+        label: String,
+        kind: &'static str,
+        error: String,
+        report: String,
+        replay: String,
+    ) -> Crash {
+        Crash {
+            label,
+            kind,
+            error,
+            report,
+            replay,
+            case: None,
+        }
+    }
+
+    /// The scenario run `result`, or its failure as a crash labelled
+    /// `label` and replayed by `replay`. A run fails on an engine error (a
+    /// strict-mode violation, a spec that does not build) and on a
+    /// supervision abort (budget, watchdog, cancellation): a salvaged
+    /// partial run measures a truncated workload, and `battle run` fails
+    /// it too.
+    pub fn of_run(
+        label: String,
+        result: Result<RunOutput, EngineError>,
+        replay: String,
+    ) -> Result<RunOutput, Crash> {
+        let out = result.map_err(|e| Crash::of_error(label.clone(), e, replay.clone()))?;
+        match (&out.run.abort, out.run.abort_kind) {
+            (Some(abort), Some(kind)) => {
+                let report = out.kernel.crash_report(kind.name(), abort);
+                Err(Crash::new(
+                    label,
+                    kind.name(),
+                    abort.clone(),
+                    report,
+                    replay,
+                ))
+            }
+            _ => Ok(out),
+        }
+    }
+
+    /// The engine error `e` of a scenario run as a crash: [`Crash::of_run`]
+    /// without its supervision-abort half, for a caller that classifies
+    /// aborts itself (chaos).
+    pub fn of_error(label: String, e: EngineError, replay: String) -> Crash {
+        match e {
+            EngineError::Crash(c) => Crash::new(label, c.kind, c.error, c.report, replay),
+            EngineError::Spec(e) => {
+                let report = format!("{e}\n");
+                Crash::new(label, "spec error", e.to_string(), report, replay)
+            }
+        }
+    }
+
+    /// A scenario run that finished but broke the assertions `broken`.
+    pub fn broken(label: String, broken: &[String], replay: String) -> Crash {
+        let report = broken.join("\n") + "\n";
+        Crash::new(label, "assertion failed", broken.join("; "), report, replay)
+    }
+
     /// Capture the kernel's post-mortem state for `err`.
     pub fn capture(k: &Kernel, err: &SimError, label: &str, replay: &str) -> Crash {
-        Crash {
-            label: label.to_string(),
-            kind: err.kind(),
-            error: err.to_string(),
-            report: k.crash_report(err.kind(), err),
-            replay: replay.to_string(),
-        }
+        let report = k.crash_report(err.kind(), err);
+        Crash::new(
+            label.into(),
+            err.kind(),
+            err.to_string(),
+            report,
+            replay.into(),
+        )
     }
 
     /// Bundle for a job that panicked instead of returning. There is no
     /// kernel to post-mortem (the unwind tore it down), so the report is
     /// the panic message itself; the replay line is what matters.
     pub fn from_panic(label: &str, message: &str, replay: &str) -> Crash {
+        let report = format!(
+            "panicked job (no kernel post-mortem available)\nlabel: {label}\npanic: {message}\n"
+        );
+        let error = format!("panic: {message}");
+        Crash::new(label.into(), "panic", error, report, replay.into())
+    }
+
+    /// This crash with `sc`, restricted to `sched`, as the case its
+    /// replay line runs.
+    pub fn with_case(self, sc: &Scenario, sched: Sched) -> Crash {
+        let case = Scenario {
+            scheds: vec![sched],
+            ..sc.clone()
+        };
         Crash {
-            label: label.to_string(),
-            kind: "panic",
-            error: format!("panic: {message}"),
-            report: format!(
-                "panicked job (no kernel post-mortem available)\nlabel: {label}\npanic: {message}\n"
-            ),
-            replay: replay.to_string(),
+            case: Some(Box::new(case)),
+            ..self
         }
     }
 
@@ -67,36 +144,27 @@ impl Crash {
         format!("{}\nreplay: {}\n", self.report, self.replay)
     }
 
-    /// Write the bundle to [`path`]`(label, "txt")`, creating the
-    /// directory as needed.
-    pub fn write_bundle(&self) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(DIR)?;
-        let path = path(&self.label, "txt");
-        std::fs::write(&path, self.render())?;
-        Ok(path)
-    }
-
-    /// The first line [`Crash::bail`] prints: the kind, the label and
-    /// the error.
-    fn headline(&self) -> String {
+    /// The first line `battle` reports for a run this crash ended: the
+    /// kind, the label and the error.
+    pub fn headline(&self) -> String {
         format!("{} in {}: {}", self.kind, self.label, self.error)
     }
 
-    /// Terminal failure path of the CLI: persist the bundle, print a
-    /// summary, exit nonzero.
-    pub fn bail(&self) -> ! {
-        eprintln!("{}", self.headline());
-        match self.write_bundle() {
-            Ok(p) => eprintln!("crash bundle written to {}", p.display()),
-            Err(e) => {
-                eprintln!(
-                    "cannot write crash bundle: {e}; dumping to stderr\n{}",
-                    self.render()
-                );
-            }
-        }
-        eprintln!("replay: {}", self.replay);
-        std::process::exit(1);
+    /// Where the bundle goes: [`path`]`(label, "txt")`.
+    pub fn bundle(&self) -> PathBuf {
+        path(&self.label, "txt")
+    }
+
+    /// The files this crash leaves, in the order `battle` writes them: the
+    /// case file, if any, then the bundle.
+    pub fn files(&self) -> Vec<(PathBuf, std::io::Result<String>)> {
+        let case = self
+            .case
+            .as_ref()
+            .map(|sc| (path(&self.label, "json"), case_json(sc)));
+        case.into_iter()
+            .chain([(self.bundle(), Ok(self.render()))])
+            .collect()
     }
 }
 
@@ -141,24 +209,6 @@ pub fn replay(file: &Path, cfg: &RunCfg) -> String {
 /// `<name>-<class>`.
 pub fn case_label(sc: &Scenario, sched: Sched) -> String {
     format!("{}-{}", sc.name, sched.name())
-}
-
-/// Write the scenario `sc` that failed under `sched`, restricted to that
-/// class, as the JSON file that replays it: [`path`]`(label, "json")`,
-/// beside the bundle of the same [`case_label`]. Returns the file; a
-/// failed write is reported on stderr.
-pub fn write_case(sc: &Scenario, sched: Sched) -> PathBuf {
-    let file = path(&case_label(sc, sched), "json");
-    let case = Scenario {
-        scheds: vec![sched],
-        ..sc.clone()
-    };
-    let written =
-        std::fs::create_dir_all(DIR).and_then(|()| std::fs::write(&file, case_json(&case)?));
-    if let Err(e) = written {
-        eprintln!("cannot write {}: {e}", file.display());
-    }
-    file
 }
 
 #[cfg(test)]

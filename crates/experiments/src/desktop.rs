@@ -8,7 +8,8 @@
 //! `desktop-unpin.toml`; the Apache and MG comparisons are suite cells.
 
 use crate::{
-    fibo_window, figure_scenario, pct_diff, run_case, run_cell, suite_case, RunCfg, Sched,
+    fibo_window, figure_scenario, pct_diff, run_cell, suite_case, try_run_case, Crash, RunCfg,
+    Sched,
 };
 
 /// Desktop cross-check results.
@@ -39,16 +40,21 @@ pub const UNPIN: &str = include_str!("../../../scenarios/drivers/desktop-unpin.t
 
 /// Run the desktop cross-check. The eight underlying simulations are
 /// independent, so they go through the runner pool.
-pub fn run(cfg: &RunCfg) -> Desktop {
+pub fn run(cfg: &RunCfg) -> Result<Desktop, Crash> {
     let perf = |entry: &str, sched| {
         let sc = suite_case(&[entry], "i7-3770", true);
-        run_cell(&sc, sched, cfg)[0].perf
+        Ok(run_cell(&sc, sched, cfg)?[0].perf)
     };
     let fibo = figure_scenario(FIBO);
-    let fibo_gain = |sched| fibo_window(&fibo, sched, cfg).as_secs_f64();
+    let fibo_gain = |sched| Ok(fibo_window(&fibo, sched, cfg)?.as_secs_f64());
     let unpin = figure_scenario(UNPIN);
-    let spread = |sched| f64::from(run_case(&unpin, sched, cfg, &mut ()).run.final_spread);
-    let jobs: Vec<Box<dyn FnOnce() -> f64 + Send + '_>> = vec![
+    let spread = |sched| {
+        Ok(f64::from(
+            try_run_case(&unpin, sched, cfg, &mut ())?.run.final_spread,
+        ))
+    };
+    type Job<'a> = Box<dyn FnOnce() -> Result<f64, Crash> + Send + 'a>;
+    let jobs: Vec<Job> = vec![
         Box::new(|| fibo_gain(Sched::Cfs)),
         Box::new(|| fibo_gain(Sched::Ule)),
         Box::new(|| perf("Apache", Sched::Ule)),
@@ -58,15 +64,17 @@ pub fn run(cfg: &RunCfg) -> Desktop {
         Box::new(|| perf("MG", Sched::Ule)),
         Box::new(|| perf("MG", Sched::Cfs)),
     ];
-    let r = crate::runner::par_map(cfg.threads, jobs, |job| job());
-    Desktop {
+    let r = crate::runner::par_map(cfg.threads, jobs, |job| job())
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(Desktop {
         fibo_gain_cfs_s: r[0],
         fibo_gain_ule_s: r[1],
         apache_diff_pct: pct_diff(r[2], r[3]),
         spread_after_1s_cfs: r[4] as u32,
         spread_after_1s_ule: r[5] as u32,
         mg_diff_pct: pct_diff(r[6], r[7]),
-    }
+    })
 }
 
 /// Render the comparison.
@@ -156,7 +164,7 @@ mod tests {
             ..RunCfg::at_scale(0.02)
         };
         let sc = figure_scenario(UNPIN);
-        let [cfs, ule] = Sched::BOTH.map(|s| run_case(&sc, s, &cfg, &mut ()).run);
+        let [cfs, ule] = Sched::BOTH.map(|s| try_run_case(&sc, s, &cfg, &mut ()).unwrap().run);
         for run in [&cfs, &ule] {
             assert_eq!(run.end_s, 1.2, "[{}]", run.sched.name());
         }

@@ -11,7 +11,7 @@
 use kernel::{AppId, Kernel};
 use metrics::TimeSeries;
 
-use crate::{figure_scenario, obs_of, run_case, RunCfg, Sched};
+use crate::{figure_scenario, obs_of, try_run_case, Crash, RunCfg, Sched};
 
 /// `scenarios/fig1.toml`, compiled in: the workload this figure runs.
 pub const SCENARIO: &str = include_str!("../../../scenarios/fig1.toml");
@@ -49,7 +49,7 @@ fn fibo_sysbench_apps(apps: &[(String, AppId)]) -> (AppId, AppId) {
 }
 
 /// Run the experiment under one scheduler.
-pub fn run(sched: Sched, cfg: &RunCfg) -> Fig1Run {
+pub fn run(sched: Sched, cfg: &RunCfg) -> Result<Fig1Run, Crash> {
     let mut fibo_runtime = TimeSeries::new("fibo");
     let mut sysbench_runtime = TimeSeries::new("sysbench");
     let mut fibo_penalty = TimeSeries::new("fibo penalty");
@@ -82,12 +82,12 @@ pub fn run(sched: Sched, cfg: &RunCfg) -> Fig1Run {
         }
     };
     let sc = figure_scenario(SCENARIO);
-    let out = run_case(&sc, sched, cfg, &mut sample);
+    let out = try_run_case(&sc, sched, cfg, &mut sample)?;
 
     let k = &out.kernel;
     let (fibo, sysbench) = fibo_sysbench_apps(&out.apps);
     let fibo_tid = k.app_tasks(fibo)[0];
-    Fig1Run {
+    Ok(Fig1Run {
         sched,
         fibo_runtime,
         sysbench_runtime,
@@ -103,7 +103,7 @@ pub fn run(sched: Sched, cfg: &RunCfg) -> Fig1Run {
             .unwrap_or(0.0),
         fibo_runtime_total_s: k.task_runtime(fibo_tid).as_secs_f64(),
         obs: obs_of(k),
-    }
+    })
 }
 
 /// The full figure: both schedulers.
@@ -115,14 +115,18 @@ pub struct Fig1 {
     pub ule: Fig1Run,
 }
 
-/// Run both schedulers (in parallel when the runner pool allows).
-pub fn run_both(cfg: &RunCfg) -> Fig1 {
+/// Run both schedulers (in parallel when the runner pool allows); a
+/// failure is CFS's if both fail.
+pub fn run_both(cfg: &RunCfg) -> Result<Fig1, Crash> {
     let (cfs, ule) = crate::runner::join(
         cfg.threads,
         || run(Sched::Cfs, cfg),
         || run(Sched::Ule, cfg),
     );
-    Fig1 { cfs, ule }
+    Ok(Fig1 {
+        cfs: cfs?,
+        ule: ule?,
+    })
 }
 
 /// Render the two panels as ASCII charts.

@@ -9,11 +9,11 @@
 use metrics::TimeSeries;
 
 use crate::fig1::Fig1Run;
-use crate::{fig1, RunCfg, Sched};
+use crate::{fig1, Crash, RunCfg, Sched};
 
 /// Run the underlying experiment on ULE and return it (penalty series
 /// filled).
-pub fn run(cfg: &RunCfg) -> Fig1Run {
+pub fn run(cfg: &RunCfg) -> Result<Fig1Run, Crash> {
     fig1::run(Sched::Ule, cfg)
 }
 

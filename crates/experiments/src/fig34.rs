@@ -14,7 +14,7 @@ use scenario::Observer;
 use sched_api::Tid;
 use simcore::{Dur, Time};
 
-use crate::{figure_scenario, run_case, RunCfg, Sched};
+use crate::{figure_scenario, try_run_case, Crash, RunCfg, Sched};
 
 /// `scenarios/drivers/fig34.toml`, compiled in: the workload this figure
 /// runs.
@@ -132,7 +132,7 @@ impl Observer for Sampler {
 }
 
 /// Run on ULE (the experiment is specific to ULE's classification).
-pub fn run(cfg: &RunCfg) -> Fig34 {
+pub fn run(cfg: &RunCfg) -> Result<Fig34, Crash> {
     let mut sampler = Sampler {
         groups: None,
         fig: Fig34 {
@@ -145,8 +145,8 @@ pub fn run(cfg: &RunCfg) -> Fig34 {
             background_count: 0,
         },
     };
-    run_case(&figure_scenario(SCENARIO), Sched::Ule, cfg, &mut sampler);
-    sampler.fig
+    try_run_case(&figure_scenario(SCENARIO), Sched::Ule, cfg, &mut sampler)?;
+    Ok(sampler.fig)
 }
 
 /// Render both figures.

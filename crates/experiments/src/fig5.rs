@@ -13,7 +13,7 @@ use metrics::BarChart;
 use scenario::Scenario;
 use workloads::suite;
 
-use crate::{pct_diff, run_cell, runner, suite_case, PerfResult, RunCfg, Sched};
+use crate::{pct_diff, run_cells, suite_case, Crash, PerfResult, RunCfg, Sched};
 
 /// `scenarios/apache.toml`, compiled in: the suite's apache entry alone on
 /// one core, the run `battle trace fig5` exports.
@@ -40,32 +40,30 @@ pub struct SuiteRow {
 }
 
 /// Run the full single-core suite under both schedulers.
-pub fn run(cfg: &RunCfg) -> SuiteComparison {
+pub fn run(cfg: &RunCfg) -> Result<SuiteComparison, Crash> {
     run_on("single-core", cfg, false, &[])
 }
 
 /// Run the suite, one [`suite_case`] per application, on a preset machine
 /// (Figure 8 runs `opteron-6172`), optionally with kernel noise and the
 /// `extra` catalog entries after the suite's.
-pub fn run_on(preset: &str, cfg: &RunCfg, with_noise: bool, extra: &[&str]) -> SuiteComparison {
-    let cases: Vec<Scenario> = suite()
+pub fn run_on(
+    preset: &str,
+    cfg: &RunCfg,
+    with_noise: bool,
+    extra: &[&str],
+) -> Result<SuiteComparison, Crash> {
+    // One cell per (application, scheduler) pair; the runner returns
+    // results in submission order, so the rows of the table are identical
+    // whatever the thread count.
+    let cells: Vec<(Scenario, Sched)> = suite()
         .iter()
         .map(|e| e.name)
         .chain(extra.iter().copied())
         .map(|name| suite_case(&[name], preset, with_noise))
+        .flat_map(|sc| Sched::BOTH.map(|s| (sc.clone(), s)))
         .collect();
-    // One job per (application, scheduler) pair; the runner returns
-    // results in submission order, so the rows of the table are identical
-    // whatever the thread count.
-    let sims: Vec<(&Scenario, Sched)> = cases
-        .iter()
-        .flat_map(|sc| Sched::BOTH.into_iter().map(move |s| (sc, s)))
-        .collect();
-    let results: Vec<PerfResult> =
-        runner::par_map(cfg.threads, sims, |(sc, sched)| run_cell(sc, sched, cfg))
-            .into_iter()
-            .flatten()
-            .collect();
+    let results: Vec<_> = run_cells(&cells, cfg)?.into_iter().flatten().collect();
     let rows = results
         .chunks_exact(2)
         .map(|pair| {
@@ -79,7 +77,7 @@ pub fn run_on(preset: &str, cfg: &RunCfg, with_noise: bool, extra: &[&str]) -> S
             }
         })
         .collect();
-    SuiteComparison { rows }
+    Ok(SuiteComparison { rows })
 }
 
 /// The figure's bar chart.

@@ -16,7 +16,7 @@ use metrics::PerCoreSeries;
 use simcore::{Dur, Time};
 use topology::CpuId;
 
-use crate::{figure_scenario, obs_of, run_case, RunCfg, Sched};
+use crate::{figure_scenario, obs_of, try_run_case, Crash, RunCfg, Sched};
 
 /// `scenarios/fig6.toml`, compiled in: the workload this figure runs.
 pub const SCENARIO: &str = include_str!("../../../scenarios/fig6.toml");
@@ -45,7 +45,7 @@ pub struct Fig6Run {
 }
 
 /// Run under one scheduler.
-pub fn run(sched: Sched, cfg: &RunCfg) -> Fig6Run {
+pub fn run(sched: Sched, cfg: &RunCfg) -> Result<Fig6Run, Crash> {
     let sc = figure_scenario(SCENARIO);
     let unpin_at = Time::ZERO + sc.events[0].at.eval(cfg.scale);
     let mut migrated_in_200ms = 0;
@@ -59,10 +59,10 @@ pub fn run(sched: Sched, cfg: &RunCfg) -> Fig6Run {
             on_core0_after_unpin = on_core0;
         }
     };
-    let out = run_case(&sc, sched, cfg, &mut sample);
+    let out = try_run_case(&sc, sched, cfg, &mut sample)?;
 
     let since_unpin = |t: f64| t - unpin_at.as_secs_f64();
-    Fig6Run {
+    Ok(Fig6Run {
         sched,
         final_spread: out.matrix.final_spread(),
         convergence_s: out.matrix.convergence_time(2).map(since_unpin),
@@ -71,7 +71,7 @@ pub fn run(sched: Sched, cfg: &RunCfg) -> Fig6Run {
         migrated_in_200ms,
         obs: obs_of(&out.kernel),
         matrix: out.matrix,
-    }
+    })
 }
 
 /// The full figure.
@@ -83,14 +83,18 @@ pub struct Fig6 {
     pub cfs: Fig6Run,
 }
 
-/// Run both schedulers (in parallel when the runner pool allows).
-pub fn run_both(cfg: &RunCfg) -> Fig6 {
+/// Run both schedulers (in parallel when the runner pool allows); a
+/// failure is ULE's if both fail.
+pub fn run_both(cfg: &RunCfg) -> Result<Fig6, Crash> {
     let (ule, cfs) = crate::runner::join(
         cfg.threads,
         || run(Sched::Ule, cfg),
         || run(Sched::Cfs, cfg),
     );
-    Fig6 { ule, cfs }
+    Ok(Fig6 {
+        ule: ule?,
+        cfs: cfs?,
+    })
 }
 
 /// Render both heatmaps and the headline numbers.

@@ -12,7 +12,7 @@ use kernel::{AppId, Kernel};
 use metrics::PerCoreSeries;
 use scenario::spec::WorkloadSpec;
 
-use crate::{figure_scenario, obs_of, run_case, RunCfg, Sched};
+use crate::{figure_scenario, obs_of, try_run_case, Crash, RunCfg, Sched};
 
 /// `scenarios/fig7.toml`, compiled in: the workload this figure runs.
 pub const SCENARIO: &str = include_str!("../../../scenarios/fig7.toml");
@@ -34,7 +34,7 @@ pub struct Fig7Run {
 }
 
 /// Run under one scheduler.
-pub fn run(sched: Sched, cfg: &RunCfg) -> Fig7Run {
+pub fn run(sched: Sched, cfg: &RunCfg) -> Result<Fig7Run, Crash> {
     let sc = figure_scenario(SCENARIO);
     let WorkloadSpec::Cray { threads, .. } = &sc.phases[0].workload else {
         panic!("fig7.toml's phase is not a c-ray render");
@@ -62,8 +62,8 @@ pub fn run(sched: Sched, cfg: &RunCfg) -> Fig7Run {
             all_runnable_s = Some(k.now().as_secs_f64());
         }
     };
-    let out = run_case(&sc, sched, cfg, &mut sample);
-    Fig7Run {
+    let out = try_run_case(&sc, sched, cfg, &mut sample)?;
+    Ok(Fig7Run {
         sched,
         all_runnable_s,
         completion_s: out
@@ -73,7 +73,7 @@ pub fn run(sched: Sched, cfg: &RunCfg) -> Fig7Run {
             .map(|d| d.as_secs_f64()),
         obs: obs_of(&out.kernel),
         matrix: out.matrix,
-    }
+    })
 }
 
 /// The full figure.
@@ -85,14 +85,18 @@ pub struct Fig7 {
     pub cfs: Fig7Run,
 }
 
-/// Run both schedulers (in parallel when the runner pool allows).
-pub fn run_both(cfg: &RunCfg) -> Fig7 {
+/// Run both schedulers (in parallel when the runner pool allows); a
+/// failure is ULE's if both fail.
+pub fn run_both(cfg: &RunCfg) -> Result<Fig7, Crash> {
     let (ule, cfs) = crate::runner::join(
         cfg.threads,
         || run(Sched::Ule, cfg),
         || run(Sched::Cfs, cfg),
     );
-    Fig7 { ule, cfs }
+    Ok(Fig7 {
+        ule: ule?,
+        cfs: cfs?,
+    })
 }
 
 /// Render both heatmaps and the headline numbers.

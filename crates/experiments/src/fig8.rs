@@ -8,11 +8,11 @@
 //! cores."
 
 use crate::fig5::{self, SuiteComparison};
-use crate::RunCfg;
+use crate::{Crash, RunCfg};
 
 /// Run the multicore suite (with per-core kernel noise, as on a real
 /// machine) under both schedulers, including Hackb-800 and Hackb-10.
-pub fn run(cfg: &RunCfg) -> SuiteComparison {
+pub fn run(cfg: &RunCfg) -> Result<SuiteComparison, Crash> {
     let extra: Vec<&str> = workloads::multicore_extra()
         .iter()
         .map(|e| e.name)

@@ -7,7 +7,7 @@
 
 use scenario::Scenario;
 
-use crate::{pct_diff, run_cell, runner, suite_case, PerfResult, RunCfg, Sched};
+use crate::{pct_diff, run_cells, suite_case, Crash, PerfResult, RunCfg, Sched};
 
 /// The four workload pairs, with the paper's category labels.
 pub const PAIRS: [(&str, &str, &str); 4] = [
@@ -46,9 +46,9 @@ const MACHINE: &str = "opteron-6172";
 /// and B alone under CFS, then under ULE (one-entry cases), then A + B
 /// together under CFS and ULE (a two-entry case). Each run is its
 /// entries' results; all go to the runner pool.
-pub fn runs(cfg: &RunCfg) -> Vec<Vec<PerfResult>> {
+pub fn runs(cfg: &RunCfg) -> Result<Vec<Vec<PerfResult>>, Crash> {
     let alone = |e: &str| suite_case(&[e], MACHINE, false);
-    let jobs: Vec<(Scenario, Sched)> = PAIRS
+    let cells: Vec<(Scenario, Sched)> = PAIRS
         .iter()
         .flat_map(|&(a, b, _)| {
             let together = suite_case(&[a, b], MACHINE, false);
@@ -62,12 +62,12 @@ pub fn runs(cfg: &RunCfg) -> Vec<Vec<PerfResult>> {
             ]
         })
         .collect();
-    runner::par_map(cfg.threads, jobs, |(sc, sched)| run_cell(&sc, sched, cfg))
+    run_cells(&cells, cfg)
 }
 
 /// Run the whole figure.
-pub fn run(cfg: &RunCfg) -> Fig9 {
-    let runs = runs(cfg);
+pub fn run(cfg: &RunCfg) -> Result<Fig9, Crash> {
+    let runs = runs(cfg)?;
     let mut cells = Vec::new();
     for ((a, b, category), r) in PAIRS.into_iter().zip(runs.chunks_exact(6)) {
         for (j, name) in [a, b].into_iter().enumerate() {
@@ -82,7 +82,7 @@ pub fn run(cfg: &RunCfg) -> Fig9 {
             });
         }
     }
-    Fig9 { cells }
+    Ok(Fig9 { cells })
 }
 
 /// Render as a table (the paper plots grouped bars).

@@ -11,18 +11,19 @@
 //! cancellation is counted apart: where it trips depends on the host.
 //!
 //! A failing case is shrunk by greedily dropping phases while it still
-//! fails, restricted to the failing class and written as JSON beside its
-//! crash bundle under `results/crash/` (see [`crate::crash`]). The report
-//! prints the `battle run <file> --seed <case seed> --check strict` line
-//! that replays it.
+//! fails, and its [`Crash`] carries the minimal case, restricted to the
+//! failing class, which `battle` writes as JSON beside the crash bundle
+//! under `results/crash/` (see [`crate::crash`]). The report prints the
+//! `battle run <file> --seed <case seed> --check strict` line that replays
+//! it. Wall-clock cancellations come back as lines, in case order.
 
 use kernel::{CancelToken, CheckMode};
 use scenario::expr::{CountExpr, TimeExpr};
 use scenario::spec::{FaultSpec, MutexThreadSpec, PhaseSpec, TopoSpec, WorkloadSpec};
-use scenario::{AbortKind, EngineError, EngineOpts, Scenario};
+use scenario::{AbortKind, EngineOpts, Scenario};
 use simcore::SimRng;
 
-use crate::{crash, runner, Sched};
+use crate::{crash, runner, Crash, Sched};
 
 /// Fuzzing configuration (the `battle fuzz` flags).
 #[derive(Debug, Clone)]
@@ -65,8 +66,8 @@ pub struct Failure {
     pub sched: Sched,
     /// What failed, as `battle run` reports it.
     pub error: String,
-    /// Where the crash bundle was written (`None` if the write failed).
-    pub bundle: Option<String>,
+    /// Where `battle` writes the crash bundle.
+    pub bundle: String,
     /// One-line `battle run` command replaying the shrunk scenario file.
     pub repro: String,
 }
@@ -235,22 +236,15 @@ pub fn gen_case(case_seed: u64, faults: bool, case_timeout_s: f64) -> Scenario {
 enum CaseFail {
     /// What `battle run` fails: a crash, a supervision abort or a
     /// violated assertion. Reproducible, shrinkable.
-    Error(CaseError),
+    Error(Crash),
     /// The wall-clock deadline expired mid-run. Not shrinkable (the abort
     /// point depends on host speed, not the workload).
     Cancelled,
 }
 
-/// A failure `battle run` reproduces, as its crash bundle records it.
-struct CaseError {
-    /// The failure's kind (see [`crash::Crash::kind`]).
-    kind: &'static str,
-    error: String,
-    report: String,
-}
-
 /// Run `sc` under `sched` as `battle run <file> --seed <seed> --check
-/// strict` would. `Ok` carries the kernel's counters for aggregation.
+/// strict` would. `Ok` carries the kernel's counters for aggregation; a
+/// failure's crash is replayed by that command on the case's file.
 fn run_case(
     sc: &Scenario,
     sched: Sched,
@@ -263,37 +257,21 @@ fn run_case(
         cancel: cancel.cloned(),
         ..EngineOpts::default()
     };
-    let run = match scenario::run_sched(sc, sched, &opts) {
-        Ok(out) => out.run,
-        Err(e) => {
-            let (kind, error, report) = match e {
-                EngineError::Crash(c) => (c.kind, c.error, c.report),
-                spec => ("spec error", spec.to_string(), spec.to_string()),
-            };
-            return Err(CaseFail::Error(CaseError {
-                kind,
-                error,
-                report,
-            }));
-        }
-    };
-    if run.abort_kind == Some(AbortKind::Cancelled) {
+    let result = scenario::run_sched(sc, sched, &opts);
+    if matches!(&result, Ok(out) if out.run.abort_kind == Some(AbortKind::Cancelled)) {
         return Err(CaseFail::Cancelled);
     }
-    let mut lines: Vec<String> = run
-        .abort
-        .iter()
-        .map(|a| format!("[{}] partial: {a}", sched.name()))
-        .collect();
-    lines.extend(scenario::failures(sc, std::slice::from_ref(&run)));
-    if lines.is_empty() {
+    let label = crash::case_label(sc, sched);
+    let file = crash::path(&label, "json");
+    let replay = format!("battle run {} --seed {seed} --check strict", file.display());
+    let run = Crash::of_run(label.clone(), result, replay.clone())
+        .map_err(CaseFail::Error)?
+        .run;
+    let broken = scenario::failures(sc, std::slice::from_ref(&run));
+    if broken.is_empty() {
         Ok(run.counters)
     } else {
-        Err(CaseFail::Error(CaseError {
-            kind: run.abort_kind.map_or("assertion failed", AbortKind::name),
-            error: lines.join("; "),
-            report: lines.join("\n") + "\n",
-        }))
+        Err(CaseFail::Error(Crash::broken(label, &broken, replay)))
     }
 }
 
@@ -319,51 +297,51 @@ fn shrink(mut sc: Scenario, mut fails: impl FnMut(&Scenario) -> bool) -> Scenari
     }
 }
 
-/// Shrink case `cs` that `sched` failed with `fail`, write the minimal
-/// scenario beside its crash bundle, and describe it.
-fn failure(sc: &Scenario, sched: Sched, cs: u64, fail: CaseError) -> Failure {
+/// Shrink case `sc` that `sched` failed with `crash`, and describe the
+/// minimal case: its crash carries the scenario file the repro line runs.
+fn failure(sc: &Scenario, sched: Sched, cs: u64, crash: Crash) -> (Failure, Crash) {
     // `last` tracks the most recent failing candidate, which is what the
     // shrinker returns. Shrink runs are never wall-clock cancelled (a
     // cancelled replay says nothing about the workload).
-    let mut last = fail;
+    let mut last = crash;
     let minimal = shrink(sc.clone(), |c| match run_case(c, sched, cs, None) {
-        Err(CaseFail::Error(fail)) => {
-            last = fail;
+        Err(CaseFail::Error(crash)) => {
+            last = crash;
             true
         }
         _ => false,
     });
-    let CaseError {
-        kind,
-        error,
-        report,
-    } = last;
-    let file = crash::write_case(&minimal, sched);
-    let repro = format!("battle run {} --seed {cs} --check strict", file.display());
-    let bundle = crash::Crash {
-        label: crash::case_label(&minimal, sched),
-        kind,
-        error: error.clone(),
-        report,
-        replay: repro.clone(),
-    }
-    .write_bundle();
-    Failure {
+    let crash = last.with_case(&minimal, sched);
+    let failure = Failure {
         case_seed: cs,
         sched,
-        error,
-        bundle: bundle.ok().map(|p| p.display().to_string()),
-        repro,
-    }
+        error: crash.error.clone(),
+        bundle: crash.bundle().display().to_string(),
+        repro: crash.replay.clone(),
+    };
+    (failure, crash)
+}
+
+/// What [`run`] hands back beside the report.
+#[derive(Debug)]
+pub struct Campaign {
+    /// The report: what `--json` writes.
+    pub report: FuzzReport,
+    /// Each failure's crash, in case order: `battle` writes its bundle
+    /// and the shrunk case file.
+    pub crashes: Vec<Crash>,
+    /// One line per case run the wall clock cancelled, in case order.
+    pub cancellations: Vec<String>,
 }
 
 /// Run the whole campaign on `threads` workers. Deterministic for a given
 /// config, whatever the worker-pool size.
-pub fn run(cfg: &FuzzCfg, threads: usize) -> FuzzReport {
+pub fn run(cfg: &FuzzCfg, threads: usize) -> Campaign {
     let seeds: Vec<u64> = (0..cfg.cases).map(|i| case_seed(cfg.seed, i)).collect();
     let timeout_s = cfg.case_timeout_s;
     // Per (case, class) run: its counters, or `Err(None)` when the wall
-    // clock cancelled it, or `Err(Some(_))` with the shrunk failure.
+    // clock cancelled it, or `Err(Some(_))` with the shrunk failure and
+    // its crash.
     let outcomes = runner::par_map(threads, seeds, |cs| {
         let sc = gen_case(cs, cfg.faults, timeout_s);
         // One wall-clock deadline per case: slow hosts abort the case
@@ -371,20 +349,19 @@ pub fn run(cfg: &FuzzCfg, threads: usize) -> FuzzReport {
         let token = CancelToken::with_deadline(std::time::Duration::from_secs_f64(timeout_s));
         cfg.scheds
             .iter()
-            .map(|&sched| match run_case(&sc, sched, cs, Some(&token)) {
-                Ok(c) => Ok(c),
-                Err(CaseFail::Cancelled) => {
-                    eprintln!(
-                        "fuzz case {cs:#x} [{}] cancelled after {timeout_s}s wall clock",
-                        sched.name()
-                    );
-                    Err(None)
-                }
-                Err(CaseFail::Error(fail)) => Err(Some(failure(&sc, sched, cs, fail))),
+            .map(|&sched| {
+                let outcome = match run_case(&sc, sched, cs, Some(&token)) {
+                    Ok(c) => Ok(c),
+                    Err(CaseFail::Cancelled) => Err(None),
+                    Err(CaseFail::Error(crash)) => Err(Some(failure(&sc, sched, cs, crash))),
+                };
+                (cs, sched, outcome)
             })
             .collect::<Vec<_>>()
     });
 
+    let mut crashes = Vec::new();
+    let mut cancellations = Vec::new();
     let mut report = FuzzReport {
         cases: cfg.cases,
         seed: cfg.seed,
@@ -395,18 +372,31 @@ pub fn run(cfg: &FuzzCfg, threads: usize) -> FuzzReport {
         spurious_wakes: 0,
         hotplug_events: 0,
     };
-    for outcome in outcomes.into_iter().flatten() {
+    for (cs, sched, outcome) in outcomes.into_iter().flatten() {
         match outcome {
             Ok(c) => {
                 report.events += c.events;
                 report.spurious_wakes += c.spurious_wakes;
                 report.hotplug_events += c.hotplug_events;
             }
-            Err(None) => report.cancelled += 1,
-            Err(Some(f)) => report.failures.push(f),
+            Err(None) => {
+                report.cancelled += 1;
+                cancellations.push(format!(
+                    "fuzz case {cs:#x} [{}] cancelled after {timeout_s}s wall clock",
+                    sched.name()
+                ));
+            }
+            Err(Some((failure, crash))) => {
+                report.failures.push(failure);
+                crashes.push(crash);
+            }
         }
     }
-    report
+    Campaign {
+        report,
+        crashes,
+        cancellations,
+    }
 }
 
 /// Render the campaign summary.
@@ -431,14 +421,12 @@ pub fn report(r: &FuzzReport) -> String {
     } else {
         for f in &r.failures {
             s.push_str(&format!(
-                "FAIL [{}] {}\n  repro: {}\n",
+                "FAIL [{}] {}\n  repro: {}\n  bundle: {}\n",
                 f.sched.name(),
                 f.error,
-                f.repro
+                f.repro,
+                f.bundle
             ));
-            if let Some(b) = &f.bundle {
-                s.push_str(&format!("  bundle: {b}\n"));
-            }
         }
     }
     s
@@ -462,7 +450,7 @@ mod tests {
             seed: 7,
             ..Default::default()
         };
-        let r = run(&cfg, 2);
+        let r = run(&cfg, 2).report;
         assert!(r.failures.is_empty(), "{}", report(&r));
         assert!(r.events > 0);
     }
@@ -475,7 +463,7 @@ mod tests {
             faults: false,
             ..Default::default()
         };
-        let r = run(&cfg, 1);
+        let r = run(&cfg, 1).report;
         assert!(r.failures.is_empty(), "{}", report(&r));
         assert!(r.events > 0);
         assert_eq!((r.spurious_wakes, r.hotplug_events), (0, 0));
@@ -525,8 +513,9 @@ mod tests {
         assert_eq!(shrink(sc.clone(), |_| false), sc);
     }
 
-    /// A failing case is shrunk, written under `results/crash/`, and the
-    /// written file fails again when run as its repro line says.
+    /// A failing case is shrunk, its crash carries the file `battle`
+    /// writes under `results/crash/`, and that file fails again when run
+    /// as its repro line says.
     #[test]
     fn failing_case_is_written_as_a_replayable_file() {
         let cs = case_seed(5, 0);
@@ -551,14 +540,19 @@ mod tests {
         };
         assert_eq!(fail.kind, "assertion failed");
         assert!(fail.error.contains("all_apps_done"), "{}", fail.error);
-        let f = failure(&sc, Sched::Cfs, cs, fail);
+        let (f, crash) = failure(&sc, Sched::Cfs, cs, fail);
         let file = crash::path(&format!("{}-CFS", sc.name), "json");
         assert_eq!(
             f.repro,
             format!("battle run {} --seed {cs} --check strict", file.display())
         );
-        let src = std::fs::read_to_string(&file).expect("scenario file written");
-        let written = Scenario::from_json(&src).expect("written file parses");
+        assert_eq!((&f.repro, &f.error), (&crash.replay, &crash.error));
+        let [(case, src), (bundle, _)] = &crash.files()[..] else {
+            panic!("a failure leaves its case file and its bundle");
+        };
+        assert_eq!((case, bundle), (&file, &crash::path(&crash.label, "txt")));
+        let src = src.as_ref().expect("the case serializes");
+        let written = Scenario::from_json(src).expect("written file parses");
         assert_eq!(written.scheds, vec![Sched::Cfs]);
         assert!(!written.phases.is_empty() && written.phases.len() <= sc.phases.len());
         assert!(matches!(

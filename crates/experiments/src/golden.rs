@@ -13,12 +13,14 @@
 //! same files pin both modes: a strict run that diverges from them means a
 //! check perturbed a decision.
 
+use std::path::PathBuf;
+
 use kernel::CheckMode;
 use simcore::Fnv1a;
 
 use scenario::Sched;
 
-use crate::{fig5, runner, RunCfg};
+use crate::{fig5, runner, Crash, RunCfg};
 
 /// What a manifest entry runs.
 #[derive(Debug, Clone)]
@@ -118,7 +120,7 @@ pub fn manifest() -> Vec<Entry> {
 
 /// Digests of one manifest entry: fig5 pins CFS then ULE, a scenario
 /// entry pins every registered class in [`Sched::ALL`] order.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct EntryDigests {
     /// Entry name.
     pub name: String,
@@ -131,6 +133,8 @@ pub struct EntryDigests {
     pub partial: Vec<String>,
     /// Error while computing (scenario parse failure, crash).
     pub error: Option<String>,
+    /// fig5's failed cell, whose files `battle` writes.
+    pub crash: Option<Crash>,
 }
 
 /// Fold a list of per-row digests into one (order-sensitive), used for
@@ -155,19 +159,29 @@ fn compute(entry: &Entry, check: CheckMode, threads: usize) -> EntryDigests {
         digests: Vec::new(),
         partial: Vec::new(),
         error: None,
+        crash: None,
     };
     match &entry.job {
-        Job::Fig5 => {
-            let cmp = fig5::run(&cfg);
-            out.digests.push((
-                "cfs".into(),
-                fold(cmp.rows.iter().map(|r| r.cfs.obs.digest)),
-            ));
-            out.digests.push((
-                "ule".into(),
-                fold(cmp.rows.iter().map(|r| r.ule.obs.digest)),
-            ));
-        }
+        Job::Fig5 => match fig5::run(&cfg) {
+            Ok(cmp) => {
+                out.digests.push((
+                    "cfs".into(),
+                    fold(cmp.rows.iter().map(|r| r.cfs.obs.digest)),
+                ));
+                out.digests.push((
+                    "ule".into(),
+                    fold(cmp.rows.iter().map(|r| r.ule.obs.digest)),
+                ));
+            }
+            Err(c) => {
+                out.error = Some(format!(
+                    "{} (bundle: {})",
+                    c.headline(),
+                    c.bundle().display()
+                ));
+                out.crash = Some(c);
+            }
+        },
         Job::Scenario(path) => match std::fs::read_to_string(path)
             .map_err(|e| format!("{path}: {e}"))
             .and_then(|src| scenario::Scenario::from_toml(&src).map_err(|e| format!("{path}: {e}")))
@@ -202,8 +216,8 @@ pub fn compute_all(check: CheckMode, threads: usize) -> Vec<EntryDigests> {
     runner::par_map(threads, manifest(), |e| compute(&e, check, threads))
 }
 
-fn golden_path(name: &str) -> std::path::PathBuf {
-    std::path::PathBuf::from("results")
+fn golden_path(name: &str) -> PathBuf {
+    PathBuf::from("results")
         .join("golden")
         .join(format!("{name}.digest"))
 }
@@ -232,74 +246,43 @@ fn parse_file(src: &str) -> Vec<(String, u64)> {
         .collect()
 }
 
-/// Write every manifest digest, run under `check` on `threads` workers, to
-/// `results/golden/`. Returns `false` on I/O failure or if any entry
-/// errored.
-///
-/// Every file is written, and every failure reported on standard error,
-/// before the first "wrote" line is printed: a closed standard output
-/// ends the process at that line, and must not leave some files
-/// rewritten and the rest stale.
-pub fn write_all(check: CheckMode, threads: usize) -> bool {
-    let entries = manifest();
-    let digests = compute_all(check, threads);
-    let mut ok = true;
-    if let Err(e) = std::fs::create_dir_all(std::path::Path::new("results").join("golden")) {
-        eprintln!("cannot create results/golden: {e}");
-        return false;
+/// What `battle golden --write` records for `entry`: the golden file's
+/// path, its text and the line that reports it once written, or why the
+/// entry cannot become a baseline.
+pub fn record(entry: &Entry, d: &EntryDigests) -> Result<(PathBuf, String, String), String> {
+    if let Some(err) = &d.error {
+        return Err(format!("[{}] ERROR: {err}", d.name));
     }
-    let mut wrote = Vec::new();
-    for (entry, d) in entries.iter().zip(&digests) {
-        if let Some(err) = &d.error {
-            eprintln!("[{}] ERROR: {err}", d.name);
-            ok = false;
-            continue;
-        }
-        if !d.partial.is_empty() {
-            // A budget-killed (or otherwise aborted) run's digest-so-far is
-            // deterministic but meaningless as a baseline: it pins where
-            // the guard fired, not what the scheduler decided. Refuse.
-            eprintln!(
-                "[{}] REFUSING to write golden: run(s) [{}] were aborted by supervision \
-                 and only salvaged a partial digest",
-                d.name,
-                d.partial.join(", ")
-            );
-            ok = false;
-            continue;
-        }
-        let path = golden_path(entry.name);
-        match std::fs::write(&path, render_file(entry, d)) {
-            Ok(()) => wrote.push(format!(
-                "wrote {} ({})",
-                path.display(),
-                d.digests
-                    .iter()
-                    .map(|(s, v)| format!("{s}={v:016x}"))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            )),
-            Err(e) => {
-                eprintln!("cannot write {}: {e}", path.display());
-                ok = false;
-            }
-        }
+    if !d.partial.is_empty() {
+        // A budget-killed (or otherwise aborted) run's digest-so-far is
+        // deterministic but meaningless as a baseline: it pins where
+        // the guard fired, not what the scheduler decided. Refuse.
+        return Err(format!(
+            "[{}] REFUSING to write golden: run(s) [{}] were aborted by supervision \
+             and only salvaged a partial digest",
+            d.name,
+            d.partial.join(", ")
+        ));
     }
-    for line in wrote {
-        println!("{line}");
-    }
-    ok
+    let path = golden_path(entry.name);
+    let digests: Vec<String> = d
+        .digests
+        .iter()
+        .map(|(s, v)| format!("{s}={v:016x}"))
+        .collect();
+    let wrote = format!("wrote {} ({})", path.display(), digests.join(" "));
+    Ok((path, render_file(entry, d), wrote))
 }
 
-/// Re-run the manifest under `check` on `threads` workers and diff against
-/// the committed golden files, printing a side-by-side report. Returns
-/// `false` on any divergence.
-pub fn check_all(check: CheckMode, threads: usize) -> bool {
+/// Diff the manifest's `digests` (see [`compute_all`]) against the
+/// committed golden files: the side-by-side report, and whether every
+/// digest matched.
+pub fn check(digests: &[EntryDigests]) -> (String, bool) {
     let entries = manifest();
-    let digests = compute_all(check, threads);
+    let mut s = String::new();
     let mut t = metrics::Table::new(&["entry", "sched", "expected", "got", "status"]);
     let mut ok = true;
-    for (entry, d) in entries.iter().zip(&digests) {
+    for (entry, d) in entries.iter().zip(digests) {
         if let Some(err) = &d.error {
             t.push(&[
                 d.name.clone(),
@@ -331,11 +314,11 @@ pub fn check_all(check: CheckMode, threads: usize) -> bool {
             if d.partial.iter().any(|p| p == sched) {
                 // The recomputed run aborted mid-flight; its digest-so-far
                 // is not comparable to a full-run baseline.
-                println!(
+                s.push_str(&format!(
                     "::warning title=golden partial run::[{}/{sched}] golden run was aborted \
-                     by supervision; baseline not comparable",
+                     by supervision; baseline not comparable\n",
                     d.name
-                );
+                ));
                 t.push(&[
                     d.name.clone(),
                     sched.clone(),
@@ -367,14 +350,17 @@ pub fn check_all(check: CheckMode, threads: usize) -> bool {
             ]);
         }
     }
-    println!("{}", t.render());
+    s.push_str(&t.render());
     if ok {
-        println!("golden digests: all {} entries match", entries.len());
+        s.push_str(&format!(
+            "\ngolden digests: all {} entries match\n",
+            entries.len()
+        ));
     } else {
-        println!(
-            "golden digests DIVERGED — if the change is intended, regenerate with \
-             `battle golden --write` and commit results/golden/"
+        s.push_str(
+            "\ngolden digests DIVERGED — if the change is intended, regenerate with \
+             `battle golden --write` and commit results/golden/\n",
         );
     }
-    ok
+    (s, ok)
 }

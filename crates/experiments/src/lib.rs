@@ -22,9 +22,16 @@
 //! desktop check theirs under `scenarios/drivers/` (all compiled in), and
 //! every cell of Figures 5, 8 and 9 and of the desktop check is a
 //! [`suite_case`]. An ablation is its stock scenario plus a
-//! `[params.<class>]` table. A failing run leaves a file `battle run`
-//! replays. Only chaos's probes build kernels by hand: they test the
-//! supervisor with behaviours that are broken on purpose.
+//! `[params.<class>]` table. Only chaos's probes build kernels by hand:
+//! they test the supervisor with behaviours that are broken on purpose.
+//!
+//! Failures are values. A driver returns `Result<_, Crash>`: a failed run
+//! comes back as a [`Crash`] carrying the case file `battle run` replays,
+//! and a pooled driver reports its first failure in input order, after
+//! every cell has run, so the report is the same at any `--threads`.
+//! Nothing in this crate prints, writes a file or exits, apart from the
+//! worker pool's one-line panic report and the Chrome trace `--trace`
+//! streams: `battle`'s `main` does all of that.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,10 +66,11 @@ pub mod tune;
 use kernel::{AppId, CheckMode, Kernel};
 use scenario::expr::TimeExpr;
 use scenario::spec::{PhaseSpec, TopoSpec, WorkloadSpec};
-use scenario::{EngineError, EngineOpts, Observer, RunOutput, Scenario};
+use scenario::{EngineOpts, Observer, RunOutput, Scenario};
 use simcore::{Dur, Time};
 use workloads::Metric;
 
+pub use crash::Crash;
 pub use scenario::Sched;
 
 /// Common run configuration.
@@ -116,53 +124,25 @@ fn figure_scenario(toml: &str) -> Scenario {
 }
 
 /// Run scenario `sc` (a figure's file or a generated case) under `sched`
-/// with `obs` watching every step. A run that fails writes `sc`,
-/// restricted to `sched`, as a scenario file beside its crash bundle and
-/// exits, replayed by `battle run <file>` (see [`try_run_case`]).
-fn run_case(sc: &Scenario, sched: Sched, cfg: &RunCfg, obs: &mut impl Observer) -> RunOutput {
-    try_run_case(sc, sched, cfg, obs).unwrap_or_else(|c| {
-        crash::write_case(sc, sched);
-        c.bail()
-    })
-}
-
-/// Like [`run_case`], but a failure comes back as the crash it would
-/// leave and writes nothing. A run fails on a simulator error (a
-/// strict-mode violation) and on a supervision abort (the no-progress
-/// watchdog): a salvaged partial run would measure a truncated workload,
-/// and `battle run` fails the same file for it.
+/// with `obs` watching every step. A failed run (see [`Crash::of_run`])
+/// comes back as its crash, carrying `sc` restricted to `sched` as the
+/// case file that `battle run` replays.
 fn try_run_case(
     sc: &Scenario,
     sched: Sched,
     cfg: &RunCfg,
     obs: &mut impl Observer,
-) -> Result<RunOutput, crash::Crash> {
-    let (kind, error, report) = match scenario::run_observed(sc, sched, &cfg.engine_opts(), obs) {
-        Ok(out) => match (&out.run.abort, out.run.abort_kind) {
-            (Some(abort), Some(kind)) => (
-                kind.name(),
-                abort.clone(),
-                out.kernel.crash_report(kind.name(), abort),
-            ),
-            _ => return Ok(out),
-        },
-        Err(EngineError::Crash(c)) => (c.kind, c.error, c.report),
-        Err(EngineError::Spec(e)) => panic!("scenario {}: {e}", sc.name),
-    };
+) -> Result<RunOutput, Crash> {
     let label = crash::case_label(sc, sched);
-    Err(crash::Crash {
-        replay: crash::replay(&crash::path(&label, "json"), cfg),
-        label,
-        kind,
-        error,
-        report,
-    })
+    let replay = crash::replay(&crash::path(&label, "json"), cfg);
+    let result = scenario::run_observed(sc, sched, &cfg.engine_opts(), obs);
+    Crash::of_run(label, result, replay).map_err(|c| c.with_case(sc, sched))
 }
 
 /// fibo's CPU time over the window from 4 s, when sysbench is in full
 /// swing, to the end of scenario `sc`'s run under `sched` (see
-/// [`run_case`]). fibo is phase 0, and 4 s lies on the step grid.
-fn fibo_window(sc: &Scenario, sched: Sched, cfg: &RunCfg) -> Dur {
+/// [`try_run_case`]). fibo is phase 0, and 4 s lies on the step grid.
+fn fibo_window(sc: &Scenario, sched: Sched, cfg: &RunCfg) -> Result<Dur, Crash> {
     let start = Time::ZERO + Dur::secs(4);
     let fibo_runtime =
         |k: &Kernel, apps: &[(String, AppId)]| k.task_runtime(k.app_tasks(apps[0].1)[0]);
@@ -172,9 +152,9 @@ fn fibo_window(sc: &Scenario, sched: Sched, cfg: &RunCfg) -> Dur {
             before = Some(fibo_runtime(k, apps));
         }
     };
-    let out = run_case(sc, sched, cfg, &mut at_start);
+    let out = try_run_case(sc, sched, cfg, &mut at_start)?;
     let before = before.expect("the run reaches the window start");
-    fibo_runtime(&out.kernel, &out.apps) - before
+    Ok(fibo_runtime(&out.kernel, &out.apps) - before)
 }
 
 /// Structured observability snapshot of one finished kernel run
@@ -267,10 +247,11 @@ pub fn suite_case(entries: &[&str], preset: &str, noise: bool) -> Scenario {
 
 /// Run suite cell `sc` (see [`suite_case`]) under `sched` and measure
 /// each entry, in phase order, by the entry's [`Metric`].
-pub fn run_cell(sc: &Scenario, sched: Sched, cfg: &RunCfg) -> Vec<PerfResult> {
-    let out = run_case(sc, sched, cfg, &mut ());
+pub fn run_cell(sc: &Scenario, sched: Sched, cfg: &RunCfg) -> Result<Vec<PerfResult>, Crash> {
+    let out = try_run_case(sc, sched, cfg, &mut ())?;
     let obs = obs_of(&out.kernel);
-    out.run
+    let results = out
+        .run
         .apps
         .iter()
         .filter_map(|app| {
@@ -288,6 +269,18 @@ pub fn run_cell(sc: &Scenario, sched: Sched, cfg: &RunCfg) -> Vec<PerfResult> {
                 obs: obs.clone(),
             })
         })
+        .collect();
+    Ok(results)
+}
+
+/// Run every suite cell of `cells` on the worker pool, each as
+/// [`run_cell`] does, results in input order. Every cell runs; a failure
+/// comes back as the first failed cell's crash in input order, whatever
+/// the pool size.
+pub fn run_cells(cells: &[(Scenario, Sched)], cfg: &RunCfg) -> Result<Vec<Vec<PerfResult>>, Crash> {
+    let cells: Vec<&(Scenario, Sched)> = cells.iter().collect();
+    runner::par_map(cfg.threads, cells, |(sc, sched)| run_cell(sc, *sched, cfg))
+        .into_iter()
         .collect()
 }
 
@@ -310,6 +303,40 @@ mod tests {
         assert!((pct_diff(2.0, 1.0) - 100.0).abs() < 1e-12);
         assert!((pct_diff(0.5, 1.0) + 50.0).abs() < 1e-12);
         assert_eq!(pct_diff(1.0, 0.0), 0.0);
+    }
+
+    /// Two failing cells through the pooled path: every cell runs, and the
+    /// crash that comes back is the first cell's, the same at one worker
+    /// and at four, with nothing written to disk.
+    #[test]
+    fn pooled_cells_report_the_first_failure_at_any_pool_size() {
+        let mut sc = suite_case(&["Apache"], "single-core", false);
+        // Two events at one instant already count as a stall.
+        sc.budget.stall_events = Some(2);
+        let cells = [(sc.clone(), Sched::Ule), (sc, Sched::Cfs)];
+        let labels = ["Apache-ULE", "Apache-CFS"];
+        let files = || labels.map(|l| [crash::path(l, "txt"), crash::path(l, "json")]);
+        for file in files().iter().flatten() {
+            std::fs::remove_file(file).ok();
+        }
+        let crash_at = |threads| {
+            let cfg = RunCfg {
+                threads,
+                ..RunCfg::at_scale(0.02)
+            };
+            run_cells(&cells, &cfg).expect_err("both cells stall")
+        };
+        let one = crash_at(1);
+        assert_eq!(one.label, labels[0]);
+        assert_eq!(one.kind, "livelock");
+        assert_eq!(
+            one.case.as_ref().map(|c| &c.scheds[..]),
+            Some(&[Sched::Ule][..])
+        );
+        assert_eq!(crash_at(4), one);
+        for file in files().iter().flatten() {
+            assert!(!file.exists(), "{} was written", file.display());
+        }
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! multicore host is to run them side by side.
 //!
 //! There is one pool, [`par_map_supervised`], and two wrappers around it:
-//! [`par_map`] for sweeps that cannot fail, and [`join`] for the CFS/ULE
-//! pairs of fig1, fig6 and fig7. Every entry point takes the pool size
+//! [`par_map`] for sweeps whose jobs do not panic, and [`join`] for the
+//! CFS/ULE pairs of fig1, fig6 and fig7. A job that can fail returns its
+//! failure as a value (`Result<_, Crash>`), and the caller reports the
+//! first one in input order. Every entry point takes the pool size
 //! (the number of worker threads) as its first argument; every experiment
 //! passes `RunCfg::threads`, which `battle --threads N` sets and which
 //! defaults to [`default_threads`]. Nothing in this module is process-global, so

@@ -13,11 +13,11 @@ use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
-use kernel::{CancelToken, CheckMode};
-use scenario::{EngineError, EngineOpts, Scenario, ScenarioRun, Sched};
+use kernel::CancelToken;
+use scenario::{EngineError, EngineOpts, RunOutput, Scenario, ScenarioRun, Sched};
 
 use crate::scope::{self, ChromeTrace, TraceReport};
-use crate::{crash, runner, RunCfg};
+use crate::{crash, runner, Crash, RunCfg};
 
 /// Outcome of one scenario file: its runs and any assertion failures.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -122,42 +122,64 @@ fn opts_for(cfg: &RunCfg, cancel: Option<&CancelToken>) -> EngineOpts {
     }
 }
 
-/// Failure lines for supervised aborts: a run that was budget-killed,
-/// livelocked or cancelled still salvaged a partial result (it appears in
-/// `runs` with `partial: true`), but the scenario as a whole did not
-/// complete, so the report must fail.
-fn partial_failures(runs: &[ScenarioRun]) -> Vec<String> {
-    runs.iter()
-        .filter(|r| r.partial)
-        .map(|r| {
-            format!(
-                "[{}] partial: {}",
-                r.sched.name(),
-                r.abort.as_deref().unwrap_or("aborted by supervision")
-            )
-        })
-        .collect()
-}
-
-fn crash_failure(path: &Path, sc: &Scenario, cfg: &RunCfg, c: &scenario::EngineCrash) -> String {
-    let bundle = crash::Crash {
-        label: crash::case_label(sc, c.sched),
-        kind: c.kind,
-        error: c.error.clone(),
-        report: c.report.clone(),
-        replay: crash::replay(path, cfg),
-    };
-    let written = match bundle.write_bundle() {
-        Ok(p) => format!(" (bundle: {})", p.display()),
-        Err(e) => format!(" (bundle write failed: {e})"),
-    };
-    format!("[{}] crash: {}{}", c.sched.name(), c.error, written)
-}
-
 /// The schedulers to run `sc` under: `scheds` when the caller chose them
 /// (`--sched`), else the scenario's own list.
 fn scheds_for<'a>(sc: &'a Scenario, scheds: Option<&'a [Sched]>) -> &'a [Sched] {
     scheds.unwrap_or(&sc.scheds)
+}
+
+/// What [`run_all`] hands back.
+#[derive(Debug)]
+pub struct Batch {
+    /// One report per scenario, in load order: what `--json` writes.
+    pub reports: Vec<RunReport>,
+    /// The crash of every failed run, in job order. Each names the
+    /// scenario's own file as its replay, and `battle` writes its bundle.
+    pub crashes: Vec<Crash>,
+    /// With `--trace`: the line naming each trace file written, in
+    /// scenario order.
+    pub traced: Vec<String>,
+}
+
+impl Batch {
+    /// File scenario `i`'s run under `sched`: the run, complete or
+    /// salvaged, and its crash as a failure line naming the bundle.
+    fn file(&mut self, i: usize, sched: Sched, run: Option<ScenarioRun>, crash: Option<Crash>) {
+        let report = &mut self.reports[i];
+        if let Some(c) = crash {
+            report.failures.push(format!(
+                "[{}] {}: {} (bundle: {})",
+                sched.name(),
+                if run.is_some() { "partial" } else { "crash" },
+                c.error,
+                c.bundle().display()
+            ));
+            self.crashes.push(c);
+        }
+        report.runs.extend(run);
+    }
+}
+
+/// `result`, the run of `sc` (loaded from `path`) under `sched`: the run,
+/// complete or salvaged, and its crash if it failed (see
+/// [`Crash::of_run`]), replayed from `path`.
+fn ran(
+    path: &Path,
+    sc: &Scenario,
+    sched: Sched,
+    cfg: &RunCfg,
+    result: Result<RunOutput, EngineError>,
+) -> (Option<ScenarioRun>, Option<Crash>) {
+    let salvaged = result.as_ref().ok().filter(|o| o.run.partial);
+    let salvaged = salvaged.map(|o| o.run.clone());
+    match Crash::of_run(
+        crash::case_label(sc, sched),
+        result,
+        crash::replay(path, cfg),
+    ) {
+        Ok(out) => (Some(out.run), None),
+        Err(c) => (salvaged, Some(c)),
+    }
 }
 
 /// Run every loaded scenario under `scheds` (`None`: each scenario's own
@@ -170,84 +192,73 @@ fn scheds_for<'a>(sc: &'a Scenario, scheds: Option<&'a [Sched]>) -> &'a [Sched] 
 /// poll, salvages a partial result, and the report fails. A panicking job
 /// (impossible in a healthy build, but chaos tests inject them) is
 /// isolated: siblings finish, the panic becomes a failure line plus a
-/// crash bundle.
+/// crash.
 pub fn run_all(
     scenarios: &[(PathBuf, Scenario)],
     cfg: &RunCfg,
     scheds: Option<&[Sched]>,
     trace: Option<TraceTo>,
     timeout_s: Option<f64>,
-) -> Vec<RunReport> {
+) -> Batch {
     let cancel =
         timeout_s.map(|s| CancelToken::with_deadline(std::time::Duration::from_secs_f64(s)));
-    if let Some(to) = trace {
-        return scenarios
+    let mut batch = Batch {
+        reports: scenarios
             .iter()
-            .map(|(path, sc)| {
-                let out = to.path_for(path, sc);
-                run_traced(path, sc, cfg, scheds_for(sc, scheds), &out, cancel.as_ref())
-            })
+            .map(|(path, sc)| RunReport::new(path, sc))
+            .collect(),
+        crashes: Vec::new(),
+        traced: Vec::new(),
+    };
+    if let Some(to) = trace {
+        for (i, loaded @ (path, sc)) in scenarios.iter().enumerate() {
+            let out = to.path_for(path, sc);
+            let scheds = scheds_for(sc, scheds);
+            run_traced(&mut batch, i, loaded, cfg, scheds, &out, cancel.as_ref());
+        }
+    } else {
+        let jobs: Vec<(usize, Sched)> = scenarios
+            .iter()
+            .enumerate()
+            .flat_map(|(i, (_, sc))| scheds_for(sc, scheds).iter().map(move |&s| (i, s)))
             .collect();
-    }
-    let jobs: Vec<(usize, Sched)> = scenarios
-        .iter()
-        .enumerate()
-        .flat_map(|(i, (_, sc))| scheds_for(sc, scheds).iter().map(move |&s| (i, s)))
-        .collect();
-    let cancel_ref = cancel.as_ref();
-    let outcomes = runner::par_map_supervised(cfg.threads, jobs.clone(), |(i, sched)| {
-        let (path, sc) = &scenarios[i];
-        scenario::run_sched(sc, sched, &opts_for(cfg, cancel_ref))
-            .map(|o| o.run)
-            .map_err(|e| match e {
-                EngineError::Spec(s) => format!("[{}] {s}", sched.name()),
-                EngineError::Crash(c) => crash_failure(path, sc, cfg, &c),
-            })
-    });
-    let mut reports: Vec<RunReport> = scenarios
-        .iter()
-        .map(|(path, sc)| RunReport::new(path, sc))
-        .collect();
-    for (&(i, sched), outcome) in jobs.iter().zip(outcomes) {
-        match outcome {
-            runner::JobOutcome::Done(Ok(run)) => reports[i].runs.push(run),
-            runner::JobOutcome::Done(Err(msg)) => reports[i].failures.push(msg),
-            runner::JobOutcome::Panicked(msg) => {
-                let (path, sc) = &scenarios[i];
-                let bundle = crash::Crash::from_panic(
-                    &crash::case_label(sc, sched),
-                    &msg,
-                    &crash::replay(path, cfg),
-                );
-                let written = match bundle.write_bundle() {
-                    Ok(p) => format!(" (bundle: {})", p.display()),
-                    Err(e) => format!(" (bundle write failed: {e})"),
-                };
-                reports[i]
-                    .failures
-                    .push(format!("[{}] panic: {msg}{written}", sched.name()));
-            }
+        let cancel_ref = cancel.as_ref();
+        let outcomes = runner::par_map_supervised(cfg.threads, jobs.clone(), |(i, sched)| {
+            let (path, sc) = &scenarios[i];
+            let result = scenario::run_sched(sc, sched, &opts_for(cfg, cancel_ref));
+            ran(path, sc, sched, cfg, result)
+        });
+        for (&(i, sched), outcome) in jobs.iter().zip(outcomes) {
+            let (run, crash) = match outcome {
+                runner::JobOutcome::Done(ran) => ran,
+                runner::JobOutcome::Panicked(msg) => {
+                    let (path, sc) = &scenarios[i];
+                    let label = crash::case_label(sc, sched);
+                    let c = Crash::from_panic(&label, &msg, &crash::replay(path, cfg));
+                    (None, Some(c))
+                }
+            };
+            batch.file(i, sched, run, crash);
         }
     }
-    for (report, (_, sc)) in reports.iter_mut().zip(scenarios) {
-        let partial = partial_failures(&report.runs);
-        report.failures.extend(partial);
+    for (report, (_, sc)) in batch.reports.iter_mut().zip(scenarios) {
         report.failures.extend(scenario::failures(sc, &report.runs));
     }
-    reports
+    batch
 }
 
-/// Run `sc` under each of `scheds` in turn, streaming every run into one
-/// Chrome-trace file at `out`.
+/// Run scenario `i` of the batch, `sc` loaded from `path`, under each of
+/// `scheds` in turn, streaming every run into one Chrome-trace file at
+/// `out`.
 fn run_traced(
-    path: &Path,
-    sc: &Scenario,
+    batch: &mut Batch,
+    i: usize,
+    (path, sc): &(PathBuf, Scenario),
     cfg: &RunCfg,
     scheds: &[Sched],
     out: &Path,
     cancel: Option<&CancelToken>,
-) -> RunReport {
-    let mut report = RunReport::new(path, sc);
+) {
     let created = match out.parent().filter(|d| !d.as_os_str().is_empty()) {
         Some(dir) => std::fs::create_dir_all(dir),
         None => Ok(()),
@@ -256,46 +267,35 @@ fn run_traced(
     let file = match created {
         Ok(f) => f,
         Err(e) => {
-            report
-                .failures
-                .push(format!("cannot create trace {}: {e}", out.display()));
-            return report;
+            let failure = format!("cannot create trace {}: {e}", out.display());
+            batch.reports[i].failures.push(failure);
+            return;
         }
     };
     let trace = Rc::new(RefCell::new(ChromeTrace::new(std::io::BufWriter::new(
         file,
     ))));
-    for (i, &sched) in scheds.iter().enumerate() {
+    for (g, &sched) in scheds.iter().enumerate() {
         let opts = opts_for(cfg, cancel);
-        match scope::run_group(&trace, i as u32 + 1, sc, sched, &opts) {
-            Ok((run, group)) => {
-                report.runs.push(run);
-                report.traces.push(group);
-            }
-            Err(EngineError::Spec(e)) => {
-                report.failures.push(format!("[{}] {e}", sched.name()));
-            }
-            Err(EngineError::Crash(c)) => {
-                report.failures.push(crash_failure(path, sc, cfg, &c));
-            }
-        }
+        let (result, group) = match scope::run_group(&trace, g as u32 + 1, sc, sched, &opts) {
+            Ok((out, group)) => (Ok(out), Some(group)),
+            Err(e) => (Err(e), None),
+        };
+        let (run, crash) = ran(path, sc, sched, cfg, result);
+        batch.reports[i].traces.extend(group);
+        batch.file(i, sched, run, crash);
     }
     // Every run has handed its sink back (or dropped its kernel), so the
     // writer is ours alone again.
+    let failures = &mut batch.reports[i].failures;
     match Rc::try_unwrap(trace).map(|w| w.into_inner().finish()) {
-        Ok(Ok(events)) => println!(
+        Ok(Ok(events)) => batch.traced.push(format!(
             "  trace: {} ({events} events) — open in https://ui.perfetto.dev",
             out.display()
-        ),
-        Ok(Err(e)) => report.failures.push(format!("trace export failed: {e}")),
-        Err(_) => report
-            .failures
-            .push("trace writer still shared".to_string()),
+        )),
+        Ok(Err(e)) => failures.push(format!("trace export failed: {e}")),
+        Err(_) => failures.push("trace writer still shared".to_string()),
     }
-    let partial = partial_failures(&report.runs);
-    report.failures.extend(partial);
-    report.failures.extend(scenario::failures(sc, &report.runs));
-    report
 }
 
 /// Render one report for the terminal.
@@ -327,53 +327,4 @@ pub fn render(report: &RunReport) -> String {
         }
     }
     s
-}
-
-/// CLI entry: run the loaded scenarios (see [`run_all`]), print and
-/// JSON-dump. Returns `false` if any scenario failed (crash or assertion).
-pub fn cli(
-    scenarios: &[(PathBuf, Scenario)],
-    cfg: &RunCfg,
-    scheds: Option<&[Sched]>,
-    trace: Option<TraceTo>,
-    json: &Option<String>,
-    timeout_s: Option<f64>,
-) -> bool {
-    println!(
-        "running {} scenario(s) at scale {} seed {}{}\n",
-        scenarios.len(),
-        cfg.scale,
-        cfg.seed,
-        if cfg.check == CheckMode::Strict {
-            " [strict]"
-        } else {
-            ""
-        }
-    );
-    let reports = run_all(scenarios, cfg, scheds, trace, timeout_s);
-    for report in &reports {
-        print!("{}", render(report));
-    }
-    let failed: usize = reports.iter().filter(|r| !r.passed()).count();
-    println!(
-        "\n{}/{} scenarios passed",
-        reports.len() - failed,
-        reports.len()
-    );
-    let mut ok = failed == 0;
-    if let Some(p) = json {
-        match serde_json::to_string_pretty(&reports) {
-            Ok(s) => {
-                if let Err(e) = std::fs::write(p, s) {
-                    eprintln!("cannot write {p}: {e}");
-                    ok = false;
-                }
-            }
-            Err(e) => {
-                eprintln!("cannot serialize report for {p}: {e}");
-                ok = false;
-            }
-        }
-    }
-    ok
 }

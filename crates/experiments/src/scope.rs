@@ -23,7 +23,7 @@ use std::io::Write;
 use std::rc::Rc;
 
 use kernel::{Kernel, TraceEvent, TraceSink};
-use scenario::{EngineError, EngineOpts, Observer, Scenario, ScenarioRun};
+use scenario::{EngineError, EngineOpts, Observer, RunOutput, Scenario, ScenarioRun};
 use sched_api::{TaskTable, Tid};
 use simcore::Time;
 use topology::CpuId;
@@ -561,14 +561,14 @@ pub struct TraceReport {
 
 /// Run `sc` under `sched`, streaming every event into group `pid` of
 /// `trace` (one Chrome-trace process per run, so several runs share a
-/// timeline in Perfetto).
+/// timeline in Perfetto). The kernel comes back without its trace sink.
 pub fn run_group<W: Write + 'static>(
     trace: &Rc<RefCell<ChromeTrace<W>>>,
     pid: u32,
     sc: &Scenario,
     sched: Sched,
     opts: &EngineOpts,
-) -> Result<(ScenarioRun, TraceReport), EngineError> {
+) -> Result<(RunOutput, TraceReport), EngineError> {
     let mut group = GroupTrace {
         trace: Rc::clone(trace),
         analyzer: Rc::default(),
@@ -585,7 +585,7 @@ pub fn run_group<W: Write + 'static>(
         slices: trace.borrow().slices() - slices_before,
         analysis: group.analyzer.borrow().analysis(),
     };
-    Ok((out.run, report))
+    Ok((out, report))
 }
 
 /// Render a traced run's analysis for the terminal, as lines indented

@@ -9,10 +9,10 @@
 use metrics::Table;
 
 use crate::fig1::Fig1;
-use crate::{fig1, RunCfg};
+use crate::{fig1, Crash, RunCfg};
 
 /// Run the underlying Figure 1 experiment on both schedulers.
-pub fn run(cfg: &RunCfg) -> Fig1 {
+pub fn run(cfg: &RunCfg) -> Result<Fig1, Crash> {
     fig1::run_both(cfg)
 }
 

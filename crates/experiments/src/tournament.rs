@@ -29,7 +29,7 @@ use std::path::PathBuf;
 use metrics::table::Table;
 use scenario::{EngineError, RunOutput, Scenario, Sched};
 
-use crate::{runner, scenarios, RunCfg};
+use crate::{runner, RunCfg};
 
 /// One (scenario, scheduler) outcome, reduced to the scorecard metrics.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -356,37 +356,6 @@ pub fn render(r: &TournamentReport) -> String {
         }
     }
     s
-}
-
-/// CLI entry: load the corpus, run the tournament, print the scorecard and
-/// optionally dump JSON. Returns `false` on any crash, panic, spec error
-/// or supervision abort.
-pub fn cli(paths: &[String], cfg: &RunCfg, json: &Option<String>) -> bool {
-    let corpus = match scenarios::load(paths) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return false;
-        }
-    };
-    let report = run(&corpus, cfg);
-    print!("{}", render(&report));
-    let mut ok = report.failures.is_empty() && report.partial_runs == 0;
-    if let Some(p) = json {
-        match serde_json::to_string_pretty(&report) {
-            Ok(s) => {
-                if let Err(e) = std::fs::write(p, s) {
-                    eprintln!("cannot write {p}: {e}");
-                    ok = false;
-                }
-            }
-            Err(e) => {
-                eprintln!("cannot serialize report for {p}: {e}");
-                ok = false;
-            }
-        }
-    }
-    ok
 }
 
 #[cfg(test)]

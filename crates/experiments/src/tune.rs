@@ -29,7 +29,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use ::tune::{search, SearchCfg, TrajPoint};
 use kernel::RunBudget;
@@ -37,7 +37,7 @@ use metrics::table::Table;
 use scenario::{ClassParams, EngineError, EngineOpts, Scenario, Sched};
 use sched_api::params::{Dim, DimScale, ParamVector};
 
-use crate::{runner, scenarios, tournament, RunCfg};
+use crate::{runner, tournament, RunCfg};
 
 /// Ratio cap for per-metric tuned/stock comparisons: a candidate can earn
 /// at most "twice as good as stock" on any one metric, so a single
@@ -52,24 +52,6 @@ pub struct TuneCfg {
     /// Scale, seed and check mode of the corpus runs (the seed also seeds
     /// the search).
     pub run: RunCfg,
-    /// Schedulers to tune (default: every scheduler with tunables).
-    pub scheds: Vec<Sched>,
-    /// Write `results/tuned/<sched>.toml` + `table.md` artifacts.
-    pub write: bool,
-    /// Artifact directory for `--write`.
-    pub out_dir: String,
-}
-
-impl Default for TuneCfg {
-    fn default() -> Self {
-        TuneCfg {
-            budget: 64,
-            run: RunCfg::default(),
-            scheds: Sched::TUNABLE.to_vec(),
-            write: false,
-            out_dir: "results/tuned".into(),
-        }
-    }
 }
 
 /// Workload class of a scenario, for the tuned-vs-stock breakdown. New
@@ -541,72 +523,6 @@ pub fn tuned_toml(r: &TuneReport) -> String {
 pub struct TuneBatch {
     /// Reports, in requested scheduler order.
     pub reports: Vec<TuneReport>,
-}
-
-/// CLI entry: load the corpus, tune each scheduler, print reports,
-/// optionally write JSON and the committed TOML/table artifacts. Returns
-/// `false` on baseline failures, a tuned composite below stock, or I/O
-/// errors.
-pub fn cli(paths: &[String], cfg: &TuneCfg, json: &Option<String>) -> bool {
-    let corpus = match scenarios::load(paths) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return false;
-        }
-    };
-    let mut ok = true;
-    let mut reports = Vec::new();
-    for &sched in &cfg.scheds {
-        if scenario::param_dims(sched).is_empty() {
-            eprintln!("{} has no tunables, skipping", sched.name());
-            continue;
-        }
-        let r = run(&corpus, sched, cfg);
-        print!("{}", render(&r));
-        println!();
-        ok &= r.failures.is_empty();
-        // The searcher's contract: the incumbent never loses to stock.
-        ok &= r.tuned_composite >= r.stock_composite;
-        reports.push(r);
-    }
-    if cfg.write {
-        let dir = Path::new(&cfg.out_dir);
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            return false;
-        }
-        let mut table_md = String::from("# `battle tune` — tuned vs stock\n");
-        for r in &reports {
-            let p = dir.join(format!("{}.toml", r.sched.flag_name()));
-            if let Err(e) = std::fs::write(&p, tuned_toml(r)) {
-                eprintln!("cannot write {}: {e}", p.display());
-                ok = false;
-            }
-            table_md.push_str(&format!("\n```\n{}```\n", render(r)));
-        }
-        let tp = dir.join("table.md");
-        if let Err(e) = std::fs::write(&tp, table_md) {
-            eprintln!("cannot write {}: {e}", tp.display());
-            ok = false;
-        }
-    }
-    if let Some(p) = json {
-        let batch = TuneBatch { reports };
-        match serde_json::to_string_pretty(&batch) {
-            Ok(s) => {
-                if let Err(e) = std::fs::write(p, s) {
-                    eprintln!("cannot write {p}: {e}");
-                    ok = false;
-                }
-            }
-            Err(e) => {
-                eprintln!("cannot serialize report for {p}: {e}");
-                ok = false;
-            }
-        }
-    }
-    ok
 }
 
 #[cfg(test)]

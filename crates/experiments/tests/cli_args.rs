@@ -3,11 +3,14 @@
 //! Bad numeric flags are rejected before anything runs: each case exits 2
 //! with one line on standard error that names the flag. A scenario file
 //! nested far too deep fails to parse with exit 1 and a diagnostic, not a
-//! stack overflow. `golden --write`
-//! writes every file before it prints, so a closed standard output cannot
-//! leave some golden files rewritten and the rest stale. Every child runs
-//! under a wall-clock guard, so a value that makes the program hang
-//! (`--scale inf` once did) fails the test instead of stalling it.
+//! stack overflow. The exit codes follow one contract: bad arguments 2, a
+//! failed run 1, informational shape checks 0, and a closed standard
+//! output 141. `main` writes every file before it prints, so a closed
+//! standard output costs no file: not a golden file, not a `--json` dump.
+//! A supervision abort in `battle run` leaves the same crash bundles, and
+//! the same output, at any pool size. Every child runs under a wall-clock
+//! guard, so a value that makes the program hang (`--scale inf` once did)
+//! fails the test instead of stalling it.
 
 use std::fs;
 use std::io::Read;
@@ -63,17 +66,67 @@ fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// Run `battle` with `args` from the repository root.
-fn battle(args: &[&str]) -> Run {
-    let child = Command::new(env!("CARGO_BIN_EXE_battle"))
+/// What `battle` exits with when its standard output was closed.
+const CLOSED_STDOUT: i32 = 141;
+
+/// Run `battle` with `args` in `dir`, with its standard output closed
+/// before the first line when `closed`.
+fn battle_in(dir: &Path, args: &[&str], closed: bool) -> Run {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_battle"))
         .args(args)
-        .current_dir(repo_root())
+        .current_dir(dir)
         .stdin(Stdio::null())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn battle");
+    if closed {
+        drop(child.stdout.take());
+    }
     wait_guarded(child, &format!("battle {}", args.join(" ")))
+}
+
+/// Run `battle` with `args` from the repository root.
+fn battle(args: &[&str]) -> Run {
+    battle_in(&repo_root(), args, false)
+}
+
+/// An empty directory for test `name` under the target's temp dir.
+fn fresh_dir(name: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    if dir.exists() {
+        fs::remove_dir_all(&dir).expect("clear the last run");
+    }
+    fs::create_dir_all(&dir).expect("create the test directory");
+    dir
+}
+
+/// Write `scenarios/thundering-herd.toml` with a watchdog that trips on
+/// two events at one instant into `dir` as each of `names`.
+fn stalled_herds(dir: &Path, names: &[&str]) {
+    let herd = fs::read_to_string(repo_root().join("scenarios/thundering-herd.toml"))
+        .expect("the herd scenario");
+    for name in names {
+        let stalled = format!("{herd}\n[budget]\nstall_events = 2\n");
+        fs::write(dir.join(name), stalled).expect("write the scenario");
+    }
+}
+
+/// Every file under `dir`, by name, with its bytes.
+fn files_in(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(dir)
+        .map(|entries| {
+            entries
+                .map(|e| e.expect("read an entry").path())
+                .map(|p| {
+                    let name = p.file_name().expect("a file name").to_string_lossy();
+                    (name.into_owned(), fs::read(&p).expect("read a file"))
+                })
+                .collect()
+        })
+        .unwrap_or_default();
+    files.sort();
+    files
 }
 
 #[test]
@@ -173,8 +226,8 @@ fn copy_tree(from: &Path, to: &Path) {
 
 /// `battle golden --write` in a directory holding a copy of `scenarios/`,
 /// with its standard output closed before the first line: every golden
-/// file must still come out byte-identical to the committed one, whatever
-/// the closed pipe then does to the exit code.
+/// file must still come out byte-identical to the committed one, and the
+/// run exits with the closed-stdout code, without a panic.
 #[test]
 fn golden_write_into_a_closed_stdout_writes_every_file() {
     let root = repo_root();
@@ -183,16 +236,9 @@ fn golden_write_into_a_closed_stdout_writes_every_file() {
         fs::remove_dir_all(&dir).expect("clear the last run");
     }
     copy_tree(&root.join("scenarios"), &dir.join("scenarios"));
-    let mut child = Command::new(env!("CARGO_BIN_EXE_battle"))
-        .args(["golden", "--write", "--threads", "2"])
-        .current_dir(&dir)
-        .stdin(Stdio::null())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn battle");
-    drop(child.stdout.take());
-    let run = wait_guarded(child, "battle golden --write");
+    let run = battle_in(&dir, &["golden", "--write", "--threads", "2"], true);
+    assert_eq!(run.code, Some(CLOSED_STDOUT), "stderr {:?}", run.stderr);
+    assert!(!run.stderr.contains("panicked"), "{:?}", run.stderr);
     let committed = root.join("results/golden");
     let names: Vec<String> = experiments::golden::manifest()
         .iter()
@@ -213,4 +259,82 @@ fn golden_write_into_a_closed_stdout_writes_every_file() {
         });
         assert!(got == want, "{name} differs from the committed file");
     }
+}
+
+/// The exit-code contract, end to end: bad arguments 2, a failed run 1,
+/// informational shape checks 0, and a closed standard output 141 (with
+/// no panic, and the `--json` file an open run writes).
+#[test]
+fn exit_codes_follow_the_contract() {
+    let bad = battle(&["fig1", "--scale", "nan"]);
+    assert_eq!(bad.code, Some(2), "stderr {:?}", bad.stderr);
+
+    let dir = fresh_dir("exit-codes");
+    stalled_herds(&dir, &["stalled.toml"]);
+    let failed = battle_in(&dir, &["run", "stalled.toml", "--scale", "0.05"], false);
+    assert_eq!(failed.code, Some(1), "stderr {:?}", failed.stderr);
+    // A failed run exits 1 whatever happens to its standard output.
+    let failed = battle_in(&dir, &["run", "stalled.toml", "--scale", "0.05"], true);
+    assert_eq!(failed.code, Some(1), "stderr {:?}", failed.stderr);
+
+    let shapes = battle(&["fig1", "--scale", "0.01"]);
+    assert_eq!(shapes.code, Some(0), "stderr {:?}", shapes.stderr);
+    assert!(
+        shapes.stdout.contains("shape check FAILED"),
+        "{}",
+        shapes.stdout
+    );
+
+    let scenario = repo_root().join("scenarios/mixed-nice.toml");
+    let scenario = scenario.to_str().expect("a UTF-8 path");
+    let run = |json: &str, closed: bool| {
+        let args = ["run", scenario, "--scale", "0.05", "--json", json];
+        battle_in(&dir, &args, closed)
+    };
+    let open = run("open.json", false);
+    assert_eq!(open.code, Some(0), "stderr {:?}", open.stderr);
+    let closed = run("closed.json", true);
+    assert_eq!(
+        closed.code,
+        Some(CLOSED_STDOUT),
+        "stderr {:?}",
+        closed.stderr
+    );
+    assert!(!closed.stderr.contains("panicked"), "{:?}", closed.stderr);
+    let read = |name: &str| fs::read(dir.join(name)).expect("the --json file");
+    assert!(read("open.json") == read("closed.json"));
+}
+
+/// `battle run` on two scenario files whose watchdog trips: each failed
+/// run leaves a crash bundle whose replay line names the scenario file,
+/// and the output and `results/crash/` are byte-identical at one worker
+/// and at four. The copies share the scenario's name, so the second
+/// file's bundles overwrite the first's, in job order.
+#[test]
+fn a_supervision_abort_leaves_the_same_bundles_at_any_pool_size() {
+    let mut seen = Vec::new();
+    for threads in ["1", "4"] {
+        let dir = fresh_dir(&format!("stalled-herds-t{threads}"));
+        stalled_herds(&dir, &["herd-a.toml", "herd-b.toml"]);
+        let args = ["run", "herd-a.toml", "herd-b.toml", "--scale", "0.05"];
+        let run = battle_in(&dir, &[&args[..], &["--threads", threads]].concat(), false);
+        assert_eq!(run.code, Some(1), "stderr {:?}", run.stderr);
+        assert!(run.stdout.contains("partial: "), "{}", run.stdout);
+        assert!(
+            run.stdout.contains("(bundle: results/crash/"),
+            "{}",
+            run.stdout
+        );
+        let crash = files_in(&dir.join("results/crash"));
+        assert!(!crash.is_empty(), "no bundle written");
+        for (name, bytes) in &crash {
+            let text = String::from_utf8_lossy(bytes);
+            assert!(
+                text.contains("\nreplay: battle run herd-b.toml "),
+                "{name}: {text}"
+            );
+        }
+        seen.push((run.stdout, run.stderr, crash));
+    }
+    assert!(seen[0] == seen[1], "the output depends on the pool size");
 }

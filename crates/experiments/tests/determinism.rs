@@ -47,8 +47,8 @@ fn fig5_json_is_byte_identical_across_thread_counts() {
         threads,
         ..RunCfg::at_scale(0.02)
     };
-    let seq = serde_json::to_string_pretty(&fig5::run(&cfg(1))).unwrap();
-    let par = serde_json::to_string_pretty(&fig5::run(&cfg(8))).unwrap();
+    let seq = serde_json::to_string_pretty(&fig5::run(&cfg(1)).unwrap()).unwrap();
+    let par = serde_json::to_string_pretty(&fig5::run(&cfg(8)).unwrap()).unwrap();
     assert!(!seq.is_empty());
     assert_eq!(
         seq, par,

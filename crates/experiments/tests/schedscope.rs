@@ -23,14 +23,15 @@ fn traced(name: &str, scale: f64, out: &Path) -> RunReport {
     ));
     let src = std::fs::read_to_string(&path).expect("scenario readable");
     let sc = Scenario::from_toml(&src).expect("scenario parses");
-    let mut reports = scenarios::run_all(
+    let mut batch = scenarios::run_all(
         &[(path, sc)],
         &RunCfg::at_scale(scale),
         None,
         Some(TraceTo::File(out)),
         None,
     );
-    reports.pop().expect("one report per scenario")
+    assert_eq!(batch.traced.len(), 1, "one trace file written");
+    batch.reports.pop().expect("one report per scenario")
 }
 
 /// Parse an exported trace file into its `traceEvents` array.

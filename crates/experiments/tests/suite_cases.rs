@@ -4,7 +4,7 @@
 //! the cell exactly, and the figures must finish under strict checking
 //! with the same output on any number of workers.
 
-use experiments::{crash, fig8, fig9, run_cell, suite_case, RunCfg, Sched};
+use experiments::{crash, fig8, fig9, run_cell, suite_case, Crash, RunCfg, Sched};
 use kernel::CheckMode;
 use scenario::Scenario;
 
@@ -17,8 +17,9 @@ fn strict(threads: usize) -> RunCfg {
     }
 }
 
-/// The written file parses back to the case restricted to the class, and
-/// replaying it with `run_sched` makes the same decisions as the cell.
+/// The case file a cell's crash carries parses back to the case
+/// restricted to the class, and replaying it with `run_sched` makes the
+/// same decisions as the cell.
 #[test]
 fn suite_cases_round_trip_through_their_file() {
     let cases = [
@@ -33,10 +34,13 @@ fn suite_cases_round_trip_through_their_file() {
         for sched in Sched::BOTH {
             let label = crash::case_label(sc, sched);
             assert_eq!(label, format!("{}-{}", sc.name, sched.name()));
-            let file = crash::write_case(sc, sched);
-            assert_eq!(file, crash::path(&label, "json"));
-            let src = std::fs::read_to_string(&file).expect("case file written");
-            let back = Scenario::from_json(&src).expect("case file parses");
+            let failed = Crash::from_panic(&label, "planted", "replay").with_case(sc, sched);
+            let [(file, src), _] = &failed.files()[..] else {
+                panic!("{label}: a case file and a bundle");
+            };
+            assert_eq!(file, &crash::path(&label, "json"));
+            let src = src.as_ref().expect("the case serializes");
+            let back = Scenario::from_json(src).expect("case file parses");
             let expected = Scenario {
                 scheds: vec![sched],
                 ..sc.clone()
@@ -46,7 +50,7 @@ fn suite_cases_round_trip_through_their_file() {
                 .expect("replay runs")
                 .run
                 .digest;
-            let cell = run_cell(sc, sched, &cfg);
+            let cell = run_cell(sc, sched, &cfg).expect("the cell runs");
             assert_eq!(cell.len(), sc.name.split('+').count(), "{label}");
             assert!(cell.iter().all(|r| r.obs.digest == replayed), "{label}");
         }
@@ -55,7 +59,7 @@ fn suite_cases_round_trip_through_their_file() {
 
 #[test]
 fn fig8_finishes_under_strict_checking_on_any_worker_count() {
-    let one = fig8::run(&strict(1));
+    let one = fig8::run(&strict(1)).expect("fig8 runs");
     assert_eq!(one.rows.len(), 44);
     for row in &one.rows {
         for r in [&row.cfs, &row.ule] {
@@ -69,7 +73,7 @@ fn fig8_finishes_under_strict_checking_on_any_worker_count() {
             );
         }
     }
-    let two = fig8::run(&strict(2));
+    let two = fig8::run(&strict(2)).expect("fig8 runs");
     assert_eq!(
         serde_json::to_string_pretty(&one).expect("serializes"),
         serde_json::to_string_pretty(&two).expect("serializes")
@@ -78,7 +82,7 @@ fn fig8_finishes_under_strict_checking_on_any_worker_count() {
 
 #[test]
 fn fig9_finishes_under_strict_checking_on_any_worker_count() {
-    let one = fig9::runs(&strict(1));
+    let one = fig9::runs(&strict(1)).expect("fig9 runs");
     assert_eq!(one.len(), 6 * fig9::PAIRS.len());
     for r in one.iter().flatten() {
         assert!(
@@ -90,7 +94,7 @@ fn fig9_finishes_under_strict_checking_on_any_worker_count() {
             r.elapsed_s
         );
     }
-    let two = fig9::runs(&strict(2));
+    let two = fig9::runs(&strict(2)).expect("fig9 runs");
     assert_eq!(
         serde_json::to_string_pretty(&one).expect("serializes"),
         serde_json::to_string_pretty(&two).expect("serializes")

@@ -162,7 +162,7 @@ fn budget_killed_partial_digest_is_thread_count_invariant() {
         ..RunCfg::at_scale(1.0)
     };
     let digests_at = |threads: usize| -> Vec<(String, u64, u64, bool)> {
-        let reports = scenarios::run_all(&corpus, &cfg(threads), None, None, None);
+        let reports = scenarios::run_all(&corpus, &cfg(threads), None, None, None).reports;
         assert_eq!(reports.len(), 1);
         reports[0]
             .runs
@@ -185,13 +185,17 @@ fn budget_killed_partial_digest_is_thread_count_invariant() {
         "the 3000-event budget must trip every run: {serial:?}"
     );
     // And the partial abort is reported as a failure line, so a budget
-    // trip cannot silently pass a scenario.
-    let reports = scenarios::run_all(&corpus, &cfg(4), None, None, None);
-    assert!(
-        reports[0].failures.iter().any(|f| f.contains("partial")),
-        "partial runs must fail the report: {:?}",
-        reports[0].failures
-    );
+    // trip cannot silently pass a scenario, and as a crash whose bundle
+    // the line names.
+    let batch = scenarios::run_all(&corpus, &cfg(4), None, None, None);
+    let failures = &batch.reports[0].failures;
+    assert_eq!(batch.crashes.len(), failures.len(), "{failures:?}");
+    for (line, c) in failures.iter().zip(&batch.crashes) {
+        assert!(line.contains("partial"), "{line}");
+        assert!(line.ends_with(&format!("(bundle: {})", c.bundle().display())));
+        assert_eq!(c.kind, "budget exceeded");
+        assert!(c.replay.starts_with("battle run inline-budgeted.toml "));
+    }
 }
 
 /// The chaos smoke the CI step mirrors: a full sweep over an in-memory
@@ -199,7 +203,21 @@ fn budget_killed_partial_digest_is_thread_count_invariant() {
 /// one case in every outcome class, and zero digest mismatches.
 #[test]
 fn chaos_campaign_smoke() {
-    let r = chaos::run(&unbudgeted_corpus(), &RunCfg::at_scale(0.02), 1);
+    let (r, crashes) = chaos::run(&unbudgeted_corpus(), &RunCfg::at_scale(0.02), 1);
+    let bundles: Vec<Option<String>> = crashes
+        .iter()
+        .map(|c| Some(c.bundle().display().to_string()))
+        .collect();
+    let named: Vec<Option<String>> = r
+        .cases
+        .iter()
+        .filter(|c| c.bundle.is_some())
+        .map(|c| c.bundle.clone())
+        .collect();
+    assert_eq!(
+        bundles, named,
+        "every bundle a case names is a crash to write"
+    );
     assert!(chaos::passed(&r), "{}", chaos::report(&r));
     assert!(r.counts.completed >= 1, "{}", chaos::report(&r));
     assert!(r.counts.budget_killed >= 1, "{}", chaos::report(&r));

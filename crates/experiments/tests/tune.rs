@@ -43,7 +43,6 @@ fn report_is_thread_count_independent_and_never_loses_to_stock() {
             threads,
             ..RunCfg::at_scale(0.01)
         },
-        ..tune::TuneCfg::default()
     };
     let one = tune::run(&corpus, Sched::Eevdf, &cfg(1));
     let four = tune::run(&corpus, Sched::Eevdf, &cfg(4));
@@ -188,7 +187,6 @@ fn tuned_toml_roundtrips_through_the_parser() {
             seed: 7,
             ..RunCfg::at_scale(0.01)
         },
-        ..tune::TuneCfg::default()
     };
     let r = tune::run(&corpus, Sched::ScxVtime, &cfg);
     let toml = tune::tuned_toml(&r);
